@@ -1,30 +1,20 @@
 // Dispatch-throughput microbench: work-orders/sec through RealEngine's
-// coordinator→worker handoff, locking vs lock-free worklist (DESIGN.md
-// §12).
+// coordinator→worker handoff over the lock-free worklist (DESIGN.md §12).
 //
 // The workload is deliberately dispatch-bound: many small work orders
 // (tiny chunk size, cheap select+count plans, all queries arriving at
 // once) so the handoff cost — not kernel time — dominates. The headline
-// metric is <kind>.work_orders_per_sec (higher is better; bench_compare
-// recognizes the per_sec suffix), plus the atomic/locking speedup.
+// metric is work_orders_per_sec (higher is better; bench_compare
+// recognizes the per_sec suffix).
 //
 // Emits the standard bench_common CSV schema and BENCH_dispatch.json for
 // the perf-trajectory job. Env: LSCHED_DISPATCH_QUERIES (default 24),
 // LSCHED_DISPATCH_REPS (default 3; best rep is reported),
 // LSCHED_DISPATCH_THREADS (default 8).
-//
-// Caveat for reading speedup_vs_locking: the lock-free claim only pays
-// when multiple workers and the coordinator genuinely run in parallel. On
-// a single-CPU machine every handoff degrades to the cv-parked ping-pong
-// path for BOTH kinds, and the ring's extra atomics make the atomic kind a
-// few percent slower there — the number to watch on such boxes is that the
-// gap stays small, not that it inverts.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -82,8 +72,7 @@ struct DispatchStats {
   int64_t work_orders = 0;
 };
 
-DispatchStats RunOnce(const Catalog* catalog, WorklistKind kind,
-                      int num_queries) {
+DispatchStats RunOnce(const Catalog* catalog, int num_queries) {
   std::vector<RealQuerySubmission> workload;
   for (int i = 0; i < num_queries; ++i) {
     RealQuerySubmission sub;
@@ -94,7 +83,6 @@ DispatchStats RunOnce(const Catalog* catalog, WorklistKind kind,
   RealEngineConfig cfg;
   cfg.num_threads = g_threads;
   cfg.chunk_rows = kChunkRows;
-  cfg.worklist = kind;
   RealEngine engine(catalog, cfg);
   FifoScheduler fifo;
 
@@ -131,41 +119,28 @@ int main() {
   auto catalog = MakeCatalog();
   if (catalog == nullptr) return 1;
 
-  // Warm-up: touch every block once so neither timed kind pays first-use
-  // costs the other does not.
-  (void)RunOnce(catalog.get(), WorklistKind::kLocking, 2);
+  // Warm-up: touch every block once so the timed reps pay no first-use
+  // costs.
+  (void)RunOnce(catalog.get(), 2);
 
   PrintCsvHeader();
   PerfSnapshot snap = MakePerfSnapshot("dispatch");
   snap.Add("queries", num_queries);
   snap.Add("threads", g_threads);
 
-  double per_sec[2] = {0.0, 0.0};
-  const std::pair<const char*, WorklistKind> kinds[2] = {
-      {"locking", WorklistKind::kLocking},
-      {"atomic", WorklistKind::kAtomic}};
-  for (int k = 0; k < 2; ++k) {
-    DispatchStats best;
-    for (int rep = 0; rep < reps; ++rep) {
-      const DispatchStats stats = RunOnce(catalog.get(), kinds[k].second,
-                                          num_queries);
-      if (stats.work_orders_per_sec > best.work_orders_per_sec) best = stats;
-    }
-    per_sec[k] = best.work_orders_per_sec;
-    const std::string name = kinds[k].first;
-    PrintCsvRow("micro_dispatch", name, num_queries, g_threads,
-                "work_orders_per_sec", best.work_orders_per_sec);
-    PrintCsvRow("micro_dispatch", name, num_queries, g_threads, "work_orders",
-                static_cast<double>(best.work_orders));
-    PrintCsvRow("micro_dispatch", name, num_queries, g_threads, "wall_seconds",
-                best.wall_seconds);
-    snap.Add(name + ".work_orders_per_sec", best.work_orders_per_sec);
-    snap.Add(name + ".work_orders", static_cast<double>(best.work_orders));
+  DispatchStats best;
+  for (int rep = 0; rep < reps; ++rep) {
+    const DispatchStats stats = RunOnce(catalog.get(), num_queries);
+    if (stats.work_orders_per_sec > best.work_orders_per_sec) best = stats;
   }
-  const double speedup = per_sec[0] > 0.0 ? per_sec[1] / per_sec[0] : 0.0;
-  PrintCsvRow("micro_dispatch", "atomic", num_queries, g_threads,
-              "speedup_vs_locking", speedup);
-  snap.Add("atomic.speedup_vs_locking", speedup);
+  PrintCsvRow("micro_dispatch", "worklist", num_queries, g_threads,
+              "work_orders_per_sec", best.work_orders_per_sec);
+  PrintCsvRow("micro_dispatch", "worklist", num_queries, g_threads,
+              "work_orders", static_cast<double>(best.work_orders));
+  PrintCsvRow("micro_dispatch", "worklist", num_queries, g_threads,
+              "wall_seconds", best.wall_seconds);
+  snap.Add("work_orders_per_sec", best.work_orders_per_sec);
+  snap.Add("work_orders", static_cast<double>(best.work_orders));
 
   return WriteBenchSnapshot(snap) ? 0 : 1;
 }

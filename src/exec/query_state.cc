@@ -80,15 +80,12 @@ bool QueryState::TransitionTo(QueryStatus to) {
   return legal;
 }
 
-QueryState::QueryState(QueryId id, QueryPlan plan, double arrival_time,
-                       size_t regression_window)
+QueryState::QueryState(QueryId id, QueryPlan plan, double arrival_time)
     : id_(id), plan_(std::move(plan)), arrival_time_(arrival_time) {
   ops_.reserve(plan_.num_nodes());
   for (size_t i = 0; i < plan_.num_nodes(); ++i) {
     OpRuntime rt;
     rt.remaining = static_cast<double>(plan_.node(static_cast<int>(i)).num_work_orders);
-    rt.dur_reg = WindowedLinearRegression(regression_window);
-    rt.mem_reg = WindowedLinearRegression(regression_window);
     ops_.push_back(std::move(rt));
   }
 }

@@ -16,8 +16,7 @@ namespace lsched {
 /// monitor at every scheduling event).
 class QueryState {
  public:
-  QueryState(QueryId id, QueryPlan plan, double arrival_time,
-             size_t regression_window = 32);
+  QueryState(QueryId id, QueryPlan plan, double arrival_time);
 
   QueryId id() const { return id_; }
   const QueryPlan& plan() const { return plan_; }

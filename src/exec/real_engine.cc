@@ -13,7 +13,9 @@
 namespace lsched {
 
 RealEngine::RealEngine(const Catalog* catalog, RealEngineConfig config)
-    : catalog_(catalog), config_(std::move(config)) {}
+    : catalog_(catalog),
+      config_(std::move(config)),
+      coordinator_(&config_, this) {}
 
 RealEngine::~RealEngine() {
   // A serving session abandoned without Drain() still tears down cleanly.
@@ -64,7 +66,7 @@ void RealEngine::WorkerLoop(int worker_id) {
     // Fault injection + deadline check run BEFORE kernel execution so a
     // failed attempt has no side effects and is safe to retry verbatim.
     const FaultAction fault = LSCHED_FAULT(
-        "work_order_exec", task.query_index,
+        "work_order_exec", task.query,
         run_clock_ != nullptr ? run_clock_->Now() : 0.0);
     if (fault &&
         (fault.type == FaultType::kDelay || fault.type == FaultType::kStall)) {
@@ -80,17 +82,21 @@ void RealEngine::WorkerLoop(int worker_id) {
       st = Status::Internal("work-order deadline exceeded before execution");
       expired = true;
     } else {
-      obs::ScopedSpan span("engine.work_order", "engine", "query",
-                           task.query_index, "wo", task.wo_index);
+      obs::ScopedSpan span("engine.work_order", "engine", "query", task.query,
+                           "wo", task.wo_index);
       st = task.execution->ExecuteWorkOrder(task.chain, task.wo_index,
                                             &w.scratch);
     }
-    Completion c;
-    c.thread_id = task.slot_id;
-    c.pipeline_index = task.pipeline_index;
+    AttemptResult c;
+    c.slot = task.slot;
+    c.pipeline = task.pipeline;
     c.wo_index = task.wo_index;
     c.seconds = sw.ElapsedSeconds();
-    c.expired = expired;
+    c.service_seconds = c.seconds;
+    // An attempt that overran its deadline while executing is accepted:
+    // its side effects are applied, so a retry would double-apply them.
+    c.expired = expired || (st.ok() && task.deadline_seconds > 0.0 &&
+                            c.seconds > task.deadline_seconds);
     c.status = std::move(st);
     // Completion-queue plumbing is dispatch-overhead; after the push the
     // worker parks in whichever wait state the engine hints at.
@@ -101,7 +107,7 @@ void RealEngine::WorkerLoop(int worker_id) {
   }
 }
 
-void RealEngine::PushCompletion(Completion c) {
+void RealEngine::PushCompletion(AttemptResult c) {
   {
     std::lock_guard<std::mutex> lock(completion_mu_);
     completions_.push_back(std::move(c));
@@ -119,262 +125,74 @@ void RealEngine::CancelQuery(QueryId query) {
   completion_cv_.notify_one();
 }
 
-int RealEngine::InflightFor(int query_index) const {
-  int inflight = 0;
-  for (const ActivePipeline& p : pipelines_) {
-    if (p.query_index == query_index) inflight += p.inflight;
-  }
-  return inflight;
+void RealEngine::PreparePipeline(const QueryState& q, Pipeline* p) {
+  p->total_fused = executions_[static_cast<size_t>(q.id())]->NumWorkOrders(
+      p->chain[0]);
 }
 
-void RealEngine::MaybeReleaseExecution(int query_index) {
-  const QueryState* q = query_states_[static_cast<size_t>(query_index)].get();
-  if (q == nullptr || !IsTerminalStatus(q->status()) ||
-      q->status() == QueryStatus::kDone) {
-    return;  // DONE queries release in ExtractSink
-  }
-  if (executions_[static_cast<size_t>(query_index)] == nullptr) return;
-  if (InflightFor(query_index) > 0) return;  // workers may still touch it
-  executions_[static_cast<size_t>(query_index)].reset();
+void RealEngine::Dispatch(const Pipeline& p, const QueryState& q, int slot,
+                          int wo_index, double now) {
+  WorkerTask task;
+  task.query = q.id();
+  task.pipeline = p.id;
+  task.slot = slot;
+  task.execution = executions_[static_cast<size_t>(q.id())].get();
+  task.chain = p.chain;
+  task.wo_index = wo_index;
+  task.issued_at = now;
+  task.deadline_seconds = config_.work_order_deadline_seconds;
+  worklist_->Push(std::move(task));
 }
 
-void RealEngine::ExtractSink(int query_index) {
-  const size_t idx = static_cast<size_t>(query_index);
-  if (sink_rows_.size() < query_states_.size()) {
-    sink_rows_.resize(query_states_.size(), 0);
-    sink_checksums_.resize(query_states_.size(), 0.0);
-  }
-  QueryExecution* exec = executions_[idx].get();
-  if (exec == nullptr) return;
-  int64_t rows = 0;
-  double checksum = 0.0;
-  for (int sink : query_states_[idx]->plan().SinkNodes()) {
-    const RowStore& store = exec->output(sink);
-    rows += static_cast<int64_t>(store.num_rows());
-    for (size_t r = 0; r < store.num_rows(); ++r) {
-      for (int col = 0; col < store.num_cols(); ++col) {
-        checksum += store.at(r, col);
-      }
-    }
-  }
-  sink_rows_[idx] = rows;
-  sink_checksums_[idx] = checksum;
-  // Every operator completed, so no attempt of this query is in flight:
-  // reclaim the execution's blocks/hash tables now — a serving stream must
-  // not accumulate per-query state for the lifetime of the daemon.
-  if (InflightFor(query_index) == 0) executions_[idx].reset();
+double RealEngine::OperatorMemory(const QueryState& q, const Pipeline& p,
+                                  int op, double amount) {
+  (void)amount;
+  return static_cast<double>(
+             executions_[static_cast<size_t>(q.id())]->StateBytes(op)) /
+         static_cast<double>(p.total_fused);
 }
 
-bool RealEngine::TerminateQuery(QueryId query, QueryStatus status,
-                                double now) {
-  if (query < 0 || static_cast<size_t>(query) >= query_states_.size()) {
-    return false;
-  }
-  QueryState* q = query_states_[static_cast<size_t>(query)].get();
-  if (q == nullptr || IsTerminalStatus(q->status())) return false;
-  LSCHED_CHECK(q->TransitionTo(status));
-  // Kill the query's pipelines: pending fused work is dropped, in-flight
-  // attempts are discarded when they come back, retries are abandoned.
-  int64_t dropped = 0;
-  for (ActivePipeline& p : pipelines_) {
-    if (p.query_index != static_cast<int>(query) || p.dead) continue;
-    p.dead = true;
-    p.retry_ready.clear();
-    dropped += static_cast<int64_t>(p.total_fused - p.succeeded);
-  }
-  recorder_.OnQueryTerminated(q, now, dropped);
-  if (ctx_.FindQuery(query) != nullptr) ctx_.RemoveQuery(query);
-  ++terminal_queries_;
-  // Reclaim the execution's blocks/state now if nothing is in flight;
-  // otherwise the last draining completion releases it.
-  MaybeReleaseExecution(static_cast<int>(query));
-  if (config_.hooks != nullptr) config_.hooks->OnQueryTerminal(*q, now);
-  return true;
+void RealEngine::OnQueryAdmitted(const QueryState& q) {
+  const size_t idx = static_cast<size_t>(q.id());
+  if (executions_.size() <= idx) executions_.resize(idx + 1);
+  executions_[idx] =
+      std::make_unique<QueryExecution>(catalog_, &q.plan(), config_.chunk_rows);
 }
 
-void RealEngine::ApplyDecision(const SchedulingDecision& decision,
-                               double now) {
-  for (const ParallelismChoice& pc : decision.parallelism) {
-    if (QueryState* q = ctx_.FindQuery(pc.query)) {
-      q->set_max_threads(std::max(0, pc.max_threads));
-    }
-  }
-  for (const PipelineChoice& choice : decision.pipelines) {
-    QueryState* q = ctx_.FindQuery(choice.query);
-    if (q == nullptr) continue;
-    // Query ids index the engine's query table directly.
-    const int query_index = static_cast<int>(q->id());
-    if (choice.root_op < 0 ||
-        choice.root_op >= static_cast<int>(q->plan().num_nodes())) {
-      continue;
-    }
-    if (!q->IsOpSchedulable(choice.root_op)) continue;
-    // RealEngine restriction: every producer of the root must be complete
-    // (no cross-thread streaming into a standalone root).
-    bool producers_done = true;
-    for (int e : q->plan().node(choice.root_op).in_edges) {
-      if (!q->op_completed(q->plan().edge(e).producer)) {
-        producers_done = false;
-        break;
-      }
-    }
-    if (!producers_done) continue;
-
-    std::vector<int> valid = q->ValidPipelineFrom(choice.root_op);
-    const int degree =
-        std::clamp(choice.degree, 1, static_cast<int>(valid.size()));
-    valid.resize(static_cast<size_t>(degree));
-
-    ActivePipeline p;
-    p.query_index = query_index;
-    p.chain = valid;
-    p.total_fused = executions_[static_cast<size_t>(query_index)]
-                        ->NumWorkOrders(valid[0]);
-    p.created_at = now;
-    p.decision_id = current_decision_id_;
-    for (int op : valid) q->set_op_scheduled(op, true);
-    // Scheduling flags entered the query's feature inputs: invalidate
-    // cached encodings.
-    ctx_.MarkQueryDirty(q->id());
-    recorder_.OnPipelineLaunched(current_decision_id_, q->id(), valid[0],
-                                 degree, p.total_fused, now);
-    pipelines_.push_back(std::move(p));
-  }
+void RealEngine::OnOperatorCompleted(const QueryState& q, int op) {
+  const Status fin =
+      executions_[static_cast<size_t>(q.id())]->FinalizeOperator(op);
+  LSCHED_CHECK(fin.ok()) << fin.ToString();
 }
 
-int RealEngine::AssignThreads(double now) {
-  int dispatched = 0;
-  while (true) {
-    int pipeline_index = -1;
-    for (size_t i = 0; i < pipelines_.size(); ++i) {
-      ActivePipeline& p = pipelines_[i];
-      if (p.dead) continue;
-      if (p.retry_ready.empty() && p.next_wo >= p.total_fused) continue;
-      if (p.not_before > now) continue;  // retry backoff pending
-      QueryState* q = query_states_[static_cast<size_t>(p.query_index)].get();
-      const int cap =
-          q->max_threads() > 0 ? q->max_threads() : config_.num_threads;
-      if (q->assigned_threads() >= cap) continue;
-      pipeline_index = static_cast<int>(i);
-      break;
+void RealEngine::ReleaseQuery(const QueryState& q) {
+  const size_t idx = static_cast<size_t>(q.id());
+  if (idx >= executions_.size() || executions_[idx] == nullptr) return;
+  if (q.status() == QueryStatus::kDone) {
+    if (sink_rows_.size() <= idx) {
+      sink_rows_.resize(coordinator_.num_queries(), 0);
+      sink_checksums_.resize(coordinator_.num_queries(), 0.0);
     }
-    if (pipeline_index < 0) {
-      // Nothing dispatchable. If live queries remain, their work is
-      // blocked (dependencies, retry backoff, parallelism caps) — free
-      // workers should account the coming wait as stalled, not idle.
-      stall_hint_.store(!ctx_.queries().empty(), std::memory_order_relaxed);
-      return dispatched;
-    }
-    ActivePipeline& p = pipelines_[static_cast<size_t>(pipeline_index)];
-    QueryState* q = query_states_[static_cast<size_t>(p.query_index)].get();
-
-    // Reserve a free logical slot, preferring locality. The slot keeps all
-    // occupancy/locality bookkeeping identical to the per-worker-mailbox
-    // era; which physical thread claims the task is irrelevant to it.
-    int slot_id = -1;
-    for (const ThreadInfo& t : ctx_.threads()) {
-      if (!t.busy && t.last_query == q->id()) {
-        slot_id = t.id;
-        break;
-      }
-    }
-    if (slot_id < 0) {
-      for (const ThreadInfo& t : ctx_.threads()) {
-        if (!t.busy) {
-          slot_id = t.id;
-          break;
+    int64_t rows = 0;
+    double checksum = 0.0;
+    for (int sink : q.plan().SinkNodes()) {
+      const RowStore& store = executions_[idx]->output(sink);
+      rows += static_cast<int64_t>(store.num_rows());
+      for (size_t r = 0; r < store.num_rows(); ++r) {
+        for (int col = 0; col < store.num_cols(); ++col) {
+          checksum += store.at(r, col);
         }
       }
     }
-    if (slot_id < 0) {
-      // Dispatchable work exists but every worker is busy: the next
-      // worker to free up has work waiting, so a wait here is a stall.
-      stall_hint_.store(true, std::memory_order_relaxed);
-      return dispatched;
-    }
-
-    WorkerTask task;
-    task.query_index = p.query_index;
-    task.pipeline_index = pipeline_index;
-    task.slot_id = slot_id;
-    task.execution = executions_[static_cast<size_t>(p.query_index)].get();
-    task.chain = p.chain;
-    // Retries first (FIFO), then the next fresh work-order index.
-    const bool is_retry = !p.retry_ready.empty();
-    if (is_retry) {
-      task.wo_index = p.retry_ready.front();
-      p.retry_ready.erase(p.retry_ready.begin());
-    } else {
-      task.wo_index = p.next_wo++;
-    }
-    task.issued_at = now;
-    task.deadline_seconds = config_.work_order_deadline_seconds;
-    ++p.dispatched;
-    ++p.inflight;
-    ctx_.SetThreadBusy(slot_id, q->id());
-    q->set_assigned_threads(q->assigned_threads() + 1);
-    const int inflight = ctx_.total_threads() - ctx_.num_free_threads();
-    recorder_.OnWorkOrderDispatched(q->id(), is_retry, inflight,
-                                    now - p.created_at, now);
-    worklist_->Push(std::move(task));
-    ++dispatched;
+    sink_rows_[idx] = rows;
+    sink_checksums_[idx] = checksum;
   }
-}
-
-void RealEngine::InvokeScheduler(const SchedulingEvent& event,
-                                 Scheduler* scheduler, double now) {
-  // A query-cancelled event is a lifecycle notification the policy must
-  // always see, even when no decision is currently possible (pool
-  // saturated or nothing schedulable).
-  ctx_.set_now(now);
-  const bool lifecycle = event.type == SchedulingEventType::kQueryCancelled;
-  for (int round = 0; round < config_.max_rounds_per_event; ++round) {
-    const bool can_schedule =
-        ctx_.num_free_threads() > 0 && ctx_.AnySchedulableOp();
-    if (!can_schedule && !(lifecycle && round == 0)) return;
-    Stopwatch sw;
-    SchedulingDecision decision = scheduler->Schedule(event, ctx_);
-    // Serving layer post-processing (priority classes, weighted fairness)
-    // sits between the policy and the engine; ApplyDecision re-validates
-    // every choice, so injected launches can never corrupt run state.
-    if (config_.hooks != nullptr) {
-      config_.hooks->FilterDecision(&decision, ctx_);
-    }
-    current_decision_id_ = recorder_.OnSchedulerInvocation(
-        event, ctx_, decision, sw.ElapsedSeconds());
-    if (decision.empty()) return;
-    const size_t before = pipelines_.size();
-    ApplyDecision(decision, now);
-    AssignThreads(now);
-    if (pipelines_.size() == before) return;
-  }
-}
-
-void RealEngine::ForceFallback(double now) {
-  for (QueryState* q : ctx_.queries()) {
-    for (int op : q->SchedulableOps()) {
-      bool producers_done = true;
-      for (int e : q->plan().node(op).in_edges) {
-        if (!q->op_completed(q->plan().edge(e).producer)) {
-          producers_done = false;
-          break;
-        }
-      }
-      if (!producers_done) continue;
-      SchedulingDecision d;
-      d.pipelines.push_back(PipelineChoice{q->id(), op, 1});
-      current_decision_id_ = recorder_.OnFallback(now, ctx_, q->id());
-      ApplyDecision(d, now);
-      AssignThreads(now);
-      return;
-    }
-  }
+  executions_[idx].reset();
 }
 
 void RealEngine::SetupRun(Scheduler* scheduler, size_t num_queries) {
-  query_states_.clear();
   executions_.clear();
-  pipelines_.clear();
+  executions_.resize(num_queries);
   sink_rows_.assign(num_queries, 0);
   sink_checksums_.assign(num_queries, 0.0);
   {
@@ -384,14 +202,8 @@ void RealEngine::SetupRun(Scheduler* scheduler, size_t num_queries) {
     external_cancels_.clear();
     pending_submissions_.clear();
   }
-  current_decision_id_ = -1;
-  terminal_queries_ = 0;
   last_flush_terminals_ = 0;
-  ctx_.Reset();
-  recorder_.Begin("real", scheduler, /*virtual_time=*/false, num_queries);
-  scheduler->Reset();
-  query_states_.resize(num_queries);
-  executions_.resize(num_queries);
+  coordinator_.Begin("real", scheduler, /*virtual_time=*/false, num_queries);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_ = EpisodeResult{};
@@ -401,18 +213,13 @@ void RealEngine::SetupRun(Scheduler* scheduler, size_t num_queries) {
 int RealEngine::PeakPoolSize() const {
   // Events are applied in time order; the physical pool must cover the
   // high-water mark of the logical slot count they script.
-  std::vector<ThreadPoolEvent> events = config_.thread_events;
-  std::stable_sort(events.begin(), events.end(),
-                   [](const ThreadPoolEvent& a, const ThreadPoolEvent& b) {
-                     return a.time < b.time;
-                   });
   int running = config_.num_threads;
   int peak = running;
-  for (const ThreadPoolEvent& e : events) {
+  for (const ThreadPoolEvent& e : sorted_thread_events_) {
     running += e.delta;
     peak = std::max(peak, running);
   }
-  return std::max(peak, config_.num_threads);
+  return peak;
 }
 
 void RealEngine::SpawnWorkers() {
@@ -423,28 +230,17 @@ void RealEngine::SpawnWorkers() {
                      return a.time < b.time;
                    });
   next_thread_event_ = 0;
-  pending_slot_removals_ = 0;
   const int physical = PeakPoolSize();
   // The coordinator pushes at most one task per reserved slot plus one
   // shutdown task per worker at teardown, so 4x the peak pool can never
-  // fill the lock-free ring.
-  worklist_ = MakeWorklist<WorkerTask>(
-      config_.worklist,
+  // fill the ring.
+  worklist_ = std::make_unique<Worklist<WorkerTask>>(
       std::max<size_t>(64, 4 * static_cast<size_t>(physical)));
   for (int i = 0; i < physical; ++i) {
     auto w = std::make_unique<Worker>();
     w->id = i;
     workers_.push_back(std::move(w));
   }
-  // Logical slots start at the configured size; thread_events grow/shrink
-  // them mid-run. A physical worker beyond the current slot count simply
-  // parks on the (empty-for-it) worklist.
-  for (int i = 0; i < config_.num_threads; ++i) {
-    ThreadInfo info;
-    info.id = i;
-    ctx_.AddThread(info);
-  }
-  next_slot_id_ = config_.num_threads;
   stall_hint_.store(false, std::memory_order_relaxed);
   pool_draining_.store(false, std::memory_order_relaxed);
   for (int i = 0; i < physical; ++i) {
@@ -459,278 +255,63 @@ void RealEngine::SpawnWorkers() {
                                                        std::move(accounts));
 }
 
-void RealEngine::ApplyDueThreadEvents(double now, Scheduler* scheduler) {
+void RealEngine::ApplyDueThreadEvents(double now) {
   while (next_thread_event_ < sorted_thread_events_.size() &&
          sorted_thread_events_[next_thread_event_].time <= now) {
-    const ThreadPoolEvent& change =
-        sorted_thread_events_[next_thread_event_];
+    coordinator_.ChangePool(sorted_thread_events_[next_thread_event_].delta,
+                            now);
     ++next_thread_event_;
-    if (change.delta == 0) continue;
-    ctx_.set_now(now);
-    SchedulingEvent se;
-    se.time = now;
-    if (change.delta > 0) {
-      for (int k = 0; k < change.delta; ++k) {
-        ThreadInfo info;
-        info.id = next_slot_id_++;
-        ctx_.AddThread(info);
-      }
-      se.type = SchedulingEventType::kThreadAdded;
-    } else {
-      // Retire idle slots immediately; busy slots retire as their current
-      // work order completes (ProcessCompletion) — SimEngine's semantics.
-      int to_remove = -change.delta;
-      std::vector<int> idle_slots;
-      for (const ThreadInfo& t : ctx_.threads()) {
-        if (!t.busy) idle_slots.push_back(t.id);
-      }
-      for (int slot : idle_slots) {
-        if (to_remove == 0) break;
-        ctx_.RetireThread(slot);
-        --to_remove;
-      }
-      pending_slot_removals_ += to_remove;
-      se.type = SchedulingEventType::kThreadRemoved;
-    }
-    InvokeScheduler(se, scheduler, now);
-    AssignThreads(now);
   }
 }
 
-void RealEngine::AdmitArrival(QueryId qid, QueryPlan plan,
-                              const QueryTag& tag, double now,
-                              Scheduler* scheduler) {
-  const size_t idx = static_cast<size_t>(qid);
-  query_states_[idx] =
-      std::make_unique<QueryState>(qid, std::move(plan), now);
-  QueryState* arrived = query_states_[idx].get();
-  arrived->set_tag(tag);
-  recorder_.TrackQuery(qid);
-  recorder_.OnQueryArrival(*arrived, now);
-  // Admission fault point: a kError here rejects the query (terminal
-  // FAILED) before any execution state is allocated.
-  const FaultAction admit = LSCHED_FAULT("query_admit", qid, now);
-  if (admit && admit.type == FaultType::kError) {
-    LSCHED_CHECK(arrived->TransitionTo(QueryStatus::kFailed));
-    recorder_.OnQueryTerminated(arrived, now, 0);
-    ++terminal_queries_;
-    if (config_.hooks != nullptr) {
-      config_.hooks->OnEngineRefused(*arrived, now);
-      config_.hooks->OnQueryTerminal(*arrived, now);
-    }
-    return;
-  }
-  const AdmissionVerdict verdict = config_.hooks != nullptr
-                                       ? config_.hooks->OnAdmission(
-                                             *arrived, ctx_, now)
-                                       : AdmissionVerdict{};
-  if (!verdict.admit) {
-    // Load shed: terminal before the scheduler ever sees the query.
-    recorder_.OnAdmissionVerdict(qid, now, /*admitted=*/false, kInvalidQuery);
-    LSCHED_CHECK(arrived->TransitionTo(QueryStatus::kShed));
-    recorder_.OnQueryTerminated(arrived, now, 0);
-    ++terminal_queries_;
-    if (config_.hooks != nullptr) config_.hooks->OnQueryTerminal(*arrived, now);
-    return;
-  }
-  // A higher-priority arrival may displace a pending lower-priority query.
-  // Only ADMITTED (never-launched) queries are eligible — a stale/illegal
-  // victim id is ignored rather than fatal.
-  QueryId displaced = kInvalidQuery;
-  if (verdict.displace != kInvalidQuery) {
-    const size_t vi = static_cast<size_t>(verdict.displace);
-    if (vi < query_states_.size() && query_states_[vi] != nullptr &&
-        query_states_[vi]->status() == QueryStatus::kAdmitted) {
-      displaced = verdict.displace;
+void RealEngine::WaitAndProcessCompletion(const Clock& clock) {
+  std::optional<AttemptResult> c;
+  bool timed_out = false;
+  {
+    std::unique_lock<std::mutex> lock(completion_mu_);
+    timed_out = !completion_cv_.wait_for(
+        lock, std::chrono::milliseconds(2), [&] {
+          return !completions_.empty() || !external_cancels_.empty() ||
+                 !pending_submissions_.empty();
+        });
+    if (!completions_.empty()) {
+      c = std::move(completions_.front());
+      completions_.pop_front();
     }
   }
-  recorder_.OnAdmissionVerdict(qid, now, /*admitted=*/true, displaced);
-  if (displaced != kInvalidQuery) {
-    recorder_.OnQueryDisplaced(displaced, qid, now);
-    if (TerminateQuery(displaced, QueryStatus::kShed, now)) {
-      SchedulingEvent shed_ev;
-      shed_ev.type = SchedulingEventType::kQueryCancelled;
-      shed_ev.time = now;
-      shed_ev.query = displaced;
-      InvokeScheduler(shed_ev, scheduler, now);
-    }
-  }
-  executions_[idx] = std::make_unique<QueryExecution>(
-      catalog_, &query_states_[idx]->plan(), config_.chunk_rows);
-  ctx_.set_now(now);
-  ctx_.AddQuery(arrived);
-  SchedulingEvent se;
-  se.type = SchedulingEventType::kQueryArrival;
-  se.time = now;
-  se.query = qid;
-  InvokeScheduler(se, scheduler, now);
-  AssignThreads(now);
-}
-
-bool RealEngine::CancelLive(QueryId qid, double t, Scheduler* scheduler) {
-  if (!TerminateQuery(qid, QueryStatus::kCancelled, t)) return false;
-  // The cancel freed this query's claim on threads/memory: tell the
-  // scheduler so it can re-plan, then backfill the pool.
-  SchedulingEvent se;
-  se.type = SchedulingEventType::kQueryCancelled;
-  se.time = t;
-  se.query = qid;
-  InvokeScheduler(se, scheduler, t);
-  AssignThreads(t);
-  return true;
-}
-
-void RealEngine::ProcessCompletion(const Completion& c, double now,
-                                   Scheduler* scheduler) {
-  ActivePipeline& p = pipelines_[static_cast<size_t>(c.pipeline_index)];
-  QueryState* q = query_states_[static_cast<size_t>(p.query_index)].get();
-  ctx_.set_now(now);
-  // Free the worker first — identical bookkeeping for every outcome.
-  ctx_.SetThreadIdle(c.thread_id, q->id());
-  --p.inflight;
-  q->set_assigned_threads(q->assigned_threads() - 1);
-  if (pending_slot_removals_ > 0) {
-    // A pool shrink found this slot busy; retire it now that its in-flight
-    // work order has drained (mirrors SimEngine's deferred removal). The
-    // retired slot disappears from ctx_, so the kThreadIdle branch below
-    // naturally skips it.
-    ctx_.RetireThread(c.thread_id);
-    --pending_slot_removals_;
-  }
-
-  std::vector<int> completed_ops;
-  bool emit_cancel_event = false;
-  if (p.dead) {
-    // The query reached a terminal state while this attempt was in
-    // flight: throw the result away and free the execution once the last
-    // straggler drains.
-    recorder_.OnWorkOrderDiscarded();
-    MaybeReleaseExecution(p.query_index);
-  } else if (!c.status.ok()) {
-    recorder_.OnWorkOrderFailed(q->id(), now);
-    if (c.expired) recorder_.OnWorkOrderExpired();
-    const int attempt = ++p.attempts[c.wo_index];
-    if (attempt > config_.retry.max_retries) {
-      // Retry budget exhausted: the whole query fails. The worker pool
-      // stays healthy — only this query's work is torn down.
-      LSCHED_LOG(Warning) << "query " << p.query_index << " work order "
-                          << c.wo_index << " failed after " << attempt
-                          << " attempts: " << c.status.ToString();
-      TerminateQuery(q->id(), QueryStatus::kFailed, now);
-      emit_cancel_event = true;
-    } else {
-      recorder_.OnWorkOrderRetried(q->id(), now);
-      p.retry_ready.push_back(c.wo_index);
-      const double backoff = config_.retry.BackoffFor(attempt);
-      if (backoff > 0.0) {
-        p.not_before = std::max(p.not_before, now + backoff);
-      }
-    }
+  if (c) {
+    coordinator_.Complete(*c, clock.Now());
+  } else if (timed_out) {
+    coordinator_.AssignThreads(clock.Now());  // a backoff may have elapsed
   } else {
-    q->AddAttainedService(c.seconds);
-    recorder_.OnWorkOrderCompleted(q->id(), p.decision_id, c.seconds, now);
-    ++p.succeeded;
-    if (config_.work_order_deadline_seconds > 0.0 &&
-        c.seconds > config_.work_order_deadline_seconds) {
-      // Post-execution overrun: the kernel's side effects are already
-      // applied, so a retry would double-apply them. Accept the result
-      // and count the overrun.
-      recorder_.OnWorkOrderExpired();
-    }
-
-    const double fused_total = static_cast<double>(p.total_fused);
-    for (size_t s = 0; s < p.chain.size(); ++s) {
-      const int op = p.chain[s];
-      const double amount =
-          static_cast<double>(q->plan().node(op).num_work_orders) /
-          fused_total;
-      const double mem = static_cast<double>(
-          executions_[static_cast<size_t>(p.query_index)]->StateBytes(op));
-      if (q->AdvanceOperator(
-              op, amount, c.seconds / static_cast<double>(p.chain.size()),
-              mem / fused_total)) {
-        const Status fin = executions_[static_cast<size_t>(p.query_index)]
-                               ->FinalizeOperator(op);
-        LSCHED_CHECK(fin.ok()) << fin.ToString();
-        completed_ops.push_back(op);
-      }
-    }
-    // Operator progress changed (O-WO/O-DUR/O-MEM, possibly completion
-    // flags): invalidate cached encodings for this query.
-    ctx_.MarkQueryDirty(q->id());
-
-    if (q->completed() && q->completion_time() < 0.0) {
-      recorder_.OnQueryCompleted(q, now);
-      ++terminal_queries_;
-      ctx_.RemoveQuery(q->id());
-      ExtractSink(p.query_index);
-      if (config_.hooks != nullptr) config_.hooks->OnQueryTerminal(*q, now);
-    }
+    return;  // woken for ingress or a cancel
   }
-
-  AssignThreads(now);
-  const ThreadInfo* winfo = ctx_.thread(c.thread_id);
-  if (emit_cancel_event) {
-    SchedulingEvent se;
-    se.type = SchedulingEventType::kQueryCancelled;
-    se.time = now;
-    se.query = q->id();
-    InvokeScheduler(se, scheduler, now);
-    AssignThreads(now);
-  } else if (!completed_ops.empty()) {
-    SchedulingEvent se;
-    se.type = SchedulingEventType::kOperatorCompleted;
-    se.time = now;
-    se.query = q->id();
-    se.op = completed_ops.front();
-    InvokeScheduler(se, scheduler, now);
-    AssignThreads(now);
-  } else if (winfo != nullptr && !winfo->busy) {
-    SchedulingEvent se;
-    se.type = SchedulingEventType::kThreadIdle;
-    se.time = now;
-    se.thread = c.thread_id;
-    InvokeScheduler(se, scheduler, now);
-    AssignThreads(now);
-  }
+  MaybeFlushWindow(clock.Now());
 }
 
 void RealEngine::DrainOutstanding() {
   // From here to pool teardown, waiting workers are draining.
   pool_draining_.store(true, std::memory_order_relaxed);
-  // Drain attempts still in flight for terminal queries so work-order
-  // conservation closes out, then release any zombie executions.
-  int outstanding = 0;
-  for (const ActivePipeline& p : pipelines_) outstanding += p.inflight;
-  while (outstanding > 0) {
-    Completion c;
+  // Every query is terminal: the attempts still in flight are discarded as
+  // they come back, so work-order conservation closes out and the last
+  // straggler of each query releases its execution.
+  while (coordinator_.InflightAttempts() > 0) {
+    AttemptResult c;
     {
       std::unique_lock<std::mutex> lock(completion_mu_);
       completion_cv_.wait(lock, [&] { return !completions_.empty(); });
       c = std::move(completions_.front());
       completions_.pop_front();
     }
-    ActivePipeline& p = pipelines_[static_cast<size_t>(c.pipeline_index)];
-    QueryState* q = query_states_[static_cast<size_t>(p.query_index)].get();
-    ctx_.SetThreadIdle(c.thread_id, q->id());
-    --p.inflight;
-    q->set_assigned_threads(q->assigned_threads() - 1);
-    recorder_.OnWorkOrderDiscarded();
-    MaybeReleaseExecution(p.query_index);
-    --outstanding;
+    coordinator_.Complete(c, run_clock_->Now());
   }
 
-  // Invariant: every terminal non-DONE query has released its execution
-  // state (no leaked blocks/hash tables after cancellation, failure, or
-  // shedding; DONE queries released theirs in ExtractSink).
-  for (size_t i = 0; i < query_states_.size(); ++i) {
-    const QueryState* q = query_states_[i].get();
-    if (q != nullptr && q->status() != QueryStatus::kDone) {
-      LSCHED_CHECK(executions_[i] == nullptr)
-          << "terminal query " << i << " ("
-          << QueryStatusName(q->status())
-          << ") leaked its execution state";
-    }
+  // Invariant: every query released its execution state (no leaked
+  // blocks/hash tables after completion, cancellation, failure, or
+  // shedding).
+  for (size_t i = 0; i < executions_.size(); ++i) {
+    LSCHED_CHECK(executions_[i] == nullptr)
+        << "terminal query " << i << " leaked its execution state";
   }
 }
 
@@ -765,22 +346,34 @@ std::vector<prof::WorkerStateBuckets> RealEngine::CollectWorkerStates() const {
 
 void RealEngine::MaybeFlushWindow(double now) {
   if (config_.flush_window_queries <= 0) return;
-  if (terminal_queries_ - last_flush_terminals_ <
-      config_.flush_window_queries) {
-    return;
-  }
-  last_flush_terminals_ = terminal_queries_;
-  recorder_.OnWorkerStates(CollectWorkerStates());
-  recorder_.FlushWindow();
+  const int terminals = coordinator_.terminal_queries();
+  if (terminals - last_flush_terminals_ < config_.flush_window_queries) return;
+  last_flush_terminals_ = terminals;
+  EpisodeRecorder& recorder = coordinator_.recorder();
+  recorder.OnWorkerStates(CollectWorkerStates());
+  recorder.FlushWindow();
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_ = recorder_.SnapshotResult(now);
+  snapshot_ = recorder.SnapshotResult(now);
 }
 
-RealRunResult RealEngine::BuildResult() {
+RealRunResult RealEngine::FinishRun(const Clock& clock) {
+  DrainOutstanding();
+  ShutdownPool();
+  run_clock_ = nullptr;
+  // Pool joined: the accountants are final — hand the exact buckets over
+  // before the episode closes.
+  EpisodeRecorder& recorder = coordinator_.recorder();
+  recorder.OnWorkerStates(CollectWorkerStates());
+  const double now = clock.Now();
+  recorder.Finalize(now);
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_ = recorder.SnapshotResult(now);
+  }
   RealRunResult out;
-  out.episode = recorder_.Take();
-  sink_rows_.resize(query_states_.size(), 0);
-  sink_checksums_.resize(query_states_.size(), 0.0);
+  out.episode = recorder.Take();
+  sink_rows_.resize(coordinator_.num_queries(), 0);
+  sink_checksums_.resize(coordinator_.num_queries(), 0.0);
   out.sink_row_counts = std::move(sink_rows_);
   out.sink_checksums = std::move(sink_checksums_);
   sink_rows_.clear();
@@ -809,24 +402,15 @@ RealRunResult RealEngine::Run(const std::vector<RealQuerySubmission>& workload,
                    });
   size_t next_cancel = 0;
 
-  // Applies a cancel request at time `t`. Un-arrived queries are
-  // admitted-and-cancelled so their terminal status is deterministic
-  // regardless of arrival/cancel interleaving.
+  // Un-arrived queries are admitted-and-cancelled so their terminal status
+  // is deterministic regardless of arrival/cancel interleaving.
   const auto handle_cancel = [&](QueryId qid, double t) {
     if (qid < 0 || static_cast<size_t>(qid) >= workload.size()) return;
-    const size_t idx = static_cast<size_t>(qid);
-    if (query_states_[idx] == nullptr) {
-      query_states_[idx] =
-          std::make_unique<QueryState>(qid, workload[idx].plan, t);
-      QueryState* q = query_states_[idx].get();
-      q->set_tag(workload[idx].tag);
-      recorder_.OnQueryArrival(*q, t);
-      LSCHED_CHECK(q->TransitionTo(QueryStatus::kCancelled));
-      recorder_.OnQueryTerminated(q, t, 0);
-      ++terminal_queries_;
-      if (config_.hooks != nullptr) config_.hooks->OnQueryTerminal(*q, t);
+    if (coordinator_.HasQuery(qid)) {
+      coordinator_.Cancel(qid, t);
     } else {
-      CancelLive(qid, t, scheduler);
+      const RealQuerySubmission& sub = workload[static_cast<size_t>(qid)];
+      coordinator_.Refuse(qid, sub.plan, sub.tag, QueryStatus::kCancelled, t);
     }
   };
 
@@ -839,29 +423,23 @@ RealRunResult RealEngine::Run(const std::vector<RealQuerySubmission>& workload,
                      workload[b].arrival_offset_seconds;
             });
 
-  while (terminal_queries_ < static_cast<int>(workload.size())) {
+  while (coordinator_.terminal_queries() < static_cast<int>(workload.size())) {
     const double now = clock.Now();
-    ApplyDueThreadEvents(now, scheduler);
+    ApplyDueThreadEvents(now);
 
     // Apply due cancels BEFORE releasing arrivals: a cancel scripted at or
     // before a query's arrival wins deterministically.
     while (next_cancel < scripted_cancels.size() &&
            scripted_cancels[next_cancel].time <= now) {
-      ctx_.set_now(now);
       handle_cancel(scripted_cancels[next_cancel].query, now);
       ++next_cancel;
     }
+    std::vector<CancelRequest> external;
     {
-      std::vector<CancelRequest> external;
-      {
-        std::lock_guard<std::mutex> lock(completion_mu_);
-        external.swap(external_cancels_);
-      }
-      for (const CancelRequest& cr : external) {
-        ctx_.set_now(now);
-        handle_cancel(cr.query, now);
-      }
+      std::lock_guard<std::mutex> lock(completion_mu_);
+      external.swap(external_cancels_);
     }
+    for (const CancelRequest& cr : external) handle_cancel(cr.query, now);
 
     // Release due arrivals.
     while (next_arrival < arrival_order.size() &&
@@ -870,60 +448,18 @@ RealRunResult RealEngine::Run(const std::vector<RealQuerySubmission>& workload,
       const size_t idx = arrival_order[next_arrival];
       ++next_arrival;
       // Already admitted-and-cancelled by an earlier cancel request.
-      if (query_states_[idx] != nullptr) continue;
-      ctx_.set_now(now);
-      AdmitArrival(static_cast<QueryId>(idx), workload[idx].plan,
-                   workload[idx].tag, now, scheduler);
+      if (coordinator_.HasQuery(static_cast<QueryId>(idx))) continue;
+      coordinator_.Admit(static_cast<QueryId>(idx), workload[idx].plan,
+                         workload[idx].tag, now);
     }
 
     // Deadlock guard: nothing running, nothing pending, queries remain.
-    const bool any_busy = ctx_.num_free_threads() != ctx_.total_threads();
-    bool any_pending = false;
-    for (const ActivePipeline& p : pipelines_) {
-      any_pending |= !p.dead && (p.next_wo < p.total_fused ||
-                                 !p.retry_ready.empty());
+    if (next_arrival >= arrival_order.size() && coordinator_.Stranded()) {
+      coordinator_.ForceFallback(now);
     }
-    if (!any_busy && !any_pending && next_arrival >= arrival_order.size()) {
-      bool all_terminal = true;
-      for (const auto& q : query_states_) {
-        if (q == nullptr || !IsTerminalStatus(q->status())) {
-          all_terminal = false;
-        }
-      }
-      if (all_terminal) break;
-      if (!ctx_.queries().empty()) ForceFallback(now);
-    }
-
-    // Wait for a completion (with a timeout so arrivals, cancels, and
-    // elapsed retry backoffs are serviced).
-    Completion c;
-    {
-      std::unique_lock<std::mutex> lock(completion_mu_);
-      if (!completion_cv_.wait_for(lock, std::chrono::milliseconds(2),
-                                   [&] {
-                                     return !completions_.empty() ||
-                                            !external_cancels_.empty();
-                                   })) {
-        AssignThreads(clock.Now());  // a retry backoff may have elapsed
-        continue;
-      }
-      if (completions_.empty()) continue;  // woken for an external cancel
-      c = std::move(completions_.front());
-      completions_.pop_front();
-    }
-    ProcessCompletion(c, clock.Now(), scheduler);
-    MaybeFlushWindow(clock.Now());
+    WaitAndProcessCompletion(clock);
   }
-
-  DrainOutstanding();
-  ShutdownPool();
-  run_clock_ = nullptr;
-
-  // Pool joined: the accountants are final — hand the exact buckets over
-  // before the episode closes.
-  recorder_.OnWorkerStates(CollectWorkerStates());
-  recorder_.Finalize(clock.Now());
-  return BuildResult();
+  return FinishRun(clock);
 }
 
 void RealEngine::StartServing(Scheduler* scheduler) {
@@ -940,7 +476,7 @@ void RealEngine::StartServing(Scheduler* scheduler) {
   SpawnWorkers();
   draining_.store(false, std::memory_order_release);
   serving_.store(true, std::memory_order_release);
-  coordinator_ = std::thread([this] { ServeLoop(); });
+  coordinator_thread_ = std::thread([this] { ServeLoop(); });
 }
 
 QueryId RealEngine::Submit(QueryPlan plan, QueryTag tag) {
@@ -974,7 +510,7 @@ RealRunResult RealEngine::Drain() {
     draining_.store(true, std::memory_order_release);
   }
   completion_cv_.notify_one();
-  if (coordinator_.joinable()) coordinator_.join();
+  if (coordinator_thread_.joinable()) coordinator_thread_.join();
   serving_.store(false, std::memory_order_release);
   draining_.store(false, std::memory_order_release);
   serving_clock_.reset();
@@ -983,11 +519,10 @@ RealRunResult RealEngine::Drain() {
 }
 
 void RealEngine::ServeLoop() {
-  Scheduler* scheduler = serving_scheduler_;
   const Clock& clock = *serving_clock_;
   while (true) {
     const double now = clock.Now();
-    ApplyDueThreadEvents(now, scheduler);
+    ApplyDueThreadEvents(now);
     // Read the drain flag BEFORE swapping the ingress queues: Submit()
     // refuses once draining_ is set (under completion_mu_), so a true read
     // here guarantees this iteration's swap sees every submission ever
@@ -1000,96 +535,35 @@ void RealEngine::ServeLoop() {
       subs.swap(pending_submissions_);
       cancels.swap(external_cancels_);
     }
-    ctx_.set_now(now);
     // Intake before cancels: a cancel's id was returned by an earlier
     // Submit, so its submission is either in this batch or already
     // admitted — processing submissions first makes every cancel
     // resolvable against an existing query.
     for (PendingSubmission& s : subs) {
-      const size_t n = static_cast<size_t>(s.id) + 1;
-      if (query_states_.size() < n) {
-        query_states_.resize(n);
-        executions_.resize(n);
-      }
       if (drain_now) {
         // Queued-but-unadmitted at drain time: shed, never silently
         // dropped — every Submit-returned id reaches a terminal status.
-        query_states_[static_cast<size_t>(s.id)] =
-            std::make_unique<QueryState>(s.id, std::move(s.plan), now);
-        QueryState* q = query_states_[static_cast<size_t>(s.id)].get();
-        q->set_tag(s.tag);
-        recorder_.TrackQuery(s.id);
-        recorder_.OnQueryArrival(*q, now);
-        LSCHED_CHECK(q->TransitionTo(QueryStatus::kShed));
-        recorder_.OnQueryTerminated(q, now, 0);
-        ++terminal_queries_;
-        if (config_.hooks != nullptr) {
-          config_.hooks->OnEngineRefused(*q, now);
-          config_.hooks->OnQueryTerminal(*q, now);
-        }
+        coordinator_.Refuse(s.id, std::move(s.plan), s.tag,
+                            QueryStatus::kShed, now);
       } else {
-        AdmitArrival(s.id, std::move(s.plan), s.tag, now, scheduler);
+        coordinator_.Admit(s.id, std::move(s.plan), s.tag, now);
       }
     }
     for (const CancelRequest& cr : cancels) {
-      if (cr.query >= 0 &&
-          static_cast<size_t>(cr.query) < query_states_.size() &&
-          query_states_[static_cast<size_t>(cr.query)] != nullptr) {
-        CancelLive(cr.query, now, scheduler);
-      }
+      if (coordinator_.HasQuery(cr.query)) coordinator_.Cancel(cr.query, now);
     }
 
     // Drain completes once every submitted query is terminal
     // (drain-don't-preempt: running queries were allowed to finish).
-    if (drain_now &&
-        terminal_queries_ == static_cast<int>(query_states_.size())) {
+    if (drain_now && coordinator_.terminal_queries() ==
+                         static_cast<int>(coordinator_.num_queries())) {
       break;
     }
-
     // Deadlock guard: live queries but nothing running or pending.
-    const bool any_busy = ctx_.num_free_threads() != ctx_.total_threads();
-    bool any_pending = false;
-    for (const ActivePipeline& p : pipelines_) {
-      any_pending |= !p.dead && (p.next_wo < p.total_fused ||
-                                 !p.retry_ready.empty());
-    }
-    if (!any_busy && !any_pending && !ctx_.queries().empty()) {
-      ForceFallback(now);
-    }
-
-    // Wait for a completion (with a timeout so ingress, cancels, drain,
-    // and elapsed retry backoffs are serviced).
-    Completion c;
-    {
-      std::unique_lock<std::mutex> lock(completion_mu_);
-      if (!completion_cv_.wait_for(lock, std::chrono::milliseconds(2),
-                                   [&] {
-                                     return !completions_.empty() ||
-                                            !external_cancels_.empty() ||
-                                            !pending_submissions_.empty();
-                                   })) {
-        AssignThreads(clock.Now());  // a retry backoff may have elapsed
-        MaybeFlushWindow(clock.Now());
-        continue;
-      }
-      if (completions_.empty()) continue;  // woken for ingress or a cancel
-      c = std::move(completions_.front());
-      completions_.pop_front();
-    }
-    ProcessCompletion(c, clock.Now(), scheduler);
-    MaybeFlushWindow(clock.Now());
+    if (coordinator_.Stranded()) coordinator_.ForceFallback(now);
+    WaitAndProcessCompletion(clock);
   }
-
-  DrainOutstanding();
-  ShutdownPool();
-  run_clock_ = nullptr;
-  recorder_.OnWorkerStates(CollectWorkerStates());
-  recorder_.Finalize(clock.Now());
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    snapshot_ = recorder_.SnapshotResult(clock.Now());
-  }
-  serving_result_ = BuildResult();
+  serving_result_ = FinishRun(clock);
 }
 
 }  // namespace lsched

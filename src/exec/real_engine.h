@@ -8,63 +8,29 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "exec/episode_recorder.h"
+#include "exec/coordinator.h"
 #include "exec/episode_result.h"
 #include "exec/kernels.h"
-#include "exec/query_state.h"
 #include "exec/scheduler.h"
-#include "exec/scheduling_context.h"
-#include "exec/serving_hooks.h"
 #include "exec/worklist.h"
 #include "storage/catalog.h"
 #include "util/clock.h"
 
 namespace lsched {
 
-struct RealEngineConfig {
-  int num_threads = 8;
-  /// Scheduled worker-pool elasticity (paper §5.1 / Decima's scenario), at
-  /// run-clock seconds from run/serving start. Elasticity operates on the
-  /// LOGICAL worker slots the coordinator reserves work against: a grow
-  /// adds fresh slots (kThreadAdded), a shrink retires idle slots
-  /// immediately and busy slots as their in-flight work order completes
-  /// (kThreadRemoved) — identical semantics to SimEngine's thread_events.
-  /// Physical worker threads are sized once at spawn for the PEAK slot
-  /// count (workers are interchangeable behind the shared worklist, so a
-  /// surplus physical worker simply parks when fewer slots exist).
-  std::vector<ThreadPoolEvent> thread_events;
+/// Elasticity (`thread_events`) operates on the LOGICAL worker slots the
+/// coordinator reserves work against; physical worker threads are sized
+/// once at spawn for the PEAK slot count (workers are interchangeable
+/// behind the shared worklist, so a surplus physical worker simply parks
+/// when fewer slots exist).
+struct RealEngineConfig : EngineConfig {
   size_t chunk_rows = 4096;
-  int max_rounds_per_event = 64;
-  /// Retry/backoff policy for failed work-order attempts (DESIGN.md §10).
-  RetryPolicy retry;
-  /// Per-work-order deadline in run-clock seconds. Attempts observed past
-  /// it before execution starts fail (and retry); attempts that overrun it
-  /// during execution are accepted — the kernel's side effects are already
-  /// applied, so a re-execution would double-apply them — and counted in
-  /// num_work_orders_expired. 0 = no deadline.
-  double work_order_deadline_seconds = 0.0;
-  /// Scripted cancellations, applied at their run-clock times. A cancel at
-  /// or before the query's arrival cancels it on admission. Episode mode
-  /// only; serving mode cancels via CancelQuery().
-  std::vector<CancelRequest> cancels;
-  /// Serving-layer callbacks (admission control, fairness/priority decision
-  /// post-processing, tenant accounting; DESIGN.md §11). Not owned; null =
-  /// every arrival admitted, decisions applied verbatim.
-  ServingHooks* hooks = nullptr;
   /// Rolling telemetry window: after this many additional terminal queries
   /// the recorder flushes to the shared observability layer and refreshes
   /// the thread-safe Snapshot(). 0 = flush only when the run/drain ends.
   int flush_window_queries = 0;
-  /// Dispatch handoff implementation (DESIGN.md §12). The coordinator still
-  /// reserves a logical worker slot per work order (identical locality and
-  /// occupancy bookkeeping under either kind); the worklist only changes
-  /// how the task reaches a physical worker thread. Default: the lock-free
-  /// worklist, overridable at process level via LSCHED_WORKLIST
-  /// (locking|atomic); explicit assignment beats the env var.
-  WorklistKind worklist = WorklistKindFromEnv(WorklistKind::kAtomic);
 };
 
 struct RealQuerySubmission {
@@ -89,8 +55,8 @@ struct RealRunResult {
 /// uses, so any policy (heuristic or learned) drives real execution
 /// unchanged.
 ///
-/// Two modes share the same coordinator logic (admission, dispatch,
-/// completion processing, termination):
+/// Scheduling itself is the shared Coordinator (DESIGN.md §14); RealEngine
+/// is its worker-pool backend. Two modes drive it:
 ///
 ///  - Episode mode (`Run`): a fixed workload with scripted arrival offsets
 ///    runs to completion on the calling thread; the pool tears down at the
@@ -107,8 +73,9 @@ struct RealRunResult {
 ///
 /// Simplification vs. the simulator: an execution root must have all its
 /// producers completed (cross-thread producer/consumer streaming is not
-/// supported; in-chain pipelining is). DESIGN.md documents this.
-class RealEngine {
+/// supported; in-chain pipelining is). The backend declares this through
+/// ExecutorBackend::roots_need_complete_producers.
+class RealEngine : private ExecutorBackend {
  public:
   RealEngine(const Catalog* catalog, RealEngineConfig config);
   ~RealEngine();
@@ -150,42 +117,13 @@ class RealEngine {
   bool serving() const { return serving_.load(std::memory_order_acquire); }
 
  private:
-  struct ActivePipeline {
-    int query_index = -1;
-    std::vector<int> chain;
-    int total_fused = 0;
-    int dispatched = 0;  ///< attempts handed to workers (incl. retries)
-    int inflight = 0;
-    int next_wo = 0;     ///< next fresh work-order index to dispatch
-    int succeeded = 0;   ///< work orders that completed successfully
-    bool dead = false;   ///< query reached a terminal state; stop dispatching
-    std::vector<int> retry_ready;  ///< failed work orders awaiting re-dispatch
-    std::unordered_map<int, int> attempts;  ///< failed attempts per work order
-    double not_before = 0.0;  ///< retry backoff: no dispatch before this time
-    double created_at = 0.0;   ///< run clock time the pipeline was launched
-    int64_t decision_id = -1;  ///< obs decision-log id that launched it
-  };
-
-  struct Completion {
-    /// Logical worker slot (ThreadInfo id) the coordinator reserved for the
-    /// attempt — NOT the physical worker thread that ran it. All occupancy
-    /// and locality bookkeeping is keyed by slot.
-    int thread_id = -1;
-    int pipeline_index = -1;
-    int wo_index = -1;
-    double seconds = 0.0;
-    bool expired = false;  ///< attempt failed its deadline before executing
-    Status status;
-  };
-
   struct WorkerTask {
     bool shutdown = false;
-    int query_index = -1;
-    int pipeline_index = -1;
-    /// Logical worker slot reserved by the coordinator (ctx_ ThreadInfo
-    /// id); echoed back in Completion::thread_id by whichever physical
-    /// worker claims the task.
-    int slot_id = -1;
+    QueryId query = kInvalidQuery;
+    int64_t pipeline = -1;
+    /// Logical worker slot reserved by the coordinator; echoed back in
+    /// AttemptResult::slot by whichever physical worker claims the task.
+    int slot = -1;
     /// Stable pointer to the query's execution. Workers must NOT index
     /// executions_: the serving coordinator grows that vector while workers
     /// run, and a reallocation would race the read. The pointee is safe —
@@ -201,8 +139,8 @@ class RealEngine {
 
   /// Physical worker thread. Tasks arrive through the shared worklist_
   /// (DESIGN.md §12), not per-worker mailboxes; occupancy/locality state
-  /// lives in the coordinator-owned SchedulingContext's ThreadInfo, keyed
-  /// by the task's slot_id.
+  /// lives in the coordinator's SchedulingContext, keyed by the task's
+  /// slot.
   struct Worker {
     std::thread thread;
     int id = -1;
@@ -222,7 +160,7 @@ class RealEngine {
   };
 
   void WorkerLoop(int worker_id);
-  void PushCompletion(Completion c);
+  void PushCompletion(AttemptResult c);
   /// The wait-state bucket a parked worker should charge right now,
   /// derived from the drain/stall hints (heuristic — only the bucket sums
   /// are exact).
@@ -236,50 +174,36 @@ class RealEngine {
                : prof::WorkerState::kIdle;
   }
 
-  // Coordinator helpers (no locking needed: only the coordinator mutates
-  // scheduling state). Shared verbatim between episode and serving mode.
+  // ExecutorBackend (coordinator thread only).
+  bool roots_need_complete_producers() const override { return true; }
+  void PreparePipeline(const QueryState& q, Pipeline* p) override;
+  void Dispatch(const Pipeline& p, const QueryState& q, int slot,
+                int wo_index, double now) override;
+  double OperatorMemory(const QueryState& q, const Pipeline& p, int op,
+                        double amount) override;
+  void OnQueryAdmitted(const QueryState& q) override;
+  void OnOperatorCompleted(const QueryState& q, int op) override;
+  /// Captures a DONE query's sink rows/checksum, then frees the execution
+  /// (blocks, hash tables, intermediate stores) — a serving stream must
+  /// not accumulate per-query state.
+  void ReleaseQuery(const QueryState& q) override;
+  void OnDispatchStopped(bool work_waiting) override {
+    stall_hint_.store(work_waiting, std::memory_order_relaxed);
+  }
+
+  // Coordinator-thread helpers shared by episode and serving mode.
   void SetupRun(Scheduler* scheduler, size_t num_queries);
   void SpawnWorkers();
   /// The physical pool size: the peak logical-slot count over the scripted
   /// thread_events (workers are spawned once, slots come and go).
   int PeakPoolSize() const;
-  /// Applies every thread_events entry due at `now`: grows/retires logical
-  /// slots and fires kThreadAdded/kThreadRemoved at the scheduler. Called
-  /// from the top of both coordinator loops.
-  void ApplyDueThreadEvents(double now, Scheduler* scheduler);
-  /// Admits query `qid` (tables must already cover the id and hold null):
-  /// creates its state, probes the query_admit fault point, consults the
-  /// serving hooks (shed / displace), allocates its execution, and fires
-  /// the arrival event at the scheduler.
-  void AdmitArrival(QueryId qid, QueryPlan plan, const QueryTag& tag,
-                    double now, Scheduler* scheduler);
-  /// Terminates `qid` as CANCELLED and notifies the scheduler. Returns
-  /// false for unknown/terminal queries.
-  bool CancelLive(QueryId qid, double t, Scheduler* scheduler);
-  /// Applies one worker completion: frees the worker, advances or retries
-  /// or discards, detects query completion, fires follow-up scheduler
-  /// events.
-  void ProcessCompletion(const Completion& c, double now,
-                         Scheduler* scheduler);
-  void ApplyDecision(const SchedulingDecision& decision, double now);
-  int AssignThreads(double now);
-  void InvokeScheduler(const SchedulingEvent& event, Scheduler* scheduler,
-                       double now);
-  void ForceFallback(double now);
-  /// Moves a live query to terminal `status` (kCancelled/kFailed, or kShed
-  /// for admission-time displacement of a still-ADMITTED query): flips the
-  /// state machine, kills its pipelines (accounting dropped work orders),
-  /// removes it from the scheduling context, and frees its execution once
-  /// no attempt is in flight. Returns false for unknown/already-terminal
-  /// queries. Coordinator thread only.
-  bool TerminateQuery(QueryId query, QueryStatus status, double now);
-  /// Frees a terminal (non-DONE) query's execution state once its last
-  /// in-flight attempt has drained. Coordinator thread only.
-  void MaybeReleaseExecution(int query_index);
-  /// Captures a DONE query's sink rows/checksum and releases its execution
-  /// immediately — serving streams must not accumulate per-query state.
-  void ExtractSink(int query_index);
-  int InflightFor(int query_index) const;
+  /// Applies every thread_events entry due at `now`. Called from the top
+  /// of both coordinator loops.
+  void ApplyDueThreadEvents(double now);
+  /// Waits up to 2 ms for a completion and processes it; on timeout
+  /// re-runs dispatch (a retry backoff may have elapsed). Queued ingress or
+  /// cancels end the wait early. Never schedules under completion_mu_.
+  void WaitAndProcessCompletion(const Clock& clock);
   /// Waits out attempts still in flight for terminal queries (work-order
   /// conservation), then checks no terminal query leaked execution state.
   void DrainOutstanding();
@@ -291,42 +215,30 @@ class RealEngine {
   /// pool has shut down; a racy-but-safe live approximation while workers
   /// run (used for rolling /metrics refreshes).
   std::vector<prof::WorkerStateBuckets> CollectWorkerStates() const;
-  RealRunResult BuildResult();
+  /// Ends the run: drains, joins the pool, finalizes telemetry.
+  RealRunResult FinishRun(const Clock& clock);
   /// Serving coordinator body: intake → cancels → completions until drained.
   void ServeLoop();
 
   const Catalog* catalog_;
   RealEngineConfig config_;
+  Coordinator coordinator_;
 
-  // Per-run state (owned by the coordinator).
-  std::vector<std::unique_ptr<QueryState>> query_states_;
-  std::vector<std::unique_ptr<QueryExecution>> executions_;
-  std::vector<ActivePipeline> pipelines_;
+  // Per-run state (owned by the coordinator thread).
+  std::vector<std::unique_ptr<QueryExecution>> executions_;  ///< by QueryId
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Shared dispatch queue (coordinator pushes, workers claim). Created by
   /// SpawnWorkers before any worker thread starts; workers only read the
   /// pointer, so no synchronization is needed on the pointer itself.
   std::unique_ptr<Worklist<WorkerTask>> worklist_;
-  SchedulingContext ctx_;
-  EpisodeRecorder recorder_;
   /// Sink output captured at query completion (indexed by QueryId; grows
   /// with the query table in serving mode).
   std::vector<int64_t> sink_rows_;
   std::vector<double> sink_checksums_;
-  /// Decision-log id of the in-flight scheduler/fallback decision; tags
-  /// pipelines created by ApplyDecision.
-  int64_t current_decision_id_ = -1;
-  /// Queries that reached a terminal state (DONE+CANCELLED+FAILED+SHED).
-  int terminal_queries_ = 0;
-  /// Pool elasticity (coordinator-only): scripted events sorted by time,
-  /// the next one due, a fresh id source for grown slots, and the count of
-  /// busy slots awaiting retirement (they retire in ProcessCompletion as
-  /// their in-flight work order drains — SimEngine's exact semantics).
+  /// Scripted pool events sorted by time, and the next one due.
   std::vector<ThreadPoolEvent> sorted_thread_events_;
   size_t next_thread_event_ = 0;
-  int next_slot_id_ = 0;
-  int pending_slot_removals_ = 0;
-  /// terminal_queries_ at the last rolling-window flush.
+  /// Terminal-query count at the last rolling-window flush.
   int last_flush_terminals_ = 0;
   /// Run clock, published (before workers spawn) for worker-side deadline
   /// checks; read-only while workers are alive.
@@ -336,7 +248,7 @@ class RealEngine {
   /// to waiting (heuristic — only the bucket sums are exact):
   /// stall_hint_ true = live query work exists that a free worker cannot
   /// run right now (dependency/backoff/parallelism-cap blocked), so a
-  /// waiting worker is "stalled", not "idle". Maintained by AssignThreads.
+  /// waiting worker is "stalled", not "idle". Maintained by dispatch.
   std::atomic<bool> stall_hint_{false};
   /// Set for the DrainOutstanding/ShutdownPool teardown window so workers
   /// account their final wait as "draining".
@@ -346,12 +258,12 @@ class RealEngine {
 
   std::mutex completion_mu_;
   std::condition_variable completion_cv_;
-  std::deque<Completion> completions_;
+  std::deque<AttemptResult> completions_;
   /// CancelQuery() requests awaiting the coordinator (completion_mu_).
   std::vector<CancelRequest> external_cancels_;
 
   // --- serving mode -------------------------------------------------------
-  std::thread coordinator_;
+  std::thread coordinator_thread_;
   Scheduler* serving_scheduler_ = nullptr;
   std::atomic<bool> serving_{false};
   std::atomic<bool> draining_{false};

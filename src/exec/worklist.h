@@ -6,38 +6,22 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 namespace lsched {
 
-/// Which Worklist implementation an engine uses (DESIGN.md §12).
-enum class WorklistKind {
-  kLocking,  ///< mutex+cv guarded deque (the ported PR-1..8 handoff)
-  kAtomic,   ///< lock-free bounded MPMC ring (atomic claim; the default)
-};
-
-const char* WorklistKindName(WorklistKind kind);
-bool ParseWorklistKind(const std::string& name, WorklistKind* out);
-
-/// Reads LSCHED_WORKLIST (locking|atomic); returns `fallback` when unset
-/// or unparseable.
-WorklistKind WorklistKindFromEnv(WorklistKind fallback);
-
 /// Shared work queue between a producer (the coordinator) and a pool of
-/// consumer workers. The narrow seam that lets the dispatch handoff be
-/// swapped between a mutex+cv implementation and a lock-free one while
-/// every piece of scheduling bookkeeping stays identical (DESIGN.md §12).
+/// consumer workers (DESIGN.md §12): a lock-free bounded MPMC ring in the
+/// spirit of Cavalia's shared-worklist scheduler.
 ///
 /// Contract:
-///  - Push never blocks the producer on consumers (the lock-free
-///    implementation may briefly yield if the ring is saturated far beyond
-///    the engine's bounded in-flight window).
+///  - Push never blocks the producer on consumers (it may briefly yield if
+///    the ring is saturated far beyond the engine's bounded in-flight
+///    window).
 ///  - TryPopClaim claims exactly one item or returns false immediately.
 ///  - PopClaimWait is TryPopClaim plus bounded parking: it returns false
 ///    after `timeout` without an item, so consumers can re-examine engine
@@ -48,73 +32,9 @@ WorklistKind WorklistKindFromEnv(WorklistKind fallback);
 ///  - Every pushed item is claimed by exactly one caller of
 ///    TryPopClaim/PopClaimWait/Drain — the conservation property the
 ///    engine's work-order counters are built on.
-template <typename T>
-class Worklist {
- public:
-  virtual ~Worklist() = default;
-
-  virtual void Push(T item) = 0;
-  virtual bool TryPopClaim(T* out) = 0;
-  virtual bool PopClaimWait(T* out, std::chrono::milliseconds timeout) = 0;
-  virtual std::vector<T> Drain() = 0;
-  /// Instantaneous item count (approximate under concurrency).
-  virtual size_t Size() const = 0;
-};
-
-/// The original coordinator→worker handoff, ported behind the seam: one
-/// mutex+condition-variable guarded deque shared by the pool.
-template <typename T>
-class LockingWorklist : public Worklist<T> {
- public:
-  void Push(T item) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-  }
-
-  bool TryPopClaim(T* out) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  bool PopClaimWait(T* out, std::chrono::milliseconds timeout) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!cv_.wait_for(lock, timeout, [&] { return !items_.empty(); })) {
-      return false;
-    }
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  std::vector<T> Drain() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<T> out;
-    out.reserve(items_.size());
-    for (T& item : items_) out.push_back(std::move(item));
-    items_.clear();
-    return out;
-  }
-
-  size_t Size() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<T> items_;
-};
-
-/// Lock-free bounded MPMC ring in the spirit of Cavalia's shared-worklist
-/// scheduler: producers and consumers claim slots with one atomic RMW on
-/// the hot path and never take a lock. Each cell carries a sequence number
+///
+/// Producers and consumers claim slots with one atomic RMW on the hot path
+/// and never take a lock. Each cell carries a sequence number
 /// (Vyukov's scheme) — the generalization of the fetch-add claim that also
 /// supports streaming (wrap-around) and non-blocking TryPopClaim:
 ///
@@ -136,13 +56,13 @@ class LockingWorklist : public Worklist<T> {
 /// sleepers" with the consumer's "register then re-check queue" so a
 /// wakeup can never be lost between the check and the sleep.
 template <typename T>
-class AtomicWorklist : public Worklist<T> {
+class Worklist {
  public:
   /// Capacity is rounded up to a power of two, at least `min_capacity`.
   /// The engine's producer pushes at most one item per reserved worker
   /// slot, so any capacity >= 2 * num_threads can never see a full ring;
   /// Push still handles saturation (yield + retry) for standalone users.
-  explicit AtomicWorklist(size_t min_capacity = 256) {
+  explicit Worklist(size_t min_capacity = 256) {
     size_t cap = 64;
     while (cap < min_capacity) cap <<= 1;
     cells_ = std::make_unique<Cell[]>(cap);
@@ -153,7 +73,7 @@ class AtomicWorklist : public Worklist<T> {
     }
   }
 
-  void Push(T item) override {
+  void Push(T item) {
     while (!TryPush(&item)) std::this_thread::yield();
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (sleepers_.load(std::memory_order_relaxed) > 0) {
@@ -165,7 +85,7 @@ class AtomicWorklist : public Worklist<T> {
     }
   }
 
-  bool TryPopClaim(T* out) override {
+  bool TryPopClaim(T* out) {
     size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
     for (;;) {
       Cell& cell = cells_[pos & mask_];
@@ -188,7 +108,7 @@ class AtomicWorklist : public Worklist<T> {
     }
   }
 
-  bool PopClaimWait(T* out, std::chrono::milliseconds timeout) override {
+  bool PopClaimWait(T* out, std::chrono::milliseconds timeout) {
     for (int spin = SpinIterations(); spin > 0; --spin) {
       if (TryPopClaim(out)) return true;
       std::this_thread::yield();
@@ -202,14 +122,14 @@ class AtomicWorklist : public Worklist<T> {
     return got;
   }
 
-  std::vector<T> Drain() override {
+  std::vector<T> Drain() {
     std::vector<T> out;
     T item;
     while (TryPopClaim(&item)) out.push_back(std::move(item));
     return out;
   }
 
-  size_t Size() const override {
+  size_t Size() const {
     const size_t e = enqueue_pos_.load(std::memory_order_relaxed);
     const size_t d = dequeue_pos_.load(std::memory_order_relaxed);
     return e > d ? e - d : 0;
@@ -269,20 +189,6 @@ class AtomicWorklist : public Worklist<T> {
   std::mutex wait_mu_;
   std::condition_variable wait_cv_;
 };
-
-/// Factory keyed by WorklistKind. `capacity_hint` bounds the lock-free
-/// ring (rounded up; ignored by LockingWorklist).
-template <typename T>
-std::unique_ptr<Worklist<T>> MakeWorklist(WorklistKind kind,
-                                          size_t capacity_hint = 256) {
-  switch (kind) {
-    case WorklistKind::kLocking:
-      return std::make_unique<LockingWorklist<T>>();
-    case WorklistKind::kAtomic:
-      return std::make_unique<AtomicWorklist<T>>(capacity_hint);
-  }
-  return std::make_unique<LockingWorklist<T>>();
-}
 
 }  // namespace lsched
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "exec/real_engine.h"
 #include "plan/plan_builder.h"
@@ -96,10 +97,11 @@ TEST(RealEngineEdgeTest, EdgeConfigsAgreeWithEachOther) {
   // agree on sink results (transitively, via the oracle).
   WorkloadFuzzer fuzzer(15, {.min_rows = 30, .max_rows = 90});
   FuzzedWorkload w = fuzzer.NextWorkload();
-  for (RealEngineConfig config :
-       {RealEngineConfig{.num_threads = 1, .chunk_rows = 1},
-        RealEngineConfig{.num_threads = 8, .chunk_rows = 7},
-        RealEngineConfig{.num_threads = 2, .chunk_rows = 4096}}) {
+  for (const auto& [threads, chunk_rows] :
+       {std::pair<int, size_t>{1, 1}, {8, 7}, {2, 4096}}) {
+    RealEngineConfig config;
+    config.num_threads = threads;
+    config.chunk_rows = chunk_rows;
     ExpectMatchesOracle(*w.catalog, w.real_queries, config);
   }
 }

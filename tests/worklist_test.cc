@@ -17,108 +17,84 @@ namespace lsched {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Kind plumbing
+// Single-threaded contract
 // ---------------------------------------------------------------------------
 
-TEST(WorklistKindTest, NamesRoundTrip) {
-  for (WorklistKind kind : {WorklistKind::kLocking, WorklistKind::kAtomic}) {
-    WorklistKind parsed;
-    ASSERT_TRUE(ParseWorklistKind(WorklistKindName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  WorklistKind parsed;
-  EXPECT_FALSE(ParseWorklistKind("bogus", &parsed));
-  EXPECT_FALSE(ParseWorklistKind("", &parsed));
-}
-
-// ---------------------------------------------------------------------------
-// Single-threaded contract, both implementations
-// ---------------------------------------------------------------------------
-
-class WorklistContractTest : public ::testing::TestWithParam<WorklistKind> {};
-
-TEST_P(WorklistContractTest, FifoOrderAndSize) {
-  auto list = MakeWorklist<int>(GetParam(), 64);
-  EXPECT_EQ(list->Size(), 0u);
+TEST(WorklistContractTest, FifoOrderAndSize) {
+  Worklist<int> list(64);
+  EXPECT_EQ(list.Size(), 0u);
   int out = -1;
-  EXPECT_FALSE(list->TryPopClaim(&out));
-  for (int i = 0; i < 10; ++i) list->Push(i);
-  EXPECT_EQ(list->Size(), 10u);
+  EXPECT_FALSE(list.TryPopClaim(&out));
+  for (int i = 0; i < 10; ++i) list.Push(i);
+  EXPECT_EQ(list.Size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(list->TryPopClaim(&out));
+    ASSERT_TRUE(list.TryPopClaim(&out));
     EXPECT_EQ(out, i);
   }
-  EXPECT_FALSE(list->TryPopClaim(&out));
+  EXPECT_FALSE(list.TryPopClaim(&out));
 }
 
-TEST_P(WorklistContractTest, DrainReturnsRemainingInOrder) {
-  auto list = MakeWorklist<int>(GetParam(), 64);
-  for (int i = 0; i < 8; ++i) list->Push(i);
+TEST(WorklistContractTest, DrainReturnsRemainingInOrder) {
+  Worklist<int> list(64);
+  for (int i = 0; i < 8; ++i) list.Push(i);
   int out = -1;
-  ASSERT_TRUE(list->TryPopClaim(&out));
-  const std::vector<int> rest = list->Drain();
+  ASSERT_TRUE(list.TryPopClaim(&out));
+  const std::vector<int> rest = list.Drain();
   ASSERT_EQ(rest.size(), 7u);
   for (int i = 0; i < 7; ++i) EXPECT_EQ(rest[static_cast<size_t>(i)], i + 1);
-  EXPECT_EQ(list->Size(), 0u);
+  EXPECT_EQ(list.Size(), 0u);
 }
 
-TEST_P(WorklistContractTest, PopClaimWaitTimesOutOnEmpty) {
-  auto list = MakeWorklist<int>(GetParam(), 64);
+TEST(WorklistContractTest, PopClaimWaitTimesOutOnEmpty) {
+  Worklist<int> list(64);
   int out = -1;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(list->PopClaimWait(&out, std::chrono::milliseconds(5)));
+  EXPECT_FALSE(list.PopClaimWait(&out, std::chrono::milliseconds(5)));
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   // The wait must be bounded (well under a second even on loaded CI).
   EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
-TEST_P(WorklistContractTest, PopClaimWaitWakesOnConcurrentPush) {
-  auto list = MakeWorklist<int>(GetParam(), 64);
+TEST(WorklistContractTest, PopClaimWaitWakesOnConcurrentPush) {
+  Worklist<int> list(64);
   std::thread producer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    list->Push(42);
+    list.Push(42);
   });
   int out = -1;
   // Generous timeout: the push lands long before it; the test is that the
   // sleeping consumer is actually woken rather than timing out.
   bool got = false;
   for (int i = 0; i < 1000 && !got; ++i) {
-    got = list->PopClaimWait(&out, std::chrono::milliseconds(20));
+    got = list.PopClaimWait(&out, std::chrono::milliseconds(20));
   }
   producer.join();
   ASSERT_TRUE(got);
   EXPECT_EQ(out, 42);
 }
 
-TEST_P(WorklistContractTest, MoveOnlyPayloadSupported) {
-  auto list = MakeWorklist<std::unique_ptr<int>>(GetParam(), 64);
-  list->Push(std::make_unique<int>(7));
+TEST(WorklistContractTest, MoveOnlyPayloadSupported) {
+  Worklist<std::unique_ptr<int>> list(64);
+  list.Push(std::make_unique<int>(7));
   std::unique_ptr<int> out;
-  ASSERT_TRUE(list->TryPopClaim(&out));
+  ASSERT_TRUE(list.TryPopClaim(&out));
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 7);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, WorklistContractTest,
-                         ::testing::Values(WorklistKind::kLocking,
-                                           WorklistKind::kAtomic),
-                         [](const auto& info) {
-                           return std::string(WorklistKindName(info.param));
-                         });
 
 // ---------------------------------------------------------------------------
 // Ring-specific behavior
 // ---------------------------------------------------------------------------
 
-TEST(AtomicWorklistTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(AtomicWorklist<int>(1).capacity(), 64u);
-  EXPECT_EQ(AtomicWorklist<int>(64).capacity(), 64u);
-  EXPECT_EQ(AtomicWorklist<int>(65).capacity(), 128u);
-  EXPECT_EQ(AtomicWorklist<int>(1000).capacity(), 1024u);
+TEST(WorklistRingTest, CapacityRoundsUpToPowerOfTwo) {
+  EXPECT_EQ(Worklist<int>(1).capacity(), 64u);
+  EXPECT_EQ(Worklist<int>(64).capacity(), 64u);
+  EXPECT_EQ(Worklist<int>(65).capacity(), 128u);
+  EXPECT_EQ(Worklist<int>(1000).capacity(), 1024u);
 }
 
-TEST(AtomicWorklistTest, WrapAroundPreservesEveryItem) {
-  AtomicWorklist<int> list(64);  // smallest ring: wraps many times below
+TEST(WorklistRingTest, WrapAroundPreservesEveryItem) {
+  Worklist<int> list(64);  // smallest ring: wraps many times below
   int next_push = 0, next_pop = 0;
   // Interleaved batches larger than half the ring force repeated
   // wrap-around of both position counters and every cell's sequence.
@@ -141,13 +117,13 @@ TEST(AtomicWorklistTest, WrapAroundPreservesEveryItem) {
 /// PopClaimWait. Every id must be claimed exactly once — the conservation
 /// property RealEngine's in-flight counters are built on. Run under TSan in
 /// CI, this is also the data-race gate for the lock-free ring.
-void HammerClaimExactlyOnce(WorklistKind kind) {
+TEST(WorklistHammerTest, ClaimExactlyOnce) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr int kPerProducer = 20000;
   constexpr int kTotal = kProducers * kPerProducer;
 
-  auto list = MakeWorklist<int>(kind, 256);
+  Worklist<int> list(256);
   std::vector<std::atomic<int>> claims(kTotal);
   for (auto& c : claims) c.store(0, std::memory_order_relaxed);
   std::atomic<int> claimed{0};
@@ -156,7 +132,7 @@ void HammerClaimExactlyOnce(WorklistKind kind) {
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        list->Push(p * kPerProducer + i);
+        list.Push(p * kPerProducer + i);
       }
     });
   }
@@ -164,7 +140,7 @@ void HammerClaimExactlyOnce(WorklistKind kind) {
     threads.emplace_back([&] {
       int item = -1;
       while (claimed.load(std::memory_order_relaxed) < kTotal) {
-        if (list->PopClaimWait(&item, std::chrono::milliseconds(1))) {
+        if (list.PopClaimWait(&item, std::chrono::milliseconds(1))) {
           claims[static_cast<size_t>(item)].fetch_add(
               1, std::memory_order_relaxed);
           claimed.fetch_add(1, std::memory_order_relaxed);
@@ -180,25 +156,17 @@ void HammerClaimExactlyOnce(WorklistKind kind) {
         << "item " << i << " claimed " << claims[static_cast<size_t>(i)].load()
         << " times";
   }
-  EXPECT_EQ(list->Size(), 0u);
-}
-
-TEST(WorklistHammerTest, LockingClaimExactlyOnce) {
-  HammerClaimExactlyOnce(WorklistKind::kLocking);
-}
-
-TEST(WorklistHammerTest, AtomicClaimExactlyOnce) {
-  HammerClaimExactlyOnce(WorklistKind::kAtomic);
+  EXPECT_EQ(list.Size(), 0u);
 }
 
 /// Drain racing against pushes and pops: whatever mixture of TryPopClaim
 /// and Drain observes each item, the union must still be exactly-once.
-void DrainDuringPushConservation(WorklistKind kind) {
+TEST(WorklistHammerTest, DrainDuringPush) {
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 10000;
   constexpr int kTotal = kProducers * kPerProducer;
 
-  auto list = MakeWorklist<int>(kind, 256);
+  Worklist<int> list(256);
   std::vector<std::atomic<int>> claims(kTotal);
   for (auto& c : claims) c.store(0, std::memory_order_relaxed);
   std::atomic<int> claimed{0};
@@ -208,7 +176,7 @@ void DrainDuringPushConservation(WorklistKind kind) {
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        list->Push(p * kPerProducer + i);
+        list.Push(p * kPerProducer + i);
       }
     });
   }
@@ -216,7 +184,7 @@ void DrainDuringPushConservation(WorklistKind kind) {
   threads.emplace_back([&] {
     int item = -1;
     while (claimed.load(std::memory_order_relaxed) < kTotal) {
-      if (list->PopClaimWait(&item, std::chrono::milliseconds(1))) {
+      if (list.PopClaimWait(&item, std::chrono::milliseconds(1))) {
         claims[static_cast<size_t>(item)].fetch_add(1,
                                                     std::memory_order_relaxed);
         claimed.fetch_add(1, std::memory_order_relaxed);
@@ -224,7 +192,7 @@ void DrainDuringPushConservation(WorklistKind kind) {
     }
   });
   while (claimed.load(std::memory_order_relaxed) < kTotal) {
-    for (int item : list->Drain()) {
+    for (int item : list.Drain()) {
       claims[static_cast<size_t>(item)].fetch_add(1, std::memory_order_relaxed);
       claimed.fetch_add(1, std::memory_order_relaxed);
     }
@@ -239,16 +207,8 @@ void DrainDuringPushConservation(WorklistKind kind) {
   }
 }
 
-TEST(WorklistHammerTest, LockingDrainDuringPush) {
-  DrainDuringPushConservation(WorklistKind::kLocking);
-}
-
-TEST(WorklistHammerTest, AtomicDrainDuringPush) {
-  DrainDuringPushConservation(WorklistKind::kAtomic);
-}
-
 // ---------------------------------------------------------------------------
-// Differential: RealEngine under locking vs atomic dispatch
+// RealEngine over the worklist
 // ---------------------------------------------------------------------------
 
 constexpr int64_t kDimRows = 800;
@@ -325,45 +285,20 @@ std::vector<RealQuerySubmission> MakeWorkload(const Catalog& catalog, int n) {
   return workload;
 }
 
-RealRunResult RunWith(const Catalog* catalog, WorklistKind kind, int queries) {
+RealRunResult RunEngine(const Catalog* catalog, int queries) {
   RealEngineConfig cfg;
   cfg.num_threads = 4;
   cfg.chunk_rows = 128;
-  cfg.worklist = kind;
   RealEngine engine(catalog, cfg);
   FifoScheduler fifo;
   return engine.Run(MakeWorkload(*catalog, queries), &fifo);
 }
 
-/// Both worklists must produce byte-identical query results and the same
-/// terminal lifecycle states: the dispatch handoff is pure plumbing.
-TEST(WorklistDifferentialTest, LockingAndAtomicAgree) {
-  auto catalog = MakeCatalog();
-  const RealRunResult locking =
-      RunWith(catalog.get(), WorklistKind::kLocking, 8);
-  const RealRunResult atomic = RunWith(catalog.get(), WorklistKind::kAtomic, 8);
-
-  EXPECT_EQ(locking.sink_row_counts, atomic.sink_row_counts);
-  EXPECT_EQ(locking.sink_checksums, atomic.sink_checksums);
-  ASSERT_EQ(locking.episode.final_statuses.size(),
-            atomic.episode.final_statuses.size());
-  for (size_t i = 0; i < locking.episode.final_statuses.size(); ++i) {
-    EXPECT_EQ(locking.episode.final_statuses[i],
-              atomic.episode.final_statuses[i])
-        << "query " << i;
-  }
-  EXPECT_EQ(locking.episode.num_queries_failed,
-            atomic.episode.num_queries_failed);
-  EXPECT_EQ(locking.episode.num_queries_cancelled,
-            atomic.episode.num_queries_cancelled);
-  EXPECT_EQ(locking.episode.num_queries_shed, atomic.episode.num_queries_shed);
-}
-
-/// Same differential under a deterministic fault storm: one query's work
-/// orders always fail (probability 1.0, query-scoped, beyond retry budget),
-/// so both worklists must drive that query — and only that query — to
-/// FAILED while everything else completes.
-TEST(WorklistDifferentialTest, ChaosFaultStormAgrees) {
+/// A deterministic fault storm through the worklist-fed pool: one query's
+/// work orders always fail (probability 1.0, query-scoped, beyond retry
+/// budget), so that query — and only that query — must end FAILED while
+/// everything else completes.
+TEST(WorklistEngineTest, ChaosFaultStormFailsOnlyTheFaultedQuery) {
   auto catalog = MakeCatalog();
 
   FaultSchedule schedule;
@@ -375,24 +310,15 @@ TEST(WorklistDifferentialTest, ChaosFaultStormAgrees) {
   rule.action = {FaultType::kError, 0.0};
   schedule.rules.push_back(rule);
 
-  RealRunResult results[2];
-  const WorklistKind kinds[2] = {WorklistKind::kLocking, WorklistKind::kAtomic};
-  for (int k = 0; k < 2; ++k) {
-    FaultInjector::Global().Install(schedule);
-    results[k] = RunWith(catalog.get(), kinds[k], 8);
-    FaultInjector::Global().Clear();
-  }
+  FaultInjector::Global().Install(schedule);
+  const RealRunResult result = RunEngine(catalog.get(), 8);
+  FaultInjector::Global().Clear();
 
-  for (int k = 0; k < 2; ++k) {
-    ASSERT_EQ(results[k].episode.final_statuses.size(), 8u);
-    EXPECT_EQ(results[k].episode.num_queries_failed, 1);
-    EXPECT_EQ(results[k].episode.final_statuses[3], QueryStatus::kFailed);
-  }
-  EXPECT_EQ(results[0].sink_row_counts, results[1].sink_row_counts);
-  EXPECT_EQ(results[0].sink_checksums, results[1].sink_checksums);
+  ASSERT_EQ(result.episode.final_statuses.size(), 8u);
+  EXPECT_EQ(result.episode.num_queries_failed, 1);
   for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(results[0].episode.final_statuses[i],
-              results[1].episode.final_statuses[i])
+    EXPECT_EQ(result.episode.final_statuses[i],
+              i == 3 ? QueryStatus::kFailed : QueryStatus::kDone)
         << "query " << i;
   }
 }
