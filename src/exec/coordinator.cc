@@ -110,7 +110,7 @@ void Coordinator::Admit(QueryId id, QueryPlan plan, const QueryTag& tag,
   backend_->OnQueryAdmitted(*q);
   ctx_.AddQuery(q);
   Notify(SchedulingEventType::kQueryArrival, id, now);
-  AssignThreads(now);
+  DispatchPending(now);
   RetireFinished();
 }
 
@@ -125,11 +125,11 @@ bool Coordinator::Terminate(QueryId id, QueryStatus status, double now) {
   // Pipelines and the query state stay in place (callers may hold
   // references); the next RetireFinished drops them.
   int64_t dropped = 0;
-  for (Pipeline& p : pipelines_) {
-    if (p.query != id || p.dead) continue;
-    p.dead = true;
-    p.retry_ready.clear();
-    dropped += static_cast<int64_t>(p.total_fused - p.succeeded);
+  for (const auto& p : pipelines_) {
+    if (p->query != id || p->dead) continue;
+    p->dead = true;
+    p->retry_ready.clear();
+    dropped += static_cast<int64_t>(p->total_fused - p->succeeded);
   }
   recorder_.OnQueryTerminated(q, now, dropped);
   if (ctx_.FindQuery(id) != nullptr) ctx_.RemoveQuery(id);
@@ -145,7 +145,7 @@ bool Coordinator::Cancel(QueryId id, double now) {
   // The cancel freed this query's claim on threads/memory: tell the
   // scheduler so it can re-plan, then backfill the pool.
   Notify(SchedulingEventType::kQueryCancelled, id, now);
-  AssignThreads(now);
+  DispatchPending(now);
   RetireFinished();
   return true;
 }
@@ -186,7 +186,8 @@ void Coordinator::ChangePool(int delta, double now) {
     se.type = SchedulingEventType::kThreadRemoved;
   }
   InvokeScheduler(se, now);
-  AssignThreads(now);
+  DispatchPending(now);
+  RetireFinished();
 }
 
 bool Coordinator::ProducersComplete(const QueryState& q, int root) const {
@@ -221,24 +222,28 @@ void Coordinator::ApplyDecision(const SchedulingDecision& decision,
         std::clamp(choice.degree, 1, static_cast<int>(valid.size()));
     valid.resize(static_cast<size_t>(degree));
 
-    Pipeline p;
-    p.id = launches_++;
-    p.query = q->id();
-    p.chain = std::move(valid);
-    p.created_at = now;
-    p.decision_id = current_decision_id_;
-    backend_->PreparePipeline(*q, &p);
-    for (int op : p.chain) q->set_op_scheduled(op, true);
+    auto p = std::make_unique<Pipeline>();
+    p->id = launches_++;
+    p->query = q->id();
+    p->chain = std::move(valid);
+    p->created_at = now;
+    p->decision_id = current_decision_id_;
+    backend_->PreparePipeline(*q, p.get());
+    for (int op : p->chain) q->set_op_scheduled(op, true);
     // Scheduling flags entered the query's feature inputs: invalidate
     // cached encodings.
     ctx_.MarkQueryDirty(q->id());
-    recorder_.OnPipelineLaunched(current_decision_id_, q->id(), p.chain[0],
-                                 degree, p.total_fused, now);
+    recorder_.OnPipelineLaunched(current_decision_id_, q->id(), p->chain[0],
+                                 degree, p->total_fused, now);
     pipelines_.push_back(std::move(p));
   }
 }
 
-void Coordinator::DispatchTo(int slot, Pipeline& p, double now) {
+int Coordinator::CapFor(const QueryState& q) const {
+  return q.max_threads() > 0 ? q.max_threads() : config_->num_threads;
+}
+
+bool Coordinator::DispatchTo(int slot, Pipeline& p, double now) {
   QueryState* q = ctx_.FindQuery(p.query);
   LSCHED_CHECK(q != nullptr);
   // Retries first (FIFO), then the next fresh work-order index.
@@ -248,32 +253,42 @@ void Coordinator::DispatchTo(int slot, Pipeline& p, double now) {
     wo_index = p.retry_ready.front();
     p.retry_ready.erase(p.retry_ready.begin());
   } else {
-    wo_index = p.next_wo++;
+    wo_index = p.next_wo.fetch_add(1);
+    if (wo_index >= p.total_fused) return false;
   }
   backend_->Dispatch(p, *q, slot, wo_index, now);
-  ++p.dispatched;
-  ++p.inflight;
   ctx_.SetThreadBusy(slot, p.query);
   q->set_assigned_threads(q->assigned_threads() + 1);
+  BookDispatch(p, is_retry, now);
+  return true;
+}
+
+void Coordinator::BookDispatch(Pipeline& p, bool is_retry, double now) {
+  ++p.dispatched;
+  ++p.inflight;
   const int inflight = ctx_.total_threads() - ctx_.num_free_threads();
   recorder_.OnWorkOrderDispatched(p.query, is_retry, inflight,
                                   now - p.created_at, now);
 }
 
 int Coordinator::AssignThreads(double now) {
+  const int dispatched = DispatchPending(now);
+  RetireFinished();
+  return dispatched;
+}
+
+int Coordinator::DispatchPending(double now) {
   int dispatched = 0;
   while (true) {
     // Pipelines with dispatchable work whose query is below its cap.
     candidates_.clear();
     for (size_t i = 0; i < pipelines_.size(); ++i) {
-      const Pipeline& p = pipelines_[i];
+      const Pipeline& p = *pipelines_[i];
       if (p.dead || !p.HasFreshOrRetryWork()) continue;
       if (p.not_before > now + kBackoffEpsilon) continue;  // backoff pending
       const QueryState* q = ctx_.FindQuery(p.query);
       if (q == nullptr) continue;
-      const int cap =
-          q->max_threads() > 0 ? q->max_threads() : config_->num_threads;
-      if (q->assigned_threads() >= cap) continue;
+      if (q->assigned_threads() >= CapFor(*q)) continue;
       candidates_.push_back(i);
     }
     if (candidates_.empty()) {
@@ -287,7 +302,7 @@ int Coordinator::AssignThreads(double now) {
     for (const ThreadInfo& t : ctx_.threads()) {
       if (t.busy) continue;
       for (size_t ci : candidates_) {
-        if (pipelines_[ci].query == t.last_query) {
+        if (pipelines_[ci]->query == t.last_query) {
           slot = t.id;
           chosen = ci;
           break;
@@ -310,15 +325,15 @@ int Coordinator::AssignThreads(double now) {
       int best_load = 0;
       for (size_t ci : candidates_) {
         const int load =
-            ctx_.FindQuery(pipelines_[ci].query)->assigned_threads();
+            ctx_.FindQuery(pipelines_[ci]->query)->assigned_threads();
         if (chosen == pipelines_.size() || load < best_load) {
           best_load = load;
           chosen = ci;
         }
       }
     }
-    DispatchTo(slot, pipelines_[chosen], now);
-    ++dispatched;
+    // A lost race for the last fresh index leaves the slot free; rescan.
+    if (DispatchTo(slot, *pipelines_[chosen], now)) ++dispatched;
   }
 }
 
@@ -346,7 +361,7 @@ void Coordinator::InvokeScheduler(const SchedulingEvent& event, double now) {
     if (decision.empty()) return;
     const int64_t launched_before = launches_;
     ApplyDecision(decision, now);
-    AssignThreads(now);
+    DispatchPending(now);
     if (launches_ == launched_before) return;  // no new pipelines
   }
 }
@@ -376,7 +391,8 @@ void Coordinator::ForceFallback(double now) {
       d.pipelines.push_back(PipelineChoice{q->id(), op, 1});
       current_decision_id_ = recorder_.OnFallback(now, ctx_, q->id());
       ApplyDecision(d, now);
-      AssignThreads(now);
+      DispatchPending(now);
+      RetireFinished();
       return;
     }
   }
@@ -385,30 +401,38 @@ void Coordinator::ForceFallback(double now) {
 Pipeline& Coordinator::PipelineById(int64_t id) {
   auto it = std::lower_bound(
       pipelines_.begin(), pipelines_.end(), id,
-      [](const Pipeline& p, int64_t v) { return p.id < v; });
-  LSCHED_CHECK(it != pipelines_.end() && it->id == id)
+      [](const std::unique_ptr<Pipeline>& p, int64_t v) { return p->id < v; });
+  LSCHED_CHECK(it != pipelines_.end() && (*it)->id == id)
       << "unknown pipeline " << id;
-  return *it;
+  return **it;
 }
 
 void Coordinator::RetireFinished() {
-  std::erase_if(pipelines_, [](const Pipeline& p) {
-    return p.inflight == 0 && (p.dead || !p.HasFreshOrRetryWork());
+  std::erase_if(pipelines_, [](const std::unique_ptr<Pipeline>& p) {
+    return p->inflight == 0 && (p->dead || !p->HasFreshOrRetryWork());
   });
   for (QueryId id : drained_) queries_[static_cast<size_t>(id)].reset();
   drained_.clear();
+  for (const auto& p : pipelines_) {
+    const QueryState* q = ctx_.FindQuery(p->query);
+    const bool open = !p->dead && p->retry_ready.empty() &&
+                      pending_slot_removals_ == 0 && q != nullptr &&
+                      q->assigned_threads() <= CapFor(*q);
+    // Lease holders read the flag on every claim; store only changes.
+    if (p->lease_open.load() != open) p->lease_open = open;
+  }
 }
 
 bool Coordinator::AnyPendingWork() const {
-  for (const Pipeline& p : pipelines_) {
-    if (!p.dead && p.HasFreshOrRetryWork()) return true;
+  for (const auto& p : pipelines_) {
+    if (!p->dead && p->HasFreshOrRetryWork()) return true;
   }
   return false;
 }
 
 int Coordinator::InflightAttempts() const {
   int n = 0;
-  for (const Pipeline& p : pipelines_) n += p.inflight;
+  for (const auto& p : pipelines_) n += p->inflight;
   return n;
 }
 
@@ -419,18 +443,26 @@ void Coordinator::Complete(const AttemptResult& r, double now) {
   // attempt was in flight) and gone from the scheduling context.
   QueryState* q = queries_[static_cast<size_t>(p.query)].get();
   const QueryId query = p.query;
+  const bool continued = r.continued_wo >= 0;
+  LSCHED_CHECK(!continued || (r.status.ok() && !r.expired))
+      << "a failed attempt cannot continue its lease";
 
-  // Free the slot first — identical bookkeeping for every outcome.
+  // Free the slot first — identical bookkeeping for every outcome. The
+  // slot records the query it ran (locality) even when its lease goes on.
   --p.inflight;
   ctx_.SetThreadIdle(r.slot, query);
-  q->set_assigned_threads(q->assigned_threads() - 1);
-  if (pending_slot_removals_ > 0) {
-    // A pool shrink found this slot busy; it retires now.
-    ctx_.RetireThread(r.slot);
-    --pending_slot_removals_;
-    backend_->OnSlotRetired(r.slot, now);
+  if (continued) {
+    ctx_.SetThreadBusy(r.slot, query);
   } else {
-    backend_->OnSlotFreed(r.slot, now);
+    q->set_assigned_threads(q->assigned_threads() - 1);
+    if (pending_slot_removals_ > 0) {
+      // A pool shrink found this slot busy; it retires now.
+      ctx_.RetireThread(r.slot);
+      --pending_slot_removals_;
+      backend_->OnSlotRetired(r.slot, now);
+    } else {
+      backend_->OnSlotFreed(r.slot, now);
+    }
   }
   if (r.expired) recorder_.OnWorkOrderExpired();
 
@@ -492,14 +524,18 @@ void Coordinator::Complete(const AttemptResult& r, double now) {
     }
   }
 
+  // The lease's continuation is a dispatch onto the slot, which stayed
+  // busy. A dead pipeline's continuation runs and is discarded on return.
+  if (continued) BookDispatch(p, /*is_retry=*/false, now);
+
   // Re-dispatch pending work first; the scheduler is only consulted on
   // the major events of §5.2 — an operator completing, a slot left with
   // nothing to do, or a query leaving the system — not on every work-order
-  // completion. `p` may dangle from here on: scheduling launches pipelines.
-  AssignThreads(now);
+  // completion.
+  DispatchPending(now);
   if (query_failed) {
     Notify(SchedulingEventType::kQueryCancelled, query, now);
-    AssignThreads(now);
+    DispatchPending(now);
   } else if (completed_op >= 0) {
     SchedulingEvent se;
     se.type = SchedulingEventType::kOperatorCompleted;
@@ -507,7 +543,7 @@ void Coordinator::Complete(const AttemptResult& r, double now) {
     se.query = query;
     se.op = completed_op;
     InvokeScheduler(se, now);
-    AssignThreads(now);
+    DispatchPending(now);
   } else if (const ThreadInfo* info = ctx_.thread(r.slot);
              info == nullptr || !info->busy) {
     // A slot retired above still surfaces its final idle event.
@@ -516,7 +552,7 @@ void Coordinator::Complete(const AttemptResult& r, double now) {
     se.time = now;
     se.thread = r.slot;
     InvokeScheduler(se, now);
-    AssignThreads(now);
+    DispatchPending(now);
   }
   RetireFinished();
 }

@@ -60,59 +60,74 @@ void RealEngine::WorkerLoop(int worker_id) {
     // dispatch-overhead. Transition clamps, so a slightly stale issued_at
     // cannot break the telescoping sum.
     w.acct.Transition(prof::WorkerState::kDispatch, LatencyNs(task.issued_at));
-    w.acct.Transition(prof::WorkerState::kExecuting, now_ns());
-    Stopwatch sw;
-    Status st;
-    // Fault injection + deadline check run BEFORE kernel execution so a
-    // failed attempt has no side effects and is safe to retry verbatim.
-    const FaultAction fault = LSCHED_FAULT(
-        "work_order_exec", task.query,
-        run_clock_ != nullptr ? run_clock_->Now() : 0.0);
-    if (fault &&
-        (fault.type == FaultType::kDelay || fault.type == FaultType::kStall)) {
-      // Injected worker stall: hold the thread (and its pipeline slot).
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(std::max(0.0, fault.param)));
+    // Run the lease: one attempt after another until the worker hands the
+    // slot back. Only that last result wakes the coordinator.
+    while (true) {
+      w.acct.Transition(prof::WorkerState::kExecuting, now_ns());
+      AttemptResult c = RunAttempt(task, w);
+      c.continued_wo = task.lease->ClaimContinuation(c);
+      const int next = c.continued_wo;
+      // Completion-queue plumbing is dispatch-overhead.
+      w.acct.Transition(prof::WorkerState::kDispatch, now_ns());
+      // After a push without a continuation the lease may be gone.
+      PushCompletion(std::move(c), /*wake=*/next < 0);
+      if (next < 0) break;
+      task.wo_index = next;
+      task.issued_at = run_clock_->Now();
     }
-    bool expired = false;
-    if (fault && fault.type == FaultType::kError) {
-      st = Status::Internal("injected fault at work_order_exec");
-    } else if (task.deadline_seconds > 0.0 && run_clock_ != nullptr &&
-               run_clock_->Now() - task.issued_at > task.deadline_seconds) {
-      st = Status::Internal("work-order deadline exceeded before execution");
-      expired = true;
-    } else {
-      obs::ScopedSpan span("engine.work_order", "engine", "query", task.query,
-                           "wo", task.wo_index);
-      st = task.execution->ExecuteWorkOrder(task.chain, task.wo_index,
-                                            &w.scratch);
-    }
-    AttemptResult c;
-    c.slot = task.slot;
-    c.pipeline = task.pipeline;
-    c.wo_index = task.wo_index;
-    c.seconds = sw.ElapsedSeconds();
-    c.service_seconds = c.seconds;
-    // An attempt that overran its deadline while executing is accepted:
-    // its side effects are applied, so a retry would double-apply them.
-    c.expired = expired || (st.ok() && task.deadline_seconds > 0.0 &&
-                            c.seconds > task.deadline_seconds);
-    c.status = std::move(st);
-    // Completion-queue plumbing is dispatch-overhead; after the push the
-    // worker parks in whichever wait state the engine hints at.
-    w.acct.Transition(prof::WorkerState::kDispatch, now_ns());
-    PushCompletion(std::move(c));
+    // Park in whichever wait state the engine hints at.
     wait_state = CurrentWaitState();
     w.acct.Transition(wait_state, now_ns());
   }
 }
 
-void RealEngine::PushCompletion(AttemptResult c) {
+AttemptResult RealEngine::RunAttempt(const WorkerTask& task, Worker& w) {
+  const Pipeline& p = *task.lease;
+  Stopwatch sw;
+  Status st;
+  // Fault injection + deadline check run BEFORE kernel execution so a
+  // failed attempt has no side effects and is safe to retry verbatim.
+  const FaultAction fault = LSCHED_FAULT("work_order_exec", p.query,
+                                         run_clock_->Now());
+  if (fault &&
+      (fault.type == FaultType::kDelay || fault.type == FaultType::kStall)) {
+    // Injected worker stall: hold the thread (and its pipeline slot).
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(std::max(0.0, fault.param)));
+  }
+  bool expired = false;
+  if (fault && fault.type == FaultType::kError) {
+    st = Status::Internal("injected fault at work_order_exec");
+  } else if (task.deadline_seconds > 0.0 &&
+             run_clock_->Now() - task.issued_at > task.deadline_seconds) {
+    st = Status::Internal("work-order deadline exceeded before execution");
+    expired = true;
+  } else {
+    obs::ScopedSpan span("engine.work_order", "engine", "query", p.query,
+                         "wo", task.wo_index);
+    st = task.execution->ExecuteWorkOrder(p.chain, task.wo_index,
+                                          &w.scratch);
+  }
+  AttemptResult c;
+  c.slot = task.slot;
+  c.pipeline = p.id;
+  c.wo_index = task.wo_index;
+  c.seconds = sw.ElapsedSeconds();
+  c.service_seconds = c.seconds;
+  // An attempt that overran its deadline while executing is accepted:
+  // its side effects are applied, so a retry would double-apply them.
+  c.expired = expired || (st.ok() && task.deadline_seconds > 0.0 &&
+                          c.seconds > task.deadline_seconds);
+  c.status = std::move(st);
+  return c;
+}
+
+void RealEngine::PushCompletion(AttemptResult c, bool wake) {
   {
     std::lock_guard<std::mutex> lock(completion_mu_);
     completions_.push_back(std::move(c));
   }
-  completion_cv_.notify_one();
+  if (wake) completion_cv_.notify_one();
 }
 
 void RealEngine::CancelQuery(QueryId query) {
@@ -130,14 +145,12 @@ void RealEngine::PreparePipeline(const QueryState& q, Pipeline* p) {
       p->chain[0]);
 }
 
-void RealEngine::Dispatch(const Pipeline& p, const QueryState& q, int slot,
+void RealEngine::Dispatch(Pipeline& p, const QueryState& q, int slot,
                           int wo_index, double now) {
   WorkerTask task;
-  task.query = q.id();
-  task.pipeline = p.id;
   task.slot = slot;
+  task.lease = &p;
   task.execution = executions_[static_cast<size_t>(q.id())].get();
-  task.chain = p.chain;
   task.wo_index = wo_index;
   task.issued_at = now;
   task.deadline_seconds = config_.work_order_deadline_seconds;
@@ -264,9 +277,9 @@ void RealEngine::ApplyDueThreadEvents(double now) {
   }
 }
 
-void RealEngine::WaitAndProcessCompletion(const Clock& clock) {
-  std::optional<AttemptResult> c;
+void RealEngine::WaitAndProcessCompletions(const Clock& clock) {
   bool timed_out = false;
+  completion_batch_.clear();
   {
     std::unique_lock<std::mutex> lock(completion_mu_);
     timed_out = !completion_cv_.wait_for(
@@ -274,36 +287,38 @@ void RealEngine::WaitAndProcessCompletion(const Clock& clock) {
           return !completions_.empty() || !external_cancels_.empty() ||
                  !pending_submissions_.empty();
         });
-    if (!completions_.empty()) {
-      c = std::move(completions_.front());
-      completions_.pop_front();
-    }
+    completion_batch_.swap(completions_);
   }
-  if (c) {
-    coordinator_.Complete(*c, clock.Now());
-  } else if (timed_out) {
+  // One window check per result, as terminal queries come one at a time.
+  for (const AttemptResult& c : completion_batch_) {
+    coordinator_.Complete(c, clock.Now());
+    MaybeFlushWindow(clock.Now());
+  }
+  if (completion_batch_.empty()) {
+    if (!timed_out) return;  // woken for ingress or a cancel
     coordinator_.AssignThreads(clock.Now());  // a backoff may have elapsed
-  } else {
-    return;  // woken for ingress or a cancel
+    MaybeFlushWindow(clock.Now());
   }
-  MaybeFlushWindow(clock.Now());
 }
 
 void RealEngine::DrainOutstanding() {
   // From here to pool teardown, waiting workers are draining.
   pool_draining_.store(true, std::memory_order_relaxed);
-  // Every query is terminal: the attempts still in flight are discarded as
-  // they come back, so work-order conservation closes out and the last
-  // straggler of each query releases its execution.
+  // Every query is terminal, so every lease is closed: the attempts still
+  // in flight are discarded as they come back, work-order conservation
+  // closes out and the last straggler of each query releases its
+  // execution.
   while (coordinator_.InflightAttempts() > 0) {
-    AttemptResult c;
     {
       std::unique_lock<std::mutex> lock(completion_mu_);
-      completion_cv_.wait(lock, [&] { return !completions_.empty(); });
-      c = std::move(completions_.front());
-      completions_.pop_front();
+      completion_cv_.wait_for(lock, std::chrono::milliseconds(2),
+                              [&] { return !completions_.empty(); });
+      completion_batch_.clear();
+      completion_batch_.swap(completions_);
     }
-    coordinator_.Complete(c, run_clock_->Now());
+    for (const AttemptResult& c : completion_batch_) {
+      coordinator_.Complete(c, run_clock_->Now());
+    }
   }
 
   // Invariant: every query released its execution state (no leaked
@@ -457,7 +472,7 @@ RealRunResult RealEngine::Run(const std::vector<RealQuerySubmission>& workload,
     if (next_arrival >= arrival_order.size() && coordinator_.Stranded()) {
       coordinator_.ForceFallback(now);
     }
-    WaitAndProcessCompletion(clock);
+    WaitAndProcessCompletions(clock);
   }
   return FinishRun(clock);
 }
@@ -561,7 +576,7 @@ void RealEngine::ServeLoop() {
     }
     // Deadlock guard: live queries but nothing running or pending.
     if (coordinator_.Stranded()) coordinator_.ForceFallback(now);
-    WaitAndProcessCompletion(clock);
+    WaitAndProcessCompletions(clock);
   }
   serving_result_ = FinishRun(clock);
 }

@@ -34,18 +34,23 @@ double SimEngine::OperatorMemory(const QueryState& q, const Pipeline& p,
   return q.plan().node(op).est_mem_per_wo * amount;
 }
 
-void SimEngine::Dispatch(const Pipeline& p, const QueryState& q, int slot,
+void SimEngine::Dispatch(Pipeline& p, const QueryState& q, int slot,
                          int wo_index, double now) {
+  StartAttempt(p, slot, wo_index, q.assigned_threads(),
+               coordinator_.context().thread(slot)->last_query == p.query,
+               now);
+}
+
+void SimEngine::StartAttempt(Pipeline& p, int slot, int wo_index,
+                             int others, bool local, double now) {
   double duration = p.est_seconds_per_fused;
   const double noise =
       std::max(0.05, rng_.Normal(1.0, config_.cost_params.noise_cv));
   duration *= noise;
-  if (coordinator_.context().thread(slot)->last_query == p.query) {
-    duration *= (1.0 - config_.cost_params.locality_gain);
-  }
-  // Intra-query contention: k threads (incl. this one) on the same query.
+  if (local) duration *= (1.0 - config_.cost_params.locality_gain);
+  // Intra-query contention from the other threads on the same query.
   duration *= 1.0 + config_.cost_params.intra_query_contention *
-                        static_cast<double>(q.assigned_threads());
+                        static_cast<double>(others);
   duration = std::max(duration, 1e-9);
 
   // Fault injection at the canonical execution point. Probed AFTER the
@@ -69,7 +74,7 @@ void SimEngine::Dispatch(const Pipeline& p, const QueryState& q, int slot,
     s.expired = true;
     duration = config_.work_order_deadline_seconds;
   }
-  s.pipeline = p.id;
+  s.lease = &p;
   s.wo_index = wo_index;
   s.busy_since = now;
   s.service_seconds = p.est_seconds_per_fused;
@@ -121,9 +126,10 @@ void SimEngine::OnRetryBackoff(int64_t pipeline, double ready_at) {
 
 void SimEngine::OnWorkOrderDone(int slot, double now) {
   const SimSlot& s = slots_[static_cast<size_t>(slot)];
+  Pipeline& p = *s.lease;
   AttemptResult r;
   r.slot = slot;
-  r.pipeline = s.pipeline;
+  r.pipeline = p.id;
   r.wo_index = s.wo_index;
   if (s.attempt_failed) {
     r.status = Status::Internal(s.expired ? "work-order deadline exceeded"
@@ -132,6 +138,15 @@ void SimEngine::OnWorkOrderDone(int slot, double now) {
   r.expired = s.expired;
   r.seconds = now - s.busy_since;
   r.service_seconds = s.service_seconds;
+  // The slot claims its lease's next work order the moment it finishes,
+  // as a RealEngine worker does. The query's assigned threads still count
+  // this slot, so the contention is the same a fresh dispatch would see.
+  r.continued_wo = p.ClaimContinuation(r);
+  if (r.continued_wo >= 0) {
+    StartAttempt(p, slot, r.continued_wo,
+                 coordinator_.query(p.query)->assigned_threads() - 1,
+                 /*local=*/true, now);
+  }
   coordinator_.Complete(r, now);
 }
 

@@ -64,7 +64,7 @@ class SimEngine : private ExecutorBackend {
  private:
   /// The attempt a slot is running, and the slot's state account.
   struct SimSlot {
-    int64_t pipeline = -1;
+    Pipeline* lease = nullptr;  ///< pipeline the slot's attempt belongs to
     int wo_index = -1;
     bool attempt_failed = false;  ///< injected fault / deadline overrun
     bool expired = false;         ///< cut at the work-order deadline
@@ -94,13 +94,18 @@ class SimEngine : private ExecutorBackend {
   };
 
   void Push(double time, SimEvent::Kind kind, int64_t payload);
+  /// Draws the attempt's duration (noise, locality gain when `local`,
+  /// contention from `others` threads on the query, faults, deadline) and
+  /// schedules its completion.
+  void StartAttempt(Pipeline& p, int slot, int wo_index, int others,
+                    bool local, double now);
   void OnWorkOrderDone(int slot, double now);
 
   // ExecutorBackend.
   bool roots_need_complete_producers() const override { return false; }
   void PreparePipeline(const QueryState& q, Pipeline* p) override;
-  void Dispatch(const Pipeline& p, const QueryState& q, int slot,
-                int wo_index, double now) override;
+  void Dispatch(Pipeline& p, const QueryState& q, int slot, int wo_index,
+                double now) override;
   double OperatorMemory(const QueryState& q, const Pipeline& p, int op,
                         double amount) override;
   void OnSlotAdded(int slot, double now) override;

@@ -1,7 +1,6 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/logging.h"
 
@@ -24,55 +23,6 @@ void CheckShapes(const Matrix& a, const Matrix& b) {
 
 }  // namespace
 
-const char* GemmKindName(GemmKind kind) {
-  switch (kind) {
-    case GemmKind::kNaive:
-      return "naive";
-    case GemmKind::kBlocked:
-      return "blocked";
-  }
-  return "unknown";
-}
-
-bool ParseGemmKind(const std::string& name, GemmKind* out) {
-  if (name == "naive") {
-    *out = GemmKind::kNaive;
-    return true;
-  }
-  if (name == "blocked") {
-    *out = GemmKind::kBlocked;
-    return true;
-  }
-  return false;
-}
-
-GemmKind GemmKindFromEnv(GemmKind fallback) {
-  const char* env = std::getenv("LSCHED_GEMM");
-  if (env == nullptr) return fallback;
-  GemmKind kind;
-  if (!ParseGemmKind(env, &kind)) {
-    LSCHED_LOG(Warning) << "unrecognized LSCHED_GEMM=" << env << ", using "
-                     << GemmKindName(fallback);
-    return fallback;
-  }
-  return kind;
-}
-
-void MatMulNaiveInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  CheckShapes(a, b);
-  out->Resize(a.rows(), b.cols());
-  const int n = b.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    double* crow = out->data() + static_cast<size_t>(i) * n;
-    for (int k = 0; k < a.cols(); ++k) {
-      const double av = a.at(i, k);
-      if (av == 0.0) continue;
-      const double* brow = b.data() + static_cast<size_t>(k) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
 void MatMulBlockedInto(const Matrix& a, const Matrix& b, Matrix* out) {
   CheckShapes(a, b);
   const int m = a.rows();
@@ -82,7 +32,7 @@ void MatMulBlockedInto(const Matrix& a, const Matrix& b, Matrix* out) {
   double* c = out->data();
   const double* bd = b.data();
   // k-panels ascending, k ascending within a panel: every output element
-  // accumulates its k-terms in the same order as the naive kernel.
+  // accumulates its k-terms in ascending order, like the reference i-k-j loop.
   for (int k0 = 0; k0 < kk; k0 += kKc) {
     const int k1 = std::min(k0 + kKc, kk);
     int i = 0;
@@ -112,9 +62,9 @@ void MatMulBlockedInto(const Matrix& a, const Matrix& b, Matrix* out) {
             c3[j] += av3 * bv;
           }
         } else {
-          // Sparse path: skip zero A entries exactly like the naive
-          // kernel (one-hot feature rows are mostly zeros), keeping the
-          // results bit-identical between the two kernels.
+          // Sparse path: skip zero A entries (one-hot feature rows are
+          // mostly zeros); gemm_test's reference loop skips them too, so
+          // results stay bit-identical to it.
           if (av0 != 0.0) {
             for (int j = 0; j < n; ++j) c0[j] += av0 * brow[j];
           }
@@ -144,20 +94,8 @@ void MatMulBlockedInto(const Matrix& a, const Matrix& b, Matrix* out) {
 }
 
 GemmBackend& GemmBackend::Global() {
-  static GemmBackend backend(GemmKindFromEnv(GemmKind::kBlocked));
+  static GemmBackend backend;
   return backend;
-}
-
-void GemmBackend::MatMulInto(const Matrix& a, const Matrix& b,
-                             Matrix* out) const {
-  switch (kind()) {
-    case GemmKind::kNaive:
-      MatMulNaiveInto(a, b, out);
-      return;
-    case GemmKind::kBlocked:
-      MatMulBlockedInto(a, b, out);
-      return;
-  }
 }
 
 }  // namespace lsched

@@ -1,57 +1,29 @@
 #ifndef LSCHED_NN_GEMM_H_
 #define LSCHED_NN_GEMM_H_
 
-#include <atomic>
-#include <string>
-
 #include "nn/tensor.h"
 
 namespace lsched {
 
-/// GEMM kernel selection. All nn matrix products — the autograd tape, the
-/// tape-free serving fast path, and training — route through GemmBackend,
-/// so switching kernels can never make serving diverge from training.
-///
-///  - kNaive:   the original skip-zero i-k-j triple loop (reference).
-///  - kBlocked: k-panel + 4-row register blocking over the same contiguous
-///              row-major panels; each B-row load is reused across four
-///              accumulator rows and the dense inner j-loop auto-vectorizes
-///              over the 64-byte-aligned storage. Accumulation over k stays
-///              ascending per output element, so results match kNaive to
-///              well under 1e-9 (bit-identical for finite inputs except
-///              ±0.0 edge cases the naive kernel's zero-skip produces).
-enum class GemmKind {
-  kNaive,
-  kBlocked,
-};
-
-const char* GemmKindName(GemmKind kind);
-bool ParseGemmKind(const std::string& name, GemmKind* out);
-
-/// Reads LSCHED_GEMM (naive|blocked); returns `fallback` when unset or
-/// unparseable.
-GemmKind GemmKindFromEnv(GemmKind fallback);
-
-/// out = a * b with the naive reference kernel.
-void MatMulNaiveInto(const Matrix& a, const Matrix& b, Matrix* out);
-
-/// out = a * b with the cache-blocked kernel.
+/// out = a * b with the cache-blocked kernel: k-panel + 4-row register
+/// blocking over contiguous row-major panels; each B-row load is reused
+/// across four accumulator rows and the dense inner j-loop auto-vectorizes
+/// over the 64-byte-aligned storage. Zero A entries are skipped and each
+/// output element accumulates its k-terms in ascending order, so results
+/// match the textbook i-k-j loop (gemm_test keeps it as the oracle).
 void MatMulBlockedInto(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// Process-wide GEMM backend. The kind is resolved once at first use from
-/// LSCHED_GEMM (default: kBlocked, the fastest); tests and benches may
-/// override it at runtime via set_kind().
+/// Process-wide GEMM entry point. All nn matrix products — the autograd
+/// tape, the tape-free serving fast path, and training — route through it,
+/// so serving can never diverge from training.
 class GemmBackend {
  public:
   static GemmBackend& Global();
 
-  GemmKind kind() const { return kind_.load(std::memory_order_relaxed); }
-  void set_kind(GemmKind kind) {
-    kind_.store(kind, std::memory_order_relaxed);
-  }
-
   /// out = a * b (shapes checked; out resized and overwritten).
-  void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) const;
+  void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) const {
+    MatMulBlockedInto(a, b, out);
+  }
 
   /// Convenience value-returning product.
   Matrix MatMul(const Matrix& a, const Matrix& b) const {
@@ -61,25 +33,7 @@ class GemmBackend {
   }
 
  private:
-  explicit GemmBackend(GemmKind kind) : kind_(kind) {}
-
-  std::atomic<GemmKind> kind_;
-};
-
-/// RAII kind override for tests: restores the previous global kind on exit.
-class ScopedGemmKind {
- public:
-  explicit ScopedGemmKind(GemmKind kind)
-      : prev_(GemmBackend::Global().kind()) {
-    GemmBackend::Global().set_kind(kind);
-  }
-  ~ScopedGemmKind() { GemmBackend::Global().set_kind(prev_); }
-
-  ScopedGemmKind(const ScopedGemmKind&) = delete;
-  ScopedGemmKind& operator=(const ScopedGemmKind&) = delete;
-
- private:
-  GemmKind prev_;
+  GemmBackend() = default;
 };
 
 }  // namespace lsched

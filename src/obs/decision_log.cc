@@ -2,6 +2,7 @@
 
 #if LSCHED_OBS_ENABLED
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -58,16 +59,27 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
 
 }  // namespace
 
+DecisionLog::DecisionLog(size_t capacity)
+    : capacity_(std::max<size_t>(1, capacity)) {}
+
 DecisionLog& DecisionLog::Global() {
   static DecisionLog* log = new DecisionLog();
   return *log;
 }
 
+DecisionRecord* DecisionLog::Find(int64_t id) {
+  if (id < first_id_ || id >= next_id_) return nullptr;
+  return &ring_[static_cast<size_t>(id) % capacity_];
+}
+
 int64_t DecisionLog::Add(DecisionRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  record.id = static_cast<int64_t>(records_.size());
-  records_.push_back(std::move(record));
-  return records_.back().id;
+  record.id = next_id_++;
+  const size_t slot = static_cast<size_t>(record.id) % capacity_;
+  if (slot >= ring_.size()) ring_.resize(slot + 1);  // grows to capacity_
+  ring_[slot] = std::move(record);
+  first_id_ = std::max(first_id_, next_id_ - static_cast<int64_t>(capacity_));
+  return next_id_ - 1;
 }
 
 void DecisionLog::AddRealized(int64_t id, double seconds) {
@@ -76,12 +88,15 @@ void DecisionLog::AddRealized(int64_t id, double seconds) {
   DecisionRecord updated;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (id >= static_cast<int64_t>(records_.size())) return;
-    DecisionRecord& r = records_[static_cast<size_t>(id)];
-    r.realized_seconds += seconds;
+    DecisionRecord* r = Find(id);
+    if (r == nullptr) {
+      if (id < first_id_) ++lost_backfills_;
+      return;
+    }
+    r->realized_seconds += seconds;
     if (backfill_observer_ != nullptr) {
       observer = backfill_observer_;
-      updated = r;  // copy: the observer runs outside the lock
+      updated = *r;  // copy: the observer runs outside the lock
     }
   }
   if (observer != nullptr) (*observer)(updated);
@@ -100,25 +115,37 @@ void DecisionLog::SetBackfillObserver(BackfillObserver observer) {
 void DecisionLog::AddPipeline(int64_t id, int64_t planned_work_orders) {
   if (id < 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (id >= static_cast<int64_t>(records_.size())) return;
-  DecisionRecord& r = records_[static_cast<size_t>(id)];
-  ++r.num_pipelines;
-  r.planned_work_orders += planned_work_orders;
+  DecisionRecord* r = Find(id);
+  if (r == nullptr) return;
+  ++r->num_pipelines;
+  r->planned_work_orders += planned_work_orders;
 }
 
 size_t DecisionLog::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
+  return static_cast<size_t>(next_id_ - first_id_);
 }
 
 std::vector<DecisionRecord> DecisionLog::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  std::vector<DecisionRecord> out;
+  out.reserve(static_cast<size_t>(next_id_ - first_id_));
+  for (int64_t id = first_id_; id < next_id_; ++id) {
+    out.push_back(ring_[static_cast<size_t>(id) % capacity_]);
+  }
+  return out;
 }
 
 void DecisionLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
+  ring_.clear();
+  first_id_ = next_id_;
+  lost_backfills_ = 0;
+}
+
+int64_t DecisionLog::lost_backfills() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lost_backfills_;
 }
 
 const char* DecisionLog::CsvHeader() {

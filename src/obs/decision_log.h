@@ -62,17 +62,28 @@ inline constexpr int kMaxLoggedCandidates = 32;
 
 #if LSCHED_OBS_ENABLED
 
+/// A ring of the newest `capacity` records: a serving session makes one
+/// decision after another for its whole life, so older records are
+/// evicted. Ids keep counting across evictions and Clear().
 class DecisionLog {
  public:
+  /// Holds the decisions of a rolling telemetry window with room to
+  /// spare: the recorder back-fills realized costs when a window flushes.
+  static constexpr size_t kDefaultCapacity = 4096;
+
+  explicit DecisionLog(size_t capacity = kDefaultCapacity);
+
   static DecisionLog& Global();
 
-  /// Appends `record` (id is assigned, the passed value ignored) and
-  /// returns the assigned id for realized-cost attribution.
+  /// Appends `record` (id is assigned, the passed value ignored), evicting
+  /// the oldest record when the ring is full, and returns the assigned id
+  /// for realized-cost attribution.
   int64_t Add(DecisionRecord record);
 
   /// Accumulates measured work-order seconds into record `id` (no-op for
-  /// invalid ids — pipelines launched by the fallback path pass -1).
-  /// Notifies the back-fill observer, if any, with the updated record.
+  /// invalid ids — pipelines launched by the fallback path pass -1 — and
+  /// for evicted ones, which lost_backfills() counts). Notifies the
+  /// back-fill observer, if any, with the updated record.
   void AddRealized(int64_t id, double seconds);
 
   /// Observer invoked (outside the log's lock, with a copy of the record)
@@ -82,21 +93,33 @@ class DecisionLog {
   using BackfillObserver = std::function<void(const DecisionRecord&)>;
   void SetBackfillObserver(BackfillObserver observer);
 
-  /// Adds accepted-pipeline bookkeeping to record `id`.
+  /// Adds accepted-pipeline bookkeeping to record `id` (no-op once
+  /// evicted).
   void AddPipeline(int64_t id, int64_t planned_work_orders);
 
+  /// Retained records (at most the capacity).
   size_t size() const;
+  /// Retained records, oldest first.
   std::vector<DecisionRecord> Snapshot() const;
   void Clear();
+  /// Realized-cost back-fills that arrived after their record was evicted.
+  int64_t lost_backfills() const;
 
   void WriteCsv(std::ostream& out) const;
   bool WriteCsv(const std::string& path) const;
   static const char* CsvHeader();
 
  private:
-  DecisionLog() = default;
+  /// The retained record with this id, or nullptr. Caller holds mu_.
+  DecisionRecord* Find(int64_t id);
+
   mutable std::mutex mu_;
-  std::vector<DecisionRecord> records_;
+  const size_t capacity_;
+  /// Record `id` sits at ring_[id % capacity_] while retained.
+  std::vector<DecisionRecord> ring_;
+  int64_t next_id_ = 0;
+  int64_t first_id_ = 0;  ///< oldest retained id (== next_id_ when empty)
+  int64_t lost_backfills_ = 0;
   /// shared_ptr so AddRealized can copy the handle under the lock and
   /// invoke the observer after releasing it (the observer may re-enter
   /// metrics or block; never call out under mu_).
@@ -116,6 +139,7 @@ class DecisionLog {
     static DecisionLog log;
     return log;
   }
+  explicit DecisionLog(size_t = 0) {}
   int64_t Add(const DecisionRecord&) { return -1; }
   void AddRealized(int64_t, double) {}
   using BackfillObserver = std::function<void(const DecisionRecord&)>;
@@ -124,6 +148,7 @@ class DecisionLog {
   size_t size() const { return 0; }
   std::vector<DecisionRecord> Snapshot() const { return {}; }
   void Clear() {}
+  int64_t lost_backfills() const { return 0; }
   void WriteCsv(std::ostream&) const {}
   bool WriteCsv(const std::string&) const { return false; }
   static const char* CsvHeader() { return ""; }

@@ -482,6 +482,41 @@ TEST(DecisionLogTest, CsvRoundTrip) {
   EXPECT_EQ(log.size(), 0u);
 }
 
+TEST(DecisionLogTest, RingKeepsNewestAndIgnoresEvictedBackfills) {
+  obs::DecisionLog log(4);
+  std::vector<int64_t> ids;
+  for (int i = 0; i < 10; ++i) {
+    obs::DecisionRecord rec;
+    rec.time = static_cast<double>(i);
+    ids.push_back(log.Add(rec));
+  }
+  for (size_t i = 1; i < ids.size(); ++i) EXPECT_EQ(ids[i], ids[i - 1] + 1);
+  ASSERT_EQ(log.size(), 4u);
+  std::vector<obs::DecisionRecord> kept = log.Snapshot();
+  ASSERT_EQ(kept.size(), 4u);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].id, ids[6 + i]);
+    EXPECT_EQ(kept[i].time, static_cast<double>(6 + i));
+  }
+
+  // Back-fills to an evicted id change nothing and are counted as lost.
+  log.AddRealized(ids[0], 1.0);
+  log.AddPipeline(ids[1], 5);
+  EXPECT_EQ(log.lost_backfills(), 1);
+  log.AddRealized(ids[9], 2.0);
+  kept = log.Snapshot();
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(kept[i].realized_seconds, 0.0);
+    EXPECT_EQ(kept[i].num_pipelines, 0);
+  }
+  EXPECT_EQ(kept[3].realized_seconds, 2.0);
+
+  // Ids keep counting across Clear().
+  log.Clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.Add(obs::DecisionRecord{}), ids.back() + 1);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: one decision-log row per scheduler invocation
 // ---------------------------------------------------------------------------

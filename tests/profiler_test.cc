@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,10 +176,12 @@ TEST(ProfilerEngineTest, RealChaosRunConservesWallTime) {
 // --- 3. counter tables -----------------------------------------------------
 
 TEST(CounterTablesTest, RenderShowsValuesAndRates) {
-  double counter = 10.0;
+  // The global tables outlive this test and later tests render them, so
+  // the closures own their state instead of referring to this frame.
+  auto counter = std::make_shared<double>(10.0);
   prof::CounterTables& tables = prof::CounterTables::Global();
-  tables.Register("proftest", "widgets", [&] { return counter; });
-  tables.Register("proftest", "ratio", [&] { return 0.5; },
+  tables.Register("proftest", "widgets", [counter] { return *counter; });
+  tables.Register("proftest", "ratio", [] { return 0.5; },
                   /*rated=*/false);
   tables.ResetRates();
 
@@ -191,7 +194,7 @@ TEST(CounterTablesTest, RenderShowsValuesAndRates) {
   const size_t eol = first.find('\n', row);
   EXPECT_NE(first.substr(row, eol - row).find('-'), std::string::npos);
 
-  counter = 110.0;
+  *counter = 110.0;
   const std::string second = tables.Render();
   const size_t row2 = second.find("widgets");
   const size_t eol2 = second.find('\n', row2);
