@@ -31,9 +31,8 @@ struct Fixture {
           std::make_unique<QueryState>(static_cast<QueryId>(queries.size()),
                                        std::move(sub.plan), 0.0));
     }
-    state.threads.resize(60);
-    for (int i = 0; i < 60; ++i) state.threads[static_cast<size_t>(i)].id = i;
-    for (auto& q : queries) state.queries.push_back(q.get());
+    for (int i = 0; i < 60; ++i) ctx.AddThread(ThreadInfo{.id = i});
+    for (auto& q : queries) ctx.AddQuery(q.get());
 
     LSchedConfig cfg;
     cfg.hidden_dim = 12;
@@ -42,11 +41,11 @@ struct Fixture {
     cfg.use_tree_conv = use_tcn;
     model = std::make_unique<LSchedModel>(cfg);
     extractor = std::make_unique<FeatureExtractor>(cfg.features);
-    features = extractor->Extract(state);
+    features = extractor->Extract(ctx);
   }
 
   std::vector<std::unique_ptr<QueryState>> queries;
-  SystemState state;
+  SchedulingContext ctx;
   std::unique_ptr<LSchedModel> model;
   std::unique_ptr<FeatureExtractor> extractor;
   StateFeatures features;
@@ -55,7 +54,7 @@ struct Fixture {
 void BM_FeatureExtraction(benchmark::State& s) {
   Fixture fx(static_cast<int>(s.range(0)), true);
   for (auto _ : s) {
-    benchmark::DoNotOptimize(fx.extractor->Extract(fx.state));
+    benchmark::DoNotOptimize(fx.extractor->Extract(fx.ctx));
   }
 }
 BENCHMARK(BM_FeatureExtraction)->Arg(4)->Arg(16)->Arg(64);
@@ -94,7 +93,7 @@ void BM_AgentScheduleDecision(benchmark::State& s) {
   LSchedAgent agent(fx.model.get());
   SchedulingEvent event;
   for (auto _ : s) {
-    benchmark::DoNotOptimize(agent.Schedule(event, fx.state));
+    benchmark::DoNotOptimize(agent.Schedule(event, fx.ctx));
   }
 }
 BENCHMARK(BM_AgentScheduleDecision)->Arg(4)->Arg(16)->Arg(64);
@@ -125,7 +124,7 @@ void WriteEncoderSnapshot() {
   snap.Add("queries", 16);
   snap.Add("reps", reps);
   snap.Add("extract.p50_us", MedianUsPerCall([&] {
-             benchmark::DoNotOptimize(tcn.extractor->Extract(tcn.state));
+             benchmark::DoNotOptimize(tcn.extractor->Extract(tcn.ctx));
            }, reps));
   snap.Add("encode_tcn.p50_us", MedianUsPerCall([&] {
              Tape tape;

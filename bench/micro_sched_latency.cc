@@ -1,18 +1,11 @@
-// Per-event scheduler decision latency, old API vs new API (Scheduler API
-// v2, DESIGN.md §9), for every shipped policy.
-//
-// "Old path" reproduces what engines did before the incremental
-// SchedulingContext existed: rebuild a full SystemState snapshot at every
-// scheduling round and call the legacy Schedule(event, state) overload —
-// which, for the learned policies, is the autograd-tape forward. "New
-// path" hands the policy the live context, so learned policies serve
-// through cached per-query encodings and batched tape-free GEMMs.
+// Per-event scheduler decision latency (DESIGN.md §9) for every shipped
+// policy. Each policy is handed the engine's live SchedulingContext, so
+// the learned policies serve through cached per-query encodings and
+// batched tape-free GEMMs; the timed region is the Schedule() call alone.
 //
 // Emits the standard bench_common CSV schema
 //   figure,scheduler,queries,threads,metric,value
-// with per-policy metrics {old,new}_{p50,p99,mean}_us, speedup_p50,
-// speedup_p99, and events. The acceptance gate for the fast path is the
-// learned policies' speedup_p50/p99 >= 3.
+// with per-policy metrics {p50,p99,mean}_us and events.
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -31,13 +24,10 @@
 namespace lsched {
 namespace {
 
-/// Decorator that times every Schedule() call. On the old path it also
-/// performs the snapshot materialization inside the timed region, because
-/// that rebuild was part of every pre-v2 scheduling round.
+/// Decorator that times every Schedule() call.
 class TimingScheduler : public Scheduler {
  public:
-  TimingScheduler(Scheduler* inner, bool old_path)
-      : inner_(inner), old_path_(old_path) {}
+  explicit TimingScheduler(Scheduler* inner) : inner_(inner) {}
 
   std::string name() const override { return inner_->name(); }
   void Reset() override { inner_->Reset(); }
@@ -48,13 +38,7 @@ class TimingScheduler : public Scheduler {
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override {
     const auto t0 = std::chrono::steady_clock::now();
-    SchedulingDecision decision;
-    if (old_path_) {
-      const SystemState snapshot = ctx.MaterializeSnapshot();
-      decision = inner_->Schedule(event, snapshot);
-    } else {
-      decision = inner_->Schedule(event, ctx);
-    }
+    SchedulingDecision decision = inner_->Schedule(event, ctx);
     const auto t1 = std::chrono::steady_clock::now();
     latencies_us_.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
@@ -65,7 +49,6 @@ class TimingScheduler : public Scheduler {
 
  private:
   Scheduler* inner_;
-  bool old_path_;
   std::vector<double> latencies_us_;
 };
 
@@ -76,11 +59,11 @@ struct LatencyStats {
   int events = 0;
 };
 
-LatencyStats RunOnce(Scheduler* policy, bool old_path,
+LatencyStats RunOnce(Scheduler* policy,
                      const std::vector<QuerySubmission>& workload,
                      const bench::BenchConfig& cfg) {
   SimEngine engine = bench::MakeEngine(cfg.threads, cfg.seed + 9);
-  TimingScheduler timing(policy, old_path);
+  TimingScheduler timing(policy);
   engine.Run(workload, &timing);
   LatencyStats stats;
   stats.events = static_cast<int>(timing.latencies_us().size());
@@ -138,45 +121,19 @@ int main() {
   snap.Add("threads", cfg.threads);
   PrintCsvHeader();
   for (const NamedFactory& policy : policies) {
-    // Fresh scheduler per path so per-policy caches never carry over.
-    std::unique_ptr<Scheduler> old_sched = policy.make();
-    const LatencyStats old_stats =
-        RunOnce(old_sched.get(), /*old_path=*/true, workload, cfg);
-    std::unique_ptr<Scheduler> new_sched = policy.make();
-    const LatencyStats new_stats =
-        RunOnce(new_sched.get(), /*old_path=*/false, workload, cfg);
-
-    PrintCsvRow("micro_sched_latency", policy.name, num_queries, cfg.threads,
-                "old_p50_us", old_stats.p50_us);
-    PrintCsvRow("micro_sched_latency", policy.name, num_queries, cfg.threads,
-                "old_p99_us", old_stats.p99_us);
-    PrintCsvRow("micro_sched_latency", policy.name, num_queries, cfg.threads,
-                "old_mean_us", old_stats.mean_us);
-    PrintCsvRow("micro_sched_latency", policy.name, num_queries, cfg.threads,
-                "new_p50_us", new_stats.p50_us);
-    PrintCsvRow("micro_sched_latency", policy.name, num_queries, cfg.threads,
-                "new_p99_us", new_stats.p99_us);
-    PrintCsvRow("micro_sched_latency", policy.name, num_queries, cfg.threads,
-                "new_mean_us", new_stats.mean_us);
-    PrintCsvRow("micro_sched_latency", policy.name, num_queries, cfg.threads,
-                "speedup_p50",
-                new_stats.p50_us > 0.0 ? old_stats.p50_us / new_stats.p50_us
-                                       : 0.0);
-    PrintCsvRow("micro_sched_latency", policy.name, num_queries, cfg.threads,
-                "speedup_p99",
-                new_stats.p99_us > 0.0 ? old_stats.p99_us / new_stats.p99_us
-                                       : 0.0);
-    PrintCsvRow("micro_sched_latency", policy.name, num_queries, cfg.threads,
-                "events", static_cast<double>(new_stats.events));
-
-    snap.Add(policy.name + ".old_p50_us", old_stats.p50_us);
-    snap.Add(policy.name + ".old_p99_us", old_stats.p99_us);
-    snap.Add(policy.name + ".new_p50_us", new_stats.p50_us);
-    snap.Add(policy.name + ".new_p99_us", new_stats.p99_us);
-    snap.Add(policy.name + ".new_mean_us", new_stats.mean_us);
-    snap.Add(policy.name + ".speedup_p50",
-             new_stats.p50_us > 0.0 ? old_stats.p50_us / new_stats.p50_us
-                                    : 0.0);
+    std::unique_ptr<Scheduler> sched = policy.make();
+    const LatencyStats stats = RunOnce(sched.get(), workload, cfg);
+    const std::vector<std::pair<std::string, double>> metrics = {
+        {"p50_us", stats.p50_us},
+        {"p99_us", stats.p99_us},
+        {"mean_us", stats.mean_us},
+        {"events", static_cast<double>(stats.events)},
+    };
+    for (const auto& [metric, value] : metrics) {
+      PrintCsvRow("micro_sched_latency", policy.name, num_queries,
+                  cfg.threads, metric, value);
+      snap.Add(policy.name + "." + metric, value);
+    }
   }
   return WriteBenchSnapshot(snap) ? 0 : 1;
 }

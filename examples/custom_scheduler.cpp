@@ -5,12 +5,10 @@
 // boosts queries older than an SLA threshold, and validates it against the
 // built-in heuristics.
 //
-// It overrides the API v2 entry point — Schedule(event, SchedulingContext)
-// (DESIGN.md §9): the context is a live, incrementally-maintained view
-// (O(1) FindQuery / free-thread count, per-query change versions), not a
-// per-event snapshot rebuild. Policies that only implement the legacy
-// Schedule(event, SystemState) overload keep working through an automatic
-// bridge.
+// It overrides the one Scheduler entry point, Schedule(event,
+// SchedulingContext) (DESIGN.md §9): the context is a live,
+// incrementally-maintained view (O(1) FindQuery / free-thread count,
+// per-query change versions), not a per-event snapshot rebuild.
 //
 //   ./build/examples/custom_scheduler
 #include <algorithm>

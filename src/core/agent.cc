@@ -37,10 +37,6 @@ int LSchedAgent::SampleFromLogProbs(const double* logprobs, int n) {
   return idx >= probs.size() ? 0 : static_cast<int>(idx);
 }
 
-int LSchedAgent::SampleFromLogProbs(const Matrix& logprobs) {
-  return SampleFromLogProbs(logprobs.data(), logprobs.cols());
-}
-
 namespace {
 int ArgmaxSpan(const double* v, int n) {
   int best = 0;
@@ -49,8 +45,6 @@ int ArgmaxSpan(const double* v, int n) {
   }
   return best;
 }
-
-int ArgmaxRow(const Matrix& m) { return ArgmaxSpan(m.data(), m.cols()); }
 }  // namespace
 
 SchedulingAction LSchedAgent::SelectAction(const ServingPredictorOutput& out) {
@@ -87,90 +81,11 @@ SchedulingAction LSchedAgent::SelectAction(const ServingPredictorOutput& out) {
 }
 
 SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
-                                         const SystemState& state) {
-  (void)event;
-  SchedulingDecision decision;
-  StateFeatures features = extractor_.Extract(state);
-  if (features.candidates.empty() || features.free_threads == 0) {
-    return decision;
-  }
-
-  Tape tape;
-  EncodedState encoded;
-  PredictorOutput out;
-  {
-    obs::ScopedSpan span("sched.lsched.forward", "sched", "candidates",
-                         static_cast<int64_t>(features.candidates.size()));
-    encoded = EncodeState(model_, features, &tape);
-    out = RunPredictor(model_, features, encoded, &tape);
-  }
-
-  SchedulingAction action;
-  if (sample_actions_) {
-    action.candidate_index = SampleFromLogProbs(out.root_logprobs.value());
-    action.degree_index = SampleFromLogProbs(
-        out.degree_logprobs[static_cast<size_t>(action.candidate_index)]
-            .value());
-    action.parallelism_index = SampleFromLogProbs(
-        out.par_logprobs[static_cast<size_t>(action.candidate_index)]
-            .value());
-  } else {
-    action.candidate_index = ArgmaxRow(out.root_logprobs.value());
-    action.degree_index = ArgmaxRow(
-        out.degree_logprobs[static_cast<size_t>(action.candidate_index)]
-            .value());
-    action.parallelism_index = ArgmaxRow(
-        out.par_logprobs[static_cast<size_t>(action.candidate_index)]
-            .value());
-  }
-
-  // Decision-log hook: the policy's own confidence in the chosen root
-  // (log-probability), compared offline against the realized runtime.
-  obs::AnnotatePredictedScore(
-      out.root_logprobs.value().at(0, action.candidate_index));
-
-  const Candidate& cand =
-      features.candidates[static_cast<size_t>(action.candidate_index)];
-  const QueryFeatures& q =
-      features.queries[static_cast<size_t>(cand.query_index)];
-
-  PipelineChoice pipeline;
-  pipeline.query = q.qid;
-  pipeline.root_op = cand.op;
-  pipeline.degree = action.degree_index + 1;
-  decision.pipelines.push_back(pipeline);
-
-  const double frac =
-      model_->config()
-          .parallelism_fractions[static_cast<size_t>(action.parallelism_index)];
-  ParallelismChoice par;
-  par.query = q.qid;
-  par.max_threads = std::max(
-      1, static_cast<int>(std::lround(
-             frac * static_cast<double>(features.total_threads))));
-  decision.parallelism.push_back(par);
-
-  if (record_experiences_) {
-    Experience exp;
-    exp.time = state.now;
-    exp.num_running_queries = static_cast<int>(state.queries.size());
-    exp.action = action;
-    exp.state = std::move(features);
-    experiences_.push_back(std::move(exp));
-  }
-  return decision;
-}
-
-SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
                                          const SchedulingContext& ctx) {
-  if (!use_fast_path_) {
-    // Bridge to the legacy tape-based forward (old-path benchmarking).
-    return Scheduler::Schedule(event, ctx);
-  }
   (void)event;
   SchedulingDecision decision;
-  // Same gate as the legacy path (which checks it after extraction), hoisted
-  // before any cache work: no free thread means no decision and no rng use.
+  // No free thread means no decision and no rng use; checked before any
+  // cache work.
   if (ctx.num_free_threads() == 0) return decision;
   arena_.Reset();
 

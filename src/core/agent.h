@@ -35,22 +35,13 @@ class LSchedAgent : public Scheduler {
 
   std::string name() const override { return "LSched"; }
   void Reset() override;
-  /// Legacy tape-based forward (kept for the old-path benchmark and as the
-  /// bridge target when the fast path is disabled).
-  SchedulingDecision Schedule(const SchedulingEvent& event,
-                              const SystemState& state) override;
-  /// Serving fast path (API v2): per-query encodings come from the
-  /// EncodingCache keyed by the context's dirty-flag versions, the decision
-  /// heads run as batched tape-free GEMMs, and no autograd Tape is ever
-  /// constructed. Scores — and therefore decisions and rng consumption —
-  /// are bit-identical to the tape path.
+  /// Serving path: per-query encodings come from the EncodingCache keyed
+  /// by the context's dirty-flag versions, and the decision heads run as
+  /// batched tape-free GEMMs, so no autograd Tape is ever constructed. The
+  /// trainer replays each recorded Experience through the tape forward
+  /// (EncodeState/RunPredictor), which gives the same log-probabilities.
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
-
-  /// Toggles the tape-free fast path (default on). When off, the context
-  /// overload bridges to the legacy tape-based forward.
-  void set_use_fast_path(bool v) { use_fast_path_ = v; }
-  bool use_fast_path() const { return use_fast_path_; }
 
   /// Sampling (training) vs greedy argmax (serving) action selection.
   void set_sample_actions(bool v) { sample_actions_ = v; }
@@ -70,7 +61,6 @@ class LSchedAgent : public Scheduler {
 
  private:
   int SampleFromLogProbs(const double* logprobs, int n);
-  int SampleFromLogProbs(const Matrix& logprobs);
   SchedulingAction SelectAction(const ServingPredictorOutput& out);
 
   LSchedModel* model_;
@@ -79,7 +69,6 @@ class LSchedAgent : public Scheduler {
   bool sample_actions_ = false;
   double exploration_epsilon_ = 0.0;
   bool record_experiences_ = false;
-  bool use_fast_path_ = true;
   std::vector<Experience> experiences_;
   EncodingCache cache_;
   ScratchArena arena_;

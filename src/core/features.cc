@@ -13,35 +13,6 @@ namespace {
 inline double Log1pScaled(double v, double scale = 1.0) {
   return std::log1p(std::max(v, 0.0)) * scale;
 }
-
-/// Shared QF assembly: identical math for the snapshot and context paths
-/// (and therefore for the cached fast path, which recomputes only this
-/// row per event).
-std::vector<double> MakeQf(const FeatureConfig& config, const QueryState& q,
-                           const std::vector<ThreadInfo>& threads) {
-  std::vector<double> qf;
-  const double total_threads = std::max<size_t>(threads.size(), 1);
-  qf.reserve(static_cast<size_t>(config.qf_dim()));
-  qf.push_back(static_cast<double>(q.assigned_threads()) /
-               static_cast<double>(total_threads));  // Q-ATH
-  int free_threads = 0;
-  for (const ThreadInfo& t : threads) {
-    if (!t.busy) ++free_threads;
-  }
-  qf.push_back(static_cast<double>(free_threads) /
-               static_cast<double>(total_threads));  // Q-FTH
-  // Q-LOC: per-thread locality bit.
-  for (int t = 0; t < config.max_threads; ++t) {
-    if (t < static_cast<int>(threads.size())) {
-      qf.push_back(threads[static_cast<size_t>(t)].last_query == q.id()
-                       ? 1.0
-                       : 0.0);
-    } else {
-      qf.push_back(0.0);
-    }
-  }
-  return qf;
-}
 }  // namespace
 
 int FeatureConfig::opf_dim() const {
@@ -140,16 +111,31 @@ QueryFeatures FeatureExtractor::ExtractQueryStructural(
   return out;
 }
 
-QueryFeatures FeatureExtractor::ExtractQuery(const QueryState& q,
-                                             const SystemState& state) const {
-  QueryFeatures out = ExtractQueryStructural(q);
-  out.qf = MakeQf(config_, q, state.threads);
-  return out;
-}
-
 std::vector<double> FeatureExtractor::ExtractQf(
     const QueryState& q, const SchedulingContext& ctx) const {
-  return MakeQf(config_, q, ctx.threads());
+  const std::vector<ThreadInfo>& threads = ctx.threads();
+  std::vector<double> qf;
+  const double total_threads = std::max<size_t>(threads.size(), 1);
+  qf.reserve(static_cast<size_t>(config_.qf_dim()));
+  qf.push_back(static_cast<double>(q.assigned_threads()) /
+               static_cast<double>(total_threads));  // Q-ATH
+  int free_threads = 0;
+  for (const ThreadInfo& t : threads) {
+    if (!t.busy) ++free_threads;
+  }
+  qf.push_back(static_cast<double>(free_threads) /
+               static_cast<double>(total_threads));  // Q-FTH
+  // Q-LOC: per-thread locality bit.
+  for (int t = 0; t < config_.max_threads; ++t) {
+    if (t < static_cast<int>(threads.size())) {
+      qf.push_back(threads[static_cast<size_t>(t)].last_query == q.id()
+                       ? 1.0
+                       : 0.0);
+    } else {
+      qf.push_back(0.0);
+    }
+  }
+  return qf;
 }
 
 std::vector<std::pair<int, int>> FeatureExtractor::SchedulableCandidates(
@@ -157,26 +143,6 @@ std::vector<std::pair<int, int>> FeatureExtractor::SchedulableCandidates(
   std::vector<std::pair<int, int>> out;
   for (int op : q.SchedulableOps()) {
     out.push_back({op, static_cast<int>(q.ValidPipelineFrom(op).size())});
-  }
-  return out;
-}
-
-StateFeatures FeatureExtractor::Extract(const SystemState& state) const {
-  StateFeatures out;
-  out.time = state.now;
-  out.total_threads = static_cast<int>(state.threads.size());
-  out.free_threads = state.num_free_threads();
-  out.queries.reserve(state.queries.size());
-  for (size_t qi = 0; qi < state.queries.size(); ++qi) {
-    const QueryState* q = state.queries[qi];
-    out.queries.push_back(ExtractQuery(*q, state));
-    for (const auto& [op, degree] : SchedulableCandidates(*q)) {
-      Candidate c;
-      c.query_index = static_cast<int>(qi);
-      c.op = op;
-      c.max_degree = degree;
-      out.candidates.push_back(c);
-    }
   }
   return out;
 }

@@ -71,8 +71,7 @@ struct StateFeatures {
   std::vector<Candidate> candidates;
 };
 
-/// Extracts the paper's feature set from a SystemState snapshot or a
-/// SchedulingContext.
+/// Extracts the paper's feature set from a SchedulingContext.
 ///
 /// The extraction is split along the cache boundary the serving fast path
 /// exploits (DESIGN.md §9): everything in ExtractQueryStructural depends
@@ -85,14 +84,9 @@ class FeatureExtractor {
 
   const FeatureConfig& config() const { return config_; }
 
-  StateFeatures Extract(const SystemState& state) const;
-  /// Full (uncached) extraction from an incremental context; identical
-  /// output to the snapshot overload for the same underlying state.
+  /// Full (uncached) extraction: the reference the serving path's cached
+  /// features and recorded Experiences must equal bit for bit.
   StateFeatures Extract(const SchedulingContext& ctx) const;
-
-  /// Features of a single query (exposed for tests).
-  QueryFeatures ExtractQuery(const QueryState& q,
-                             const SystemState& state) const;
 
   /// The version-cacheable part of one query's features: OPF, EDF, plan
   /// structure, and topological order — everything except the QF row.

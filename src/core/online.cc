@@ -32,12 +32,6 @@ void OnlineLSched::Reset() {
 }
 
 SchedulingDecision OnlineLSched::Schedule(const SchedulingEvent& event,
-                                          const SystemState& state) {
-  last_event_time_ = state.now;
-  return agent_.Schedule(event, state);
-}
-
-SchedulingDecision OnlineLSched::Schedule(const SchedulingEvent& event,
                                           const SchedulingContext& ctx) {
   last_event_time_ = ctx.now();
   return agent_.Schedule(event, ctx);

@@ -44,16 +44,11 @@ class OnlineLSched : public Scheduler {
 
   std::string name() const override { return "LSched-online"; }
   void Reset() override;
-  SchedulingDecision Schedule(const SchedulingEvent& event,
-                              const SystemState& state) override;
-  /// API v2 entry point: serves through the agent's tape-free fast path
-  /// (updates still build tapes inside ApplyUpdate, never on this path).
+  /// Serves through the agent's tape-free path (updates still build tapes
+  /// inside ApplyUpdate, never on this path).
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
   void OnQueryCompleted(QueryId query, double latency) override;
-
-  /// The wrapped agent (e.g. to toggle the fast path in benchmarks).
-  LSchedAgent* agent() { return &agent_; }
 
   /// Registers the drift monitor's alarm as a retrain trigger: when the
   /// prediction-error distribution shifts (obs::DriftMonitor fires), the

@@ -47,7 +47,9 @@ std::vector<int> StreamProducers(const QueryPlan& plan, int op) {
     case OperatorType::kMergeJoin:
     case OperatorType::kIntersect:
       // First producer streams; the second is the side input.
-      if (producers.size() > 1) producers.resize(1);
+      if (producers.size() > 1) {
+        producers.erase(producers.begin() + 1, producers.end());
+      }
       return producers;
     default:
       return producers;

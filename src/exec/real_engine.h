@@ -35,7 +35,7 @@ struct RealEngineConfig : EngineConfig {
 struct RealQuerySubmission {
   QueryPlan plan;
   double arrival_offset_seconds = 0.0;  ///< wall-clock offset from run start
-  QueryTag tag;  ///< tenant/priority (defaulted for single-tenant runs)
+  QueryTag tag{};  ///< tenant/priority (defaulted for single-tenant runs)
 };
 
 /// Result of a real execution run: scheduling telemetry plus per-query sink

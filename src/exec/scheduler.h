@@ -2,7 +2,6 @@
 #define LSCHED_EXEC_SCHEDULER_H_
 
 #include <string>
-#include <vector>
 
 #include "exec/exec_types.h"
 #include "exec/query_state.h"
@@ -11,47 +10,13 @@ namespace lsched {
 
 class SchedulingContext;
 
-/// Legacy (API v1) snapshot of the execution environment. Engines now
-/// maintain an incremental SchedulingContext instead (DESIGN.md §9);
-/// SystemState survives as a bridge type for policies that have not been
-/// migrated yet and for tests that construct ad-hoc states.
-struct SystemState {
-  double now = 0.0;
-  /// Queries that have arrived and not yet completed. Pointers remain valid
-  /// for the duration of the Schedule() call only.
-  std::vector<QueryState*> queries;
-  std::vector<ThreadInfo> threads;
-
-  int num_free_threads() const {
-    int n = 0;
-    for (const ThreadInfo& t : threads) {
-      if (!t.busy) ++n;
-    }
-    return n;
-  }
-
-  [[deprecated(
-      "O(n) linear scan; migrate to SchedulingContext::FindQuery (O(1) "
-      "hash-indexed, see DESIGN.md §9)")]]
-  QueryState* FindQuery(QueryId id) const {
-    for (QueryState* q : queries) {
-      if (q->id() == id) return q;
-    }
-    return nullptr;
-  }
-};
-
 /// Scheduling-policy interface. Implementations include the heuristic
 /// baselines (FIFO, Fair, SJF, HPF, critical path), the learned baselines
 /// (Decima), and LSched itself. Engines invoke Schedule() at every
 /// scheduling event (paper §5.2) and apply the returned decision.
 ///
-/// API v2: engines call the SchedulingContext overload. A policy overrides
-/// exactly one of the two Schedule() overloads — the other's default
-/// implementation bridges to it (context → materialized snapshot, or
-/// snapshot → bridge context), so v1 policies keep working unchanged and
-/// v2 policies still answer legacy callers. Overriding neither is a
-/// programming error caught at runtime (the bridges would recurse).
+/// Engines hand the policy their incremental SchedulingContext (DESIGN.md
+/// §9); Schedule() is the one entry point every policy implements.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -61,26 +26,17 @@ class Scheduler {
   /// Called at the start of each workload/episode.
   virtual void Reset() {}
 
-  /// API v2 entry point: produces scheduling decisions for `event` given
-  /// the engine's incremental context. An empty decision means "keep
-  /// running what is already scheduled". Default bridges to the legacy
-  /// overload via a materialized snapshot.
+  /// Produces scheduling decisions for `event` given the engine's
+  /// incremental context. An empty decision means "keep running what is
+  /// already scheduled".
   virtual SchedulingDecision Schedule(const SchedulingEvent& event,
-                                      const SchedulingContext& ctx);
-
-  /// Legacy (API v1) entry point. Default bridges to the context overload.
-  virtual SchedulingDecision Schedule(const SchedulingEvent& event,
-                                      const SystemState& state);
+                                      const SchedulingContext& ctx) = 0;
 
   /// Feedback when a query finishes (latency = completion - arrival).
   virtual void OnQueryCompleted(QueryId query, double latency) {
     (void)query;
     (void)latency;
   }
-
- private:
-  /// Guards against a subclass overriding neither Schedule overload.
-  int bridge_depth_ = 0;
 };
 
 }  // namespace lsched

@@ -10,8 +10,7 @@ namespace lsched {
 namespace {
 
 /// Process-global version source. Atomic (relaxed) so contexts on
-/// different engine threads — and bridge contexts built mid-episode —
-/// never hand out the same version twice.
+/// different engine threads never hand out the same version twice.
 uint64_t NextVersion() {
   static std::atomic<uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -33,8 +32,8 @@ void SchedulingContext::AddQuery(QueryState* q) {
   LSCHED_CHECK(q != nullptr);
   LSCHED_CHECK(query_index_.find(q->id()) == query_index_.end())
       << "duplicate query id " << q->id();
-  // Insert sorted by id so iteration order matches the legacy snapshot
-  // (workload-index) order even with out-of-order arrivals.
+  // Insert sorted by id so iteration follows workload-index order even
+  // with out-of-order arrivals.
   auto pos = std::lower_bound(
       queries_.begin(), queries_.end(), q,
       [](const QueryState* a, const QueryState* b) {
@@ -122,33 +121,6 @@ bool SchedulingContext::AnySchedulableOp() const {
     }
   }
   return false;
-}
-
-SystemState SchedulingContext::MaterializeSnapshot() const {
-  SystemState state;
-  state.now = now_;
-  state.queries = queries_;
-  state.threads = threads_;
-  return state;
-}
-
-SchedulingContext SchedulingContext::FromSnapshot(const SystemState& state) {
-  SchedulingContext ctx;
-  ctx.now_ = state.now;
-  // Preserve the snapshot's order verbatim: bridge contexts must look
-  // exactly like the snapshot a v1 policy would have seen.
-  ctx.queries_ = state.queries;
-  for (size_t i = 0; i < ctx.queries_.size(); ++i) {
-    const QueryId id = ctx.queries_[i]->id();
-    ctx.query_index_[id] = i;
-    ctx.query_versions_[id] = NextVersion();
-  }
-  for (const ThreadInfo& t : state.threads) {
-    ctx.thread_index_[t.id] = ctx.threads_.size();
-    ctx.threads_.push_back(t);
-    if (!t.busy) ++ctx.free_threads_;
-  }
-  return ctx;
 }
 
 size_t SchedulingContext::ThreadIndexOrDie(int thread_id) const {

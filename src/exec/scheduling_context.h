@@ -7,19 +7,18 @@
 
 #include "exec/exec_types.h"
 #include "exec/query_state.h"
-#include "exec/scheduler.h"
 
 namespace lsched {
 
 /// Incremental scheduler-facing view of the execution environment
 /// (Scheduler API v2, DESIGN.md §9).
 ///
-/// Unlike SystemState — which engines rebuilt from scratch at every
-/// scheduling round — a SchedulingContext lives as long as the episode and
-/// is mutated in place as engine events happen:
+/// Rather than being rebuilt from scratch at every scheduling round, a
+/// SchedulingContext lives as long as the episode and is mutated in place
+/// as engine events happen:
 ///
 ///  * queries are added on arrival and removed on completion; lookup by id
-///    is O(1) via a hash index (replaces SystemState::FindQuery's scan),
+///    is O(1) via a hash index,
 ///  * every query carries a monotonically increasing *version*. The engine
 ///    bumps it (MarkQueryDirty) exactly when an event changes something a
 ///    per-query feature encoding could depend on: an operator was scheduled
@@ -31,7 +30,7 @@ namespace lsched {
 ///
 /// Versions are drawn from a process-global atomic counter so that contexts
 /// never reuse a version number: a cache keyed by (id, version) stays
-/// correct even across Reset() or when bridging from a legacy SystemState.
+/// correct even across Reset() or when one policy serves several contexts.
 class SchedulingContext {
  public:
   SchedulingContext() = default;
@@ -47,9 +46,9 @@ class SchedulingContext {
 
   void set_now(double now) { now_ = now; }
 
-  /// Registers an arrived query. Queries are kept sorted by id so that
-  /// iteration order matches the legacy snapshot order (workload index
-  /// order) regardless of arrival interleaving. Assigns a fresh version.
+  /// Registers an arrived query. Queries are kept sorted by id (workload
+  /// index order) regardless of arrival interleaving. Assigns a fresh
+  /// version.
   void AddQuery(QueryState* q);
 
   /// Removes a completed query (order-preserving).
@@ -81,13 +80,13 @@ class SchedulingContext {
   /// until the query is removed.
   const std::vector<QueryState*>& queries() const { return queries_; }
 
-  /// O(1) hash-indexed lookup (replaces SystemState::FindQuery).
+  /// O(1) hash-indexed lookup; nullptr if the query is not in this context.
   QueryState* FindQuery(QueryId id) const;
 
   /// True when `id` is present in this context AND not in a terminal
   /// lifecycle state. Engines remove queries on termination, so presence
   /// normally implies liveness; the status check additionally guards
-  /// against stale pointers in hand-built contexts (tests, bridges).
+  /// against terminal queries left in hand-built contexts (tests).
   /// Policies must not score or pick dead queries (DESIGN.md §10).
   bool IsQueryLive(QueryId id) const {
     const QueryState* q = FindQuery(id);
@@ -114,23 +113,7 @@ class SchedulingContext {
   /// True if any live query has a schedulable operator right now.
   bool AnySchedulableOp() const;
 
-  /// --- legacy bridge -----------------------------------------------------
-
-  /// Builds a legacy SystemState view (used by the default Scheduler
-  /// bridge so v1-only policies keep working during the migration).
-  SystemState MaterializeSnapshot() const;
-
-  /// Builds a context from a legacy snapshot, preserving the snapshot's
-  /// query and thread order verbatim. Every query gets a *fresh* global
-  /// version, so policy caches keyed by (id, version) safely miss instead
-  /// of serving stale entries.
-  static SchedulingContext FromSnapshot(const SystemState& state);
-
  private:
-  // Movable only privately (FromSnapshot returns by value via this).
-  SchedulingContext(SchedulingContext&&) = default;
-  SchedulingContext& operator=(SchedulingContext&&) = default;
-
   size_t ThreadIndexOrDie(int thread_id) const;
   void RebuildQueryIndex(size_t from);
 

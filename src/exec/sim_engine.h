@@ -19,7 +19,7 @@ namespace lsched {
 struct QuerySubmission {
   QueryPlan plan;
   double arrival_time = 0.0;
-  QueryTag tag;
+  QueryTag tag{};
 };
 
 struct SimEngineConfig : EngineConfig {

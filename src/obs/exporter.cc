@@ -50,13 +50,14 @@ std::string BuildInfoPrometheusText() {
 
 std::string PrometheusName(const std::string& name) {
   std::string out;
-  out.reserve(name.size());
+  out.reserve(name.size() + 1);
+  // A Prometheus name must not start with a digit (or be empty).
+  if (name.empty() || (name[0] >= '0' && name[0] <= '9')) out += '_';
   for (char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out += ok ? c : '_';
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   return out;
 }
 

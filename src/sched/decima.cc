@@ -78,19 +78,16 @@ void ExtractQueryStructuralDecima(const QueryState& q, DecimaQueryFeatures* f,
 }  // namespace
 
 DecimaStateFeatures DecimaScheduler::ExtractFeatures(
-    const SystemState& state) {
+    const SchedulingContext& ctx) {
   DecimaStateFeatures out;
-  out.time = state.now;
-  out.total_threads = static_cast<int>(state.threads.size());
+  out.time = ctx.now();
+  out.total_threads = ctx.total_threads();
   const double total = std::max<double>(1.0, out.total_threads);
-  int free_threads = 0;
-  for (const ThreadInfo& t : state.threads) {
-    if (!t.busy) ++free_threads;
-  }
+  const int free_threads = ctx.num_free_threads();
 
   std::vector<int> runnable;
-  for (size_t qi = 0; qi < state.queries.size(); ++qi) {
-    const QueryState* q = state.queries[qi];
+  for (size_t qi = 0; qi < ctx.queries().size(); ++qi) {
+    const QueryState* q = ctx.queries()[qi];
     DecimaQueryFeatures f;
     ExtractQueryStructuralDecima(*q, &f, &runnable);
     for (int op : runnable) {
@@ -102,14 +99,6 @@ DecimaStateFeatures DecimaScheduler::ExtractFeatures(
   }
   return out;
 }
-
-namespace {
-
-struct DecimaEncoded {
-  std::vector<std::vector<Var>> node_emb;  ///< per query, per node
-  std::vector<Var> query_emb;              ///< per query summary
-  Var global_emb;
-};
 
 DecimaEncoded Encode(DecimaModel* model, const DecimaStateFeatures& state,
                      Tape* tape) {
@@ -155,11 +144,6 @@ DecimaEncoded Encode(DecimaModel* model, const DecimaStateFeatures& state,
   return enc;
 }
 
-struct DecimaForward {
-  Var node_logprobs;              ///< over candidates
-  std::vector<Var> par_logprobs;  ///< per candidate
-};
-
 DecimaForward Forward(DecimaModel* model, const DecimaStateFeatures& state,
                       const DecimaEncoded& enc, Tape* tape) {
   DecimaForward out;
@@ -180,6 +164,8 @@ DecimaForward Forward(DecimaModel* model, const DecimaStateFeatures& state,
   return out;
 }
 
+namespace {
+
 int SampleSpan(const double* logprobs, int n, Rng* rng) {
   std::vector<double> p(static_cast<size_t>(n));
   for (int c = 0; c < n; ++c) {
@@ -189,10 +175,6 @@ int SampleSpan(const double* logprobs, int n, Rng* rng) {
   return idx >= p.size() ? 0 : static_cast<int>(idx);
 }
 
-int SampleRow(const Matrix& logprobs, Rng* rng) {
-  return SampleSpan(logprobs.data(), logprobs.cols(), rng);
-}
-
 int ArgmaxSpan(const double* v, int n) {
   int best = 0;
   for (int c = 1; c < n; ++c) {
@@ -200,8 +182,6 @@ int ArgmaxSpan(const double* v, int n) {
   }
   return best;
 }
-
-int ArgmaxRow(const Matrix& m) { return ArgmaxSpan(m.data(), m.cols()); }
 
 void AddRowInPlace(double* dst, const double* src, int n) {
   for (int c = 0; c < n; ++c) dst[c] += src[c];
@@ -271,8 +251,8 @@ void DecimaScheduler::Reset() {
 DecimaScheduler::CacheEntry& DecimaScheduler::GetCacheEntry(
     const QueryState& q, uint64_t version) {
   CacheEntry& e = cache_[q.id()];
-  // Version 0 means "untracked" (e.g. a context materialized from a bare
-  // snapshot): never trust the cache for it.
+  // Version 0 means the context does not track the query: never trust the
+  // cache for it.
   if (e.version == version && version != 0) return e;
   e.version = version;
   ExtractQueryStructuralDecima(q, &e.features, &e.runnable_ops);
@@ -288,64 +268,7 @@ void DecimaScheduler::EnsureEncoded(CacheEntry* entry) {
 }
 
 SchedulingDecision DecimaScheduler::Schedule(const SchedulingEvent& event,
-                                             const SystemState& state) {
-  (void)event;
-  SchedulingDecision decision;
-  DecimaStateFeatures features = ExtractFeatures(state);
-  if (features.candidates.empty()) return decision;
-
-  Tape tape;
-  DecimaEncoded enc;
-  DecimaForward out;
-  {
-    obs::ScopedSpan span("sched.decima.forward", "sched", "candidates",
-                         static_cast<int64_t>(features.candidates.size()));
-    enc = Encode(model_, features, &tape);
-    out = Forward(model_, features, enc, &tape);
-  }
-
-  int cand_idx, par_idx;
-  if (sample_actions_) {
-    cand_idx = SampleRow(out.node_logprobs.value(), &rng_);
-    par_idx = SampleRow(
-        out.par_logprobs[static_cast<size_t>(cand_idx)].value(), &rng_);
-  } else {
-    cand_idx = ArgmaxRow(out.node_logprobs.value());
-    par_idx =
-        ArgmaxRow(out.par_logprobs[static_cast<size_t>(cand_idx)].value());
-  }
-
-  obs::AnnotatePredictedScore(out.node_logprobs.value().at(0, cand_idx));
-
-  const auto& [qi, op] = features.candidates[static_cast<size_t>(cand_idx)];
-  const QueryId qid = features.queries[static_cast<size_t>(qi)].qid;
-  // Degree is always 1: Decima cannot co-schedule pipelined operators.
-  decision.pipelines.push_back(PipelineChoice{qid, op, 1});
-  const double frac =
-      model_->config().parallelism_fractions[static_cast<size_t>(par_idx)];
-  decision.parallelism.push_back(ParallelismChoice{
-      qid,
-      std::max(1, static_cast<int>(std::lround(
-                      frac * static_cast<double>(features.total_threads))))});
-
-  if (record_experiences_) {
-    DecimaExperience exp;
-    exp.time = state.now;
-    exp.num_running_queries = static_cast<int>(state.queries.size());
-    exp.chosen_candidate = cand_idx;
-    exp.chosen_parallelism = par_idx;
-    exp.state = std::move(features);
-    experiences_.push_back(std::move(exp));
-  }
-  return decision;
-}
-
-SchedulingDecision DecimaScheduler::Schedule(const SchedulingEvent& event,
                                              const SchedulingContext& ctx) {
-  if (!use_fast_path_) {
-    // Bridge to the legacy tape-based forward (old-path benchmarking).
-    return Scheduler::Schedule(event, ctx);
-  }
   (void)event;
   SchedulingDecision decision;
   arena_.Reset();

@@ -89,6 +89,24 @@ class DecimaModel {
   ParameterStore store_;
 };
 
+/// Tape forward of Decima's networks: what DecimaTrainer differentiates
+/// when it replays a recorded DecimaExperience.
+struct DecimaEncoded {
+  std::vector<std::vector<Var>> node_emb;  ///< per query, per node
+  std::vector<Var> query_emb;              ///< per query summary
+  Var global_emb;
+};
+
+struct DecimaForward {
+  Var node_logprobs;              ///< over candidates
+  std::vector<Var> par_logprobs;  ///< per candidate
+};
+
+DecimaEncoded Encode(DecimaModel* model, const DecimaStateFeatures& state,
+                     Tape* tape);
+DecimaForward Forward(DecimaModel* model, const DecimaStateFeatures& state,
+                      const DecimaEncoded& enc, Tape* tape);
+
 /// The Decima scheduling agent.
 class DecimaScheduler : public Scheduler {
  public:
@@ -96,24 +114,20 @@ class DecimaScheduler : public Scheduler {
 
   std::string name() const override { return "Decima"; }
   void Reset() override;
-  /// Legacy tape-based forward (old-path benchmark / fast-path-off bridge).
-  SchedulingDecision Schedule(const SchedulingEvent& event,
-                              const SystemState& state) override;
-  /// Serving fast path (API v2): per-query GCN embeddings and summaries are
-  /// cached by the context's dirty-flag versions; heads run as batched
-  /// tape-free GEMMs. Bit-identical scores and rng consumption.
+  /// Serving path: per-query GCN embeddings and summaries are cached by
+  /// the context's dirty-flag versions; heads run as batched tape-free
+  /// GEMMs. The trainer replays each recorded DecimaExperience through the
+  /// tape Encode/Forward, which gives the same log-probabilities.
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
-
-  void set_use_fast_path(bool v) { use_fast_path_ = v; }
-  bool use_fast_path() const { return use_fast_path_; }
 
   void set_sample_actions(bool v) { sample_actions_ = v; }
   void set_record_experiences(bool v) { record_experiences_ = v; }
   std::vector<DecimaExperience>& experiences() { return experiences_; }
 
-  /// Extracts Decima's black-box features (exposed for tests).
-  static DecimaStateFeatures ExtractFeatures(const SystemState& state);
+  /// Full (uncached) extraction of Decima's black-box features: the
+  /// reference the cached serving features must equal (exposed for tests).
+  static DecimaStateFeatures ExtractFeatures(const SchedulingContext& ctx);
 
  private:
   /// Version-cacheable slice of one query: black-box features, runnable
@@ -138,7 +152,6 @@ class DecimaScheduler : public Scheduler {
   Rng rng_;
   bool sample_actions_ = false;
   bool record_experiences_ = false;
-  bool use_fast_path_ = true;
   std::vector<DecimaExperience> experiences_;
   std::unordered_map<QueryId, CacheEntry> cache_;
   uint64_t params_epoch_ = 0;

@@ -55,7 +55,6 @@ class GuardedPolicy : public Scheduler {
   void Reset() override;
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
-  using Scheduler::Schedule;
   void OnQueryCompleted(QueryId query, double latency) override;
 
   /// --- introspection (tests, chaos harness) ------------------------------

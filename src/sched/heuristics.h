@@ -15,7 +15,6 @@ class FifoScheduler : public HeuristicPolicy {
   std::string name() const override { return "FIFO"; }
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
-  using HeuristicPolicy::Schedule;
 };
 
 /// Carefully-tuned weighted fair scheduling (paper baseline 4): splits the
@@ -28,7 +27,6 @@ class FairScheduler : public HeuristicPolicy {
   std::string name() const override { return "Fair"; }
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
-  using HeuristicPolicy::Schedule;
 
  private:
   /// 0 = equal weights; 1 = weights proportional to remaining work.
@@ -43,7 +41,6 @@ class SjfScheduler : public HeuristicPolicy {
   std::string name() const override { return "SJF"; }
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
-  using HeuristicPolicy::Schedule;
 };
 
 /// Highest Priority First with static priorities fixed at arrival
@@ -53,7 +50,6 @@ class HpfScheduler : public HeuristicPolicy {
   std::string name() const override { return "HPF"; }
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
-  using HeuristicPolicy::Schedule;
 };
 
 /// Critical-path pipelining heuristic (paper Fig. 1, [19]): at each event,
@@ -64,7 +60,6 @@ class CriticalPathScheduler : public HeuristicPolicy {
   std::string name() const override { return "CriticalPath"; }
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
-  using HeuristicPolicy::Schedule;
 };
 
 /// Quickstep's built-in policy (paper baseline 3): probabilistic
@@ -76,7 +71,6 @@ class QuickstepScheduler : public HeuristicPolicy {
   std::string name() const override { return "Quickstep"; }
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
-  using HeuristicPolicy::Schedule;
 };
 
 }  // namespace lsched

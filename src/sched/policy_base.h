@@ -11,15 +11,9 @@ namespace lsched {
 
 /// Shared base for the heuristic baselines: the free-thread / runnable-work
 /// bookkeeping that used to be copy-pasted across the six heuristics lives
-/// here, expressed against the incremental SchedulingContext (API v2).
-///
-/// Subclasses override `Schedule(event, const SchedulingContext&)`; the
-/// `using` declaration keeps the legacy SystemState overload visible on the
-/// concrete type (C++ name hiding would otherwise shadow it).
+/// here, expressed against the incremental SchedulingContext. Subclasses
+/// implement `Schedule(event, const SchedulingContext&)`.
 class HeuristicPolicy : public Scheduler {
- public:
-  using Scheduler::Schedule;
-
  protected:
   /// Launches every currently-schedulable operator of `q` as a full
   /// pipeline.

@@ -34,7 +34,6 @@ class SelfTuneScheduler : public HeuristicPolicy {
   std::string name() const override { return "SelfTune"; }
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
-  using HeuristicPolicy::Schedule;
 
   const SelfTuneParams& params() const { return params_; }
   void set_params(SelfTuneParams p) { params_ = p; }

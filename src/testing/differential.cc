@@ -29,10 +29,6 @@ class OwningLSchedScheduler : public Scheduler {
   std::string name() const override { return agent_.name(); }
   void Reset() override { agent_.Reset(); }
   SchedulingDecision Schedule(const SchedulingEvent& event,
-                              const SystemState& state) override {
-    return agent_.Schedule(event, state);
-  }
-  SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override {
     return agent_.Schedule(event, ctx);
   }
@@ -59,10 +55,6 @@ class OwningDecimaScheduler : public Scheduler {
 
   std::string name() const override { return agent_.name(); }
   void Reset() override { agent_.Reset(); }
-  SchedulingDecision Schedule(const SchedulingEvent& event,
-                              const SystemState& state) override {
-    return agent_.Schedule(event, state);
-  }
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override {
     return agent_.Schedule(event, ctx);

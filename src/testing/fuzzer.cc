@@ -68,7 +68,8 @@ std::unique_ptr<Catalog> WorkloadFuzzer::FuzzCatalog() {
     // build side.
     const int ref = i > 0 ? i - 1 : 0;
     TableSpec spec;
-    spec.name = "t" + std::to_string(i);
+    spec.name = "t";
+    spec.name += std::to_string(i);
     spec.num_rows = rows[static_cast<size_t>(i)];
     spec.block_capacity = kCapacities[rng_.UniformInt(static_cast<uint64_t>(3))];
     spec.columns = {

@@ -33,7 +33,7 @@ struct FuzzerOptions {
   /// onto the mean gaps above, and exports the preset's pool-elasticity
   /// events (FuzzedWorkload::{sim,real}_thread_events) in each engine's
   /// timebase. Unknown names are a hard error.
-  std::string scenario;
+  std::string scenario{};
 
   /// --- chaos mode (DESIGN.md §10) ---------------------------------------
   /// When true, NextWorkload() also fuzzes a FaultSchedule + cancellation

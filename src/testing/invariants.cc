@@ -60,7 +60,7 @@ void ValidatingScheduler::AddViolation(std::string message) {
 }
 
 void ValidatingScheduler::CheckState(const SchedulingEvent& event,
-                                     const SystemState& state) {
+                                     const SchedulingContext& ctx) {
   if (seen_event_ && event.time + kTimeTol < last_event_time_) {
     AddViolation("event time went backwards: " + Fmt(event.time) + " after " +
                  Fmt(last_event_time_));
@@ -72,32 +72,32 @@ void ValidatingScheduler::CheckState(const SchedulingEvent& event,
   }
 
   std::set<QueryId> live;
-  for (const QueryState* q : state.queries) {
+  for (const QueryState* q : ctx.queries()) {
     if (q == nullptr) {
-      AddViolation("null QueryState in snapshot");
+      AddViolation("null QueryState in context");
       continue;
     }
     if (!live.insert(q->id()).second) {
       AddViolation("duplicate query " + std::to_string(q->id()) +
-                   " in snapshot");
+                   " in context");
     }
-    if (q->arrival_time() > state.now + kTimeTol) {
+    if (q->arrival_time() > ctx.now() + kTimeTol) {
       AddViolation("query " + std::to_string(q->id()) +
                    " exposed before its arrival (arrival " +
-                   Fmt(q->arrival_time()) + " > now " + Fmt(state.now) + ")");
+                   Fmt(q->arrival_time()) + " > now " + Fmt(ctx.now()) + ")");
     }
     if (q->completed()) {
       AddViolation("completed query " + std::to_string(q->id()) +
-                   " still in snapshot");
+                   " still in context");
     }
     if (IsTerminalStatus(q->status())) {
       AddViolation("terminal query " + std::to_string(q->id()) + " (" +
-                   QueryStatusName(q->status()) + ") still in snapshot");
+                   QueryStatusName(q->status()) + ") still in context");
     }
   }
 
   std::set<int> thread_ids;
-  for (const ThreadInfo& t : state.threads) {
+  for (const ThreadInfo& t : ctx.threads()) {
     if (!thread_ids.insert(t.id).second) {
       AddViolation("duplicate thread id " + std::to_string(t.id));
     }
@@ -113,16 +113,16 @@ void ValidatingScheduler::CheckState(const SchedulingEvent& event,
         terminated_.count(t.running_query) == 0) {
       AddViolation("thread " + std::to_string(t.id) + " runs query " +
                    std::to_string(t.running_query) +
-                   " that is not in the snapshot");
+                   " that is not in the context");
     }
   }
 
   // assigned_threads bookkeeping vs actual thread occupancy (no double
   // assignment: each busy thread counts toward exactly one query).
-  for (const QueryState* q : state.queries) {
+  for (const QueryState* q : ctx.queries()) {
     if (q == nullptr) continue;
     int running = 0;
-    for (const ThreadInfo& t : state.threads) {
+    for (const ThreadInfo& t : ctx.threads()) {
       if (t.busy && t.running_query == q->id()) ++running;
     }
     if (running != q->assigned_threads()) {
@@ -135,15 +135,15 @@ void ValidatingScheduler::CheckState(const SchedulingEvent& event,
   if (event.type == SchedulingEventType::kQueryArrival &&
       live.count(event.query) == 0) {
     AddViolation("arrival event for query " + std::to_string(event.query) +
-                 " absent from snapshot");
+                 " absent from context");
   }
 }
 
 void ValidatingScheduler::CheckDecision(const SchedulingDecision& decision,
-                                        const SystemState& state) {
+                                        const SchedulingContext& ctx) {
   std::map<QueryId, std::set<int>> pending;  // ops launched by this decision
   for (const PipelineChoice& choice : decision.pipelines) {
-    const QueryState* q = state.FindQuery(choice.query);
+    const QueryState* q = ctx.FindQuery(choice.query);
     if (q == nullptr) {
       AddViolation("pipeline choice for unknown/unarrived query " +
                    std::to_string(choice.query));
@@ -184,7 +184,7 @@ void ValidatingScheduler::CheckDecision(const SchedulingDecision& decision,
     for (size_t i = 0; i < fused; ++i) mine.insert(chain[i]);
   }
   for (const ParallelismChoice& choice : decision.parallelism) {
-    const QueryState* q = state.FindQuery(choice.query);
+    const QueryState* q = ctx.FindQuery(choice.query);
     if (q == nullptr) {
       AddViolation("parallelism choice for unknown/unarrived query " +
                    std::to_string(choice.query));
@@ -198,14 +198,6 @@ void ValidatingScheduler::CheckDecision(const SchedulingDecision& decision,
                    std::to_string(choice.query));
     }
   }
-}
-
-SchedulingDecision ValidatingScheduler::Schedule(const SchedulingEvent& event,
-                                                 const SystemState& state) {
-  CheckState(event, state);
-  SchedulingDecision decision = inner_->Schedule(event, state);
-  CheckDecision(decision, state);
-  return decision;
 }
 
 void ValidatingScheduler::CheckContext(const SchedulingContext& ctx) {
@@ -233,13 +225,10 @@ void ValidatingScheduler::CheckContext(const SchedulingContext& ctx) {
 
 SchedulingDecision ValidatingScheduler::Schedule(const SchedulingEvent& event,
                                                  const SchedulingContext& ctx) {
-  // Validation wants the full legacy view; the inner policy still receives
-  // the incremental context, so its fast path stays under test.
-  const SystemState state = ctx.MaterializeSnapshot();
   CheckContext(ctx);
-  CheckState(event, state);
+  CheckState(event, ctx);
   SchedulingDecision decision = inner_->Schedule(event, ctx);
-  CheckDecision(decision, state);
+  CheckDecision(decision, ctx);
   return decision;
 }
 

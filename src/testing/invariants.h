@@ -12,7 +12,7 @@
 namespace lsched {
 
 /// Scheduler decorator that validates, at every Schedule() call, both the
-/// SystemState snapshot the engine hands out and the SchedulingDecision the
+/// SchedulingContext the engine hands out and the SchedulingDecision the
 /// wrapped policy returns. Violations are collected (not thrown) so tests
 /// can run a whole episode and then assert `violations().empty()`.
 ///
@@ -24,12 +24,15 @@ namespace lsched {
 ///    preempted mid-kernel;
 ///  - each query's assigned_threads equals the number of threads currently
 ///    running it;
-///  - queries in the snapshot are unique, arrived (arrival <= now), not
+///  - queries in the context are unique, arrived (arrival <= now), not
 ///    completed, and not in a terminal lifecycle state (a cancelled/failed
-///    query must leave the snapshot immediately);
+///    query must leave the context immediately);
 ///  - event times are nondecreasing across invocations and an arrival event
-///    references a query present in the snapshot (no scheduling of
-///    unarrived queries).
+///    references a query present in the context (no scheduling of
+///    unarrived queries);
+///  - the context's own incremental bookkeeping: the free-thread counter
+///    matches a recount, the query index finds every query, and every
+///    query has a nonzero version.
 ///
 /// Decision invariants checked (against the pre-decision state, tracking
 /// ops scheduled earlier in the same decision so producer+consumer launched
@@ -45,12 +48,6 @@ class ValidatingScheduler : public Scheduler {
   std::string name() const override { return "validating:" + inner_->name(); }
   void Reset() override;
   SchedulingDecision Schedule(const SchedulingEvent& event,
-                              const SystemState& state) override;
-  /// API v2 entry point: validates a materialized snapshot plus the
-  /// context's own incremental bookkeeping (free-thread counter, query
-  /// index, nonzero versions), then hands the *context* to the inner
-  /// policy so its fast path stays under test.
-  SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
   void OnQueryCompleted(QueryId query, double latency) override {
     inner_->OnQueryCompleted(query, latency);
@@ -60,9 +57,9 @@ class ValidatingScheduler : public Scheduler {
 
  private:
   void CheckContext(const SchedulingContext& ctx);
-  void CheckState(const SchedulingEvent& event, const SystemState& state);
+  void CheckState(const SchedulingEvent& event, const SchedulingContext& ctx);
   void CheckDecision(const SchedulingDecision& decision,
-                     const SystemState& state);
+                     const SchedulingContext& ctx);
   void AddViolation(std::string message);
 
   Scheduler* inner_;

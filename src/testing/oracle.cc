@@ -30,7 +30,9 @@ std::vector<int> StreamProducers(const QueryPlan& plan, int op) {
     case OperatorType::kNestedLoopJoin:
     case OperatorType::kMergeJoin:
     case OperatorType::kIntersect:
-      if (producers.size() > 1) producers.resize(1);
+      if (producers.size() > 1) {
+        producers.erase(producers.begin() + 1, producers.end());
+      }
       return producers;
     default:
       return producers;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/features.h"
+#include "exec/scheduling_context.h"
 #include "plan/plan_builder.h"
 #include "sched/heuristics.h"
 #include "sched/selftune.h"
@@ -27,19 +28,19 @@ struct TwoQueryFixture {
   TwoQueryFixture(int64_t rows_a, int64_t rows_b)
       : qa(0, SingleScanPlan(rows_a), 0.0),
         qb(1, SingleScanPlan(rows_b), 0.1) {
-    state.now = 1.0;
-    state.queries = {&qa, &qb};
-    state.threads.resize(4);
-    for (int i = 0; i < 4; ++i) state.threads[static_cast<size_t>(i)].id = i;
+    ctx.Reset(1.0);
+    ctx.AddQuery(&qa);
+    ctx.AddQuery(&qb);
+    for (int i = 0; i < 4; ++i) ctx.AddThread(ThreadInfo{.id = i});
   }
   QueryState qa, qb;
-  SystemState state;
+  SchedulingContext ctx;
 };
 
 TEST(SchedulerBehavior, SjfPicksTheShorterQuery) {
   TwoQueryFixture fx(500000, 4096);
   SjfScheduler sjf;
-  const SchedulingDecision d = sjf.Schedule({}, fx.state);
+  const SchedulingDecision d = sjf.Schedule({}, fx.ctx);
   ASSERT_FALSE(d.pipelines.empty());
   EXPECT_EQ(d.pipelines[0].query, 1);  // the small one
 }
@@ -47,7 +48,7 @@ TEST(SchedulerBehavior, SjfPicksTheShorterQuery) {
 TEST(SchedulerBehavior, HpfUsesStaticPlanCost) {
   TwoQueryFixture fx(500000, 4096);
   HpfScheduler hpf;
-  const SchedulingDecision d = hpf.Schedule({}, fx.state);
+  const SchedulingDecision d = hpf.Schedule({}, fx.ctx);
   ASSERT_FALSE(d.pipelines.empty());
   // Priority = 1/(1+plan cost): the cheap query wins.
   EXPECT_EQ(d.pipelines[0].query, 1);
@@ -56,7 +57,7 @@ TEST(SchedulerBehavior, HpfUsesStaticPlanCost) {
 TEST(SchedulerBehavior, FifoPicksTheOldestRegardlessOfCost) {
   TwoQueryFixture fx(500000, 4096);  // big query arrived first
   FifoScheduler fifo;
-  const SchedulingDecision d = fifo.Schedule({}, fx.state);
+  const SchedulingDecision d = fifo.Schedule({}, fx.ctx);
   ASSERT_FALSE(d.pipelines.empty());
   EXPECT_EQ(d.pipelines[0].query, 0);
 }
@@ -64,7 +65,7 @@ TEST(SchedulerBehavior, FifoPicksTheOldestRegardlessOfCost) {
 TEST(SchedulerBehavior, QuickstepCapsProportionalToRemainingWork) {
   TwoQueryFixture fx(400000, 100000);  // 4:1 remaining work orders
   QuickstepScheduler qs;
-  const SchedulingDecision d = qs.Schedule({}, fx.state);
+  const SchedulingDecision d = qs.Schedule({}, fx.ctx);
   int cap_big = -1, cap_small = -1;
   for (const ParallelismChoice& p : d.parallelism) {
     (p.query == 0 ? cap_big : cap_small) = p.max_threads;
@@ -81,7 +82,7 @@ TEST(SchedulerBehavior, SelfTuneSharesDecayWithAttainedService) {
   SelfTuneParams params;
   params.share_exponent = 1.0;
   SelfTuneScheduler st(params);
-  const SchedulingDecision d = st.Schedule({}, fx.state);
+  const SchedulingDecision d = st.Schedule({}, fx.ctx);
   int cap_a = -1, cap_b = -1;
   for (const ParallelismChoice& p : d.parallelism) {
     (p.query == 0 ? cap_a : cap_b) = p.max_threads;
@@ -92,7 +93,7 @@ TEST(SchedulerBehavior, SelfTuneSharesDecayWithAttainedService) {
 TEST(SchedulerBehavior, FairIgnoresCostWithEqualWeights) {
   TwoQueryFixture fx(500000, 4096);
   FairScheduler fair;
-  const SchedulingDecision d = fair.Schedule({}, fx.state);
+  const SchedulingDecision d = fair.Schedule({}, fx.ctx);
   int cap_a = -1, cap_b = -1;
   for (const ParallelismChoice& p : d.parallelism) {
     (p.query == 0 ? cap_a : cap_b) = p.max_threads;
@@ -104,14 +105,11 @@ TEST(SchedulerBehavior, FairIgnoresCostWithEqualWeights) {
 // Feature semantics.
 TEST(FeatureBehavior, DynamicFeaturesChangeAfterProgress) {
   QueryState q(0, SingleScanPlan(100000), 0.0);
-  SystemState state;
-  state.queries = {&q};
-  state.threads.resize(2);
   FeatureExtractor fx((FeatureConfig()));
-  const QueryFeatures before = fx.ExtractQuery(q, state);
+  const QueryFeatures before = fx.ExtractQueryStructural(q);
   q.set_op_scheduled(0, true);
   q.AdvanceOperator(0, 5.0, 0.2, 100.0);
-  const QueryFeatures after = fx.ExtractQuery(q, state);
+  const QueryFeatures after = fx.ExtractQueryStructural(q);
   // O-WO ratio (index right after the static prefix) must drop.
   const FeatureConfig cfg;
   const size_t owo = static_cast<size_t>(kNumOperatorTypes +
@@ -140,11 +138,12 @@ TEST(FeatureBehavior, CandidatesMatchSchedulableOps) {
     return std::move(p).value();
   }();
   QueryState q(0, plan, 0.0);
-  SystemState state;
-  state.queries = {&q};
-  state.threads.resize(2);
+  SchedulingContext ctx;
+  ctx.AddQuery(&q);
+  ctx.AddThread(ThreadInfo{.id = 0});
+  ctx.AddThread(ThreadInfo{.id = 1});
   FeatureExtractor fx((FeatureConfig()));
-  const StateFeatures f = fx.Extract(state);
+  const StateFeatures f = fx.Extract(ctx);
   const std::vector<int> ops = q.SchedulableOps();
   ASSERT_EQ(f.candidates.size(), ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {

@@ -79,7 +79,6 @@ class ScriptedScheduler : public Scheduler {
     events.push_back(event);
     return decide_(event, ctx);
   }
-  using Scheduler::Schedule;
 
   std::vector<SchedulingEvent> events;
 

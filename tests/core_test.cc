@@ -31,25 +31,26 @@ Result<QueryPlan> SmallJoinPlan() {
   return b.Build();
 }
 
-/// Builds a 2-query SystemState over live QueryStates.
+/// Builds a 2-query SchedulingContext over live QueryStates.
 struct StateFixture {
   StateFixture() {
     auto p1 = SmallJoinPlan();
     auto p2 = SmallJoinPlan();
     q1 = std::make_unique<QueryState>(0, std::move(p1).value(), 0.0);
     q2 = std::make_unique<QueryState>(1, std::move(p2).value(), 0.5);
-    state.now = 1.0;
-    state.queries = {q1.get(), q2.get()};
-    state.threads.resize(8);
+    ctx.Reset(1.0);
+    ctx.AddQuery(q1.get());
+    ctx.AddQuery(q2.get());
     for (int i = 0; i < 8; ++i) {
-      state.threads[static_cast<size_t>(i)].id = i;
+      ThreadInfo t;
+      t.id = i;
+      if (i == 1) t.last_query = 1;
+      ctx.AddThread(t);
     }
-    state.threads[0].busy = true;
-    state.threads[0].running_query = 0;
-    state.threads[1].last_query = 1;
+    ctx.SetThreadBusy(0, 0);
   }
   std::unique_ptr<QueryState> q1, q2;
-  SystemState state;
+  SchedulingContext ctx;
 };
 
 TEST(FeaturesTest, DimensionsMatchConfig) {
@@ -65,7 +66,7 @@ TEST(FeaturesTest, ExtractProducesConsistentShapes) {
   StateFixture fx;
   FeatureConfig cfg;
   FeatureExtractor extractor(cfg);
-  const StateFeatures f = extractor.Extract(fx.state);
+  const StateFeatures f = extractor.Extract(fx.ctx);
   ASSERT_EQ(f.queries.size(), 2u);
   EXPECT_EQ(f.total_threads, 8);
   EXPECT_EQ(f.free_threads, 7);
@@ -86,7 +87,7 @@ TEST(FeaturesTest, ExtractProducesConsistentShapes) {
 TEST(FeaturesTest, OperatorTypeOneHot) {
   StateFixture fx;
   FeatureExtractor extractor(FeatureConfig{});
-  const QueryFeatures q = extractor.ExtractQuery(*fx.q1, fx.state);
+  const QueryFeatures q = extractor.ExtractQueryStructural(*fx.q1);
   // Node 0 is a Select.
   const int select_idx = static_cast<int>(OperatorType::kSelect);
   EXPECT_DOUBLE_EQ(q.opf[0][static_cast<size_t>(select_idx)], 1.0);
@@ -100,16 +101,16 @@ TEST(FeaturesTest, OperatorTypeOneHot) {
 TEST(FeaturesTest, QLocalityReflectsThreadHistory) {
   StateFixture fx;
   FeatureExtractor extractor(FeatureConfig{});
-  const QueryFeatures q2f = extractor.ExtractQuery(*fx.q2, fx.state);
+  const std::vector<double> qf = extractor.ExtractQf(*fx.q2, fx.ctx);
   // Thread 1 last ran query 1 => its Q-LOC bit is set.
-  EXPECT_DOUBLE_EQ(q2f.qf[2 + 1], 1.0);
-  EXPECT_DOUBLE_EQ(q2f.qf[2 + 0], 0.0);
+  EXPECT_DOUBLE_EQ(qf[2 + 1], 1.0);
+  EXPECT_DOUBLE_EQ(qf[2 + 0], 0.0);
 }
 
 TEST(FeaturesTest, EdfEncodesPipelineBreaking) {
   StateFixture fx;
   FeatureExtractor extractor(FeatureConfig{});
-  const QueryFeatures q = extractor.ExtractQuery(*fx.q1, fx.state);
+  const QueryFeatures q = extractor.ExtractQueryStructural(*fx.q1);
   const QueryPlan& plan = fx.q1->plan();
   for (size_t e = 0; e < plan.num_edges(); ++e) {
     EXPECT_DOUBLE_EQ(q.edf[e][0],
@@ -131,7 +132,7 @@ TEST(EncoderTest, ShapesAndDeterminism) {
   StateFixture fx;
   LSchedModel model(SmallConfig());
   FeatureExtractor extractor(model.config().features);
-  const StateFeatures f = extractor.Extract(fx.state);
+  const StateFeatures f = extractor.Extract(fx.ctx);
   Tape t1;
   const EncodedState e1 = EncodeState(&model, f, &t1);
   ASSERT_EQ(e1.queries.size(), 2u);
@@ -155,7 +156,7 @@ TEST(EncoderTest, GcnFallbackDiffersFromTreeConv) {
   // Same seed => same initial weights; different conv paths => different
   // embeddings.
   FeatureExtractor extractor(cfg.features);
-  const StateFeatures f = extractor.Extract(fx.state);
+  const StateFeatures f = extractor.Extract(fx.ctx);
   Tape t1, t2;
   const EncodedState a = EncodeState(&tcn_model, f, &t1);
   const EncodedState b = EncodeState(&gcn_model, f, &t2);
@@ -171,7 +172,7 @@ TEST(PredictorTest, LogProbsNormalized) {
   StateFixture fx;
   LSchedModel model(SmallConfig());
   FeatureExtractor extractor(model.config().features);
-  const StateFeatures f = extractor.Extract(fx.state);
+  const StateFeatures f = extractor.Extract(fx.ctx);
   Tape tape;
   const EncodedState enc = EncodeState(&model, f, &tape);
   const PredictorOutput out = RunPredictor(&model, f, enc, &tape);
@@ -194,7 +195,7 @@ TEST(PredictorTest, InvalidDegreesMasked) {
   StateFixture fx;
   LSchedModel model(SmallConfig());
   FeatureExtractor extractor(model.config().features);
-  const StateFeatures f = extractor.Extract(fx.state);
+  const StateFeatures f = extractor.Extract(fx.ctx);
   Tape tape;
   const EncodedState enc = EncodeState(&model, f, &tape);
   const PredictorOutput out = RunPredictor(&model, f, enc, &tape);
@@ -212,7 +213,7 @@ TEST(PredictorTest, PipelineAblationForcesDegreeOne) {
   cfg.predict_pipeline = false;
   LSchedModel model(cfg);
   FeatureExtractor extractor(cfg.features);
-  const StateFeatures f = extractor.Extract(fx.state);
+  const StateFeatures f = extractor.Extract(fx.ctx);
   Tape tape;
   const EncodedState enc = EncodeState(&model, f, &tape);
   const PredictorOutput out = RunPredictor(&model, f, enc, &tape);
@@ -225,7 +226,7 @@ TEST(PredictorTest, ActionLogProbSumsThreeHeads) {
   StateFixture fx;
   LSchedModel model(SmallConfig());
   FeatureExtractor extractor(model.config().features);
-  const StateFeatures f = extractor.Extract(fx.state);
+  const StateFeatures f = extractor.Extract(fx.ctx);
   Tape tape;
   const EncodedState enc = EncodeState(&model, f, &tape);
   const PredictorOutput out = RunPredictor(&model, f, enc, &tape);
@@ -249,10 +250,10 @@ TEST(AgentTest, ProducesValidDecision) {
   LSchedAgent agent(&model);
   SchedulingEvent event;
   event.type = SchedulingEventType::kQueryArrival;
-  const SchedulingDecision d = agent.Schedule(event, fx.state);
+  const SchedulingDecision d = agent.Schedule(event, fx.ctx);
   ASSERT_EQ(d.pipelines.size(), 1u);
   const PipelineChoice& p = d.pipelines[0];
-  QueryState* q = fx.state.FindQuery(p.query);
+  QueryState* q = fx.ctx.FindQuery(p.query);
   ASSERT_NE(q, nullptr);
   EXPECT_TRUE(q->IsOpSchedulable(p.root_op));
   EXPECT_GE(p.degree, 1);
@@ -268,8 +269,8 @@ TEST(AgentTest, RecordsExperiencesWhenEnabled) {
   agent.set_record_experiences(true);
   agent.set_sample_actions(true);
   SchedulingEvent event;
-  agent.Schedule(event, fx.state);
-  agent.Schedule(event, fx.state);
+  agent.Schedule(event, fx.ctx);
+  agent.Schedule(event, fx.ctx);
   EXPECT_EQ(agent.experiences().size(), 2u);
   EXPECT_EQ(agent.experiences()[0].num_running_queries, 2);
   agent.Reset();

@@ -27,17 +27,17 @@ class RecordingScheduler : public Scheduler {
     total_ = 0;
   }
   SchedulingDecision Schedule(const SchedulingEvent& event,
-                              const SystemState& state) override {
+                              const SchedulingContext& ctx) override {
     ++total_;
     ++by_type_[event.type];
     bool any_candidate = false;
-    for (QueryState* q : state.queries) {
+    for (QueryState* q : ctx.queries()) {
       any_candidate |= !q->SchedulableOps().empty();
     }
-    if (state.num_free_threads() == 0 || !any_candidate) {
+    if (ctx.num_free_threads() == 0 || !any_candidate) {
       had_free_thread_and_candidate_ = false;
     }
-    return inner_->Schedule(event, state);
+    return inner_->Schedule(event, ctx);
   }
 
   int total() const { return total_; }

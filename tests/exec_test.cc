@@ -176,7 +176,7 @@ class LazyScheduler : public Scheduler {
  public:
   std::string name() const override { return "Lazy"; }
   SchedulingDecision Schedule(const SchedulingEvent&,
-                              const SystemState&) override {
+                              const SchedulingContext&) override {
     return {};
   }
 };

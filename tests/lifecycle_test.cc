@@ -241,7 +241,6 @@ class ThrowingScheduler : public Scheduler {
                               const SchedulingContext&) override {
     throw std::runtime_error("model file went missing");
   }
-  using Scheduler::Schedule;
 };
 
 /// Emits a parallelism choice for a query id that never existed.
@@ -257,7 +256,6 @@ class InvalidScheduler : public Scheduler {
     d.parallelism.push_back(pc);
     return d;
   }
-  using Scheduler::Schedule;
 };
 
 /// Throws for the first `failures` calls, then behaves like FIFO.
@@ -274,7 +272,6 @@ class FlakyScheduler : public Scheduler {
     }
     return fifo_.Schedule(event, ctx);
   }
-  using Scheduler::Schedule;
   void OnQueryCompleted(QueryId query, double latency) override {
     fifo_.OnQueryCompleted(query, latency);
   }
@@ -386,7 +383,7 @@ class DeadPickScheduler : public Scheduler {
  public:
   std::string name() const override { return "DeadPick"; }
   SchedulingDecision Schedule(const SchedulingEvent&,
-                              const SystemState&) override {
+                              const SchedulingContext&) override {
     SchedulingDecision d;
     PipelineChoice pc;
     pc.query = 0;
@@ -399,7 +396,6 @@ class DeadPickScheduler : public Scheduler {
     d.parallelism.push_back(par);
     return d;
   }
-  using Scheduler::Schedule;
 };
 
 TEST(ValidatingSchedulerTest, FlagsChoicesForDeadQueries) {
@@ -408,28 +404,28 @@ TEST(ValidatingSchedulerTest, FlagsChoicesForDeadQueries) {
   QueryState q(0, *plan, 0.0);
   ASSERT_TRUE(q.TransitionTo(QueryStatus::kCancelled));
 
-  SystemState state;
-  state.now = 1.0;
-  state.queries = {&q};
+  SchedulingContext ctx;
+  ctx.Reset(1.0);
+  ctx.AddQuery(&q);
   ThreadInfo t;
   t.id = 0;
-  state.threads = {t};
+  ctx.AddThread(t);
 
   DeadPickScheduler inner;
   ValidatingScheduler validating(&inner);
   SchedulingEvent ev;
   ev.type = SchedulingEventType::kThreadIdle;
   ev.time = 1.0;
-  validating.Schedule(ev, state);
+  validating.Schedule(ev, ctx);
 
-  // Both the snapshot (terminal query exposed) and the decision (choices
+  // Both the context (terminal query exposed) and the decision (choices
   // naming a dead query) must be flagged.
-  bool snapshot_flagged = false, pipeline_flagged = false,
+  bool context_flagged = false, pipeline_flagged = false,
        parallelism_flagged = false;
   for (const std::string& v : validating.violations()) {
-    if (v.find("still in snapshot") != std::string::npos &&
+    if (v.find("still in context") != std::string::npos &&
         v.find("terminal") != std::string::npos) {
-      snapshot_flagged = true;
+      context_flagged = true;
     }
     if (v.find("pipeline choice for dead query") != std::string::npos) {
       pipeline_flagged = true;
@@ -438,7 +434,7 @@ TEST(ValidatingSchedulerTest, FlagsChoicesForDeadQueries) {
       parallelism_flagged = true;
     }
   }
-  EXPECT_TRUE(snapshot_flagged);
+  EXPECT_TRUE(context_flagged);
   EXPECT_TRUE(pipeline_flagged);
   EXPECT_TRUE(parallelism_flagged);
 }

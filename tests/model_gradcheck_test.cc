@@ -11,6 +11,7 @@
 #include "core/encoder.h"
 #include "core/predictor.h"
 #include "exec/query_state.h"
+#include "exec/scheduling_context.h"
 #include "plan/plan_builder.h"
 
 namespace lsched {
@@ -34,14 +35,17 @@ StateFeatures MakeState(const FeatureConfig& fcfg) {
   keepalive.push_back(std::make_unique<QueryState>(0, *plan, 0.0));
   keepalive.push_back(std::make_unique<QueryState>(1, *plan, 0.4));
 
-  SystemState state;
-  state.now = 1.0;
-  state.queries = {keepalive[keepalive.size() - 2].get(),
-                   keepalive.back().get()};
-  state.threads.resize(4);
-  for (int i = 0; i < 4; ++i) state.threads[static_cast<size_t>(i)].id = i;
-  state.threads[0].last_query = 0;
-  return FeatureExtractor(fcfg).Extract(state);
+  SchedulingContext ctx;
+  ctx.Reset(1.0);
+  ctx.AddQuery(keepalive[keepalive.size() - 2].get());
+  ctx.AddQuery(keepalive.back().get());
+  for (int i = 0; i < 4; ++i) {
+    ThreadInfo t;
+    t.id = i;
+    if (i == 0) t.last_query = 0;
+    ctx.AddThread(t);
+  }
+  return FeatureExtractor(fcfg).Extract(ctx);
 }
 
 class ModelGradCheck : public ::testing::TestWithParam<

@@ -401,8 +401,12 @@ TEST(PerfSnapshotTest, FailFilterLimitsWhichKeysGate) {
   EXPECT_EQ(r.fails, 1);
   EXPECT_EQ(r.warns, 1);
   for (const MetricDelta& d : r.deltas) {
-    if (d.key == "p50_us") EXPECT_EQ(d.severity, MetricDelta::kFail);
-    if (d.key == "p99_us") EXPECT_EQ(d.severity, MetricDelta::kWarn);
+    if (d.key == "p50_us") {
+      EXPECT_EQ(d.severity, MetricDelta::kFail);
+    }
+    if (d.key == "p99_us") {
+      EXPECT_EQ(d.severity, MetricDelta::kWarn);
+    }
   }
 }
 

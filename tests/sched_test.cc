@@ -117,17 +117,18 @@ TEST(SelfTuneTest, TunerNeverWorseThanDefault) {
 TEST(DecimaTest, FeaturesAreBlackBoxAndNoPipelining) {
   auto workload = TestWorkload(1, 37);
   QueryState q(0, workload[0].plan, 0.0);
-  SystemState state;
-  state.queries = {&q};
-  state.threads.resize(4);
-  const DecimaStateFeatures f = DecimaScheduler::ExtractFeatures(state);
+  SchedulingContext ctx;
+  ctx.AddQuery(&q);
+  for (int i = 0; i < 4; ++i) ctx.AddThread(ThreadInfo{.id = i});
+  const DecimaStateFeatures f = DecimaScheduler::ExtractFeatures(ctx);
   ASSERT_EQ(f.queries.size(), 1u);
   EXPECT_EQ(f.queries[0].node_features[0].size(),
             static_cast<size_t>(DecimaModel::kNodeFeatureDim));
   // Decima's runnable set (all parents complete) is a subset of LSched's
   // schedulable set (which allows streaming consumers).
   q.set_op_scheduled(0, true);
-  const DecimaStateFeatures f2 = DecimaScheduler::ExtractFeatures(state);
+  ctx.MarkQueryDirty(q.id());
+  const DecimaStateFeatures f2 = DecimaScheduler::ExtractFeatures(ctx);
   const auto lsched_ops = q.SchedulableOps();
   EXPECT_LE(f2.candidates.size() + 1, lsched_ops.size() + 1);
   for (const auto& [qi, op] : f2.candidates) {
@@ -152,12 +153,11 @@ TEST(DecimaTest, DecisionsAreDegreeOne) {
   DecimaScheduler decima(&model);
   auto workload = TestWorkload(1, 43);
   QueryState q(0, workload[0].plan, 0.0);
-  SystemState state;
-  state.queries = {&q};
-  state.threads.resize(4);
-  for (int i = 0; i < 4; ++i) state.threads[static_cast<size_t>(i)].id = i;
+  SchedulingContext ctx;
+  ctx.AddQuery(&q);
+  for (int i = 0; i < 4; ++i) ctx.AddThread(ThreadInfo{.id = i});
   SchedulingEvent event;
-  const SchedulingDecision d = decima.Schedule(event, state);
+  const SchedulingDecision d = decima.Schedule(event, ctx);
   ASSERT_EQ(d.pipelines.size(), 1u);
   EXPECT_EQ(d.pipelines[0].degree, 1);
 }

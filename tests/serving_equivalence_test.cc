@@ -1,20 +1,24 @@
-// Equivalence suite for the tape-free serving fast path (Scheduler API v2,
-// DESIGN.md §9). Three claims are checked under fuzzer-seeded workloads on
-// BOTH engines:
+// Equivalence suite for the tape-free serving path (DESIGN.md §9). Four
+// claims are checked under fuzzer-seeded workloads on BOTH engines:
 //
 //  1. the serving forward (cached encodings + batched GEMM heads) produces
 //     the same log-probabilities as the autograd-tape forward, within 1e-9
 //     (in practice bit-identical);
 //  2. cached per-query encodings are bit-identical to a full re-encode
 //     (the dirty-flag invalidation never serves stale embeddings);
-//  3. the fast path and the legacy tape path produce identical decisions
-//     event-by-event — including identical rng consumption when sampling —
-//     and the serving path never constructs an autograd Tape.
+//  3. what training replays is what serving decided: every Experience the
+//     serving path records (LSched and Decima) bit-equals the uncached
+//     extraction at that event, the trainer's tape replay of it gives the
+//     chosen root's log-probability the serving path computed, within
+//     1e-9, and resampling the replayed distributions with the agent's rng
+//     stream reproduces every recorded action;
+//  4. the serving path never constructs an autograd Tape.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,6 +33,7 @@
 #include "nn/autograd.h"
 #include "nn/inference.h"
 #include "nn/optimizer.h"
+#include "obs/obs.h"
 #include "sched/decima.h"
 #include "sched/heuristics.h"
 #include "testing/fuzzer.h"
@@ -202,108 +207,242 @@ class LSchedForwardProbe : public Scheduler {
   double max_abs_diff_ = 0.0;
 };
 
-bool DecisionsEqual(const SchedulingDecision& a, const SchedulingDecision& b) {
-  if (a.pipelines.size() != b.pipelines.size() ||
-      a.parallelism.size() != b.parallelism.size()) {
+bool BitsEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool RowsBitEqual(const std::vector<std::vector<double>>& a,
+                  const std::vector<std::vector<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!BitsEqual(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+bool StatesBitEqual(const StateFeatures& a, const StateFeatures& b) {
+  if (std::memcmp(&a.time, &b.time, sizeof(double)) != 0 ||
+      a.total_threads != b.total_threads ||
+      a.free_threads != b.free_threads ||
+      a.queries.size() != b.queries.size() ||
+      a.candidates.size() != b.candidates.size()) {
     return false;
   }
-  for (size_t i = 0; i < a.pipelines.size(); ++i) {
-    if (a.pipelines[i].query != b.pipelines[i].query ||
-        a.pipelines[i].root_op != b.pipelines[i].root_op ||
-        a.pipelines[i].degree != b.pipelines[i].degree) {
+  for (size_t i = 0; i < a.queries.size(); ++i) {
+    const QueryFeatures& x = a.queries[i];
+    const QueryFeatures& y = b.queries[i];
+    if (x.qid != y.qid || x.num_nodes != y.num_nodes ||
+        !RowsBitEqual(x.opf, y.opf) || !RowsBitEqual(x.edf, y.edf) ||
+        x.child_node != y.child_node || x.child_edge != y.child_edge ||
+        x.in_edges != y.in_edges || x.out_edges != y.out_edges ||
+        x.topo_order != y.topo_order || !BitsEqual(x.qf, y.qf)) {
       return false;
     }
   }
-  for (size_t i = 0; i < a.parallelism.size(); ++i) {
-    if (a.parallelism[i].query != b.parallelism[i].query ||
-        a.parallelism[i].max_threads != b.parallelism[i].max_threads) {
+  for (size_t i = 0; i < a.candidates.size(); ++i) {
+    const Candidate& x = a.candidates[i];
+    const Candidate& y = b.candidates[i];
+    if (x.query_index != y.query_index || x.op != y.op ||
+        x.max_degree != y.max_degree) {
       return false;
     }
   }
   return true;
 }
 
-/// At every event, runs the fast path (context) and the legacy tape path
-/// (materialized snapshot) through two same-seeded agents sharing one
-/// model, and counts decision mismatches. Identical decisions across whole
-/// sampled episodes require bit-identical scores AND identical rng
-/// consumption on both paths.
-class DualLSched : public Scheduler {
+bool StatesBitEqual(const DecimaStateFeatures& a,
+                    const DecimaStateFeatures& b) {
+  if (std::memcmp(&a.time, &b.time, sizeof(double)) != 0 ||
+      a.total_threads != b.total_threads ||
+      a.queries.size() != b.queries.size() || a.candidates != b.candidates) {
+    return false;
+  }
+  for (size_t i = 0; i < a.queries.size(); ++i) {
+    const DecimaQueryFeatures& x = a.queries[i];
+    const DecimaQueryFeatures& y = b.queries[i];
+    if (x.qid != y.qid || x.num_nodes != y.num_nodes ||
+        !RowsBitEqual(x.node_features, y.node_features) ||
+        x.child_node != y.child_node || x.topo_order != y.topo_order ||
+        !BitsEqual(x.query_features, y.query_features)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Draws from a 1-row log-probability matrix exactly as the serving path
+/// samples (probabilities = exp(logprobs), one Rng::WeightedIndex draw).
+int SampleRow(const Matrix& logprobs, Rng* rng) {
+  std::vector<double> probs(static_cast<size_t>(logprobs.cols()));
+  for (int c = 0; c < logprobs.cols(); ++c) {
+    probs[static_cast<size_t>(c)] = std::exp(logprobs.at(0, c));
+  }
+  const size_t idx = rng->WeightedIndex(probs);
+  return idx >= probs.size() ? 0 : static_cast<int>(idx);
+}
+
+/// Per-episode tallies of a replay probe, asserted by the test body after
+/// the episodes (no gtest calls from engine threads).
+struct ReplayStats {
+  int decisions = 0;
+  int state_mismatches = 0;
+  int action_mismatches = 0;
+  int scores_checked = 0;
+  double max_score_diff = 0.0;
+
+  /// `served_score` is the log-probability of the chosen root the serving
+  /// path annotated for the decision log (NaN when obs is compiled out).
+  void TrackScore(double served_score, double replayed) {
+    if (std::isnan(served_score)) return;
+    ++scores_checked;
+    max_score_diff =
+        std::max(max_score_diff, std::abs(served_score - replayed));
+  }
+};
+
+void ExpectReplayMatches(const ReplayStats& stats, int min_decisions) {
+  ASSERT_GT(stats.decisions, min_decisions);
+  EXPECT_EQ(stats.state_mismatches, 0);
+  EXPECT_EQ(stats.action_mismatches, 0);
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(stats.scores_checked, stats.decisions);
+  }
+  EXPECT_LE(stats.max_score_diff, 1e-9);
+}
+
+/// Serves a sampled, experience-recording LSchedAgent and checks each
+/// Experience it records against (a) the uncached extraction at that event
+/// and (b) the trainer's tape replay (ReinforceTrainer's
+/// EncodeState/RunPredictor). The mirror rng starts from the agent's seed,
+/// so it replays the agent's draws against the replayed distributions.
+class LSchedReplayProbe : public Scheduler {
  public:
-  explicit DualLSched(uint64_t seed)
-      : model_(TinyLSchedConfig()),
-        fast_(&model_, seed),
-        slow_(&model_, seed) {
-    fast_.set_sample_actions(true);
-    slow_.set_sample_actions(true);
-    slow_.set_use_fast_path(false);
+  explicit LSchedReplayProbe(uint64_t seed)
+      : model_(TinyLSchedConfig()), agent_(&model_, seed), mirror_(seed) {
+    agent_.set_sample_actions(true);
+    agent_.set_record_experiences(true);
   }
 
-  std::string name() const override { return "dual-lsched"; }
-  void Reset() override {
-    fast_.Reset();
-    slow_.Reset();
-  }
+  std::string name() const override { return "lsched-replay-probe"; }
+  void Reset() override { agent_.Reset(); }
 
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override {
-    SchedulingDecision fast = fast_.Schedule(event, ctx);
-    const SystemState snapshot = ctx.MaterializeSnapshot();
-    const SchedulingDecision slow = slow_.Schedule(event, snapshot);
-    ++events_;
-    if (!DecisionsEqual(fast, slow)) ++mismatches_;
-    return fast;
+    const StateFeatures reference = agent_.extractor().Extract(ctx);
+    const size_t recorded = agent_.experiences().size();
+    SchedulingDecision decision = agent_.Schedule(event, ctx);
+    const double served_score = obs::TakePredictedScore();
+    if (agent_.experiences().size() > recorded) {
+      Check(agent_.experiences().back(), reference, served_score);
+    }
+    return decision;
   }
 
-  int events() const { return events_; }
-  int mismatches() const { return mismatches_; }
-  const LSchedAgent& fast_agent() const { return fast_; }
+  const ReplayStats& stats() const { return stats_; }
 
  private:
+  void Check(const Experience& exp, const StateFeatures& reference,
+             double served_score) {
+    ++stats_.decisions;
+    if (!StatesBitEqual(exp.state, reference)) ++stats_.state_mismatches;
+    Tape tape;
+    const EncodedState encoded = EncodeState(&model_, exp.state, &tape);
+    const PredictorOutput out =
+        RunPredictor(&model_, exp.state, encoded, &tape);
+    const int cand = SampleRow(out.root_logprobs.value(), &mirror_);
+    const int degree = SampleRow(
+        out.degree_logprobs[static_cast<size_t>(cand)].value(), &mirror_);
+    const int par = SampleRow(
+        out.par_logprobs[static_cast<size_t>(cand)].value(), &mirror_);
+    if (cand != exp.action.candidate_index ||
+        degree != exp.action.degree_index ||
+        par != exp.action.parallelism_index) {
+      ++stats_.action_mismatches;
+    }
+    stats_.TrackScore(served_score, out.root_logprobs.value().at(
+                                        0, exp.action.candidate_index));
+  }
+
   LSchedModel model_;
-  LSchedAgent fast_;
-  LSchedAgent slow_;
-  int events_ = 0;
-  int mismatches_ = 0;
+  LSchedAgent agent_;
+  Rng mirror_;
+  ReplayStats stats_;
 };
 
-class DualDecima : public Scheduler {
+/// The Decima counterpart: checks each recorded DecimaExperience against
+/// DecimaScheduler::ExtractFeatures and DecimaTrainer's tape replay
+/// (Encode/Forward).
+class DecimaReplayProbe : public Scheduler {
  public:
-  explicit DualDecima(uint64_t seed)
-      : model_(TinyDecimaConfig()),
-        fast_(&model_, seed),
-        slow_(&model_, seed) {
-    fast_.set_sample_actions(true);
-    slow_.set_sample_actions(true);
-    slow_.set_use_fast_path(false);
+  explicit DecimaReplayProbe(uint64_t seed)
+      : model_(TinyDecimaConfig()), agent_(&model_, seed), mirror_(seed) {
+    agent_.set_sample_actions(true);
+    agent_.set_record_experiences(true);
   }
 
-  std::string name() const override { return "dual-decima"; }
-  void Reset() override {
-    fast_.Reset();
-    slow_.Reset();
-  }
+  std::string name() const override { return "decima-replay-probe"; }
+  void Reset() override { agent_.Reset(); }
 
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override {
-    SchedulingDecision fast = fast_.Schedule(event, ctx);
-    const SystemState snapshot = ctx.MaterializeSnapshot();
-    const SchedulingDecision slow = slow_.Schedule(event, snapshot);
-    ++events_;
-    if (!DecisionsEqual(fast, slow)) ++mismatches_;
-    return fast;
+    const DecimaStateFeatures reference =
+        DecimaScheduler::ExtractFeatures(ctx);
+    const size_t recorded = agent_.experiences().size();
+    SchedulingDecision decision = agent_.Schedule(event, ctx);
+    const double served_score = obs::TakePredictedScore();
+    if (agent_.experiences().size() > recorded) {
+      Check(agent_.experiences().back(), reference, served_score);
+    }
+    return decision;
   }
 
-  int events() const { return events_; }
-  int mismatches() const { return mismatches_; }
+  const ReplayStats& stats() const { return stats_; }
 
  private:
+  void Check(const DecimaExperience& exp,
+             const DecimaStateFeatures& reference, double served_score) {
+    ++stats_.decisions;
+    if (!StatesBitEqual(exp.state, reference)) ++stats_.state_mismatches;
+    Tape tape;
+    const DecimaEncoded enc = Encode(&model_, exp.state, &tape);
+    const DecimaForward out = Forward(&model_, exp.state, enc, &tape);
+    const int cand = SampleRow(out.node_logprobs.value(), &mirror_);
+    const int par = SampleRow(
+        out.par_logprobs[static_cast<size_t>(cand)].value(), &mirror_);
+    if (cand != exp.chosen_candidate || par != exp.chosen_parallelism) {
+      ++stats_.action_mismatches;
+    }
+    stats_.TrackScore(served_score,
+                      out.node_logprobs.value().at(0, exp.chosen_candidate));
+  }
+
   DecimaModel model_;
-  DecimaScheduler fast_;
-  DecimaScheduler slow_;
-  int events_ = 0;
-  int mismatches_ = 0;
+  DecimaScheduler agent_;
+  Rng mirror_;
+  ReplayStats stats_;
 };
+
+void RunSimEpisodes(uint64_t fuzz_seed, Scheduler* policy) {
+  WorkloadFuzzer fuzzer(fuzz_seed);
+  for (int round = 0; round < 6; ++round) {
+    FuzzedWorkload w = fuzzer.NextWorkload();
+    SimEngineConfig config;
+    config.num_threads = 4;
+    SimEngine engine(config);
+    engine.Run(w.sim_queries, policy);
+  }
+}
+
+void RunRealEpisode(uint64_t fuzz_seed, Scheduler* policy) {
+  WorkloadFuzzer fuzzer(fuzz_seed);
+  FuzzedWorkload w = fuzzer.NextWorkload();
+  RealEngineConfig config;
+  config.num_threads = 3;
+  RealEngine engine(w.catalog.get(), config);
+  engine.Run(w.real_queries, policy);
+}
 
 TEST(ServingEquivalenceTest, LSchedForwardMatchesTapeOnSimEngine) {
   // Dense arrivals so several queries are live at once: cache hits require
@@ -370,56 +509,28 @@ TEST(ServingEquivalenceTest, ForwardMatchesTapeOnBurstySimEpisodes) {
   EXPECT_LE(probe.max_abs_diff(), 1e-9);
 }
 
-TEST(ServingEquivalenceTest, LSchedFastAndSlowDecisionsIdenticalOnSim) {
-  WorkloadFuzzer fuzzer(777);
-  DualLSched dual(55);
-  for (int round = 0; round < 6; ++round) {
-    FuzzedWorkload w = fuzzer.NextWorkload();
-    SimEngineConfig config;
-    config.num_threads = 4;
-    SimEngine engine(config);
-    engine.Run(w.sim_queries, &dual);
-  }
-  ASSERT_GT(dual.events(), 10);
-  EXPECT_EQ(dual.mismatches(), 0);
+TEST(ServingEquivalenceTest, LSchedReplayMatchesServingOnSim) {
+  LSchedReplayProbe probe(55);
+  RunSimEpisodes(777, &probe);
+  ExpectReplayMatches(probe.stats(), 10);
 }
 
-TEST(ServingEquivalenceTest, LSchedFastAndSlowDecisionsIdenticalOnReal) {
-  WorkloadFuzzer fuzzer(31338);
-  FuzzedWorkload w = fuzzer.NextWorkload();
-  DualLSched dual(91);
-  RealEngineConfig config;
-  config.num_threads = 3;
-  RealEngine engine(w.catalog.get(), config);
-  engine.Run(w.real_queries, &dual);
-  ASSERT_GT(dual.events(), 0);
-  EXPECT_EQ(dual.mismatches(), 0);
+TEST(ServingEquivalenceTest, LSchedReplayMatchesServingOnReal) {
+  LSchedReplayProbe probe(91);
+  RunRealEpisode(31338, &probe);
+  ExpectReplayMatches(probe.stats(), 0);
 }
 
-TEST(ServingEquivalenceTest, DecimaFastAndSlowDecisionsIdenticalOnSim) {
-  WorkloadFuzzer fuzzer(1234);
-  DualDecima dual(66);
-  for (int round = 0; round < 6; ++round) {
-    FuzzedWorkload w = fuzzer.NextWorkload();
-    SimEngineConfig config;
-    config.num_threads = 4;
-    SimEngine engine(config);
-    engine.Run(w.sim_queries, &dual);
-  }
-  ASSERT_GT(dual.events(), 10);
-  EXPECT_EQ(dual.mismatches(), 0);
+TEST(ServingEquivalenceTest, DecimaReplayMatchesServingOnSim) {
+  DecimaReplayProbe probe(66);
+  RunSimEpisodes(1234, &probe);
+  ExpectReplayMatches(probe.stats(), 10);
 }
 
-TEST(ServingEquivalenceTest, DecimaFastAndSlowDecisionsIdenticalOnReal) {
-  WorkloadFuzzer fuzzer(8080);
-  FuzzedWorkload w = fuzzer.NextWorkload();
-  DualDecima dual(13);
-  RealEngineConfig config;
-  config.num_threads = 3;
-  RealEngine engine(w.catalog.get(), config);
-  engine.Run(w.real_queries, &dual);
-  ASSERT_GT(dual.events(), 0);
-  EXPECT_EQ(dual.mismatches(), 0);
+TEST(ServingEquivalenceTest, DecimaReplayMatchesServingOnReal) {
+  DecimaReplayProbe probe(13);
+  RunRealEpisode(8080, &probe);
+  ExpectReplayMatches(probe.stats(), 0);
 }
 
 /// The acceptance gate for "serving never touches the tape": a pure
