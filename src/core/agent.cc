@@ -147,8 +147,7 @@ SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
   }
 
   const SchedulingAction action = SelectAction(serving_out_);
-  obs::AnnotatePredictedScore(
-      serving_out_.root_logprobs.at(0, action.candidate_index));
+  decision.score = serving_out_.root_logprobs.at(0, action.candidate_index);
 
   const Candidate& cand =
       view.candidates[static_cast<size_t>(action.candidate_index)];

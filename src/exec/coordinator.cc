@@ -162,7 +162,12 @@ void Coordinator::ChangePool(int delta, double now) {
   SchedulingEvent se;
   se.time = now;
   if (delta > 0) {
-    for (int k = 0; k < delta; ++k) {
+    // A grow first cancels removals still waiting on busy slots: those
+    // slots stay, and only the remainder are fresh. Adding fresh slots
+    // instead would leave more logical slots than the pool's size.
+    const int kept = std::min(delta, pending_slot_removals_);
+    pending_slot_removals_ -= kept;
+    for (int k = kept; k < delta; ++k) {
       ThreadInfo info;
       info.id = next_slot_id_++;
       ctx_.AddThread(info);
@@ -545,8 +550,9 @@ void Coordinator::Complete(const AttemptResult& r, double now) {
     InvokeScheduler(se, now);
     DispatchPending(now);
   } else if (const ThreadInfo* info = ctx_.thread(r.slot);
-             info == nullptr || !info->busy) {
-    // A slot retired above still surfaces its final idle event.
+             info != nullptr && !info->busy) {
+    // A slot retired above raises no idle event: a retirement is pending
+    // only while every live slot is busy (ChangePool), so no slot is free.
     SchedulingEvent se;
     se.type = SchedulingEventType::kThreadIdle;
     se.time = now;

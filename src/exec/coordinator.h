@@ -24,7 +24,8 @@ struct EngineConfig {
   /// Scheduled worker-pool elasticity (paper §5.1): a grow adds fresh
   /// worker slots (kThreadAdded); a shrink retires idle slots immediately
   /// and busy slots as their in-flight work order completes
-  /// (kThreadRemoved).
+  /// (kThreadRemoved). A grow first cancels shrink retirements still
+  /// waiting on busy slots, so the live slots never exceed the pool size.
   std::vector<ThreadPoolEvent> thread_events;
   /// Retry/backoff policy for failed work-order attempts (DESIGN.md §10).
   RetryPolicy retry;
@@ -217,7 +218,8 @@ class Coordinator {
   /// terminal queries.
   bool Terminate(QueryId id, QueryStatus status, double now);
 
-  /// Grows (delta > 0) or shrinks the pool and notifies the scheduler.
+  /// Grows (delta > 0) or shrinks the pool and notifies the scheduler. A
+  /// grow cancels pending busy-slot retirements before adding slots.
   void ChangePool(int delta, double now);
 
   /// Processes one attempt's outcome and the scheduling it triggers. A

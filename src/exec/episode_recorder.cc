@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string>
 
 #include "exec/query_state.h"
@@ -49,43 +50,49 @@ std::string CandidateSetString(const SchedulingContext& ctx, int* count,
   return out;
 }
 
-/// Static names/categories/arg labels per SimSpanKind, applied when the
-/// compact episode buffer is expanded into TraceEvents (Finalize).
-struct SpanMeta {
-  const char* name;
-  const char* category;
-  const char* arg1_name;
-  const char* arg2_name;
-};
-constexpr SpanMeta kSpanMeta[] = {
-    {"engine.work_order", "engine", "query", "pipeline"},
-    {"sched.queue_wait", "sched", "query", nullptr},
-    {"sched.pipeline_launch", "sched", "query", "root_op"},
-    {"engine.query_completed", "engine", "query", nullptr},
-    {"engine.query_terminated", "engine", "query", "status"},
+/// Registry names of the counters derived from EpisodeResult, in the order
+/// of EpisodeRecorder::Totals().
+constexpr const char* kDerivedCounterNames[] = {
+    "sched.invocations",
+    "sched.pipelines_launched",
+    "sched.fallback_decisions",
+    "exec.work_orders_dispatched",
+    "exec.work_orders_completed",
+    "exec.queries_completed",
+    "exec.cancel_total",
+    "exec.retry_total",
+    "exec.fail_total",
+    "exec.shed_total",
 };
 
 }  // namespace
 
 EpisodeRecorder::EpisodeRecorder() {
+  static_assert(std::size(kDerivedCounterNames) == kNumDerivedCounters);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  invocations_ = reg.GetCounter("sched.invocations");
-  actions_ = reg.GetCounter("sched.pipelines_launched");
-  fallbacks_ = reg.GetCounter("sched.fallback_decisions");
-  work_orders_dispatched_ = reg.GetCounter("engine.work_orders_dispatched");
-  work_orders_completed_ = reg.GetCounter("engine.work_orders_completed");
-  queries_completed_ = reg.GetCounter("engine.queries_completed");
-  cancel_total_ = reg.GetCounter("exec.cancel_total");
-  retry_total_ = reg.GetCounter("exec.retry_total");
-  fail_total_ = reg.GetCounter("exec.fail_total");
-  shed_total_ = reg.GetCounter("exec.shed_total");
-  inflight_high_water_ = reg.GetGauge("engine.inflight_high_water");
+  for (size_t i = 0; i < kNumDerivedCounters; ++i) {
+    counters_[i] = reg.GetCounter(kDerivedCounterNames[i]);
+  }
+  inflight_high_water_ = reg.GetGauge("exec.inflight_high_water");
   sched_overhead_fraction_ = reg.GetGauge("exec.sched_overhead_fraction");
   decision_seconds_ = reg.GetHistogram("sched.decision_seconds");
   pipeline_degree_ = reg.GetHistogram("sched.pipeline_degree");
   queue_wait_seconds_ = reg.GetHistogram("sched.queue_wait_seconds");
-  work_order_seconds_ = reg.GetHistogram("engine.work_order_seconds");
-  query_latency_seconds_ = reg.GetHistogram("engine.query_latency_seconds");
+  work_order_seconds_ = reg.GetHistogram("exec.work_order_seconds");
+  query_latency_seconds_ = reg.GetHistogram("exec.query_latency_seconds");
+}
+
+EpisodeRecorder::CounterTotals EpisodeRecorder::Totals() const {
+  return {result_.num_scheduler_invocations,
+          result_.num_actions,
+          result_.num_fallback_decisions,
+          result_.num_work_orders_dispatched,
+          result_.num_work_orders_completed,
+          static_cast<int64_t>(result_.query_latencies.size()),
+          result_.num_queries_cancelled,
+          result_.num_retries,
+          result_.num_queries_failed,
+          result_.num_queries_shed};
 }
 
 void EpisodeRecorder::Begin(const char* engine_name, Scheduler* scheduler,
@@ -105,30 +112,13 @@ void EpisodeRecorder::Begin(const char* engine_name, Scheduler* scheduler,
   virtual_time_ = virtual_time;
   realized_base_ = -1;
   realized_seconds_.clear();
-  vs_next_ = 0;
-  vs_total_ = 0;
-  if (virtual_time && obs::Enabled()) {
-    const size_t cap = obs::Tracer::Global().capacity();
-    if (virtual_spans_.size() != cap) virtual_spans_.resize(cap);
-  } else {
-    virtual_spans_.clear();
-  }
-  local_invocations_ = 0;
-  local_actions_ = 0;
-  local_fallbacks_ = 0;
-  local_dispatched_ = 0;
-  local_completed_ = 0;
-  local_queries_completed_ = 0;
-  local_cancels_ = 0;
-  local_retries_ = 0;
-  local_query_failures_ = 0;
-  local_sheds_ = 0;
+  flushed_totals_ = {};
+  flushed_latencies_ = 0;
   flushed_inflight_high_water_ = 0;
   lh_decision_seconds_.Reset();
   lh_pipeline_degree_.Reset();
   lh_queue_wait_seconds_.Reset();
   lh_work_order_seconds_.Reset();
-  lh_query_latency_seconds_.Reset();
 }
 
 void EpisodeRecorder::TrackQuery(QueryId qid) {
@@ -211,12 +201,24 @@ void EpisodeRecorder::FinishTimeline(QueryState* query, double now) {
     term.a = static_cast<int64_t>(query->status());
     term.value = t->breakdown.total_seconds();
     qe.edges.push_back(term);  // always kept, even past the cap
+    // A query at the cap pushed its terminal edge into a full vector and
+    // doubled its capacity; the ring keeps thousands of these records.
+    qe.edges.shrink_to_fit();
     rec.edges = std::move(qe.edges);
     rec.dropped_edges = qe.dropped;
     qe = QueryEdges{};  // release the slot's memory in serving mode
     obs::QueryTraceLog::Global().Record(std::move(rec));
   }
 #endif
+}
+
+void EpisodeRecorder::RecordInstant(const char* name, const char* category,
+                                    double now, int64_t query,
+                                    const char* arg2_name, int64_t arg2) {
+  if (!obs::Enabled()) return;
+  obs::Tracer::Global().RecordInstant(
+      name, category, virtual_time_ ? now * 1e6 : obs::NowMicros(),
+      obs::ThreadId(), "query", query, arg2_name, arg2);
 }
 
 #if LSCHED_OBS_ENABLED
@@ -301,8 +303,10 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
       {ctx.now(), static_cast<int>(ctx.queries().size())});
 
   if (!obs::Enabled()) return -1;
-  ++local_invocations_;
   lh_decision_seconds_.Observe(wall_seconds);
+  const QueryId chosen_query = decision.pipelines.empty()
+                                   ? kInvalidQuery
+                                   : decision.pipelines.front().query;
 
   obs::DecisionRecord rec;
   rec.time = ctx.now();
@@ -335,23 +339,15 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
   if (!decision.parallelism.empty()) {
     rec.max_threads = decision.parallelism.front().max_threads;
   }
-  rec.predicted_score = obs::TakePredictedScore();
+  rec.predicted_score = decision.score;
   rec.schedule_wall_us = wall_seconds * 1e6;
   // Tenant of the chosen query: keys the per-tenant drift shards.
-  if (rec.chosen_query >= 0) {
-    if (const QueryState* q = ctx.FindQuery(rec.chosen_query)) {
+  if (chosen_query >= 0) {
+    if (const QueryState* q = ctx.FindQuery(chosen_query)) {
       rec.tenant = q->tag().tenant;
     }
   }
-  const int64_t chosen_query = rec.chosen_query;
-  const double predicted_score = rec.predicted_score;
   const int64_t decision_id = obs::DecisionLog::Global().Add(std::move(rec));
-
-  // Drain the serving-action channel even when tracing is off, so stale
-  // annotations from one invocation can never leak into a later one.
-  obs::ServingAction actions[32];
-  const size_t num_actions =
-      obs::TakeServingActions(actions, sizeof(actions) / sizeof(actions[0]));
 #if LSCHED_OBS_ENABLED
   if (trace_on_) {
     // "Considered but skipped": every query with at least one schedulable
@@ -364,18 +360,17 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
     e.kind = obs::TraceEdgeKind::kConsideredSkipped;
     e.a = decision_id;
     e.b = chosen_query;
-    e.value = predicted_score;
+    e.value = decision.score;
     for (const QueryId qid : considered_scratch_) {
       if (qid == chosen_query) continue;
       AddTraceEdge(qid, e);
     }
-    // Fairness redirections / injections announced by the serving policy's
-    // FilterDecision, which ran immediately before on this same thread.
-    for (size_t i = 0; i < num_actions; ++i) {
-      const obs::ServingAction& a = actions[i];
+    // Fairness redirections / injections the serving layer's
+    // FilterDecision applied to this decision.
+    for (const ServingAction& a : decision.serving_actions) {
       obs::TraceEdge e;
       e.time = ctx.now();
-      if (a.kind == obs::ServingAction::kRedirect) {
+      if (a.kind == ServingAction::kRedirect) {
         e.kind = obs::TraceEdgeKind::kRedirected;
         e.a = a.other;
         AddTraceEdge(a.query, e);
@@ -388,7 +383,7 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
       } else {
         e.kind = obs::TraceEdgeKind::kInjected;
         e.a = a.other;
-        e.value = a.kind == obs::ServingAction::kInjectPriority ? 1.0 : 2.0;
+        e.value = a.kind == ServingAction::kInjectPriority ? 1.0 : 2.0;
         AddTraceEdge(a.query, e);
       }
     }
@@ -422,24 +417,10 @@ void EpisodeRecorder::OnPipelineLaunched(int64_t decision_id, QueryId query,
 #endif
 
   if (!obs::Enabled()) return;
-  ++local_actions_;
   lh_pipeline_degree_.Observe(static_cast<double>(degree));
   obs::DecisionLog::Global().AddPipeline(decision_id, planned_work_orders);
-  if (virtual_time_) {
-    RecordVirtualSpan(SimSpanKind::kPipelineLaunch, now * 1e6, -1.0f,
-                      obs::ThreadId(), static_cast<uint32_t>(query), root_op);
-  } else {
-    obs::TraceEvent e;
-    e.name = "sched.pipeline_launch";
-    e.category = "sched";
-    e.ts_us = obs::NowMicros();
-    e.tid = obs::ThreadId();
-    e.arg1_name = "query";
-    e.arg1 = static_cast<int64_t>(query);
-    e.arg2_name = "root_op";
-    e.arg2 = root_op;
-    obs::Tracer::Global().RecordSpan(e);
-  }
+  RecordInstant("sched.pipeline_launch", "sched", now, query, "root_op",
+                root_op);
 }
 
 void EpisodeRecorder::OnWorkOrderDispatched(QueryId query, bool retry,
@@ -459,7 +440,6 @@ void EpisodeRecorder::OnWorkOrderDispatched(QueryId query, bool retry,
   }
 
   if (!obs::Enabled()) return;
-  ++local_dispatched_;
   lh_queue_wait_seconds_.Observe(std::max(0.0, queue_wait_seconds));
 #if LSCHED_OBS_ENABLED
   if (trace_on_) {
@@ -492,7 +472,6 @@ void EpisodeRecorder::OnWorkOrderCompleted(QueryId query, int64_t decision_id,
 #endif
 
   if (!obs::Enabled()) return;
-  ++local_completed_;
   lh_work_order_seconds_.Observe(seconds);
   if (decision_id >= 0) {
     // Coordinator-local accumulation; flushed to the decision log (one
@@ -545,7 +524,6 @@ void EpisodeRecorder::OnWorkOrderRetried(QueryId query, double now) {
     AddTraceEdge(query, e);
   }
 #endif
-  if (obs::Enabled()) ++local_retries_;
 }
 
 void EpisodeRecorder::OnWorkOrderDiscarded() {
@@ -571,24 +549,7 @@ double EpisodeRecorder::OnQueryCompleted(QueryState* query, double now) {
   result_.query_latencies.push_back(latency);
   if (scheduler_ != nullptr) scheduler_->OnQueryCompleted(query->id(), latency);
 
-  if (obs::Enabled()) {
-    ++local_queries_completed_;
-    lh_query_latency_seconds_.Observe(latency);
-    if (virtual_time_) {
-      RecordVirtualSpan(SimSpanKind::kQueryCompleted, now * 1e6, -1.0f,
-                        obs::ThreadId(),
-                        static_cast<uint32_t>(query->id()));
-    } else {
-      obs::TraceEvent e;
-      e.name = "engine.query_completed";
-      e.category = "engine";
-      e.ts_us = obs::NowMicros();
-      e.tid = obs::ThreadId();
-      e.arg1_name = "query";
-      e.arg1 = static_cast<int64_t>(query->id());
-      obs::Tracer::Global().RecordSpan(e);
-    }
-  }
+  RecordInstant("exec.query_completed", "exec", now, qid);
   return latency;
 }
 
@@ -606,26 +567,8 @@ void EpisodeRecorder::OnQueryTerminated(QueryState* query, double now,
   if (status == QueryStatus::kFailed) ++result_.num_queries_failed;
   if (status == QueryStatus::kShed) ++result_.num_queries_shed;
 
-  if (!obs::Enabled()) return;
-  if (status == QueryStatus::kCancelled) ++local_cancels_;
-  if (status == QueryStatus::kFailed) ++local_query_failures_;
-  if (status == QueryStatus::kShed) ++local_sheds_;
-  if (virtual_time_) {
-    RecordVirtualSpan(SimSpanKind::kQueryTerminated, now * 1e6, -1.0f,
-                      obs::ThreadId(), static_cast<uint32_t>(qid),
-                      static_cast<int32_t>(status));
-  } else {
-    obs::TraceEvent e;
-    e.name = "engine.query_terminated";
-    e.category = "engine";
-    e.ts_us = obs::NowMicros();
-    e.tid = obs::ThreadId();
-    e.arg1_name = "query";
-    e.arg1 = static_cast<int64_t>(qid);
-    e.arg2_name = "status";
-    e.arg2 = static_cast<int64_t>(status);
-    obs::Tracer::Global().RecordSpan(e);
-  }
+  RecordInstant("exec.query_terminated", "exec", now, qid, "status",
+                static_cast<int64_t>(status));
 }
 
 int64_t EpisodeRecorder::OnFallback(double now, const SchedulingContext& ctx,
@@ -633,7 +576,6 @@ int64_t EpisodeRecorder::OnFallback(double now, const SchedulingContext& ctx,
   ++result_.num_fallback_decisions;
 
   if (!obs::Enabled()) return -1;
-  ++local_fallbacks_;
   obs::DecisionRecord rec;
   rec.time = now;
   rec.engine = engine_name_;
@@ -711,17 +653,15 @@ void EpisodeRecorder::OnWorkerStates(
 }
 
 void EpisodeRecorder::FlushWindow() {
+  const CounterTotals totals = Totals();
   if (obs::Enabled()) {
-    invocations_->Add(local_invocations_);
-    actions_->Add(local_actions_);
-    fallbacks_->Add(local_fallbacks_);
-    work_orders_dispatched_->Add(local_dispatched_);
-    work_orders_completed_->Add(local_completed_);
-    queries_completed_->Add(local_queries_completed_);
-    cancel_total_->Add(local_cancels_);
-    retry_total_->Add(local_retries_);
-    fail_total_->Add(local_query_failures_);
-    shed_total_->Add(local_sheds_);
+    for (size_t i = 0; i < kNumDerivedCounters; ++i) {
+      counters_[i]->Add(totals[i] - flushed_totals_[i]);
+    }
+    for (size_t i = flushed_latencies_; i < result_.query_latencies.size();
+         ++i) {
+      query_latency_seconds_->Observe(result_.query_latencies[i]);
+    }
     if (result_.max_inflight_work_orders > flushed_inflight_high_water_) {
       inflight_high_water_->Set(
           static_cast<double>(result_.max_inflight_work_orders));
@@ -731,7 +671,6 @@ void EpisodeRecorder::FlushWindow() {
     pipeline_degree_->MergeSnapshot(lh_pipeline_degree_.snap);
     queue_wait_seconds_->MergeSnapshot(lh_queue_wait_seconds_.snap);
     work_order_seconds_->MergeSnapshot(lh_work_order_seconds_.snap);
-    query_latency_seconds_->MergeSnapshot(lh_query_latency_seconds_.snap);
     // Realized per-decision costs flow into the decision log here, which
     // notifies its back-fill observer — so an attached DriftMonitor keeps
     // scoring mid-stream without waiting for an episode end.
@@ -741,56 +680,15 @@ void EpisodeRecorder::FlushWindow() {
             realized_base_ + static_cast<int64_t>(i), realized_seconds_[i]);
       }
     }
-    if (vs_total_ > 0) {
-      // Expand the surviving compact records into full TraceEvents in
-      // chronological order (oldest surviving entry first when the local
-      // ring wrapped) and hand them to the tracer in one batch, charging
-      // the ring's own drops so Tracer::dropped_events() stays truthful.
-      const size_t size = virtual_spans_.size();
-      const size_t n =
-          static_cast<size_t>(std::min<uint64_t>(vs_total_, size));
-      const size_t start = vs_total_ > size ? vs_next_ : 0;
-      flush_scratch_.clear();
-      flush_scratch_.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        size_t idx = start + i;
-        if (idx >= size) idx -= size;
-        const CompactSpan& c = virtual_spans_[idx];
-        const SpanMeta& m = kSpanMeta[static_cast<size_t>(c.kind)];
-        obs::TraceEvent e;
-        e.name = m.name;
-        e.category = m.category;
-        e.ts_us = c.ts_us;
-        e.dur_us = c.dur_us < 0.0f ? -1.0 : static_cast<double>(c.dur_us);
-        e.tid = c.tid;
-        e.arg1_name = m.arg1_name;
-        e.arg1 = c.query;
-        e.arg2_name = m.arg2_name;
-        e.arg2 = c.arg2;
-        flush_scratch_.push_back(e);
-      }
-      obs::Tracer::Global().RecordSpans(flush_scratch_.data(), n, vs_total_);
-    }
   }
-  local_invocations_ = 0;
-  local_actions_ = 0;
-  local_fallbacks_ = 0;
-  local_dispatched_ = 0;
-  local_completed_ = 0;
-  local_queries_completed_ = 0;
-  local_cancels_ = 0;
-  local_retries_ = 0;
-  local_query_failures_ = 0;
-  local_sheds_ = 0;
+  flushed_totals_ = totals;
+  flushed_latencies_ = result_.query_latencies.size();
   lh_decision_seconds_.Reset();
   lh_pipeline_degree_.Reset();
   lh_queue_wait_seconds_.Reset();
   lh_work_order_seconds_.Reset();
-  lh_query_latency_seconds_.Reset();
   realized_base_ = -1;
   realized_seconds_.clear();
-  vs_next_ = 0;
-  vs_total_ = 0;
 }
 
 EpisodeResult EpisodeRecorder::SnapshotResult(double now) const {

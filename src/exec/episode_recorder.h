@@ -12,7 +12,6 @@
 #include "obs/decision_log.h"
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
-#include "obs/trace.h"
 
 namespace lsched {
 
@@ -21,7 +20,7 @@ namespace lsched {
 /// counters, decision series) and mirrors every event into the
 /// observability layer (metrics registry, tracer, scheduler decision log).
 /// Engines report raw events; this class is the single place that knows
-/// how EpisodeResult and the `engine.*`/`sched.*` metrics are derived from
+/// how EpisodeResult and the `exec.*`/`sched.*` metrics are derived from
 /// them.
 ///
 /// Not thread-safe: all methods must be called from the engine's
@@ -141,34 +140,6 @@ class EpisodeRecorder {
   /// edges (the fallback analogue of kConsideredSkipped).
   int64_t OnFallback(double now, const SchedulingContext& ctx, QueryId chosen);
 
-  /// Virtual-time trace events the recorder knows how to buffer; expanded
-  /// to full TraceEvents (names, categories, arg labels) only in Finalize.
-  enum class SimSpanKind : uint8_t {
-    kWorkOrder,        ///< engine.work_order; arg2 = pipeline index
-    kQueueWait,        ///< sched.queue_wait
-    kPipelineLaunch,   ///< sched.pipeline_launch; arg2 = root op
-    kQueryCompleted,   ///< engine.query_completed (instant)
-    kQueryTerminated,  ///< engine.query_terminated (instant); arg2 = status
-  };
-
-  /// Buffers a virtual-time trace event (coordinator thread only) for a
-  /// single bulk hand-off to the tracer in Finalize — per-event ring
-  /// locking is too expensive for the simulator's dispatch rate. The
-  /// buffer is a local ring of the tracer's capacity (only the newest
-  /// events can survive in the tracer anyway, so older ones are dropped
-  /// here) holding 32-byte compact records instead of full TraceEvents:
-  /// the ring is written ~once per simulated work order and cycles before
-  /// any entry is reused, so its footprint is pure cache traffic.
-  /// `dur_us` < 0 encodes an instant event; float precision (~1e-7
-  /// relative) is ample for durations.
-  void RecordVirtualSpan(SimSpanKind kind, double ts_us, float dur_us,
-                         uint32_t tid, uint32_t query, int32_t arg2 = 0) {
-    if (virtual_spans_.empty()) return;  // Begin() ran with obs disabled
-    virtual_spans_[vs_next_] = {ts_us, dur_us, query, arg2, tid, kind};
-    if (++vs_next_ == virtual_spans_.size()) vs_next_ = 0;
-    ++vs_total_;
-  }
-
   /// Per-worker state buckets from the engine's accountants (DESIGN.md
   /// §8.3). Stores them into the result, recomputes the episode's
   /// scheduler-overhead fraction, and publishes the
@@ -179,13 +150,14 @@ class EpisodeRecorder {
   void OnWorkerStates(std::vector<prof::WorkerStateBuckets> buckets);
 
   /// Publishes everything accumulated since the last flush to the shared
-  /// observability layer — registry counters/histograms, per-decision
-  /// realized costs into the decision log (which feeds the drift monitor's
-  /// back-fill observer), and buffered virtual-time spans — WITHOUT ending
-  /// the episode. A long-running serving stream calls this on a rolling
-  /// window so /metrics and the drift score stay fresh with no episode-end
-  /// flush; Finalize reuses it for the terminal flush, so episode-mode
-  /// callers see identical totals. Idempotent when nothing accumulated.
+  /// observability layer — registry counters (the growth of the matching
+  /// EpisodeResult counts), histograms, and per-decision realized costs
+  /// into the decision log (which feeds the drift monitor's back-fill
+  /// observer) — WITHOUT ending the episode. A long-running serving stream
+  /// calls this on a rolling window so /metrics and the drift score stay
+  /// fresh with no episode-end flush; Finalize reuses it for the terminal
+  /// flush, so episode-mode callers see identical totals. Idempotent when
+  /// nothing accumulated.
   void FlushWindow();
 
   /// A copy of the running result with the derived aggregates (avg/p90,
@@ -236,6 +208,11 @@ class EpisodeRecorder {
   };
   void AddTraceEdge(QueryId qid, const obs::TraceEdge& e);
 #endif
+  /// Instant trace event on the calling (coordinator) thread, stamped in
+  /// the engine's timebase: virtual `now` for Sim, the wall clock for Real.
+  void RecordInstant(const char* name, const char* category, double now,
+                     int64_t query, const char* arg2_name = nullptr,
+                     int64_t arg2 = 0);
 
   EpisodeResult result_;
   Scheduler* scheduler_ = nullptr;
@@ -256,55 +233,30 @@ class EpisodeRecorder {
   int64_t realized_base_ = -1;
   std::vector<double> realized_seconds_;
 
-  struct CompactSpan {
-    double ts_us;
-    float dur_us;
-    uint32_t query;
-    int32_t arg2;
-    uint32_t tid;
-    SimSpanKind kind;
-  };
-
-  // Virtual-time trace events buffered until Finalize (see
-  // RecordVirtualSpan): a ring of the tracer's capacity.
-  std::vector<CompactSpan> virtual_spans_;
-  size_t vs_next_ = 0;
-  uint64_t vs_total_ = 0;
-  // Finalize-only scratch for expanding CompactSpans into TraceEvents.
-  std::vector<obs::TraceEvent> flush_scratch_;
-
-  // Episode-local mirrors of the registry metrics; Finalize publishes them
-  // in one batch so the per-event paths never touch shared state.
-  int64_t local_invocations_ = 0;
-  int64_t local_actions_ = 0;
-  int64_t local_fallbacks_ = 0;
-  int64_t local_dispatched_ = 0;
-  int64_t local_completed_ = 0;
-  int64_t local_queries_completed_ = 0;
-  int64_t local_cancels_ = 0;
-  int64_t local_retries_ = 0;
-  int64_t local_query_failures_ = 0;
-  int64_t local_sheds_ = 0;
+  /// The registry counters derived from EpisodeResult: Totals() reads
+  /// their current values from result_, in the order of counters_. Each
+  /// FlushWindow publishes the growth since the previous flush; the
+  /// watermark advances on every flush, so a window recorded with obs
+  /// disabled publishes nothing.
+  static constexpr size_t kNumDerivedCounters = 10;
+  using CounterTotals = std::array<int64_t, kNumDerivedCounters>;
+  CounterTotals Totals() const;
+  std::array<obs::Counter*, kNumDerivedCounters> counters_{};
+  CounterTotals flushed_totals_{};
+  /// query_latencies[0, flushed_latencies_) are already in the histogram.
+  size_t flushed_latencies_ = 0;
   /// High-water already published by an earlier FlushWindow (gauge Set is
   /// monotone within an episode, so re-publishing is harmless but skipped).
   int flushed_inflight_high_water_ = 0;
+  // Episode-local histograms of values EpisodeResult does not keep; each
+  // flush merges them into the registry in one batch so the per-event
+  // paths never touch shared state.
   LocalHistogram lh_decision_seconds_;
   LocalHistogram lh_pipeline_degree_;
   LocalHistogram lh_queue_wait_seconds_;
   LocalHistogram lh_work_order_seconds_;
-  LocalHistogram lh_query_latency_seconds_;
 
   // Cached metric handles (registry lookups once per process).
-  obs::Counter* invocations_;
-  obs::Counter* actions_;
-  obs::Counter* fallbacks_;
-  obs::Counter* work_orders_dispatched_;
-  obs::Counter* work_orders_completed_;
-  obs::Counter* queries_completed_;
-  obs::Counter* cancel_total_;
-  obs::Counter* retry_total_;
-  obs::Counter* fail_total_;
-  obs::Counter* shed_total_;
   obs::Gauge* inflight_high_water_;
   obs::Gauge* sched_overhead_fraction_;
   /// Lazily grown per-worker gauge handles, one per accounting state, so

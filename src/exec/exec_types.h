@@ -2,6 +2,7 @@
 #define LSCHED_EXEC_EXEC_TYPES_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -184,9 +185,30 @@ struct ParallelismChoice {
   int max_threads = 0;
 };
 
+/// A fairness redirection or injection the serving layer applied to a
+/// decision (ServingHooks::FilterDecision); the episode recorder turns each
+/// one into causal query-trace edges (kRedirected/kInjected).
+struct ServingAction {
+  enum Kind : int32_t {
+    kRedirect = 0,         ///< `query`'s launch rewritten to `other`
+    kInjectPriority = 1,   ///< launch injected for starved class `query`
+    kInjectShare = 2,      ///< launch injected for under-share `query`
+  };
+  int32_t kind = kRedirect;
+  QueryId query = kInvalidQuery;
+  QueryId other = kInvalidQuery;
+};
+
 struct SchedulingDecision {
   std::vector<PipelineChoice> pipelines;
   std::vector<ParallelismChoice> parallelism;
+  /// The policy's own score for its first pipeline (log-probability for
+  /// the learned policies, the ranking key for SJF/HPF/CriticalPath); NaN
+  /// when the policy reports none. The decision log records it as the
+  /// predicted score the drift monitor compares with the realized cost.
+  double score = std::numeric_limits<double>::quiet_NaN();
+  /// Appended by ServingHooks::FilterDecision, in the order applied.
+  std::vector<ServingAction> serving_actions{};
 
   bool empty() const { return pipelines.empty() && parallelism.empty(); }
 };

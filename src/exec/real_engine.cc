@@ -103,7 +103,7 @@ AttemptResult RealEngine::RunAttempt(const WorkerTask& task, Worker& w) {
     st = Status::Internal("work-order deadline exceeded before execution");
     expired = true;
   } else {
-    obs::ScopedSpan span("engine.work_order", "engine", "query", p.query,
+    obs::ScopedSpan span("exec.work_order", "exec", "query", p.query,
                          "wo", task.wo_index);
     st = task.execution->ExecuteWorkOrder(p.chain, task.wo_index,
                                           &w.scratch);

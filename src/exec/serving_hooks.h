@@ -54,10 +54,9 @@ class ServingHooks {
   /// and amend parallelism caps (per-tenant thread shares). May inject
   /// launches for starved high-priority queries; engines re-validate every
   /// choice in ApplyDecision, so an invalid injection is skipped, not
-  /// fatal. Implementations should announce redirections/injections via
-  /// obs::AnnotateServingAction — the EpisodeRecorder drains the
-  /// annotations in the OnSchedulerInvocation that immediately follows on
-  /// this same thread and turns them into causal trace edges
+  /// fatal. Implementations append each redirection/injection they apply
+  /// to `decision->serving_actions`; the EpisodeRecorder reads them from
+  /// the decision it is handed next and turns them into causal trace edges
   /// (kRedirected/kInjected).
   virtual void FilterDecision(SchedulingDecision* decision,
                               const SchedulingContext& ctx) = 0;

@@ -82,16 +82,25 @@ void SimEngine::StartAttempt(Pipeline& p, int slot, int wo_index,
   if (obs::Enabled()) {
     // Virtual-time spans: the work order's full extent is known at
     // dispatch, so record it immediately against the simulated thread.
-    EpisodeRecorder& recorder = coordinator_.recorder();
-    recorder.RecordVirtualSpan(
-        EpisodeRecorder::SimSpanKind::kWorkOrder, now * 1e6,
-        static_cast<float>(duration * 1e6), static_cast<uint32_t>(slot),
-        static_cast<uint32_t>(p.query), static_cast<int32_t>(p.id));
+    obs::TraceEvent e;
+    e.name = "exec.work_order";
+    e.category = "exec";
+    e.ts_us = now * 1e6;
+    e.dur_us = duration * 1e6;
+    e.tid = static_cast<uint32_t>(slot);
+    e.arg1_name = "query";
+    e.arg1 = p.query;
+    e.arg2_name = "pipeline";
+    e.arg2 = p.id;
+    obs::Tracer::Global().RecordSpan(e);
     if (p.dispatched == 0 && now > p.created_at) {
-      recorder.RecordVirtualSpan(
-          EpisodeRecorder::SimSpanKind::kQueueWait, p.created_at * 1e6,
-          static_cast<float>((now - p.created_at) * 1e6),
-          static_cast<uint32_t>(slot), static_cast<uint32_t>(p.query));
+      e.name = "sched.queue_wait";
+      e.category = "sched";
+      e.ts_us = p.created_at * 1e6;
+      e.dur_us = (now - p.created_at) * 1e6;
+      e.arg2_name = nullptr;
+      e.arg2 = 0;
+      obs::Tracer::Global().RecordSpan(e);
     }
   }
   s.account.Transition(prof::WorkerState::kExecuting, LatencyNs(now));

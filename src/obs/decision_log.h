@@ -3,12 +3,12 @@
 
 // Scheduler decision log: one record per scheduler invocation, capturing
 // the candidate set the policy chose from, the chosen action, the policy's
-// own predicted score (learned schedulers annotate it via
-// obs::AnnotatePredictedScore), and the *realized* cost of the pipelines
-// the decision launched — back-filled as their work orders complete. The
-// CSV dump is the offline substrate for prediction-error analysis
-// (predicted score vs realized work-order runtimes, cf. Decima &
-// IconqSched tooling).
+// own predicted score (the `score` field of the SchedulingDecision it
+// returned, copied here by the engine's EpisodeRecorder), and the
+// *realized* cost of the pipelines the decision launched — back-filled as
+// their work orders complete. The CSV dump is the offline substrate for
+// prediction-error analysis (predicted score vs realized work-order
+// runtimes, cf. Decima & IconqSched tooling).
 
 #include <cstdint>
 #include <functional>

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -98,16 +97,6 @@ std::atomic<uint32_t> g_next_thread_id{0};
 
 thread_local uint32_t tls_thread_id = UINT32_MAX;
 
-thread_local double tls_predicted_score =
-    std::numeric_limits<double>::quiet_NaN();
-
-/// Bounded thread-local buffer for the serving-action channel. One
-/// FilterDecision call produces at most a handful of actions; 64 bounds
-/// pathological policies without heap traffic.
-constexpr size_t kMaxPendingServingActions = 64;
-thread_local ServingAction tls_serving_actions[kMaxPendingServingActions];
-thread_local size_t tls_num_serving_actions = 0;
-
 }  // namespace
 
 namespace internal {
@@ -132,31 +121,6 @@ double NowMicros() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - GlobalRuntime().epoch)
       .count();
-}
-
-void AnnotatePredictedScore(double score) { tls_predicted_score = score; }
-
-double TakePredictedScore() {
-  const double score = tls_predicted_score;
-  tls_predicted_score = std::numeric_limits<double>::quiet_NaN();
-  return score;
-}
-
-void AnnotateServingAction(int32_t kind, int64_t query, int64_t other) {
-  if (!Enabled()) return;
-  if (tls_num_serving_actions >= kMaxPendingServingActions) return;
-  ServingAction& a = tls_serving_actions[tls_num_serving_actions++];
-  a.kind = kind;
-  a.query = query;
-  a.other = other;
-}
-
-size_t TakeServingActions(ServingAction* out, size_t max) {
-  const size_t n =
-      tls_num_serving_actions < max ? tls_num_serving_actions : max;
-  for (size_t i = 0; i < n; ++i) out[i] = tls_serving_actions[i];
-  tls_num_serving_actions = 0;
-  return n;
 }
 
 }  // namespace obs

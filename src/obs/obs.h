@@ -17,9 +17,7 @@
 // as CSV at process exit.
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #ifndef LSCHED_OBS_ENABLED
 #define LSCHED_OBS_ENABLED 1
@@ -57,35 +55,6 @@ void SetThreadId(uint32_t tid);
 /// timebase for trace events recorded by RAII spans.
 double NowMicros();
 
-/// Annotation channel between scheduler policies and the engine's decision
-/// log: a policy calls AnnotatePredictedScore(score) inside Schedule();
-/// the engine consumes it (thread-local, cleared on read) when it logs the
-/// decision. Returns NaN if no annotation is pending.
-void AnnotatePredictedScore(double score);
-double TakePredictedScore();
-
-/// Annotation channel between serving-layer decision post-processing and
-/// the query-trace recorder: ServingPolicy::FilterDecision announces each
-/// fairness redirection / injection it applies; EpisodeRecorder — which
-/// runs immediately afterwards on the same (coordinator) thread — drains
-/// the pending actions into lifetime-trace edges. Thread-local, bounded,
-/// cleared on TakeServingActions().
-struct ServingAction {
-  enum Kind : int32_t {
-    kRedirect = 0,         ///< `query`'s launch rewritten to `other`
-    kInjectPriority = 1,   ///< launch injected for starved class `query`
-    kInjectShare = 2,      ///< launch injected for under-share `query`
-  };
-  int32_t kind = kRedirect;
-  int64_t query = -1;
-  int64_t other = -1;
-};
-
-void AnnotateServingAction(int32_t kind, int64_t query, int64_t other);
-/// Drains pending actions (oldest first, at most `max`) into `out`;
-/// returns the number written. The channel is emptied either way.
-size_t TakeServingActions(ServingAction* out, size_t max);
-
 #else  // !LSCHED_OBS_ENABLED
 
 inline bool Enabled() { return false; }
@@ -93,24 +62,6 @@ inline void SetEnabled(bool) {}
 inline uint32_t ThreadId() { return 0; }
 inline void SetThreadId(uint32_t) {}
 inline double NowMicros() { return 0.0; }
-inline void AnnotatePredictedScore(double) {}
-inline double TakePredictedScore() {
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
-struct ServingAction {
-  enum Kind : int32_t {
-    kRedirect = 0,
-    kInjectPriority = 1,
-    kInjectShare = 2,
-  };
-  int32_t kind = kRedirect;
-  int64_t query = -1;
-  int64_t other = -1;
-};
-
-inline void AnnotateServingAction(int32_t, int64_t, int64_t) {}
-inline size_t TakeServingActions(ServingAction*, size_t) { return 0; }
 
 #endif  // LSCHED_OBS_ENABLED
 

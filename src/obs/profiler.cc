@@ -212,11 +212,11 @@ void RegisterDefaultCounterTables() {
                RatioFn("nn.batch_rows", nullptr, "nn.batch_calls"),
                /*rated=*/false);
     t.Register("exec", "work_orders_dispatched",
-               CounterFn("engine.work_orders_dispatched"));
+               CounterFn("exec.work_orders_dispatched"));
     t.Register("exec", "work_orders_completed",
-               CounterFn("engine.work_orders_completed"));
+               CounterFn("exec.work_orders_completed"));
     t.Register("exec", "queries_completed",
-               CounterFn("engine.queries_completed"));
+               CounterFn("exec.queries_completed"));
     t.Register("exec", "retries", CounterFn("exec.retry_total"));
     t.Register("faults", "fires",
                [] {

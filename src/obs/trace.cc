@@ -24,31 +24,14 @@ struct Ring {
 
   std::mutex mu;
   std::vector<TraceEvent> events;
-  uint64_t head = 0;     ///< total events ever written into this ring
-  uint64_t skipped = 0;  ///< events dropped before reaching the ring
-  size_t next = 0;       ///< head % events.size(), kept to avoid the division
+  uint64_t head = 0;  ///< total events ever written into this ring
+  size_t next = 0;    ///< head % events.size(), kept to avoid the division
 
   void Record(const TraceEvent& e) {
     std::lock_guard<std::mutex> lock(mu);
     events[next] = e;
     if (++next == events.size()) next = 0;
     ++head;
-  }
-
-  void RecordBatch(const TraceEvent* batch, size_t count, uint64_t total) {
-    std::lock_guard<std::mutex> lock(mu);
-    // Only the last `cap` events can survive; skip the ones that would be
-    // overwritten within this very batch. `head` must count written events
-    // only (the exporter relies on next == head % cap), so everything else
-    // — intra-batch skips and upstream drops — lands in `skipped`.
-    const size_t cap = events.size();
-    const size_t first = count > cap ? count - cap : 0;
-    for (size_t i = first; i < count; ++i) {
-      events[next] = batch[i];
-      if (++next == cap) next = 0;
-    }
-    head += count - first;
-    skipped += std::max<uint64_t>(total, count) - (count - first);
   }
 };
 
@@ -185,16 +168,6 @@ void Tracer::RecordSpan(const TraceEvent& event) {
   tls_ring.ring->Record(event);
 }
 
-void Tracer::RecordSpans(const TraceEvent* events, size_t count,
-                         uint64_t total) {
-  if (!Enabled() || count == 0) return;
-  if (tls_ring.ring == nullptr) {
-    tls_ring.pool = impl_;
-    tls_ring.ring = impl_->Lease();
-  }
-  tls_ring.ring->RecordBatch(events, count, total);
-}
-
 void Tracer::RecordInstant(const char* name, const char* category,
                            double ts_us, uint32_t tid, const char* arg1_name,
                            int64_t arg1, const char* arg2_name, int64_t arg2) {
@@ -239,7 +212,6 @@ void Tracer::Clear() {
   for (const auto& ring : impl_->rings) {
     std::lock_guard<std::mutex> lock(ring->mu);
     ring->head = 0;
-    ring->skipped = 0;
     ring->next = 0;
   }
 }
@@ -251,7 +223,6 @@ uint64_t Tracer::dropped_events() const {
     std::lock_guard<std::mutex> lock(ring->mu);
     const size_t cap = ring->events.size();
     if (ring->head > cap) dropped += ring->head - cap;
-    dropped += ring->skipped;
   }
   return dropped;
 }

@@ -50,13 +50,6 @@ class Tracer {
 
   /// Record a complete span / instant event with explicit timestamps.
   void RecordSpan(const TraceEvent& event);
-  /// Bulk variant: one ring-buffer lock for the whole batch. Used by
-  /// single-threaded recorders (SimEngine) that buffer an episode's spans.
-  /// If the recorder itself already dropped older events, pass the number
-  /// it *saw* as `total` (>= count) so dropped_events() stays truthful;
-  /// `events` must then hold the newest `count` of them in order.
-  void RecordSpans(const TraceEvent* events, size_t count,
-                   uint64_t total = 0);
   void RecordInstant(const char* name, const char* category, double ts_us,
                      uint32_t tid, const char* arg1_name = nullptr,
                      int64_t arg1 = 0, const char* arg2_name = nullptr,
@@ -126,7 +119,6 @@ class Tracer {
     return t;
   }
   void RecordSpan(const TraceEvent&) {}
-  void RecordSpans(const TraceEvent*, size_t, uint64_t = 0) {}
   void RecordInstant(const char*, const char*, double, uint32_t,
                      const char* = nullptr, int64_t = 0,
                      const char* = nullptr, int64_t = 0) {}
@@ -149,7 +141,7 @@ class ScopedSpan {
 
 #endif  // LSCHED_OBS_ENABLED
 
-/// `LSCHED_TRACE_SPAN("engine.work_order", "engine", "query", qid);`
+/// `LSCHED_TRACE_SPAN("exec.work_order", "exec", "query", qid);`
 #define LSCHED_TRACE_SPAN(...) \
   ::lsched::obs::ScopedSpan lsched_obs_span_##__LINE__(__VA_ARGS__)
 

@@ -8,7 +8,6 @@
 #include "nn/autograd.h"
 #include "nn/inference.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -375,7 +374,7 @@ SchedulingDecision DecimaScheduler::Schedule(const SchedulingEvent& event,
                          num_par);
   }
 
-  obs::AnnotatePredictedScore(node_logprobs->at(0, cand_idx));
+  decision.score = node_logprobs->at(0, cand_idx);
 
   const auto& [qi, op] = candidates[static_cast<size_t>(cand_idx)];
   const QueryId qid = entries[static_cast<size_t>(qi)]->features.qid;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/obs.h"
-
 namespace lsched {
 
 SchedulingDecision FifoScheduler::Schedule(const SchedulingEvent& event,
@@ -63,7 +61,7 @@ SchedulingDecision SjfScheduler::Schedule(const SchedulingEvent& event,
       });
   if (best != nullptr) {
     // Decision-log score: negated remaining-time estimate (higher = better).
-    obs::AnnotatePredictedScore(best_score);
+    d.score = best_score;
     ScheduleAllOps(best, &d);
     GrantFullPool(ctx, best->id(), &d);
   }
@@ -81,7 +79,7 @@ SchedulingDecision HpfScheduler::Schedule(const SchedulingEvent& event,
         return 1.0 / (1.0 + q.plan().TotalEstimatedCost());
       });
   if (best != nullptr) {
-    obs::AnnotatePredictedScore(best_score);
+    d.score = best_score;
     ScheduleAllOps(best, &d);
     GrantFullPool(ctx, best->id(), &d);
   }
@@ -114,7 +112,7 @@ SchedulingDecision CriticalPathScheduler::Schedule(
     }
   }
   if (best_q != nullptr) {
-    obs::AnnotatePredictedScore(best_work);
+    d.score = best_work;
     d.pipelines.push_back(PipelineChoice{best_q->id(), best_root, best_degree});
     GrantFullPool(ctx, best_q->id(), &d);
   }

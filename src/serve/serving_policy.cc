@@ -10,7 +10,6 @@
 #include "exec/query_state.h"
 #include "exec/scheduling_context.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 
 namespace lsched {
 
@@ -131,8 +130,8 @@ void ServingPolicy::FilterDecision(SchedulingDecision* decision,
         // engine re-validates the choice in ApplyDecision, so if the
         // operator became unschedulable meanwhile it is skipped, not fatal.
         ++num_injections_;
-        obs::AnnotateServingAction(obs::ServingAction::kInjectPriority,
-                                   starved->id(), kInvalidQuery);
+        decision->serving_actions.push_back(
+            {ServingAction::kInjectPriority, starved->id(), kInvalidQuery});
         decision->pipelines.insert(
             decision->pipelines.begin(),
             PipelineChoice{starved->id(), starved->SchedulableOps().front(),
@@ -217,8 +216,8 @@ void ServingPolicy::FilterDecision(SchedulingDecision* decision,
         ++num_redirects_;
         // Causal annotation for the query trace: `choice.query` lost this
         // launch to `best` (fairness redirection).
-        obs::AnnotateServingAction(obs::ServingAction::kRedirect,
-                                   choice.query, best->id());
+        decision->serving_actions.push_back(
+            {ServingAction::kRedirect, choice.query, best->id()});
         claimed.insert({best->id(), best_op});
         ++planned[best->tag().tenant];
         choice = PipelineChoice{best->id(), best_op, 1};
@@ -264,8 +263,8 @@ void ServingPolicy::FilterDecision(SchedulingDecision* decision,
       }
       if (best == nullptr) break;
       ++num_redirects_;
-      obs::AnnotateServingAction(obs::ServingAction::kInjectShare, best->id(),
-                                 kInvalidQuery);
+      decision->serving_actions.push_back(
+          {ServingAction::kInjectShare, best->id(), kInvalidQuery});
       claimed.insert({best->id(), best_op});
       ++planned[best->tag().tenant];
       ++planned_total;

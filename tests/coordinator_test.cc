@@ -36,6 +36,7 @@ class FakeBackend : public ExecutorBackend {
   std::vector<Started> started;
   std::vector<std::pair<int64_t, double>> backoffs;
   std::vector<QueryId> released;
+  std::vector<int> retired;  ///< slots, in retirement order
 
   bool roots_need_complete_producers() const override {
     return need_producers;
@@ -63,6 +64,10 @@ class FakeBackend : public ExecutorBackend {
   }
   void OnRetryBackoff(int64_t pipeline, double ready_at) override {
     backoffs.emplace_back(pipeline, ready_at);
+  }
+  void OnSlotRetired(int slot, double now) override {
+    (void)now;
+    retired.push_back(slot);
   }
 };
 
@@ -284,37 +289,73 @@ TEST(CoordinatorBackoffTest, RetryDispatchesAtTheBackoffBoundary) {
 
 // --- deferred slot retirement ----------------------------------------------
 
-/// A busy slot that a pool shrink retires on completion still fires its
-/// final kThreadIdle event.
-TEST(CoordinatorPoolTest, RetiredSlotStillFiresItsIdleEvent) {
+/// A busy slot that a pool shrink retires on completion leaves the context
+/// as a retirement, not a free slot, and its final idle event reaches no
+/// policy: a retirement is pending only while every live slot is busy, so
+/// no slot is left to schedule on.
+TEST(CoordinatorPoolTest, RetiredSlotRaisesNoIdleEvent) {
   Harness h(2);
   h.decide = [](const SchedulingEvent& e, const SchedulingContext& ctx) {
     (void)ctx;
     if (e.type == SchedulingEventType::kQueryArrival && e.query == 0) {
       return Launch(0, 0);
     }
-    if (e.type == SchedulingEventType::kQueryArrival && e.query == 1) {
-      // Leave query 1 unlaunched and cap query 0 at one slot.
-      SchedulingDecision d;
-      d.parallelism.push_back({0, 1});
-      return d;
-    }
-    return SchedulingDecision{};
+    return SchedulingDecision{};  // query 1 stays schedulable
   };
   h.coordinator.Admit(0, ScanAggPlan(40 * 4096), QueryTag{}, 0.0);
+  h.coordinator.Admit(1, ScanAggPlan(40 * 4096), QueryTag{}, 0.05);
   ASSERT_EQ(h.backend.outstanding.size(), 2u);
-  h.coordinator.ChangePool(-1, 0.1);  // both busy: slot retires later
-  h.coordinator.ChangePool(+1, 0.2);  // fresh slot 2
-  h.coordinator.Admit(1, ScanAggPlan(40 * 4096), QueryTag{}, 0.3);
-  EXPECT_EQ(h.coordinator.context().total_threads(), 3);
+  h.coordinator.ChangePool(-1, 0.1);  // both busy: a slot retires later
+  EXPECT_EQ(h.coordinator.context().total_threads(), 2);
+  EXPECT_TRUE(h.backend.retired.empty());
 
   h.scheduler.events.clear();
-  h.CompleteSlot(1, 0.4);
+  h.CompleteSlot(1, 0.2);
   EXPECT_EQ(h.coordinator.context().thread(1), nullptr);
-  EXPECT_EQ(h.coordinator.context().total_threads(), 2);
+  EXPECT_EQ(h.coordinator.context().total_threads(), 1);
+  EXPECT_EQ(h.backend.retired, std::vector<int>{1});
+  EXPECT_TRUE(h.scheduler.events.empty());
+}
+
+/// A grow applied while a shrink still waits on busy slots first cancels
+/// those retirements, and only the remainder adds slots. With four busy
+/// slots, -2 then +1 keeps four live slots and four attempts in flight.
+TEST(CoordinatorPoolTest, GrowCancelsPendingRetirementsFirst) {
+  Harness h(4);
+  h.decide = [](const SchedulingEvent& e, const SchedulingContext& ctx) {
+    (void)ctx;
+    if (e.type == SchedulingEventType::kQueryArrival && e.query == 0) {
+      return Launch(0, 0);
+    }
+    return SchedulingDecision{};  // query 1 stays schedulable
+  };
+  h.coordinator.Admit(0, ScanPlan(40 * 4096), QueryTag{}, 0.0);
+  h.coordinator.Admit(1, ScanPlan(40 * 4096), QueryTag{}, 0.05);
+  ASSERT_EQ(h.backend.outstanding.size(), 4u);
+  h.coordinator.ChangePool(-2, 0.1);
+  h.coordinator.ChangePool(+1, 0.2);
+  EXPECT_EQ(h.coordinator.context().total_threads(), 4);
+  EXPECT_EQ(h.backend.outstanding.size(), 4u);
+
+  // One retirement is still pending: the next lease to end retires.
+  EXPECT_EQ(h.FinishSlot(0, 0.3), -1);
+  EXPECT_EQ(h.backend.retired, std::vector<int>{0});
+  EXPECT_EQ(h.coordinator.context().total_threads(), 3);
+  EXPECT_GE(h.FinishSlot(1, 0.4), 0);  // the others keep their leases
+  EXPECT_LE(h.backend.outstanding.size(), 3u);
+  EXPECT_LE(h.Result(0.4).max_inflight_work_orders, 4);
+
+  // A grow larger than the pending retirements cancels them and adds the
+  // rest as fresh slots; the policy still hears kThreadAdded.
+  h.coordinator.ChangePool(-1, 0.5);
+  h.scheduler.events.clear();
+  h.coordinator.ChangePool(+2, 0.6);
+  EXPECT_EQ(h.coordinator.context().total_threads(), 4);
+  EXPECT_EQ(h.backend.retired, std::vector<int>{0});
   ASSERT_FALSE(h.scheduler.events.empty());
-  EXPECT_EQ(h.scheduler.events.front().type, SchedulingEventType::kThreadIdle);
-  EXPECT_EQ(h.scheduler.events.front().thread, 1);
+  EXPECT_EQ(h.scheduler.events.front().type,
+            SchedulingEventType::kThreadAdded);
+  EXPECT_LE(h.Result(0.6).max_inflight_work_orders, 4);
 }
 
 // --- scheduler rounds cap ---------------------------------------------------

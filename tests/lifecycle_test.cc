@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "exec/real_engine.h"
 #include "exec/sim_engine.h"
+#include "obs/decision_log.h"
 #include "plan/plan_builder.h"
 #include "sched/guarded_policy.h"
 #include "sched/heuristics.h"
@@ -258,6 +260,19 @@ class InvalidScheduler : public Scheduler {
   }
 };
 
+/// InvalidScheduler's choice, scored the way a learned policy scores its
+/// decision.
+class ScoredInvalidScheduler : public InvalidScheduler {
+ public:
+  std::string name() const override { return "ScoredInvalid"; }
+  SchedulingDecision Schedule(const SchedulingEvent& event,
+                              const SchedulingContext& ctx) override {
+    SchedulingDecision d = InvalidScheduler::Schedule(event, ctx);
+    d.score = -0.25;
+    return d;
+  }
+};
+
 /// Throws for the first `failures` calls, then behaves like FIFO.
 class FlakyScheduler : public Scheduler {
  public:
@@ -320,6 +335,32 @@ TEST(GuardedPolicyTest, InvalidDecisionIsCaughtAndReplaced) {
   EXPECT_GT(guarded.fallback_count(), 0);
   ASSERT_EQ(r.final_statuses.size(), 2u);
   for (QueryStatus s : r.final_statuses) EXPECT_EQ(s, QueryStatus::kDone);
+}
+
+/// When the guard replaces a rejected decision with FIFO's, the decision
+/// log must not credit FIFO's choice with the rejected policy's score.
+TEST(GuardedPolicyTest, FallbackDecisionCarriesNoInnerScore) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLSCHED_OBS=OFF";
+  obs::SetEnabled(true);
+  obs::DecisionLog::Global().Clear();
+  ScoredInvalidScheduler inner;
+  GuardedPolicy guarded(&inner);
+
+  SimEngineConfig config;
+  config.num_threads = 4;
+  SimEngine engine(config);
+  const EpisodeResult r = engine.Run(SmallWorkload(2), &guarded);
+
+  int invocations = 0;
+  for (const obs::DecisionRecord& rec : obs::DecisionLog::Global().Snapshot()) {
+    if (rec.fallback) continue;  // the guard's and the engine's own rows
+    ++invocations;
+    EXPECT_TRUE(std::isnan(rec.predicted_score))
+        << "decision " << rec.id << " logged " << rec.predicted_score;
+  }
+  EXPECT_EQ(invocations, r.num_scheduler_invocations);
+  EXPECT_GT(guarded.fallback_count(), 0);
+  obs::DecisionLog::Global().Clear();
 }
 
 TEST(GuardedPolicyTest, SimulatedDecisionDelayExceedsBudget) {

@@ -97,8 +97,8 @@ TEST(P2QuantileTest, MonotoneQuantilesStayOrdered) {
 
 TEST(PrometheusTest, NameSanitization) {
   EXPECT_EQ(obs::PrometheusName("model.drift_score"), "model_drift_score");
-  EXPECT_EQ(obs::PrometheusName("engine.work-order/us"),
-            "engine_work_order_us");
+  EXPECT_EQ(obs::PrometheusName("exec.work-order/us"),
+            "exec_work_order_us");
   EXPECT_EQ(obs::PrometheusName("9lives"), "_9lives");
   EXPECT_EQ(obs::PrometheusName(""), "_");
 }

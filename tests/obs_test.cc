@@ -143,6 +143,8 @@ struct JsonParser {
   }
 };
 
+#if LSCHED_OBS_ENABLED
+
 int CountOccurrences(const std::string& haystack, const std::string& needle) {
   int n = 0;
   for (size_t at = haystack.find(needle); at != std::string::npos;
@@ -155,8 +157,6 @@ int CountOccurrences(const std::string& haystack, const std::string& needle) {
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
-
-#if LSCHED_OBS_ENABLED
 
 TEST(HistogramTest, BucketBoundariesAreHalfOpen) {
   // Bucket 0 is [0, 1e-9); bucket i >= 1 is [1e-9*2^(i-1), 1e-9*2^i).
@@ -344,36 +344,6 @@ TEST(TracerTest, RingWraparoundKeepsNewestEvents) {
   tracer.Clear();
 }
 
-TEST(TracerTest, BatchRecordCountsUpstreamDrops) {
-  auto& tracer = obs::Tracer::Global();
-  tracer.Clear();
-  const size_t old_cap = tracer.capacity();
-  tracer.SetCapacityForTest(4);
-  std::thread recorder([&]() {
-    std::vector<obs::TraceEvent> batch(6);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i].name = "batch.event";
-      batch[i].category = "test";
-      batch[i].ts_us = static_cast<double>(100 + i);
-    }
-    // The recorder saw 10 events but only buffered the newest 6.
-    tracer.RecordSpans(batch.data(), batch.size(), /*total=*/10);
-  });
-  recorder.join();
-  tracer.SetCapacityForTest(old_cap);
-
-  std::ostringstream out;
-  tracer.ExportChromeTrace(out);
-  const std::string json = out.str();
-  // Ring capacity 4 < batch 6: the newest 4 survive.
-  EXPECT_EQ(CountOccurrences(json, "batch.event"), 4);
-  EXPECT_NE(json.find("\"ts\":105"), std::string::npos);
-  EXPECT_EQ(json.find("\"ts\":101"), std::string::npos);
-  // All 6 non-surviving of the 10 total are accounted as dropped.
-  EXPECT_EQ(tracer.dropped_events(), 6u);
-  tracer.Clear();
-}
-
 TEST(TracerTest, ChromeTraceJsonParsesBack) {
   auto& tracer = obs::Tracer::Global();
   tracer.Clear();
@@ -548,7 +518,7 @@ TEST(ObsIntegrationTest, OneDecisionRowPerSchedulerInvocation) {
   const std::string json = out.str();
   JsonParser parser(json);
   EXPECT_TRUE(parser.ParseDocument());
-  EXPECT_NE(json.find("engine.work_order"), std::string::npos);
+  EXPECT_NE(json.find("exec.work_order"), std::string::npos);
 
   obs::DecisionLog::Global().Clear();
   obs::Tracer::Global().Clear();
@@ -578,6 +548,65 @@ TEST(ObsIntegrationTest, DisabledRecordingIsInert) {
                 .GetCounter("sched.invocations")
                 ->Value(),
             0);
+}
+
+/// The registry counters are derived from EpisodeResult: after an episode
+/// each one equals its EpisodeResult count. Two episodes cover every
+/// counter: a fuzzed workload with its scripted cancels, and one whose
+/// every attempt overruns its deadline, so it retries and fails.
+TEST(ObsIntegrationTest, RegistryCountersEqualEpisodeResult) {
+  obs::SetEnabled(true);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  auto counter = [&](const char* name) {
+    return reg.GetCounter(name)->Value();
+  };
+  auto expect_published = [&](const EpisodeResult& r) {
+    EXPECT_EQ(counter("sched.invocations"), r.num_scheduler_invocations);
+    EXPECT_EQ(counter("sched.pipelines_launched"), r.num_actions);
+    EXPECT_EQ(counter("sched.fallback_decisions"), r.num_fallback_decisions);
+    EXPECT_EQ(counter("exec.work_orders_dispatched"),
+              r.num_work_orders_dispatched);
+    EXPECT_EQ(counter("exec.work_orders_completed"),
+              r.num_work_orders_completed);
+    EXPECT_EQ(counter("exec.queries_completed"),
+              static_cast<int64_t>(r.query_latencies.size()));
+    EXPECT_EQ(counter("exec.cancel_total"), r.num_queries_cancelled);
+    EXPECT_EQ(counter("exec.retry_total"), r.num_retries);
+    EXPECT_EQ(counter("exec.fail_total"), r.num_queries_failed);
+    EXPECT_EQ(counter("exec.shed_total"), r.num_queries_shed);
+    EXPECT_EQ(reg.GetHistogram("exec.query_latency_seconds")
+                  ->TakeSnapshot()
+                  .count,
+              r.query_latencies.size());
+    EXPECT_EQ(reg.GetGauge("exec.inflight_high_water")->Value(),
+              static_cast<double>(r.max_inflight_work_orders));
+  };
+
+  reg.ResetAll();
+  FuzzerOptions opts;
+  opts.min_queries = 6;
+  opts.max_queries = 8;
+  opts.chaos = true;  // scripted cancels; its fault schedule stays unarmed
+  opts.chaos_cancel_fraction = 0.4;
+  WorkloadFuzzer fuzzer(77, opts);
+  FuzzedWorkload w = fuzzer.NextWorkload();
+  SimEngineConfig config;
+  config.num_threads = 4;
+  config.cancels = w.cancels;
+  FairScheduler policy;
+  const EpisodeResult fuzzed = SimEngine(config).Run(w.sim_queries, &policy);
+  EXPECT_GT(fuzzed.num_queries_cancelled, 0);
+  EXPECT_GT(fuzzed.query_latencies.size(), 0u);
+  expect_published(fuzzed);
+
+  reg.ResetAll();
+  config.cancels.clear();
+  config.work_order_deadline_seconds = 1e-9;
+  const EpisodeResult expired = SimEngine(config).Run(w.sim_queries, &policy);
+  EXPECT_GT(expired.num_retries, 0);
+  EXPECT_GT(expired.num_queries_failed, 0);
+  expect_published(expired);
+  reg.ResetAll();
 }
 
 #endif  // LSCHED_OBS_ENABLED

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -538,6 +539,90 @@ TEST(ServingDecompositionTest, PerTenantSumsMatchEpisodeAggregates) {
   EXPECT_NEAR(queue, r.sum_queue_wait_ns * 1e-9, 1e-6);
   EXPECT_NEAR(service, r.sum_service_time_ns * 1e-9, 1e-6);
   EXPECT_NEAR(stall, r.sum_stall_time_ns * 1e-9, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Serving actions in the trace
+// ---------------------------------------------------------------------------
+
+/// Forwards to a ServingPolicy and counts the actions its FilterDecision
+/// applies.
+class CountingHooks : public ServingHooks {
+ public:
+  explicit CountingHooks(ServingPolicy* policy) : policy_(policy) {}
+
+  AdmissionVerdict OnAdmission(const QueryState& q,
+                               const SchedulingContext& ctx,
+                               double now) override {
+    return policy_->OnAdmission(q, ctx, now);
+  }
+  void FilterDecision(SchedulingDecision* decision,
+                      const SchedulingContext& ctx) override {
+    policy_->FilterDecision(decision, ctx);
+    max_actions = std::max(max_actions, decision->serving_actions.size());
+    total_actions += decision->serving_actions.size();
+  }
+  void OnQueryTerminal(const QueryState& q, double now) override {
+    policy_->OnQueryTerminal(q, now);
+  }
+  void OnEngineRefused(const QueryState& q, double now) override {
+    policy_->OnEngineRefused(q, now);
+  }
+
+  size_t max_actions = 0;    ///< most actions in one FilterDecision
+  size_t total_actions = 0;
+
+ private:
+  ServingPolicy* policy_;
+};
+
+/// Every redirection and injection the serving policy applies puts one
+/// kInjected edge on the query that gets the launch, however many one
+/// FilterDecision applies. Here a pool grown from one slot to 60 finds 48
+/// queued queries of four tenants and fills their shares in one decision.
+TEST(ServingTraceTest, EveryInjectionBecomesAnEdge) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLSCHED_OBS=OFF";
+  obs::SetEnabled(true);
+  obs::QueryTraceLog::Global().SetCapture(true);
+  obs::QueryTraceLog::Global().Clear();
+
+  std::vector<QuerySubmission> workload;
+  for (int i = 0; i < 48; ++i) {
+    QuerySubmission sub;
+    sub.plan = TinyPlan();
+    sub.arrival_time = 1e-4 * i;
+    sub.tag.tenant = static_cast<TenantId>(i % 4);
+    workload.push_back(std::move(sub));
+  }
+  ServingPolicyConfig pcfg;
+  pcfg.max_live_queries = 0;
+  ServingPolicy policy(pcfg);
+  CountingHooks hooks(&policy);
+  SimEngineConfig cfg;
+  cfg.num_threads = 1;
+  cfg.thread_events = {{0.005, 59}};
+  cfg.hooks = &hooks;
+  SimEngine engine(cfg);
+  FifoScheduler fifo;
+  const EpisodeResult r = engine.Run(workload, &fifo);
+  ASSERT_EQ(r.query_latencies.size(), workload.size());
+  EXPECT_GT(hooks.max_actions, 32u);
+
+  int64_t injected_edges = 0;
+  int64_t dropped_edges = 0;
+  for (const obs::QueryTraceRecord& rec :
+       obs::QueryTraceLog::Global().Snapshot()) {
+    dropped_edges += rec.dropped_edges;
+    for (const obs::TraceEdge& e : rec.edges) {
+      if (e.kind == obs::TraceEdgeKind::kInjected) ++injected_edges;
+    }
+  }
+  ASSERT_EQ(dropped_edges, 0);
+  // Share injections count as redirects in ServingPolicy's tallies.
+  const int64_t applied = policy.num_injections() + policy.num_redirects();
+  EXPECT_EQ(static_cast<int64_t>(hooks.total_actions), applied);
+  EXPECT_EQ(injected_edges, applied);
+  obs::QueryTraceLog::Global().Clear();
 }
 
 // ---------------------------------------------------------------------------

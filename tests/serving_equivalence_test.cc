@@ -33,7 +33,6 @@
 #include "nn/autograd.h"
 #include "nn/inference.h"
 #include "nn/optimizer.h"
-#include "obs/obs.h"
 #include "sched/decima.h"
 #include "sched/heuristics.h"
 #include "testing/fuzzer.h"
@@ -293,7 +292,7 @@ struct ReplayStats {
   double max_score_diff = 0.0;
 
   /// `served_score` is the log-probability of the chosen root the serving
-  /// path annotated for the decision log (NaN when obs is compiled out).
+  /// path returned as the decision's score.
   void TrackScore(double served_score, double replayed) {
     if (std::isnan(served_score)) return;
     ++scores_checked;
@@ -306,9 +305,7 @@ void ExpectReplayMatches(const ReplayStats& stats, int min_decisions) {
   ASSERT_GT(stats.decisions, min_decisions);
   EXPECT_EQ(stats.state_mismatches, 0);
   EXPECT_EQ(stats.action_mismatches, 0);
-  if (obs::kCompiledIn) {
-    EXPECT_EQ(stats.scores_checked, stats.decisions);
-  }
+  EXPECT_EQ(stats.scores_checked, stats.decisions);
   EXPECT_LE(stats.max_score_diff, 1e-9);
 }
 
@@ -333,9 +330,8 @@ class LSchedReplayProbe : public Scheduler {
     const StateFeatures reference = agent_.extractor().Extract(ctx);
     const size_t recorded = agent_.experiences().size();
     SchedulingDecision decision = agent_.Schedule(event, ctx);
-    const double served_score = obs::TakePredictedScore();
     if (agent_.experiences().size() > recorded) {
-      Check(agent_.experiences().back(), reference, served_score);
+      Check(agent_.experiences().back(), reference, decision.score);
     }
     return decision;
   }
@@ -391,9 +387,8 @@ class DecimaReplayProbe : public Scheduler {
         DecimaScheduler::ExtractFeatures(ctx);
     const size_t recorded = agent_.experiences().size();
     SchedulingDecision decision = agent_.Schedule(event, ctx);
-    const double served_score = obs::TakePredictedScore();
     if (agent_.experiences().size() > recorded) {
-      Check(agent_.experiences().back(), reference, served_score);
+      Check(agent_.experiences().back(), reference, decision.score);
     }
     return decision;
   }
