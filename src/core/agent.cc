@@ -183,10 +183,12 @@ SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
     exp.state.free_threads = view.free_threads;
     exp.state.candidates = view.candidates;
     exp.state.queries.reserve(queries.size());
+    exp.versions.reserve(queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       QueryFeatures f = *view.queries[qi];
       f.qf = std::move(qf_rows[qi]);
       exp.state.queries.push_back(std::move(f));
+      exp.versions.push_back(entries[qi]->version);
     }
     experiences_.push_back(std::move(exp));
   }

@@ -19,6 +19,11 @@ namespace lsched {
 /// REINFORCE update (paper §6) long after the episode finished.
 struct Experience {
   StateFeatures state;
+  /// Context version of each query in `state.queries` (parallel to it):
+  /// SchedulingContext::query_version at the decision. Versions are never
+  /// reused, so (query id, version) names one set of structural features,
+  /// and the replay encodes each such state once.
+  std::vector<uint64_t> versions;
   SchedulingAction action;
   double time = 0.0;
   int num_running_queries = 0;
@@ -39,7 +44,7 @@ class LSchedAgent : public Scheduler {
   /// by the context's dirty-flag versions, and the decision heads run as
   /// batched tape-free GEMMs, so no autograd Tape is ever constructed. The
   /// trainer replays each recorded Experience through the tape forward
-  /// (EncodeState/RunPredictor), which gives the same log-probabilities.
+  /// (DecisionReplay), which gives the same log-probabilities.
   SchedulingDecision Schedule(const SchedulingEvent& event,
                               const SchedulingContext& ctx) override;
 

@@ -13,147 +13,289 @@ namespace lsched {
 
 namespace {
 
-/// One edge-aware tree-convolution layer (Eq. 2) with optional GAT
-/// attention weighting (Eqs. 3-5) applied to every node in parallel.
-std::vector<Var> TreeConvLayer(LSchedModel* model,
-                               const LSchedModel::ConvLayer& layer,
-                               const QueryFeatures& q,
-                               const std::vector<Var>& x,
-                               const std::vector<Var>& e, Tape* tape) {
-  const bool use_gat = model->config().use_gat;
-  std::vector<Var> out;
-  out.reserve(x.size());
-
-  Var w_self = tape->Leaf(layer.w_self);
-  Var w_left = tape->Leaf(layer.w_left);
-  Var w_right = tape->Leaf(layer.w_right);
-  Var w_eleft = tape->Leaf(layer.w_eleft);
-  Var w_eright = tape->Leaf(layer.w_eright);
-  Var att = tape->Leaf(layer.att);
-
-  for (int i = 0; i < q.num_nodes; ++i) {
-    // Weighted terms of the triangle filter. Slot 0 = right (heaviest
-    // producer), slot 1 = left. Missing children simply contribute nothing
-    // (equivalent to zero-padded leaves in standard tree convolution).
-    std::vector<Var> terms;
-    Var self_term = tape->Mul(x[static_cast<size_t>(i)], w_self);
-    terms.push_back(self_term);
-    const std::array<Var, 2> child_w = {w_right, w_left};
-    const std::array<Var, 2> edge_w = {w_eright, w_eleft};
-    for (int s = 0; s < 2; ++s) {
-      const int child = q.child_node[static_cast<size_t>(i)][s];
-      const int edge = q.child_edge[static_cast<size_t>(i)][s];
-      if (child < 0) continue;
-      terms.push_back(tape->Mul(x[static_cast<size_t>(child)], child_w[s]));
-      terms.push_back(tape->Mul(e[static_cast<size_t>(edge)], edge_w[s]));
-    }
-
-    Var combined;
-    if (use_gat && terms.size() > 1) {
-      // Un-normalized scores y_k = LeakyReLU(a . (self_term || term_k))
-      // (Eq. 3; the Hadamard-with-a formulation followed by the sum that
-      // makes the score scalar, as in standard GAT), then softmax (Eq. 4).
-      std::vector<Var> scores;
-      scores.reserve(terms.size());
-      for (const Var& term : terms) {
-        Var cat = tape->ConcatCols({self_term, term});
-        scores.push_back(tape->LeakyRelu(tape->DotRows(att, cat)));
-      }
-      Var logits = tape->ConcatCols(scores);
-      Var logz = tape->LogSoftmaxRow(logits);
-      for (size_t k = 0; k < terms.size(); ++k) {
-        Var zk = tape->Exp(tape->PickCol(logz, static_cast<int>(k)));
-        Var weighted = tape->Mul(terms[k], zk);
-        combined = k == 0 ? weighted : tape->Add(combined, weighted);
-      }
-    } else {
-      // Isotropic aggregation (the Fig. 15 "w/o GAT" ablation): every term
-      // contributes equally, per Eq. 2.
-      for (size_t k = 0; k < terms.size(); ++k) {
-        combined = k == 0 ? terms[k] : tape->Add(combined, terms[k]);
-      }
-    }
-    out.push_back(tape->Relu(layer.mix.Forward(tape, combined)));
+/// Copies per-row feature vectors into the rows of `m` (already sized).
+void FillRows(const std::vector<std::vector<double>>& rows, Matrix* m) {
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::copy(rows[r].begin(), rows[r].end(),
+              m->data() + r * static_cast<size_t>(m->cols()));
   }
-  return out;
+}
+
+/// Weights of one tree-convolution layer's triangle filter (Eq. 2) and GAT
+/// scores (Eq. 3), as raw rows: w[slot] is (1 x d), att is (1 x 2d).
+struct CombineWeights {
+  /// Slots: 0 self, 1 right child, 2 left child, 3 right edge, 4 left edge.
+  std::array<const double*, 5> w;
+  const double* att;
+};
+
+/// One term of a node's triangle filter: the embedding row it scales and
+/// the weight slot that scales it.
+struct Term {
+  bool edge;  ///< row indexes the edge embeddings, not the node ones
+  int row;
+  int slot;
+};
+
+/// At most self + 2 x (child, edge).
+constexpr int kMaxTerms = 5;
+
+/// Producer ("child") slots of every node: views of
+/// QueryFeatures::child_node and child_edge.
+struct Producers {
+  const std::array<int, 2>* node;
+  const std::array<int, 2>* edge;
+};
+
+/// Node i's combine step, shared by the forward and the backward: fills its
+/// terms (self first, then per producer slot — right, then left — the
+/// child's and the connecting edge's), their values t (rows of `t`) and
+/// their weights z. With GAT and more than one term, z is the softmax of
+/// the LeakyReLU'd raw scores s; otherwise every z is 1, and multiplying
+/// by it is exact. Missing children contribute nothing (zero-padded leaves
+/// of standard tree convolution). Returns the number of terms.
+int NodeTerms(const Producers& p, int i, const CombineWeights& cw,
+              bool use_gat, const double* x, const double* e, int d,
+              Term* terms, double* t, double* s, double* z) {
+  int n = 0;
+  terms[n++] = {false, i, 0};
+  for (int slot = 0; slot < 2; ++slot) {
+    const int child = p.node[static_cast<size_t>(i)][slot];
+    if (child < 0) continue;
+    terms[n++] = {false, child, 1 + slot};
+    terms[n++] = {true, p.edge[static_cast<size_t>(i)][slot], 3 + slot};
+  }
+  for (int k = 0; k < n; ++k) {
+    const double* src = (terms[k].edge ? e : x) +
+                        static_cast<size_t>(terms[k].row) * static_cast<size_t>(d);
+    const double* w = cw.w[static_cast<size_t>(terms[k].slot)];
+    double* tk = t + static_cast<size_t>(k) * static_cast<size_t>(d);
+    for (int j = 0; j < d; ++j) tk[j] = src[j] * w[j];
+    z[k] = 1.0;
+  }
+  if (use_gat && n > 1) {
+    // Scores y_k = LeakyReLU(a . (t_self || t_k)) (Eq. 3: the dot product
+    // over the concatenated row, self half first), then softmax (Eq. 4).
+    double logits[kMaxTerms];
+    for (int k = 0; k < n; ++k) {
+      const double* tk = t + static_cast<size_t>(k) * static_cast<size_t>(d);
+      double sk = 0.0;
+      for (int j = 0; j < d; ++j) sk += cw.att[j] * t[j];
+      for (int j = 0; j < d; ++j) sk += cw.att[d + j] * tk[j];
+      s[k] = sk;
+      logits[k] = sk > 0.0 ? sk : 0.2 * sk;
+    }
+    const double lse = LogSumExp(logits, static_cast<size_t>(n));
+    for (int k = 0; k < n; ++k) z[k] = std::exp(logits[k] - lse);
+  }
+  return n;
+}
+
+/// The combine step of one tree-convolution layer for every node (Eqs.
+/// 2-5): row i of `out` is sum_k z_k t_k over node i's terms — GAT-weighted
+/// (Eq. 5), or a plain sum without GAT (the Fig. 15 "w/o GAT" ablation).
+/// Both encoders run this routine, so the serving encoder equals the tape
+/// encoder by construction. `out` is (num_nodes x d); `t` is scratch for
+/// the terms, (kMaxTerms x d).
+void CombineForward(const Producers& p, const CombineWeights& cw,
+                    bool use_gat, const Matrix& x, const Matrix& e, Matrix* t,
+                    Matrix* out) {
+  const int d = x.cols();
+  Term terms[kMaxTerms];
+  double s[kMaxTerms], z[kMaxTerms];
+  for (int i = 0; i < x.rows(); ++i) {
+    const int n = NodeTerms(p, i, cw, use_gat, x.data(), e.data(), d, terms,
+                            t->data(), s, z);
+    double* combined =
+        out->data() + static_cast<size_t>(i) * static_cast<size_t>(d);
+    for (int j = 0; j < d; ++j) combined[j] = t->data()[j] * z[0];
+    for (int k = 1; k < n; ++k) {
+      const double* tk =
+          t->data() + static_cast<size_t>(k) * static_cast<size_t>(d);
+      for (int j = 0; j < d; ++j) combined[j] += tk[j] * z[k];
+    }
+  }
+}
+
+/// Gradient sinks of CombineBackward, shaped like its inputs.
+struct CombineGrads {
+  Matrix* x;
+  Matrix* e;
+  std::array<Matrix*, 5> w;
+  Matrix* att;
+};
+
+/// Backward of CombineForward: adds d(loss)/d(input) into `grads`, given
+/// the output gradient `g`. Recomputes each node's terms and weights.
+void CombineBackward(const Producers& p, const CombineWeights& cw,
+                     bool use_gat, const Matrix& x, const Matrix& e,
+                     const Matrix& g, const CombineGrads& grads) {
+  const int d = x.cols();
+  Term terms[kMaxTerms];
+  double s[kMaxTerms], z[kMaxTerms];
+  Matrix t(kMaxTerms, d);
+  Matrix dt(kMaxTerms, d);
+  const auto row = [d](auto* base, int k) {
+    return base + static_cast<size_t>(k) * static_cast<size_t>(d);
+  };
+  for (int i = 0; i < x.rows(); ++i) {
+    const int n = NodeTerms(p, i, cw, use_gat, x.data(), e.data(), d, terms,
+                            t.data(), s, z);
+    const double* gi = g.data() + static_cast<size_t>(i) * static_cast<size_t>(d);
+    for (int k = 0; k < n; ++k) {
+      double* dtk = row(dt.data(), k);
+      for (int j = 0; j < d; ++j) dtk[j] = z[k] * gi[j];
+    }
+    if (use_gat && n > 1) {
+      // Through the softmax: dL/dlogit_k = z_k (dz_k - sum_c z_c dz_c),
+      // dz_k = g . t_k; then LeakyReLU, then s_k = a . (t_0 || t_k).
+      double dz[kMaxTerms];
+      double zdz = 0.0;
+      for (int k = 0; k < n; ++k) {
+        const double* tk = row(t.data(), k);
+        dz[k] = 0.0;
+        for (int j = 0; j < d; ++j) dz[k] += gi[j] * tk[j];
+        zdz += z[k] * dz[k];
+      }
+      const double* t0 = t.data();
+      double* dt0 = dt.data();
+      double* datt = grads.att->data();
+      for (int k = 0; k < n; ++k) {
+        const double* tk = row(t.data(), k);
+        double* dtk = row(dt.data(), k);
+        const double dlogit = z[k] * (dz[k] - zdz);
+        const double ds = s[k] > 0.0 ? dlogit : 0.2 * dlogit;
+        for (int j = 0; j < d; ++j) {
+          datt[j] += ds * t0[j];
+          datt[d + j] += ds * tk[j];
+          dt0[j] += ds * cw.att[j];
+          dtk[j] += ds * cw.att[d + j];
+        }
+      }
+    }
+    // t_k = src_k * w_slot(k), elementwise.
+    for (int k = 0; k < n; ++k) {
+      const Term& term = terms[k];
+      const double* src = row((term.edge ? e : x).data(), term.row);
+      double* dsrc = row((term.edge ? grads.e : grads.x)->data(), term.row);
+      const double* w = cw.w[static_cast<size_t>(term.slot)];
+      double* dw = grads.w[static_cast<size_t>(term.slot)]->data();
+      const double* dtk = row(dt.data(), k);
+      for (int j = 0; j < d; ++j) {
+        dsrc[j] += dtk[j] * w[j];
+        dw[j] += dtk[j] * src[j];
+      }
+    }
+  }
+}
+
+/// One edge-aware tree-convolution layer (Eq. 2) with optional GAT
+/// weighting (Eqs. 3-5) over all nodes: the combine step is one tape node
+/// with a hand-written backward, the channel mix one Linear over all rows.
+Var TreeConvLayer(const LSchedModel& model,
+                  const LSchedModel::ConvLayer& layer, const QueryFeatures& q,
+                  Var x, Var e, Tape* tape) {
+  const bool use_gat = model.config().use_gat;
+  const std::array<Var, 5> w = {
+      tape->Leaf(layer.w_self), tape->Leaf(layer.w_right),
+      tape->Leaf(layer.w_left), tape->Leaf(layer.w_eright),
+      tape->Leaf(layer.w_eleft)};
+  const Var att = tape->Leaf(layer.att);
+  const auto weights = [w, att]() {
+    CombineWeights cw;
+    for (size_t slot = 0; slot < w.size(); ++slot) {
+      cw.w[slot] = w[slot].value().data();
+    }
+    cw.att = att.value().data();
+    return cw;
+  };
+  Matrix terms(kMaxTerms, x.cols());
+  Matrix combined(q.num_nodes, x.cols());
+  CombineForward({q.child_node.data(), q.child_edge.data()}, weights(),
+                 use_gat, x.value(), e.value(), &terms, &combined);
+  // The backward keeps its own copy of the slots, so it does not depend on
+  // the features outliving the forward.
+  const Var out = tape->Custom(
+      std::move(combined), [child_node = q.child_node,
+                            child_edge = q.child_edge, use_gat, x, e, w, att,
+                            weights](Tape* t, Var self) {
+        CombineGrads grads;
+        grads.x = &t->mutable_grad(x);
+        grads.e = &t->mutable_grad(e);
+        for (size_t slot = 0; slot < w.size(); ++slot) {
+          grads.w[slot] = &t->mutable_grad(w[slot]);
+        }
+        grads.att = &t->mutable_grad(att);
+        CombineBackward({child_node.data(), child_edge.data()}, weights(),
+                        use_gat, x.value(), e.value(),
+                        t->grad(self.id()), grads);
+      });
+  return tape->Relu(layer.mix.Forward(tape, out));
 }
 
 /// Sequential message-passing GCN layer (the Decima-style encoder used for
 /// the "w/o triangle convolution" ablation): children embeddings computed
 /// earlier in the same sweep are fused into their parents, which is exactly
 /// the within-iteration indirect fusion the paper identifies as the source
-/// of over-smoothing (§4.2.1).
-std::vector<Var> GcnLayer(LSchedModel* model, const QueryFeatures& q,
-                          const std::vector<Var>& x, Tape* tape) {
-  std::vector<Var> out = x;
+/// of over-smoothing (§4.2.1). The sweep is inherently row by row.
+Var GcnLayer(const LSchedModel& model, const QueryFeatures& q, Var x,
+             Tape* tape) {
+  std::vector<Var> out;
+  out.reserve(static_cast<size_t>(q.num_nodes));
+  for (int i = 0; i < q.num_nodes; ++i) out.push_back(tape->SliceRow(x, i));
   for (int i : q.topo_order) {  // producers first: sequential steps
-    Var h = model->gcn_self.Forward(tape, out[static_cast<size_t>(i)]);
+    Var h = model.gcn_self.Forward(tape, out[static_cast<size_t>(i)]);
     for (int s = 0; s < 2; ++s) {
       const int child = q.child_node[static_cast<size_t>(i)][s];
       if (child < 0) continue;
       h = tape->Add(
-          h, model->gcn_child.Forward(tape, out[static_cast<size_t>(child)]));
+          h, model.gcn_child.Forward(tape, out[static_cast<size_t>(child)]));
     }
     out[static_cast<size_t>(i)] = tape->Relu(h);
   }
-  return out;
+  return tape->ConcatRows(out);
 }
 
 }  // namespace
 
 EncodedQuery EncodeQuery(LSchedModel* model, const QueryFeatures& q,
                          Tape* tape) {
-  EncodedQuery enc;
-  const int sd = model->config().summary_dim;
+  const LSchedConfig& cfg = model->config();
+  Matrix opf_mat(q.num_nodes, cfg.features.opf_dim());
+  FillRows(q.opf, &opf_mat);
+  Matrix edf_mat(static_cast<int>(q.edf.size()), cfg.features.edf_dim());
+  FillRows(q.edf, &edf_mat);
+  const Var opf = tape->Constant(std::move(opf_mat));
+  const Var edf = tape->Constant(std::move(edf_mat));
 
-  // Initial projections of OPF and EDF.
-  enc.node_emb.reserve(static_cast<size_t>(q.num_nodes));
-  for (int i = 0; i < q.num_nodes; ++i) {
-    Var f = tape->Constant(Matrix::FromRow(q.opf[static_cast<size_t>(i)]));
-    enc.node_emb.push_back(
-        tape->Relu(model->proj_node.Forward(tape, f)));
-  }
-  enc.edge_emb.reserve(q.edf.size());
-  for (const std::vector<double>& edf : q.edf) {
-    Var f = tape->Constant(Matrix::FromRow(edf));
-    enc.edge_emb.push_back(tape->Relu(model->proj_edge.Forward(tape, f)));
-  }
+  // Initial projections of OPF and EDF, one Linear over all rows. A query
+  // without edges gets (0 x d) edge embeddings, and the PQE's edge sum below
+  // is then zero.
+  EncodedQuery enc;
+  enc.node_emb = tape->Relu(model->proj_node.Forward(tape, opf));
+  enc.edge_emb = tape->Relu(model->proj_edge.Forward(tape, edf));
 
   // Stacked convolution layers.
-  if (model->config().use_tree_conv) {
+  if (cfg.use_tree_conv) {
     for (const LSchedModel::ConvLayer& layer : model->conv) {
       enc.node_emb =
-          TreeConvLayer(model, layer, q, enc.node_emb, enc.edge_emb, tape);
+          TreeConvLayer(*model, layer, q, enc.node_emb, enc.edge_emb, tape);
     }
   } else {
-    for (int l = 0; l < model->config().num_conv_layers; ++l) {
-      enc.node_emb = GcnLayer(model, q, enc.node_emb, tape);
+    for (int l = 0; l < cfg.num_conv_layers; ++l) {
+      enc.node_emb = GcnLayer(*model, q, enc.node_emb, tape);
     }
   }
 
   // PQE: summarize nodes (NE || OPF) and edges (EE || EDF) into one vector
   // via the false-edges-to-summary-node message passing of Fig. 6.
-  Var node_sum;
-  for (int i = 0; i < q.num_nodes; ++i) {
-    Var cat = tape->ConcatCols(
-        {enc.node_emb[static_cast<size_t>(i)],
-         tape->Constant(Matrix::FromRow(q.opf[static_cast<size_t>(i)]))});
-    Var msg = tape->Relu(model->pqe_node_in.Forward(tape, cat));
-    node_sum = i == 0 ? msg : tape->Add(node_sum, msg);
-  }
-  Var edge_sum;
-  if (!q.edf.empty()) {
-    for (size_t j = 0; j < q.edf.size(); ++j) {
-      Var cat = tape->ConcatCols(
-          {enc.edge_emb[j], tape->Constant(Matrix::FromRow(q.edf[j]))});
-      Var msg = tape->Relu(model->pqe_edge_in.Forward(tape, cat));
-      edge_sum = j == 0 ? msg : tape->Add(edge_sum, msg);
-    }
-  } else {
-    edge_sum = tape->Constant(Matrix(1, sd, 0.0));
-  }
-  enc.pqe = model->pqe_out.Forward(tape, tape->ConcatCols({node_sum,
-                                                           edge_sum}));
+  const Var node_msgs = tape->Relu(
+      model->pqe_node_in.Forward(tape, tape->ConcatCols({enc.node_emb, opf})));
+  const Var edge_msgs = tape->Relu(
+      model->pqe_edge_in.Forward(tape, tape->ConcatCols({enc.edge_emb, edf})));
+  enc.pqe = model->pqe_out.Forward(
+      tape, tape->ConcatCols({tape->SumRows(node_msgs),
+                              tape->SumRows(edge_msgs)}));
   return enc;
 }
 
@@ -166,88 +308,25 @@ inline void AddRowInPlace(double* acc, const double* b, int d) {
   for (int j = 0; j < d; ++j) acc[j] += b[j];
 }
 
-/// GAT score y_k = a . (self_term || term_k): same summation order as
-/// Tape::DotRows over the concatenated row (first the self half, then the
-/// term half). Caller applies LeakyReLU.
-inline double GatScore(const double* att, const double* self_term,
-                       const double* term, int d) {
-  double s = 0.0;
-  for (int j = 0; j < d; ++j) s += att[j] * self_term[j];
-  for (int j = 0; j < d; ++j) s += att[d + j] * term[j];
-  return s;
-}
-
-/// One tape-free edge-aware tree-convolution layer over all nodes: the
-/// per-node triangle filter + GAT math stays scalar (variable term counts),
-/// but the channel-mixing projection is batched into one GEMM across every
-/// node of the query.
+/// One tape-free tree-convolution layer: the tape encoder's combine
+/// routine, then the channel mix as one GEMM over the query's nodes.
 void TreeConvLayerServing(const LSchedModel& model,
                           const LSchedModel::ConvLayer& layer,
                           const QueryFeatures& q, Matrix* node_emb,
                           const Matrix& edge_emb, ScratchArena* arena) {
+  CombineWeights cw;
+  cw.w = {layer.w_self->value.data(), layer.w_right->value.data(),
+          layer.w_left->value.data(), layer.w_eright->value.data(),
+          layer.w_eleft->value.data()};
+  cw.att = layer.att->value.data();
   const int d = model.config().hidden_dim;
-  const bool use_gat = model.config().use_gat;
-  const double* w_self = layer.w_self->value.data();
-  const std::array<const double*, 2> child_w = {layer.w_right->value.data(),
-                                                layer.w_left->value.data()};
-  const std::array<const double*, 2> edge_w = {layer.w_eright->value.data(),
-                                               layer.w_eleft->value.data()};
-  const double* att = layer.att->value.data();
-
-  // Up to 5 terms per node: self + 2 x (child, edge).
-  Matrix* terms = arena->Alloc(5, d);
-  Matrix* combined_mat = arena->Alloc(q.num_nodes, d);
-  for (int i = 0; i < q.num_nodes; ++i) {
-    const double* x_i =
-        node_emb->data() + static_cast<size_t>(i) * static_cast<size_t>(d);
-    int num_terms = 0;
-    auto term_row = [&](int k) {
-      return terms->data() + static_cast<size_t>(k) * static_cast<size_t>(d);
-    };
-    double* self_term = term_row(num_terms++);
-    for (int j = 0; j < d; ++j) self_term[j] = x_i[j] * w_self[j];
-    for (int s = 0; s < 2; ++s) {
-      const int child = q.child_node[static_cast<size_t>(i)][s];
-      const int edge = q.child_edge[static_cast<size_t>(i)][s];
-      if (child < 0) continue;
-      const double* xc = node_emb->data() +
-                         static_cast<size_t>(child) * static_cast<size_t>(d);
-      double* t = term_row(num_terms++);
-      for (int j = 0; j < d; ++j) t[j] = xc[j] * child_w[s][j];
-      const double* ec =
-          edge_emb.data() + static_cast<size_t>(edge) * static_cast<size_t>(d);
-      double* te = term_row(num_terms++);
-      for (int j = 0; j < d; ++j) te[j] = ec[j] * edge_w[s][j];
-    }
-
-    double* combined = combined_mat->data() +
-                       static_cast<size_t>(i) * static_cast<size_t>(d);
-    if (use_gat && num_terms > 1) {
-      double logits[5];
-      for (int k = 0; k < num_terms; ++k) {
-        const double y = GatScore(att, self_term, term_row(k), d);
-        logits[k] = y > 0.0 ? y : 0.2 * y;  // LeakyReLU, tape alpha
-      }
-      const double lse = LogSumExp(logits, static_cast<size_t>(num_terms));
-      for (int k = 0; k < num_terms; ++k) {
-        const double zk = std::exp(logits[k] - lse);
-        const double* t = term_row(k);
-        if (k == 0) {
-          for (int j = 0; j < d; ++j) combined[j] = t[j] * zk;
-        } else {
-          for (int j = 0; j < d; ++j) combined[j] += t[j] * zk;
-        }
-      }
-    } else {
-      for (int j = 0; j < d; ++j) combined[j] = self_term[j];
-      for (int k = 1; k < num_terms; ++k) {
-        AddRowInPlace(combined, term_row(k), d);
-      }
-    }
-  }
-  // Batched channel mix: one GEMM for the whole query's nodes.
+  Matrix* terms = arena->Alloc(kMaxTerms, d);
+  Matrix* combined = arena->Alloc(q.num_nodes, d);
+  CombineForward({q.child_node.data(), q.child_edge.data()}, cw,
+                 model.config().use_gat, *node_emb, edge_emb, terms,
+                 combined);
   Matrix* mixed = arena->Alloc(q.num_nodes, d);
-  LinearForwardInto(layer.mix, *combined_mat, mixed);
+  LinearForwardInto(layer.mix, *combined, mixed);
   ReluInPlace(mixed);
   *node_emb = *mixed;
 }
@@ -292,23 +371,13 @@ ServingEncodedQuery EncodeQueryServing(const LSchedModel& model,
 
   // Initial projections, batched over all nodes / edges of the query.
   Matrix* opf_mat = arena->Alloc(q.num_nodes, opf_dim);
-  for (int i = 0; i < q.num_nodes; ++i) {
-    const std::vector<double>& f = q.opf[static_cast<size_t>(i)];
-    std::copy(f.begin(), f.end(),
-              opf_mat->data() + static_cast<size_t>(i) *
-                                    static_cast<size_t>(opf_dim));
-  }
+  FillRows(q.opf, opf_mat);
   Matrix* ne = arena->Alloc(q.num_nodes, d);
   LinearForwardInto(model.proj_node, *opf_mat, ne);
   ReluInPlace(ne);
 
   Matrix* edf_mat = arena->Alloc(num_edges, edf_dim);
-  for (int e = 0; e < num_edges; ++e) {
-    const std::vector<double>& f = q.edf[static_cast<size_t>(e)];
-    std::copy(f.begin(), f.end(),
-              edf_mat->data() + static_cast<size_t>(e) *
-                                    static_cast<size_t>(edf_dim));
-  }
+  FillRows(q.edf, edf_mat);
   out.edge_emb.Resize(num_edges, d);
   if (num_edges > 0) {
     Matrix* ee = arena->Alloc(num_edges, d);
@@ -517,22 +586,38 @@ void EncodingCache::Trim(const std::vector<QueryState*>& live) {
 
 EncodedState EncodeState(LSchedModel* model, const StateFeatures& state,
                          Tape* tape) {
-  EncodedState out;
-  out.queries.reserve(state.queries.size());
+  std::vector<EncodedQuery> queries;
+  queries.reserve(state.queries.size());
   for (const QueryFeatures& q : state.queries) {
-    out.queries.push_back(EncodeQuery(model, q, tape));
+    queries.push_back(EncodeQuery(model, q, tape));
   }
-  // AQE: summarize concat(PQE, QF) across queries (Fig. 6 bottom).
+  return AssembleState(model, state, std::move(queries), tape);
+}
+
+EncodedState AssembleState(LSchedModel* model, const StateFeatures& state,
+                           std::vector<EncodedQuery> queries, Tape* tape) {
+  EncodedState out;
+  out.queries = std::move(queries);
+  // AQE: summarize concat(PQE, QF) across queries (Fig. 6 bottom), one
+  // Linear over all queries' rows. Without queries the sum is zero.
+  const int nq = static_cast<int>(state.queries.size());
+  Matrix qf_mat(nq, model->config().features.qf_dim());
+  std::vector<Var> pqes;
+  pqes.reserve(out.queries.size());
+  for (int qi = 0; qi < nq; ++qi) {
+    const std::vector<double>& qf = state.queries[static_cast<size_t>(qi)].qf;
+    std::copy(qf.begin(), qf.end(),
+              qf_mat.data() + static_cast<size_t>(qi) *
+                                  static_cast<size_t>(qf_mat.cols()));
+    pqes.push_back(out.queries[static_cast<size_t>(qi)].pqe);
+  }
   Var sum;
-  for (size_t qi = 0; qi < state.queries.size(); ++qi) {
-    Var cat = tape->ConcatCols(
-        {out.queries[qi].pqe,
-         tape->Constant(Matrix::FromRow(state.queries[qi].qf))});
-    Var msg = tape->Relu(model->aqe_in.Forward(tape, cat));
-    sum = qi == 0 ? msg : tape->Add(sum, msg);
-  }
-  if (state.queries.empty()) {
+  if (nq == 0) {
     sum = tape->Constant(Matrix(1, model->config().summary_dim, 0.0));
+  } else {
+    const Var cat = tape->ConcatCols(
+        {tape->ConcatRows(pqes), tape->Constant(std::move(qf_mat))});
+    sum = tape->SumRows(tape->Relu(model->aqe_in.Forward(tape, cat)));
   }
   out.aqe = model->aqe_out.Forward(tape, sum);
   return out;

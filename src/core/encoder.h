@@ -14,11 +14,12 @@
 namespace lsched {
 
 /// Embeddings of one query produced by the Single Query Encoder + PQE
-/// summarization (paper Fig. 6).
+/// summarization (paper Fig. 6). Row i of node_emb is operator i's
+/// embedding, row j of edge_emb plan edge j's.
 struct EncodedQuery {
-  std::vector<Var> node_emb;  ///< NE, one (1 x d) per operator
-  std::vector<Var> edge_emb;  ///< EE, one (1 x d) per plan edge
-  Var pqe;                    ///< per-query embedding (1 x summary_dim)
+  Var node_emb;  ///< NE, (num_nodes x d)
+  Var edge_emb;  ///< EE, (num_edges x d); (0 x d) without edges
+  Var pqe;       ///< per-query embedding (1 x summary_dim)
 };
 
 /// Encoder output for the full system state.
@@ -36,9 +37,18 @@ struct EncodedState {
 EncodedState EncodeState(LSchedModel* model, const StateFeatures& state,
                          Tape* tape);
 
-/// Encodes one query (exposed for tests and micro-benchmarks).
+/// Encodes one query as whole matrices: each projection, channel mix and
+/// PQE message network is one Linear over all rows, and each layer's
+/// triangle-filter + GAT combine step is one tape node whose forward is
+/// the serving encoder's routine.
 EncodedQuery EncodeQuery(LSchedModel* model, const QueryFeatures& q,
                          Tape* tape);
+
+/// The last step of EncodeState: the AQE over already-encoded queries
+/// (`queries` parallel to state.queries). Lets a replay that reuses
+/// EncodedQuerys across decisions assemble each state itself.
+EncodedState AssembleState(LSchedModel* model, const StateFeatures& state,
+                           std::vector<EncodedQuery> queries, Tape* tape);
 
 /// --- tape-free serving path (Scheduler API v2, DESIGN.md §9) -------------
 
@@ -58,10 +68,11 @@ struct ServingEncodedQuery {
 Matrix EdfAggregate(const QueryFeatures& q, int op, int edf_dim);
 
 /// Tape-free forward of the Single Query Encoder. Bit-identical to
-/// EncodeQuery's values (same loop and accumulation order per row), but
-/// allocates nothing beyond `arena` scratch plus the returned matrices, and
-/// never constructs a Tape. Depends only on the structural features, so the
-/// result is cacheable per (query id, context version).
+/// EncodeQuery's values by construction: the combine step of every
+/// tree-convolution layer is the same routine, and the projections, mixes
+/// and PQE networks are the same batched GEMMs with the same row sums.
+/// Never constructs a Tape. Depends only on the structural features, so
+/// the result is cacheable per (query id, context version).
 ServingEncodedQuery EncodeQueryServing(const LSchedModel& model,
                                        const QueryFeatures& q,
                                        ScratchArena* arena);

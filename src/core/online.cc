@@ -1,6 +1,6 @@
 #include "core/online.h"
 
-#include "core/encoder.h"
+#include "core/trainer.h"
 #include "obs/scalar_events.h"
 #include "util/math_util.h"
 
@@ -91,16 +91,10 @@ void OnlineLSched::ApplyUpdate(double now) {
   model_->params()->ZeroGrads();
   const double scale =
       1.0 / static_cast<double>(std::max<size_t>(ep.experiences.size(), 1));
-  for (size_t d = 0; d < ep.experiences.size(); ++d) {
-    const Experience& exp = ep.experiences[d];
-    if (exp.state.candidates.empty()) continue;
-    Tape tape;
-    const EncodedState encoded = EncodeState(model_, exp.state, &tape);
-    const PredictorOutput out =
-        RunPredictor(model_, exp.state, encoded, &tape);
-    Var loss = tape.Scale(ActionLogProb(&tape, out, exp.action), -adv[d]);
-    tape.Backward(loss, scale);
-  }
+  // Online corrections carry no entropy bonus. Versions are never reused,
+  // so memo keys stay unique even if the experiences span several runs.
+  AccumulatePolicyGradient(model_, ep.experiences, adv, scale,
+                           /*entropy_coef=*/0.0, /*track_entropy=*/false);
   model_->params()->ClipGradNorm(config_.grad_clip);
   optimizer_.Step(model_->params());
   ++num_updates_;

@@ -15,7 +15,7 @@ Var InEdgeEmbedding(const EncodedQuery& eq, const QueryFeatures& q, int op,
   if (edges.empty()) return tape->Constant(Matrix(1, dim, 0.0));
   Var sum;
   for (size_t k = 0; k < edges.size(); ++k) {
-    const Var& e = eq.edge_emb[static_cast<size_t>(edges[k])];
+    const Var e = tape->SliceRow(eq.edge_emb, edges[k]);
     sum = k == 0 ? e : tape->Add(sum, e);
   }
   return tape->Scale(sum, 1.0 / static_cast<double>(edges.size()));
@@ -39,7 +39,7 @@ PredictorOutput RunPredictor(LSchedModel* model, const StateFeatures& state,
   for (const Candidate& cand : state.candidates) {
     const QueryFeatures& q = state.queries[static_cast<size_t>(cand.query_index)];
     const EncodedQuery& eq = encoded.queries[static_cast<size_t>(cand.query_index)];
-    Var ne = eq.node_emb[static_cast<size_t>(cand.op)];
+    Var ne = tape->SliceRow(eq.node_emb, cand.op);
     Var ee = InEdgeEmbedding(eq, q, cand.op, d, tape);
 
     // Execution-roots head: score(NE, EE, PQE) (Fig. 7 left).

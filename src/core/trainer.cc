@@ -1,5 +1,7 @@
 #include "core/trainer.h"
 
+#include <algorithm>
+
 #include "core/encoder.h"
 #include "obs/metrics.h"
 #include "obs/scalar_events.h"
@@ -19,7 +21,76 @@ double Variance(const std::vector<double>& v) {
   return sum / static_cast<double>(v.size() - 1);
 }
 
+/// The encoder reads the structural features only (not the QF row).
+bool SameStructure(const QueryFeatures& a, const QueryFeatures& b) {
+  return a.num_nodes == b.num_nodes && a.opf == b.opf && a.edf == b.edf &&
+         a.child_node == b.child_node && a.child_edge == b.child_edge &&
+         a.topo_order == b.topo_order;
+}
+
 }  // namespace
+
+PredictorOutput DecisionReplay::Forward(const Experience& exp) {
+  const StateFeatures& state = exp.state;
+  const bool keyed = exp.versions.size() == state.queries.size();
+  std::vector<EncodedQuery> queries;
+  queries.reserve(state.queries.size());
+  for (size_t qi = 0; qi < state.queries.size(); ++qi) {
+    const QueryFeatures& q = state.queries[qi];
+    const uint64_t version = keyed ? exp.versions[qi] : 0;
+    if (version == 0) {
+      queries.push_back(EncodeQuery(model_, q, tape_));
+      continue;
+    }
+    auto [it, inserted] =
+        memo_.try_emplace({q.qid, version}, Memo{&q, EncodedQuery{}});
+    if (inserted) {
+      it->second.enc = EncodeQuery(model_, q, tape_);
+    } else {
+      LSCHED_DCHECK(SameStructure(*it->second.features, q))
+          << "query " << q.qid << " version " << version
+          << " recorded with different features";
+      ++memo_hits_;
+    }
+    queries.push_back(it->second.enc);
+  }
+  const EncodedState encoded =
+      AssembleState(model_, state, std::move(queries), tape_);
+  return RunPredictor(model_, state, encoded, tape_);
+}
+
+PolicyGradientStats AccumulatePolicyGradient(
+    LSchedModel* model, const std::vector<Experience>& experiences,
+    const std::vector<double>& advantages, double scale, double entropy_coef,
+    bool track_entropy) {
+  PolicyGradientStats stats;
+  const size_t n = experiences.size();
+  for (size_t begin = 0; begin < n; begin += kDecisionsPerTape) {
+    const size_t end = std::min(n, begin + kDecisionsPerTape);
+    Tape tape;
+    DecisionReplay replay(model, &tape);
+    Var total;
+    for (size_t d = begin; d < end; ++d) {
+      const Experience& exp = experiences[d];
+      if (exp.state.candidates.empty()) continue;
+      // loss_d = -adv_d * log pi(a_d | s_d) - beta * H(pi).
+      const PredictorOutput out = replay.Forward(exp);
+      Var loss =
+          tape.Scale(ActionLogProb(&tape, out, exp.action), -advantages[d]);
+      if (track_entropy || entropy_coef > 0.0) {
+        const Var entropy = ActionEntropy(&tape, out, exp.action);
+        stats.entropy_sum += entropy.value().at(0, 0);
+        if (entropy_coef > 0.0) {
+          loss = tape.Add(loss, tape.Scale(entropy, -entropy_coef));
+        }
+      }
+      total = total.valid() ? tape.Add(total, loss) : loss;
+      ++stats.decisions;
+    }
+    if (total.valid()) tape.Backward(total, scale);
+  }
+  return stats;
+}
 
 ReinforceTrainer::ReinforceTrainer(LSchedModel* model, SimEngine* engine,
                                    TrainConfig config)
@@ -70,35 +141,15 @@ ReinforceTrainer::UpdateTelemetry ReinforceTrainer::UpdateFromLatestEpisode() {
   const std::vector<double> adv = experience_.LatestAdvantages(true);
 
   UpdateTelemetry tel;
-  // Entropy is needed for the loss whenever the coefficient is live, and
-  // for telemetry whenever obs is recording.
-  const bool want_entropy = config_.entropy_coef > 0.0 || obs::Enabled();
-  double entropy_sum = 0.0;
-
   model_->params()->ZeroGrads();
   const double scale = 1.0 / std::max<size_t>(ep.experiences.size(), 1);
-  for (size_t d = 0; d < ep.experiences.size(); ++d) {
-    const Experience& exp = ep.experiences[d];
-    if (exp.state.candidates.empty()) continue;
-    // Replay the forward pass on a fresh tape and backprop the policy
-    // gradient term: loss_d = -adv_d * log pi(a_d | s_d) - beta * H(pi).
-    Tape tape;
-    const EncodedState encoded = EncodeState(model_, exp.state, &tape);
-    const PredictorOutput out =
-        RunPredictor(model_, exp.state, encoded, &tape);
-    Var logprob = ActionLogProb(&tape, out, exp.action);
-    Var loss = tape.Scale(logprob, -adv[d]);
-    if (want_entropy) {
-      Var entropy = ActionEntropy(&tape, out, exp.action);
-      entropy_sum += entropy.value().at(0, 0);
-      if (config_.entropy_coef > 0.0) {
-        loss = tape.Add(loss, tape.Scale(entropy, -config_.entropy_coef));
-      }
-    }
-    tape.Backward(loss, scale);
-    ++stats_.total_decisions;
-    ++tel.decisions;
-  }
+  // Entropy is in the loss whenever the coefficient is live, and in the
+  // telemetry whenever obs is recording.
+  const PolicyGradientStats pg = AccumulatePolicyGradient(
+      model_, ep.experiences, adv, scale, config_.entropy_coef,
+      obs::Enabled());
+  stats_.total_decisions += pg.decisions;
+  tel.decisions = pg.decisions;
   if (obs::Enabled()) {
     tel.grad_norm_preclip = model_->params()->GradNorm();
   }
@@ -106,8 +157,7 @@ ReinforceTrainer::UpdateTelemetry ReinforceTrainer::UpdateFromLatestEpisode() {
   if (obs::Enabled()) {
     tel.grad_norm_postclip = model_->params()->GradNorm();
   }
-  tel.mean_entropy =
-      tel.decisions > 0 ? entropy_sum / tel.decisions : 0.0;
+  tel.mean_entropy = tel.decisions > 0 ? pg.entropy_sum / tel.decisions : 0.0;
   optimizer_.Step(model_->params());
   return tel;
 }

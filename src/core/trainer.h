@@ -1,8 +1,11 @@
 #ifndef LSCHED_CORE_TRAINER_H_
 #define LSCHED_CORE_TRAINER_H_
 
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/agent.h"
@@ -42,6 +45,60 @@ struct TrainStats {
   int total_decisions = 0;
 };
 
+/// Decisions replayed per tape by AccumulatePolicyGradient. One tape per
+/// few decisions lets nearby decisions share each query's encoding (about
+/// a third of a 12-query TPCH episode's encodings repeat within four
+/// decisions) while the tape stays small; a whole-episode tape would hold
+/// every decision's values and grads at once.
+constexpr int kDecisionsPerTape = 4;
+
+/// Replays recorded decisions' forward passes on one tape, encoding each
+/// distinct query state once: EncodedQuerys are memoized under the
+/// (query id, context version) key of Experience::versions, the key the
+/// serving EncodingCache uses. A query without a version (0) is always
+/// re-encoded. The replayed Experiences must outlive this object.
+class DecisionReplay {
+ public:
+  DecisionReplay(LSchedModel* model, Tape* tape)
+      : model_(model), tape_(tape) {}
+
+  /// The tape forward (encoder + heads) of one recorded decision, which
+  /// must have candidates.
+  PredictorOutput Forward(const Experience& exp);
+
+  /// Query encodings reused so far.
+  int memo_hits() const { return memo_hits_; }
+
+ private:
+  struct Memo {
+    const QueryFeatures* features;  ///< of the first encoding, for checks
+    EncodedQuery enc;
+  };
+
+  LSchedModel* model_;
+  Tape* tape_;
+  std::map<std::pair<QueryId, uint64_t>, Memo> memo_;
+  int memo_hits_ = 0;
+};
+
+/// What AccumulatePolicyGradient replayed.
+struct PolicyGradientStats {
+  int decisions = 0;         ///< decisions with candidates
+  double entropy_sum = 0.0;  ///< summed per-decision entropy, if tracked
+};
+
+/// Adds the REINFORCE gradient of one episode into the model's parameter
+/// grads: scale * d/dθ sum_d [-advantages[d] * log π(a_d | s_d)
+/// - entropy_coef * H_d] over the decisions with candidates. The episode
+/// is replayed in chunks of kDecisionsPerTape decisions, each on one tape
+/// (DecisionReplay) with one Backward of the chunk's summed loss. With
+/// `track_entropy`, each decision's entropy is computed (and summed into
+/// the stats) even when entropy_coef is 0.
+PolicyGradientStats AccumulatePolicyGradient(
+    LSchedModel* model, const std::vector<Experience>& experiences,
+    const std::vector<double>& advantages, double scale, double entropy_coef,
+    bool track_entropy);
+
 /// Generates the workload for training episode `episode` (paper §7.1:
 /// episodes vary query counts and arrival rates).
 using WorkloadFactory =
@@ -49,8 +106,9 @@ using WorkloadFactory =
 
 /// REINFORCE policy-gradient trainer (paper §6): runs episodes on the
 /// simulator with the agent sampling actions, computes the average+tail
-/// latency rewards, and replays each recorded decision to accumulate
-/// log-prob gradients weighted by baselined advantages.
+/// latency rewards, and replays the recorded decisions
+/// (AccumulatePolicyGradient) to accumulate log-prob gradients weighted by
+/// baselined advantages.
 class ReinforceTrainer {
  public:
   ReinforceTrainer(LSchedModel* model, SimEngine* engine, TrainConfig config);

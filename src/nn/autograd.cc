@@ -80,12 +80,23 @@ inline bool BroadcastCompatible(const Matrix& a, const Matrix& b) {
 Var Tape::Constant(Matrix value) { return Var(this, NewNode(std::move(value))); }
 
 Var Tape::Leaf(Param* param) {
+  auto [it, inserted] = leaves_.try_emplace(param, 0);
+  if (!inserted) return Var(this, it->second);
   const int id = NewNode(param->value);
+  it->second = id;
   nodes_[id].param = param;
   nodes_[id].backward = [id](Tape* t) {
     // Frozen params accumulate too; the optimizer is what skips them.
     Param* p = t->nodes_[id].param;
     p->grad.AddInPlace(t->nodes_[id].grad);
+  };
+  return Var(this, id);
+}
+
+Var Tape::Custom(Matrix value, std::function<void(Tape*, Var)> backward) {
+  const int id = NewNode(std::move(value));
+  nodes_[id].backward = [id, fn = std::move(backward)](Tape* t) {
+    fn(t, Var(t, id));
   };
   return Var(this, id);
 }

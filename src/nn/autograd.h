@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "nn/params.h"
@@ -32,10 +33,12 @@ class Var {
   int id_ = -1;
 };
 
-/// Dynamic reverse-mode autodiff tape. A fresh Tape is built per forward
-/// pass (per scheduling decision during training); Backward() accumulates
-/// gradients of a scalar output into the tape nodes and, for Leaf(Param*)
-/// nodes, into the ParameterStore's grad buffers.
+/// Dynamic reverse-mode autodiff tape. The trainer builds one Tape per few
+/// replayed decisions; Backward() accumulates gradients of a scalar output
+/// into the tape nodes and, for Leaf(Param*) nodes, into the
+/// ParameterStore's grad buffers. Backward runs at most once per tape, and a
+/// tape must not span an optimizer step: its leaves hold copies of the
+/// parameter values taken at first use.
 ///
 /// Broadcasting: binary elementwise ops (Add/Mul) accept a right operand
 /// that is (1 x d) against (n x d), or (1 x 1) against anything; the
@@ -54,7 +57,17 @@ class Tape {
 
   /// --- graph inputs -----------------------------------------------------
   Var Constant(Matrix value);                 ///< no gradient tracked
-  Var Leaf(Param* param);                     ///< parameter leaf
+  /// Parameter leaf. One node per parameter per tape: later calls return
+  /// the same node, so every use accumulates into one grad that Backward
+  /// adds into `param->grad` once.
+  Var Leaf(Param* param);
+
+  /// Node with a caller-written backward. `value` is the forward result the
+  /// caller computed from its input Vars' values. During Backward,
+  /// `backward(tape, out)` runs once, reads `grad(out)` and adds each
+  /// input's share into `mutable_grad(input)`. Inputs must be Vars created
+  /// on this tape before the call.
+  Var Custom(Matrix value, std::function<void(Tape*, Var)> backward);
 
   /// --- elementwise / linear algebra --------------------------------------
   Var MatMul(Var a, Var b);
@@ -93,6 +106,7 @@ class Tape {
 
   const Matrix& value(int id) const { return nodes_[id].value; }
   const Matrix& grad(int id) const { return nodes_[id].grad; }
+  Matrix& mutable_grad(Var v) { return nodes_[v.id()].grad; }
 
   size_t num_nodes() const { return nodes_.size(); }
 
@@ -113,6 +127,7 @@ class Tape {
                                       const Matrix& delta);
 
   std::vector<Node> nodes_;
+  std::unordered_map<const Param*, int> leaves_;  ///< param -> its leaf
 };
 
 }  // namespace lsched

@@ -262,7 +262,7 @@ void ServingPolicy::FilterDecision(SchedulingDecision* decision,
         }
       }
       if (best == nullptr) break;
-      ++num_redirects_;
+      ++num_injections_;
       decision->serving_actions.push_back(
           {ServingAction::kInjectShare, best->id(), kInvalidQuery});
       claimed.insert({best->id(), best_op});

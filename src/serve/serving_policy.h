@@ -87,7 +87,8 @@ class ServingPolicy : public ServingHooks {
   int64_t num_shed() const { return num_shed_; }
   /// Admissions that displaced a lower-priority pending query.
   int64_t num_displacements() const { return num_displacements_; }
-  /// Pipeline launches injected for starved top-priority queries.
+  /// Pipeline launches injected: for starved top-priority queries, and
+  /// for under-share tenants when free threads would otherwise idle.
   int64_t num_injections() const { return num_injections_; }
   /// Launches rewritten from an over-share tenant to an under-share one.
   int64_t num_redirects() const { return num_redirects_; }

@@ -136,8 +136,7 @@ TEST(EncoderTest, ShapesAndDeterminism) {
   Tape t1;
   const EncodedState e1 = EncodeState(&model, f, &t1);
   ASSERT_EQ(e1.queries.size(), 2u);
-  EXPECT_EQ(e1.queries[0].node_emb.size(),
-            static_cast<size_t>(f.queries[0].num_nodes));
+  EXPECT_EQ(e1.queries[0].node_emb.rows(), f.queries[0].num_nodes);
   EXPECT_EQ(e1.queries[0].pqe.cols(), 8);
   EXPECT_EQ(e1.aqe.cols(), 8);
   Tape t2;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <set>
+#include <utility>
 
 #include "core/agent.h"
+#include "core/online.h"
 #include "core/trainer.h"
 #include "exec/real_engine.h"
 #include "plan/plan_builder.h"
@@ -192,6 +196,131 @@ TEST(IntegrationTest, LearnedAgentDrivesRealEngine) {
   // Every fact row joins exactly one dim row.
   EXPECT_EQ(result.sink_row_counts[0], 2400);
   EXPECT_EQ(result.sink_row_counts[1], 2400);
+}
+
+// ---------------------------------------------------------------------------
+// The chunked, memoized policy-gradient replay against the per-decision one
+// ---------------------------------------------------------------------------
+
+/// The replay the chunked one replaces: a fresh tape per decision, every
+/// query re-encoded, one Backward per decision. Leaves the gradient in
+/// `model`'s param grads.
+void PerDecisionGradient(LSchedModel* model,
+                         const std::vector<Experience>& experiences,
+                         const std::vector<double>& advantages,
+                         double entropy_coef) {
+  model->params()->ZeroGrads();
+  const double scale = 1.0 / static_cast<double>(experiences.size());
+  for (size_t d = 0; d < experiences.size(); ++d) {
+    const Experience& exp = experiences[d];
+    if (exp.state.candidates.empty()) continue;
+    Tape tape;
+    const EncodedState encoded = EncodeState(model, exp.state, &tape);
+    const PredictorOutput out = RunPredictor(model, exp.state, encoded, &tape);
+    Var loss =
+        tape.Scale(ActionLogProb(&tape, out, exp.action), -advantages[d]);
+    if (entropy_coef > 0.0) {
+      loss = tape.Add(loss, tape.Scale(ActionEntropy(&tape, out, exp.action),
+                                       -entropy_coef));
+    }
+    tape.Backward(loss, scale);
+  }
+}
+
+/// Query encodings a kDecisionsPerTape-chunked replay can reuse: repeats
+/// of a (query id, version) key within a chunk.
+int ChunkRepeats(const std::vector<Experience>& experiences) {
+  int repeats = 0;
+  for (size_t begin = 0; begin < experiences.size();
+       begin += kDecisionsPerTape) {
+    std::set<std::pair<QueryId, uint64_t>> seen;
+    const size_t end =
+        std::min(experiences.size(), begin + kDecisionsPerTape);
+    for (size_t d = begin; d < end; ++d) {
+      const Experience& exp = experiences[d];
+      for (size_t qi = 0; qi < exp.versions.size(); ++qi) {
+        repeats += seen.insert({exp.state.queries[qi].qid, exp.versions[qi]})
+                           .second
+                       ? 0
+                       : 1;
+      }
+    }
+  }
+  return repeats;
+}
+
+/// max |a.grad - b.grad| over max |b.grad|, across all parameters.
+double MaxRelativeGradDiff(LSchedModel* a, LSchedModel* b) {
+  const std::vector<Param*> pa = a->params()->All();
+  const std::vector<Param*> pb = b->params()->All();
+  double max_diff = 0.0;
+  double max_ref = 0.0;
+  for (size_t i = 0; i < pa.size(); ++i) {
+    for (size_t k = 0; k < pa[i]->grad.size(); ++k) {
+      max_diff = std::max(max_diff, std::fabs(pa[i]->grad.raw()[k] -
+                                              pb[i]->grad.raw()[k]));
+      max_ref = std::max(max_ref, std::fabs(pb[i]->grad.raw()[k]));
+    }
+  }
+  EXPECT_GT(max_ref, 0.0);
+  return max_diff / max_ref;
+}
+
+std::vector<QuerySubmission> TpchEpisode() {
+  WorkloadConfig wcfg;
+  wcfg.benchmark = Benchmark::kTpch;
+  wcfg.num_queries = 10;
+  wcfg.scale_factors = {2, 5};
+  wcfg.mean_interarrival_seconds = 0.02;
+  Rng rng(2024);
+  return GenerateWorkload(wcfg, &rng);
+}
+
+SimEngineConfig WideEngine() {
+  SimEngineConfig cfg;
+  cfg.num_threads = 16;
+  return cfg;
+}
+
+TEST(PolicyGradientReplayTest, TrainerUpdateMatchesPerDecisionReplay) {
+  LSchedModel model(TinyConfig());
+  LSchedModel reference(TinyConfig());  // same seed: the pre-update weights
+  SimEngine engine(WideEngine());
+  TrainConfig tcfg;
+  tcfg.grad_clip = 1e300;  // the update's raw gradient stays in the grads
+  ReinforceTrainer trainer(&model, &engine, tcfg);
+  trainer.TrainOneEpisode(TpchEpisode());
+
+  const ExperienceManager::StoredEpisode& ep =
+      trainer.experience_manager()->latest();
+  ASSERT_GT(ep.experiences.size(), static_cast<size_t>(kDecisionsPerTape));
+  EXPECT_GT(ChunkRepeats(ep.experiences), 0);
+  PerDecisionGradient(&reference, ep.experiences,
+                      trainer.experience_manager()->LatestAdvantages(true),
+                      tcfg.entropy_coef);
+  EXPECT_LE(MaxRelativeGradDiff(&model, &reference), 1e-9);
+}
+
+TEST(PolicyGradientReplayTest, OnlineUpdateMatchesPerDecisionReplay) {
+  LSchedModel model(TinyConfig());
+  LSchedModel reference(TinyConfig());
+  const std::vector<QuerySubmission> workload = TpchEpisode();
+  OnlineConfig ocfg;
+  ocfg.grad_clip = 1e300;
+  // One update, at the last completion.
+  ocfg.update_every_queries = static_cast<int>(workload.size());
+  OnlineLSched online(&model, ocfg);
+  SimEngine engine(WideEngine());
+  engine.Run(workload, &online);
+  ASSERT_EQ(online.num_updates(), 1);
+
+  const ExperienceManager::StoredEpisode& ep =
+      online.experience_manager()->latest();
+  EXPECT_GT(ChunkRepeats(ep.experiences), 0);
+  PerDecisionGradient(&reference, ep.experiences,
+                      online.experience_manager()->LatestAdvantages(true),
+                      /*entropy_coef=*/0.0);
+  EXPECT_LE(MaxRelativeGradDiff(&model, &reference), 1e-9);
 }
 
 }  // namespace

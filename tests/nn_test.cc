@@ -190,6 +190,41 @@ TEST(AutogradTest, BackwardAccumulatesIntoParams) {
   EXPECT_NEAR(w->grad.at(0, 0), 12.0, 1e-12);  // 3 accumulated backward passes
 }
 
+TEST(AutogradTest, LeafIsOneNodePerParameterPerTape) {
+  ParameterStore store;
+  Rng rng(18);
+  Linear lin(&store, "lin", 3, 2, &rng);
+  store.ZeroGrads();
+  Matrix x1(1, 3);
+  Matrix x2(2, 3);
+  for (int c = 0; c < 3; ++c) {
+    x1.at(0, c) = 0.5 + c;
+    x2.at(0, c) = -1.0 + c;
+    x2.at(1, c) = 2.0 * c;
+  }
+  Tape tape;
+  const Var y1 = lin.Forward(&tape, tape.Constant(x1));
+  const size_t after_first = tape.num_nodes();
+  const Var y2 = lin.Forward(&tape, tape.Constant(x2));
+  // The second use adds its constant, MatMul and bias Add, but no leaves.
+  EXPECT_EQ(tape.num_nodes() - after_first, 3u);
+  Param* w = store.Find("lin/w");
+  Param* b = store.Find("lin/b");
+  EXPECT_EQ(tape.Leaf(w).id(), tape.Leaf(w).id());
+  EXPECT_EQ(tape.num_nodes() - after_first, 3u);
+
+  tape.Backward(tape.Add(tape.SumAll(y1), tape.SumAll(y2)));
+  // d/dW of sum(x W + b) is the column sums of x, summed over both uses.
+  for (int r = 0; r < 3; ++r) {
+    const double expected = x1.at(0, r) + x2.at(0, r) + x2.at(1, r);
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_DOUBLE_EQ(w->grad.at(r, c), expected);
+      EXPECT_DOUBLE_EQ(tape.grad(tape.Leaf(w).id()).at(r, c), expected);
+    }
+  }
+  for (int c = 0; c < 2; ++c) EXPECT_DOUBLE_EQ(b->grad.at(0, c), 3.0);
+}
+
 TEST(LayersTest, MlpShapesAndDeterminism) {
   ParameterStore store;
   Rng rng(11);

@@ -608,20 +608,30 @@ TEST(ServingTraceTest, EveryInjectionBecomesAnEdge) {
   ASSERT_EQ(r.query_latencies.size(), workload.size());
   EXPECT_GT(hooks.max_actions, 32u);
 
+  // A priority or share injection is one kInjected edge with no donor
+  // (a = -1). A redirect is a kRedirected edge on the query that lost the
+  // launch plus a kInjected edge, donor a, on the query that gained it.
   int64_t injected_edges = 0;
+  int64_t redirect_gain_edges = 0;
+  int64_t redirected_edges = 0;
   int64_t dropped_edges = 0;
   for (const obs::QueryTraceRecord& rec :
        obs::QueryTraceLog::Global().Snapshot()) {
     dropped_edges += rec.dropped_edges;
     for (const obs::TraceEdge& e : rec.edges) {
-      if (e.kind == obs::TraceEdgeKind::kInjected) ++injected_edges;
+      if (e.kind == obs::TraceEdgeKind::kInjected) {
+        ++(e.a < 0 ? injected_edges : redirect_gain_edges);
+      }
+      if (e.kind == obs::TraceEdgeKind::kRedirected) ++redirected_edges;
     }
   }
   ASSERT_EQ(dropped_edges, 0);
-  // Share injections count as redirects in ServingPolicy's tallies.
-  const int64_t applied = policy.num_injections() + policy.num_redirects();
-  EXPECT_EQ(static_cast<int64_t>(hooks.total_actions), applied);
-  EXPECT_EQ(injected_edges, applied);
+  EXPECT_EQ(static_cast<int64_t>(hooks.total_actions),
+            policy.num_injections() + policy.num_redirects());
+  EXPECT_GT(policy.num_redirects(), 0);
+  EXPECT_EQ(injected_edges, policy.num_injections());
+  EXPECT_EQ(redirected_edges, policy.num_redirects());
+  EXPECT_EQ(redirect_gain_edges, policy.num_redirects());
   obs::QueryTraceLog::Global().Clear();
 }
 

@@ -8,17 +8,22 @@
 //     (the dirty-flag invalidation never serves stale embeddings);
 //  3. what training replays is what serving decided: every Experience the
 //     serving path records (LSched and Decima) bit-equals the uncached
-//     extraction at that event, the trainer's tape replay of it gives the
-//     chosen root's log-probability the serving path computed, within
-//     1e-9, and resampling the replayed distributions with the agent's rng
-//     stream reproduces every recorded action;
-//  4. the serving path never constructs an autograd Tape.
+//     extraction at that event, the trainer's tape replay of it (for
+//     LSched the chunked, memoized DecisionReplay) gives the chosen root's
+//     log-probability the serving path computed, within 1e-9, and
+//     resampling the replayed distributions with the agent's rng stream
+//     reproduces every recorded action;
+//  4. the serving path never constructs an autograd Tape;
+//  5. the tape encoder's per-query embeddings bit-equal the serving
+//     encoder's.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,6 +32,7 @@
 #include "core/features.h"
 #include "core/model.h"
 #include "core/predictor.h"
+#include "core/trainer.h"
 #include "exec/real_engine.h"
 #include "exec/scheduling_context.h"
 #include "exec/sim_engine.h"
@@ -66,6 +72,13 @@ bool MatricesBitEqual(const Matrix& a, const Matrix& b) {
   return true;
 }
 
+/// Same shape and the same bytes (distinguishes -0.0 from 0.0).
+bool MatricesBytesEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 /// Runs BOTH forward passes at every scheduling event and accumulates the
 /// maximum |tape - serving| log-probability difference, then delegates the
 /// actual decision to a sampled LSchedAgent so the episode follows a
@@ -96,6 +109,8 @@ class LSchedForwardProbe : public Scheduler {
   int shape_mismatches() const { return shape_mismatches_; }
   int reencode_mismatches() const { return reencode_mismatches_; }
   int head_path_mismatches() const { return head_path_mismatches_; }
+  int tape_encoding_mismatches() const { return tape_encoding_mismatches_; }
+  int encodings_compared() const { return encodings_compared_; }
   double max_abs_diff() const { return max_abs_diff_; }
   const EncodingCache& cache() const { return cache_; }
 
@@ -128,6 +143,17 @@ class LSchedForwardProbe : public Scheduler {
           !MatricesBitEqual(fresh.edge_emb, entry.enc.edge_emb) ||
           !MatricesBitEqual(fresh.pqe, entry.enc.pqe)) {
         ++reencode_mismatches_;
+      }
+      // Claim 5: the tape encoder (on the uncached extraction) gives the
+      // serving encoder's embeddings, byte for byte.
+      if (qi < encoded.queries.size()) {
+        const EncodedQuery& tq = encoded.queries[qi];
+        ++encodings_compared_;
+        if (!MatricesBytesEqual(tq.node_emb.value(), entry.enc.node_emb) ||
+            !MatricesBytesEqual(tq.edge_emb.value(), entry.enc.edge_emb) ||
+            !MatricesBytesEqual(tq.pqe.value(), entry.enc.pqe)) {
+          ++tape_encoding_mismatches_;
+        }
       }
       view.queries.push_back(&entry.features);
       view.encoded.push_back(&entry.enc);
@@ -203,6 +229,8 @@ class LSchedForwardProbe : public Scheduler {
   int shape_mismatches_ = 0;
   int reencode_mismatches_ = 0;
   int head_path_mismatches_ = 0;
+  int tape_encoding_mismatches_ = 0;
+  int encodings_compared_ = 0;
   double max_abs_diff_ = 0.0;
 };
 
@@ -311,8 +339,9 @@ void ExpectReplayMatches(const ReplayStats& stats, int min_decisions) {
 
 /// Serves a sampled, experience-recording LSchedAgent and checks each
 /// Experience it records against (a) the uncached extraction at that event
-/// and (b) the trainer's tape replay (ReinforceTrainer's
-/// EncodeState/RunPredictor). The mirror rng starts from the agent's seed,
+/// and (b) the trainer's replay (DecisionReplay, kDecisionsPerTape
+/// consecutive decisions per tape with memoized query encodings, as in
+/// AccumulatePolicyGradient). The mirror rng starts from the agent's seed,
 /// so it replays the agent's draws against the replayed distributions.
 class LSchedReplayProbe : public Scheduler {
  public:
@@ -337,16 +366,29 @@ class LSchedReplayProbe : public Scheduler {
   }
 
   const ReplayStats& stats() const { return stats_; }
+  /// Query encodings the replay reused within a tape.
+  int memo_hits() const {
+    return memo_hits_ + (replay_ != nullptr ? replay_->memo_hits() : 0);
+  }
 
  private:
   void Check(const Experience& exp, const StateFeatures& reference,
              double served_score) {
     ++stats_.decisions;
     if (!StatesBitEqual(exp.state, reference)) ++stats_.state_mismatches;
-    Tape tape;
-    const EncodedState encoded = EncodeState(&model_, exp.state, &tape);
-    const PredictorOutput out =
-        RunPredictor(&model_, exp.state, encoded, &tape);
+    if (chunk_.size() == static_cast<size_t>(kDecisionsPerTape)) {
+      memo_hits_ += replay_->memo_hits();
+      replay_.reset();
+      tape_.reset();
+      chunk_.clear();
+    }
+    if (tape_ == nullptr) {
+      tape_ = std::make_unique<Tape>();
+      replay_ = std::make_unique<DecisionReplay>(&model_, tape_.get());
+    }
+    // The replay keeps pointers into the chunk's experiences.
+    chunk_.push_back(exp);
+    const PredictorOutput out = replay_->Forward(chunk_.back());
     const int cand = SampleRow(out.root_logprobs.value(), &mirror_);
     const int degree = SampleRow(
         out.degree_logprobs[static_cast<size_t>(cand)].value(), &mirror_);
@@ -365,6 +407,10 @@ class LSchedReplayProbe : public Scheduler {
   LSchedAgent agent_;
   Rng mirror_;
   ReplayStats stats_;
+  std::deque<Experience> chunk_;
+  std::unique_ptr<Tape> tape_;
+  std::unique_ptr<DecisionReplay> replay_;
+  int memo_hits_ = 0;
 };
 
 /// The Decima counterpart: checks each recorded DecimaExperience against
@@ -461,6 +507,8 @@ TEST(ServingEquivalenceTest, LSchedForwardMatchesTapeOnSimEngine) {
   EXPECT_EQ(probe.reencode_mismatches(), 0);
   EXPECT_LE(probe.max_abs_diff(), 1e-9);
   EXPECT_EQ(probe.head_path_mismatches(), 0);
+  EXPECT_GT(probe.encodings_compared(), 0);
+  EXPECT_EQ(probe.tape_encoding_mismatches(), 0);
   // The cache must actually be doing something: most events re-touch
   // queries that were not dirtied since the previous event.
   EXPECT_GT(probe.cache().hits(), 0);
@@ -479,6 +527,7 @@ TEST(ServingEquivalenceTest, LSchedForwardMatchesTapeOnRealEngine) {
   EXPECT_EQ(probe.shape_mismatches(), 0);
   EXPECT_EQ(probe.reencode_mismatches(), 0);
   EXPECT_EQ(probe.head_path_mismatches(), 0);
+  EXPECT_EQ(probe.tape_encoding_mismatches(), 0);
   EXPECT_LE(probe.max_abs_diff(), 1e-9);
 }
 
@@ -501,6 +550,7 @@ TEST(ServingEquivalenceTest, ForwardMatchesTapeOnBurstySimEpisodes) {
   EXPECT_EQ(probe.shape_mismatches(), 0);
   EXPECT_EQ(probe.reencode_mismatches(), 0);
   EXPECT_EQ(probe.head_path_mismatches(), 0);
+  EXPECT_EQ(probe.tape_encoding_mismatches(), 0);
   EXPECT_LE(probe.max_abs_diff(), 1e-9);
 }
 
@@ -508,6 +558,26 @@ TEST(ServingEquivalenceTest, LSchedReplayMatchesServingOnSim) {
   LSchedReplayProbe probe(55);
   RunSimEpisodes(777, &probe);
   ExpectReplayMatches(probe.stats(), 10);
+}
+
+/// Dense arrivals keep several queries live and undirtied across nearby
+/// decisions, so the replay reuses encodings within a tape.
+TEST(ServingEquivalenceTest, LSchedMemoizedReplayMatchesServingOnBurstySim) {
+  FuzzerOptions options;
+  options.min_queries = 3;
+  options.max_queries = 3;
+  options.sim_arrival_mean_seconds = 0.001;
+  WorkloadFuzzer fuzzer(6006, options);
+  LSchedReplayProbe probe(43);
+  for (int round = 0; round < 3; ++round) {
+    FuzzedWorkload w = fuzzer.NextWorkload();
+    SimEngineConfig config;
+    config.num_threads = 4;
+    SimEngine engine(config);
+    engine.Run(w.sim_queries, &probe);
+  }
+  ExpectReplayMatches(probe.stats(), 10);
+  EXPECT_GT(probe.memo_hits(), 0);
 }
 
 TEST(ServingEquivalenceTest, LSchedReplayMatchesServingOnReal) {
