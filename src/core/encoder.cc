@@ -209,16 +209,14 @@ Var TreeConvLayer(const LSchedModel& model,
     cw.att = att.value().data();
     return cw;
   };
+  const Producers producers{q.child_node.data(), q.child_edge.data()};
   Matrix terms(kMaxTerms, x.cols());
   Matrix combined(q.num_nodes, x.cols());
-  CombineForward({q.child_node.data(), q.child_edge.data()}, weights(),
-                 use_gat, x.value(), e.value(), &terms, &combined);
-  // The backward keeps its own copy of the slots, so it does not depend on
-  // the features outliving the forward.
+  CombineForward(producers, weights(), use_gat, x.value(), e.value(), &terms,
+                 &combined);
   const Var out = tape->Custom(
-      std::move(combined), [child_node = q.child_node,
-                            child_edge = q.child_edge, use_gat, x, e, w, att,
-                            weights](Tape* t, Var self) {
+      std::move(combined),
+      [producers, use_gat, x, e, w, att, weights](Tape* t, Var self) {
         CombineGrads grads;
         grads.x = &t->mutable_grad(x);
         grads.e = &t->mutable_grad(e);
@@ -226,8 +224,7 @@ Var TreeConvLayer(const LSchedModel& model,
           grads.w[slot] = &t->mutable_grad(w[slot]);
         }
         grads.att = &t->mutable_grad(att);
-        CombineBackward({child_node.data(), child_edge.data()}, weights(),
-                        use_gat, x.value(), e.value(),
+        CombineBackward(producers, weights(), use_gat, x.value(), e.value(),
                         t->grad(self.id()), grads);
       });
   return tape->Relu(layer.mix.Forward(tape, out));

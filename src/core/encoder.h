@@ -34,13 +34,15 @@ struct EncodedState {
 ///    attention scores (Eqs. 3-5), or the sequential-message-passing GCN
 ///    fallback when config.use_tree_conv is false,
 ///  - summarizes per query (PQE) and across queries (AQE).
+/// `state` must outlive the tape's Backward (see EncodeQuery).
 EncodedState EncodeState(LSchedModel* model, const StateFeatures& state,
                          Tape* tape);
 
 /// Encodes one query as whole matrices: each projection, channel mix and
 /// PQE message network is one Linear over all rows, and each layer's
 /// triangle-filter + GAT combine step is one tape node whose forward is
-/// the serving encoder's routine.
+/// the serving encoder's routine. That node's backward reads `q`'s
+/// producer slots, so `q` must outlive the tape's Backward.
 EncodedQuery EncodeQuery(LSchedModel* model, const QueryFeatures& q,
                          Tape* tape);
 

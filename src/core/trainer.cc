@@ -32,16 +32,14 @@ bool SameStructure(const QueryFeatures& a, const QueryFeatures& b) {
 
 PredictorOutput DecisionReplay::Forward(const Experience& exp) {
   const StateFeatures& state = exp.state;
-  const bool keyed = exp.versions.size() == state.queries.size();
+  LSCHED_CHECK(exp.versions.size() == state.queries.size())
+      << "experience records " << exp.versions.size() << " versions for "
+      << state.queries.size() << " queries";
   std::vector<EncodedQuery> queries;
   queries.reserve(state.queries.size());
   for (size_t qi = 0; qi < state.queries.size(); ++qi) {
     const QueryFeatures& q = state.queries[qi];
-    const uint64_t version = keyed ? exp.versions[qi] : 0;
-    if (version == 0) {
-      queries.push_back(EncodeQuery(model_, q, tape_));
-      continue;
-    }
+    const uint64_t version = exp.versions[qi];
     auto [it, inserted] =
         memo_.try_emplace({q.qid, version}, Memo{&q, EncodedQuery{}});
     if (inserted) {

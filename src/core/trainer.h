@@ -55,8 +55,8 @@ constexpr int kDecisionsPerTape = 4;
 /// Replays recorded decisions' forward passes on one tape, encoding each
 /// distinct query state once: EncodedQuerys are memoized under the
 /// (query id, context version) key of Experience::versions, the key the
-/// serving EncodingCache uses. A query without a version (0) is always
-/// re-encoded. The replayed Experiences must outlive this object.
+/// serving EncodingCache uses. The replayed Experiences must outlive this
+/// object.
 class DecisionReplay {
  public:
   DecisionReplay(LSchedModel* model, Tape* tape)
