@@ -96,8 +96,12 @@ SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
   view.queries.reserve(queries.size());
   view.encoded.reserve(queries.size());
   view.qf.reserve(queries.size());
-  std::vector<EncodingCache::Entry*> entries(queries.size());
-  std::vector<std::vector<double>> qf_rows(queries.size());
+  // Member scratch: the outer vectors and each QF row keep their capacity
+  // from one decision to the next.
+  std::vector<EncodingCache::Entry*>& entries = entries_scratch_;
+  std::vector<std::vector<double>>& qf_rows = qf_scratch_;
+  entries.resize(queries.size());
+  if (qf_rows.size() < queries.size()) qf_rows.resize(queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const QueryState* q = queries[qi];
     // Hit unless this query was dirtied (operator scheduled / work order
@@ -106,7 +110,7 @@ SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
         *q, ctx.query_version(q->id()), *model_, extractor_);
     entries[qi] = &entry;
     view.queries.push_back(&entry.features);
-    qf_rows[qi] = extractor_.ExtractQf(*q, ctx);
+    extractor_.ExtractQf(*q, ctx, &qf_rows[qi]);
     view.qf.push_back(&qf_rows[qi]);
     int head_row = 0;
     for (const auto& [op, degree] : entry.candidates) {

@@ -78,6 +78,9 @@ class LSchedAgent : public Scheduler {
   EncodingCache cache_;
   ScratchArena arena_;
   ServingPredictorOutput serving_out_;
+  /// Per-decision scratch: each query's cache entry and QF row.
+  std::vector<EncodingCache::Entry*> entries_scratch_;
+  std::vector<std::vector<double>> qf_scratch_;
 };
 
 }  // namespace lsched

@@ -33,8 +33,7 @@ void ExperienceManager::AddEpisode(std::vector<Experience> experiences,
     }
   }
 
-  episodes_.push_back(std::move(ep));
-  if (episodes_.size() > max_episodes_) episodes_.pop_front();
+  latest_ = std::move(ep);
 }
 
 double ExperienceManager::Baseline(size_t decision_index) const {
@@ -45,8 +44,8 @@ double ExperienceManager::Baseline(size_t decision_index) const {
 }
 
 std::vector<double> ExperienceManager::LatestAdvantages(bool normalize) const {
-  if (episodes_.empty()) return {};
-  std::vector<double> adv = episodes_.back().advantages;
+  if (!latest_) return {};
+  std::vector<double> adv = latest_->advantages;
   if (normalize && adv.size() > 1) {
     const double sd = StdDev(adv);
     const double m = Mean(adv);
@@ -58,7 +57,7 @@ std::vector<double> ExperienceManager::LatestAdvantages(bool normalize) const {
 }
 
 void ExperienceManager::Clear() {
-  episodes_.clear();
+  latest_.reset();
   baseline_.clear();
   baseline_init_.clear();
 }

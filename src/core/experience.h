@@ -1,22 +1,25 @@
 #ifndef LSCHED_CORE_EXPERIENCE_H_
 #define LSCHED_CORE_EXPERIENCE_H_
 
-#include <deque>
+#include <optional>
 #include <vector>
 
 #include "core/agent.h"
 
 namespace lsched {
 
-/// The Experience Manager (paper Fig. 2): stores reward experiences from
-/// training/online episodes and maintains the per-decision-index reward
-/// baselines used to reduce REINFORCE's gradient variance (paper §6, [61]).
+/// The Experience Manager (paper Fig. 2): holds the latest training/online
+/// episode's experiences for the update and maintains the per-decision-index
+/// reward baselines used to reduce REINFORCE's gradient variance (paper §6,
+/// [61]). The baselines summarize every episode seen; only the latest
+/// episode is kept, since nothing reads older ones.
 class ExperienceManager {
  public:
-  explicit ExperienceManager(size_t max_episodes = 64, double baseline_alpha = 0.1)
-      : max_episodes_(max_episodes), baseline_alpha_(baseline_alpha) {}
+  explicit ExperienceManager(double baseline_alpha = 0.1)
+      : baseline_alpha_(baseline_alpha) {}
 
-  /// Records an episode's returns and updates the baselines.
+  /// Records an episode's returns, replacing the stored episode, and
+  /// updates the baselines.
   void AddEpisode(std::vector<Experience> experiences,
                   std::vector<double> returns);
 
@@ -33,15 +36,13 @@ class ExperienceManager {
     std::vector<double> advantages;  ///< returns minus pre-episode baselines
   };
 
-  const StoredEpisode& latest() const { return episodes_.back(); }
-  size_t num_episodes() const { return episodes_.size(); }
-  bool empty() const { return episodes_.empty(); }
+  const StoredEpisode& latest() const { return *latest_; }
+  bool empty() const { return !latest_.has_value(); }
   void Clear();
 
  private:
-  size_t max_episodes_;
   double baseline_alpha_;
-  std::deque<StoredEpisode> episodes_;
+  std::optional<StoredEpisode> latest_;
   std::vector<double> baseline_;       ///< EWMA of G_d per decision index
   std::vector<bool> baseline_init_;
 };

@@ -111,10 +111,12 @@ QueryFeatures FeatureExtractor::ExtractQueryStructural(
   return out;
 }
 
-std::vector<double> FeatureExtractor::ExtractQf(
-    const QueryState& q, const SchedulingContext& ctx) const {
+void FeatureExtractor::ExtractQf(const QueryState& q,
+                                 const SchedulingContext& ctx,
+                                 std::vector<double>* out) const {
   const std::vector<ThreadInfo>& threads = ctx.threads();
-  std::vector<double> qf;
+  std::vector<double>& qf = *out;
+  qf.clear();
   const double total_threads = std::max<size_t>(threads.size(), 1);
   qf.reserve(static_cast<size_t>(config_.qf_dim()));
   qf.push_back(static_cast<double>(q.assigned_threads()) /
@@ -135,7 +137,6 @@ std::vector<double> FeatureExtractor::ExtractQf(
       qf.push_back(0.0);
     }
   }
-  return qf;
 }
 
 std::vector<std::pair<int, int>> FeatureExtractor::SchedulableCandidates(
@@ -156,7 +157,7 @@ StateFeatures FeatureExtractor::Extract(const SchedulingContext& ctx) const {
   for (size_t qi = 0; qi < ctx.queries().size(); ++qi) {
     const QueryState* q = ctx.queries()[qi];
     QueryFeatures f = ExtractQueryStructural(*q);
-    f.qf = ExtractQf(*q, ctx);
+    ExtractQf(*q, ctx, &f.qf);
     out.queries.push_back(std::move(f));
     for (const auto& [op, degree] : SchedulableCandidates(*q)) {
       Candidate c;

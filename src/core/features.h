@@ -92,10 +92,11 @@ class FeatureExtractor {
   /// structure, and topological order — everything except the QF row.
   QueryFeatures ExtractQueryStructural(const QueryState& q) const;
 
-  /// The per-event QF row ([Q-ATH, Q-FTH] + Q-LOC locality bits). Depends
-  /// on thread occupancy, so never cached.
-  std::vector<double> ExtractQf(const QueryState& q,
-                                const SchedulingContext& ctx) const;
+  /// Writes the per-event QF row ([Q-ATH, Q-FTH] + Q-LOC locality bits)
+  /// into `*qf`, reusing its capacity. Depends on thread occupancy, so
+  /// never cached.
+  void ExtractQf(const QueryState& q, const SchedulingContext& ctx,
+                 std::vector<double>* qf) const;
 
   /// Schedulable (op, valid-pipeline-length) pairs of one query — the
   /// per-query slice of StateFeatures::candidates. Cacheable per version.

@@ -102,8 +102,8 @@ void EpisodeRecorder::Begin(const char* engine_name, Scheduler* scheduler,
   result_.query_breakdowns.assign(num_queries, LatencyBreakdown{});
   timelines_.clear();
   timelines_.resize(num_queries);
+  timeline_base_ = 0;
 #if LSCHED_OBS_ENABLED
-  query_edges_.clear();
   trace_on_ =
       obs::Enabled() && obs::QueryTraceLog::Global().capture_enabled();
 #endif
@@ -129,12 +129,18 @@ void EpisodeRecorder::TrackQuery(QueryId qid) {
   }
 }
 
+EpisodeRecorder::QueryTimeline* EpisodeRecorder::SlotFor(QueryId qid) {
+  if (qid < timeline_base_) return nullptr;
+  const size_t idx = static_cast<size_t>(qid - timeline_base_);
+  if (timelines_.size() <= idx) timelines_.resize(idx + 1);
+  return &timelines_[idx];
+}
+
 EpisodeRecorder::QueryTimeline* EpisodeRecorder::TimelineFor(
     QueryId qid, double arrival_time) {
-  if (qid < 0) return nullptr;
-  const size_t idx = static_cast<size_t>(qid);
-  if (timelines_.size() <= idx) timelines_.resize(idx + 1);
-  QueryTimeline& t = timelines_[idx];
+  QueryTimeline* slot = SlotFor(qid);
+  if (slot == nullptr) return nullptr;
+  QueryTimeline& t = *slot;
   if (!t.started) {
     t.started = true;
     t.arrival_ns = LatencyNs(arrival_time);
@@ -193,23 +199,25 @@ void EpisodeRecorder::FinishTimeline(QueryState* query, double now) {
     rec.arrival_time = query->arrival_time();
     rec.terminal_time = now;
     rec.breakdown = t->breakdown;
-    if (query_edges_.size() <= idx) query_edges_.resize(idx + 1);
-    QueryEdges& qe = query_edges_[idx];
     obs::TraceEdge term;
     term.time = now;
     term.kind = obs::TraceEdgeKind::kTerminal;
     term.a = static_cast<int64_t>(query->status());
     term.value = t->breakdown.total_seconds();
-    qe.edges.push_back(term);  // always kept, even past the cap
+    t->edges.push_back(term);  // always kept, even past the cap
     // A query at the cap pushed its terminal edge into a full vector and
     // doubled its capacity; the ring keeps thousands of these records.
-    qe.edges.shrink_to_fit();
-    rec.edges = std::move(qe.edges);
-    rec.dropped_edges = qe.dropped;
-    qe = QueryEdges{};  // release the slot's memory in serving mode
+    t->edges.shrink_to_fit();
+    rec.edges = std::move(t->edges);
+    rec.dropped_edges = t->dropped_edges;
     obs::QueryTraceLog::Global().Record(std::move(rec));
   }
 #endif
+  // Retire the finished prefix: no later event reads those timelines.
+  while (!timelines_.empty() && timelines_.front().finished) {
+    timelines_.pop_front();
+    ++timeline_base_;
+  }
 }
 
 void EpisodeRecorder::RecordInstant(const char* name, const char* category,
@@ -223,15 +231,13 @@ void EpisodeRecorder::RecordInstant(const char* name, const char* category,
 
 #if LSCHED_OBS_ENABLED
 void EpisodeRecorder::AddTraceEdge(QueryId qid, const obs::TraceEdge& e) {
-  if (qid < 0) return;
-  const size_t idx = static_cast<size_t>(qid);
-  if (query_edges_.size() <= idx) query_edges_.resize(idx + 1);
-  QueryEdges& qe = query_edges_[idx];
-  if (qe.edges.size() >= static_cast<size_t>(obs::kMaxTraceEdgesPerQuery)) {
-    ++qe.dropped;
+  QueryTimeline* t = SlotFor(qid);
+  if (t == nullptr || t->finished) return;
+  if (t->edges.size() >= static_cast<size_t>(obs::kMaxTraceEdgesPerQuery)) {
+    ++t->dropped_edges;
     return;
   }
-  qe.edges.push_back(e);
+  t->edges.push_back(e);
 }
 #endif
 

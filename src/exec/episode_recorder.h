@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "exec/episode_result.h"
@@ -189,10 +190,17 @@ class EpisodeRecorder {
     bool started = false;
     bool finished = false;
     LatencyBreakdown breakdown;
+#if LSCHED_OBS_ENABLED
+    /// Lifetime-trace edges, published with the trace at finish.
+    std::vector<obs::TraceEdge> edges;
+    int64_t dropped_edges = 0;
+#endif
   };
 
-  /// Grows/looks up the timeline for `qid`, starting it at `arrival_time`
-  /// on first touch. nullptr for invalid ids.
+  /// The slot of `qid`, grown on first touch but not started. nullptr for
+  /// invalid ids and for queries already finished and retired.
+  QueryTimeline* SlotFor(QueryId qid);
+  /// SlotFor, starting the timeline at `arrival_time` on first touch.
   QueryTimeline* TimelineFor(QueryId qid, double arrival_time);
   void AdvanceTimeline(QueryTimeline& t, double now);
   /// Final advance + exact-total stamp; writes the breakdown onto `query`
@@ -200,12 +208,7 @@ class EpisodeRecorder {
   void FinishTimeline(QueryState* query, double now);
 
 #if LSCHED_OBS_ENABLED
-  /// Lifetime-trace edge buffers, indexed by QueryId (serving mode reuses
-  /// the slot of a published query for nothing — ids are monotone).
-  struct QueryEdges {
-    std::vector<obs::TraceEdge> edges;
-    int64_t dropped = 0;
-  };
+  /// Buffers `e` for `qid`'s lifetime trace; dropped once it finished.
   void AddTraceEdge(QueryId qid, const obs::TraceEdge& e);
 #endif
   /// Instant trace event on the calling (coordinator) thread, stamped in
@@ -218,10 +221,14 @@ class EpisodeRecorder {
   Scheduler* scheduler_ = nullptr;
   const char* engine_name_ = "";
   bool virtual_time_ = false;
-  std::vector<QueryTimeline> timelines_;
+  /// Timelines of the queries from id timeline_base_ on, indexed by
+  /// id - timeline_base_. Finished timelines at the front are retired (their
+  /// breakdown is in result_.query_breakdowns), so a serving stream holds
+  /// slots only from its oldest live query on.
+  std::deque<QueryTimeline> timelines_;
+  QueryId timeline_base_ = 0;
 #if LSCHED_OBS_ENABLED
   bool trace_on_ = false;  ///< edge capture active (set at Begin)
-  std::vector<QueryEdges> query_edges_;
   /// Per-invocation scratch: queries with a schedulable op (the
   /// considered-but-skipped set), reused to avoid per-decision allocation.
   std::vector<QueryId> considered_scratch_;

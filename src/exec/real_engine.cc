@@ -12,6 +12,29 @@
 
 namespace lsched {
 
+namespace {
+
+/// A copy of `r` without its per-query and per-decision vectors, which
+/// stay in `r`: what Snapshot() answers once a run has handed its result
+/// over, so the end of a run never holds two copies of them.
+EpisodeResult WithoutPerQueryVectors(EpisodeResult& r) {
+  EpisodeResult held;
+  const auto swap_vectors = [&] {
+    held.query_latencies.swap(r.query_latencies);
+    held.final_statuses.swap(r.final_statuses);
+    held.query_arrivals.swap(r.query_arrivals);
+    held.query_completions.swap(r.query_completions);
+    held.query_breakdowns.swap(r.query_breakdowns);
+    held.decisions.swap(r.decisions);
+  };
+  swap_vectors();
+  EpisodeResult copy = r;
+  swap_vectors();
+  return copy;
+}
+
+}  // namespace
+
 RealEngine::RealEngine(const Catalog* catalog, RealEngineConfig config)
     : catalog_(catalog),
       config_(std::move(config)),
@@ -191,11 +214,7 @@ void RealEngine::ReleaseQuery(const QueryState& q) {
     for (int sink : q.plan().SinkNodes()) {
       const RowStore& store = executions_[idx]->output(sink);
       rows += static_cast<int64_t>(store.num_rows());
-      for (size_t r = 0; r < store.num_rows(); ++r) {
-        for (int col = 0; col < store.num_cols(); ++col) {
-          checksum += store.at(r, col);
-        }
-      }
+      for (double v : store.rows().data) checksum += v;
     }
     sink_rows_[idx] = rows;
     sink_checksums_[idx] = checksum;
@@ -381,12 +400,12 @@ RealRunResult RealEngine::FinishRun(const Clock& clock) {
   recorder.OnWorkerStates(CollectWorkerStates());
   const double now = clock.Now();
   recorder.Finalize(now);
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    snapshot_ = recorder.SnapshotResult(now);
-  }
   RealRunResult out;
   out.episode = recorder.Take();
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_ = WithoutPerQueryVectors(out.episode);
+  }
   sink_rows_.resize(coordinator_.num_queries(), 0);
   sink_checksums_.resize(coordinator_.num_queries(), 0.0);
   out.sink_row_counts = std::move(sink_rows_);

@@ -110,7 +110,10 @@ class RealEngine : private ExecutorBackend {
   RealRunResult Drain();
 
   /// Latest rolling-window snapshot of the stream telemetry (refreshed
-  /// every `flush_window_queries` terminal queries). Thread-safe.
+  /// every `flush_window_queries` terminal queries). Once the run or drain
+  /// has ended it holds the final counters and aggregates, but not the
+  /// per-query and per-decision vectors: those are in the returned
+  /// RealRunResult. Thread-safe.
   EpisodeResult Snapshot() const;
 
   bool serving() const { return serving_.load(std::memory_order_acquire); }

@@ -101,7 +101,8 @@ TEST(FeaturesTest, OperatorTypeOneHot) {
 TEST(FeaturesTest, QLocalityReflectsThreadHistory) {
   StateFixture fx;
   FeatureExtractor extractor(FeatureConfig{});
-  const std::vector<double> qf = extractor.ExtractQf(*fx.q2, fx.ctx);
+  std::vector<double> qf;
+  extractor.ExtractQf(*fx.q2, fx.ctx, &qf);
   // Thread 1 last ran query 1 => its Q-LOC bit is set.
   EXPECT_DOUBLE_EQ(qf[2 + 1], 1.0);
   EXPECT_DOUBLE_EQ(qf[2 + 0], 0.0);
@@ -309,7 +310,7 @@ TEST(RewardTest, ReturnsAreSuffixSums) {
 }
 
 TEST(ExperienceTest, BaselineLearnsAcrossEpisodes) {
-  ExperienceManager mgr(8, 0.5);
+  ExperienceManager mgr(0.5);
   mgr.AddEpisode(std::vector<Experience>(2), {10.0, 5.0});
   // First episode: no baseline yet -> advantages equal returns.
   EXPECT_DOUBLE_EQ(mgr.LatestAdvantages(false)[0], 10.0);

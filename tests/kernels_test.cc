@@ -1,11 +1,46 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <new>
 #include <set>
+#include <thread>
 
 #include "exec/kernels.h"
 #include "plan/plan_builder.h"
 #include "storage/table_generator.h"
+#include "testing/oracle.h"
+
+// Sanitizers replace operator new themselves, so only plain builds count
+// allocations.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define LSCHED_COUNT_ALLOCS 0
+#else
+#define LSCHED_COUNT_ALLOCS 1
+#endif
+
+#if LSCHED_COUNT_ALLOCS
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+// Out of line, so the compiler does not pair an inlined free() with an
+// inlined operator new.
+__attribute__((noinline)) void* operator new(size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace lsched {
 namespace {
@@ -50,6 +85,42 @@ class KernelsTest : public ::testing::Test {
     }
   }
 
+  /// Sink row count and checksum (sum of every value) of `op`'s output,
+  /// the summary the oracle reports.
+  static std::pair<int64_t, double> Summary(const QueryExecution& exec,
+                                            int op) {
+    const RowStore& out = exec.output(op);
+    double sum = 0.0;
+    for (double v : out.rows().data) sum += v;
+    return {static_cast<int64_t>(out.num_rows()), sum};
+  }
+
+  /// Runs `plan` single-threaded and checks its one sink against the
+  /// oracle.
+  void ExpectMatchesOracle(const QueryPlan& plan, int sink) {
+    QueryExecution exec(&catalog_, &plan, kChunk);
+    RunAll(plan, &exec);
+    const auto want = OracleExecutor(&catalog_).Execute(plan);
+    ASSERT_TRUE(want.ok());
+    const auto [rows, checksum] = Summary(exec, sink);
+    EXPECT_EQ(rows, want->sink_rows);
+    EXPECT_NEAR(checksum, want->sink_checksum,
+                1e-9 * std::max(1.0, std::abs(want->sink_checksum)));
+  }
+
+  /// Sorted copy of `op`'s output rows, for order-free comparison.
+  static std::vector<std::vector<double>> SortedRows(
+      const QueryExecution& exec, int op) {
+    const RowStore& out = exec.output(op);
+    std::vector<std::vector<double>> rows;
+    for (size_t r = 0; r < out.num_rows(); ++r) {
+      const double* row = out.rows().row(r);
+      rows.emplace_back(row, row + out.num_cols());
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
   Catalog catalog_;
   RelationId t_id_ = 0;
   RelationId d_id_ = 0;
@@ -58,15 +129,19 @@ class KernelsTest : public ::testing::Test {
 TEST_F(KernelsTest, RowStoreChunking) {
   RowStore store(2, 10);
   for (int i = 0; i < 25; ++i) {
-    store.AppendRow({static_cast<double>(i), 2.0 * i});
+    const double row[2] = {static_cast<double>(i), 2.0 * i};
+    store.AppendRow(row, 2);
   }
   EXPECT_EQ(store.num_rows(), 25u);
   EXPECT_EQ(store.num_chunks(), 3u);
-  std::vector<std::vector<double>> rows;
-  store.ChunkRows(2, &rows);
-  ASSERT_EQ(rows.size(), 5u);  // 25 - 20
-  EXPECT_DOUBLE_EQ(rows[0][0], 20.0);
-  EXPECT_DOUBLE_EQ(rows[4][1], 48.0);
+  RowBatch rows;
+  store.ChunkInto(2, &rows);
+  ASSERT_EQ(rows.num_rows(), 5u);  // 25 - 20
+  EXPECT_EQ(rows.cols, 2);
+  EXPECT_DOUBLE_EQ(rows.row(0)[0], 20.0);
+  EXPECT_DOUBLE_EQ(rows.row(4)[1], 48.0);
+  store.ChunkInto(3, &rows);  // past the end: empty
+  EXPECT_EQ(rows.num_rows(), 0u);
 }
 
 TEST_F(KernelsTest, SelectFiltersAndProjects) {
@@ -387,6 +462,182 @@ TEST_F(KernelsTest, StateBytesGrowWithConsumedRows) {
   ASSERT_TRUE(exec.ExecuteWorkOrder({build}, 1).ok());
   EXPECT_GT(exec.StateBytes(build), after_one);
 }
+
+TEST_F(KernelsTest, TopKWithTiedKeysMatchesOracle) {
+  // g takes 8 values over 3000 rows, so the cut at 7 falls inside a tie:
+  // the rows kept are the earliest of the tied ones, as the oracle's
+  // stable sort keeps them.
+  PlanBuilder b(&catalog_);
+  const int scan = b.AddSource(OperatorType::kTableScan, t_id_, {});
+  PlanBuilder::NodeOptions topts;
+  topts.kernel.limit = 7;
+  topts.kernel.sort_column = 1;
+  const int topk = b.AddOp(OperatorType::kTopK, {scan}, topts);
+  auto plan = b.Build();
+  ASSERT_TRUE(plan.ok());
+  ExpectMatchesOracle(*plan, topk);
+}
+
+TEST_F(KernelsTest, WindowMatchesOracle) {
+  PlanBuilder b(&catalog_);
+  const int scan = b.AddSource(OperatorType::kTableScan, t_id_, {});
+  PlanBuilder::NodeOptions wopts;
+  wopts.kernel.group_by_column = 1;
+  wopts.kernel.agg_column = 2;
+  const int window = b.AddOp(OperatorType::kWindow, {scan}, wopts);
+  auto plan = b.Build();
+  ASSERT_TRUE(plan.ok());
+  ExpectMatchesOracle(*plan, window);
+}
+
+TEST_F(KernelsTest, IntersectMatchesOracle) {
+  PlanBuilder b(&catalog_);
+  const int tscan = b.AddSource(OperatorType::kTableScan, t_id_, {});
+  const int dscan = b.AddSource(OperatorType::kTableScan, d_id_, {});
+  const int both = b.AddOp(OperatorType::kIntersect, {tscan, dscan}, {});
+  auto plan = b.Build();
+  ASSERT_TRUE(plan.ok());
+  ExpectMatchesOracle(*plan, both);
+}
+
+TEST_F(KernelsTest, ConcurrentBuildAndProbeEqualSingleThreaded) {
+  PlanBuilder b(&catalog_);
+  const int dscan = b.AddSource(OperatorType::kTableScan, d_id_, {});
+  PlanBuilder::NodeOptions bopts;
+  bopts.kernel.build_key = 0;
+  const int build = b.AddOp(OperatorType::kBuildHash, {dscan}, bopts);
+  const int tscan = b.AddSource(OperatorType::kTableScan, t_id_, {});
+  PlanBuilder::NodeOptions popts;
+  popts.kernel.probe_key = 0;
+  const int probe = b.AddOp(OperatorType::kProbeHash, {tscan, build}, popts);
+  auto plan = b.Build();
+  ASSERT_TRUE(plan.ok());
+
+  QueryExecution reference(&catalog_, &*plan, kChunk);
+  RunAll(*plan, &reference);
+
+  // Two threads start each phase together and split its work orders.
+  auto run_split = [](int wos, const std::function<void(int)>& run_wo) {
+    std::atomic<int> ready{0};
+    auto worker = [&](int parity) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      for (int i = parity; i < wos; i += 2) run_wo(i);
+    };
+    std::thread a(worker, 0), c(worker, 1);
+    a.join();
+    c.join();
+  };
+  QueryExecution exec(&catalog_, &*plan, kChunk);
+  for (int i = 0; i < exec.NumWorkOrders(dscan); ++i) {
+    ASSERT_TRUE(exec.ExecuteWorkOrder({dscan}, i).ok());
+  }
+  ASSERT_TRUE(exec.FinalizeOperator(dscan).ok());
+  const int build_wos = exec.NumWorkOrders(build);
+  ASSERT_GE(build_wos, 2);
+  run_split(build_wos, [&](int i) {
+    EXPECT_TRUE(exec.ExecuteWorkOrder({build}, i).ok());
+  });
+  ASSERT_TRUE(exec.FinalizeOperator(build).ok());
+  // Both probing threads race to build the index at their first probe.
+  run_split(exec.NumWorkOrders(tscan), [&](int i) {
+    WorkOrderScratch scratch;
+    EXPECT_TRUE(exec.ExecuteWorkOrder({tscan, probe}, i, &scratch).ok());
+  });
+  EXPECT_EQ(exec.output(probe).num_rows(), static_cast<size_t>(kDimRows));
+  EXPECT_EQ(SortedRows(exec, probe), SortedRows(reference, probe));
+}
+
+#if LSCHED_COUNT_ALLOCS
+/// Runs `passes` rounds over every work order of `chain` on one reused
+/// scratch and returns the heap allocations made, less the growths of the
+/// chain's output stores (a store grows geometrically, so those are a
+/// handful per query, not per work order). Two warm-up rounds come first:
+/// the scratch batches swap roles from stage to stage, so within two
+/// rounds each has grown to every work order's size in every role.
+int64_t AllocationsBeyondStoreGrowth(QueryExecution* exec,
+                                     const std::vector<int>& chain,
+                                     int passes, int64_t* store_growths) {
+  WorkOrderScratch scratch;
+  const int wos = exec->NumWorkOrders(chain[0]);
+  for (int warm = 0; warm < 2 * wos; ++warm) {
+    EXPECT_TRUE(exec->ExecuteWorkOrder(chain, warm % wos, &scratch).ok());
+  }
+  int64_t allocations = 0;
+  *store_growths = 0;
+  std::vector<size_t> caps(chain.size());
+  for (int pass = 0; pass < passes; ++pass) {
+    for (int i = 0; i < wos; ++i) {
+      for (size_t c = 0; c < chain.size(); ++c) {
+        caps[c] = exec->output(chain[c]).rows().data.capacity();
+      }
+      const int64_t before = g_allocations.load();
+      const Status st = exec->ExecuteWorkOrder(chain, i, &scratch);
+      allocations += g_allocations.load() - before;
+      EXPECT_TRUE(st.ok());
+      for (size_t c = 0; c < chain.size(); ++c) {
+        *store_growths +=
+            exec->output(chain[c]).rows().data.capacity() != caps[c];
+      }
+    }
+  }
+  return allocations - *store_growths;
+}
+
+TEST_F(KernelsTest, SteadyStateScanSelectProjectAllocatesNothing) {
+  PlanBuilder b(&catalog_);
+  PlanBuilder::NodeOptions sopts;
+  sopts.kernel.filter_column = 2;
+  sopts.kernel.filter_lo = 0.2;
+  sopts.kernel.filter_hi = 0.9;
+  sopts.kernel.project_columns = {0, 2};
+  const int sel = b.AddSource(OperatorType::kSelect, t_id_, sopts);
+  PlanBuilder::NodeOptions popts;
+  popts.kernel.project_columns = {1, 0};
+  const int proj = b.AddOp(OperatorType::kProject, {sel}, popts);
+  auto plan = b.Build();
+  ASSERT_TRUE(plan.ok());
+  QueryExecution exec(&catalog_, &*plan, kChunk);
+  int64_t growths = 0;
+  EXPECT_EQ(AllocationsBeyondStoreGrowth(&exec, {sel, proj}, 20, &growths),
+            0);
+  // 240 work orders; the two stores grew only a few dozen times.
+  EXPECT_LT(growths, 60);
+}
+
+TEST_F(KernelsTest, SteadyStateProbeAllocatesNothing) {
+  PlanBuilder b(&catalog_);
+  const int dscan = b.AddSource(OperatorType::kTableScan, d_id_, {});
+  PlanBuilder::NodeOptions bopts;
+  bopts.kernel.build_key = 0;
+  const int build = b.AddOp(OperatorType::kBuildHash, {dscan}, bopts);
+  const int tscan = b.AddSource(OperatorType::kTableScan, t_id_, {});
+  PlanBuilder::NodeOptions popts;
+  popts.kernel.probe_key = 0;
+  const int probe = b.AddOp(OperatorType::kProbeHash, {tscan, build}, popts);
+  auto plan = b.Build();
+  ASSERT_TRUE(plan.ok());
+  QueryExecution exec(&catalog_, &*plan, kChunk);
+  for (int op : {dscan, build}) {
+    for (int i = 0; i < exec.NumWorkOrders(op); ++i) {
+      ASSERT_TRUE(exec.ExecuteWorkOrder({op}, i).ok());
+    }
+    ASSERT_TRUE(exec.FinalizeOperator(op).ok());
+  }
+  int64_t growths = 0;
+  EXPECT_EQ(AllocationsBeyondStoreGrowth(&exec, {tscan, probe}, 20, &growths),
+            0);
+  EXPECT_LT(growths, 60);
+}
+#else
+TEST_F(KernelsTest, SteadyStateScanSelectProjectAllocatesNothing) {
+  GTEST_SKIP() << "allocation counting is off in sanitizer builds";
+}
+TEST_F(KernelsTest, SteadyStateProbeAllocatesNothing) {
+  GTEST_SKIP() << "allocation counting is off in sanitizer builds";
+}
+#endif
 
 }  // namespace
 }  // namespace lsched

@@ -158,7 +158,7 @@ class LSchedForwardProbe : public Scheduler {
       view.queries.push_back(&entry.features);
       view.encoded.push_back(&entry.enc);
       head_in.push_back(&entry.head_in);
-      qf_rows[qi] = extractor_.ExtractQf(*q, ctx);
+      extractor_.ExtractQf(*q, ctx, &qf_rows[qi]);
       view.qf.push_back(&qf_rows[qi]);
       int head_row = 0;
       for (const auto& [op, degree] : entry.candidates) {
