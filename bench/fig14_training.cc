@@ -7,9 +7,9 @@
 //
 // Learning curves come from the scalar event stream (obs/scalar_events.h):
 // each trainer gets its own telemetry prefix, and the per-episode reward
-// series is read back from the stream after training. With -DLSCHED_OBS=OFF
-// the stream is empty and the locally collected return values are used
-// instead, so the figure renders identically in both builds.
+// series is read back from the stream after training. With recording off
+// (LSCHED_OBS=0) the stream is empty and the locally collected return values
+// are used instead, so the figure renders identically either way.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -1,5 +1,5 @@
 # Script mode (cmake -P): stamps util/build_info.h with the current git
-# revision and the build flags the configure step baked in. Run by the
+# revision, compiler and build type. Run by the
 # always-out-of-date `lsched_build_info` custom target so the sha tracks
 # HEAD without a re-configure; copy_if_different keeps incremental builds
 # quiet when nothing moved.
@@ -9,8 +9,6 @@
 #   OUT            destination header path
 #   BI_COMPILER    e.g. "GNU-13.2.0"
 #   BI_BUILD_TYPE  e.g. "RelWithDebInfo"
-#   BI_OBS         "on"/"off"   (LSCHED_OBS)
-#   BI_FAULTS      "on"/"off"   (LSCHED_FAULTS)
 
 execute_process(
   COMMAND git -C "${GIT_DIR}" rev-parse --short=12 HEAD
@@ -40,8 +38,6 @@ namespace buildinfo {
 inline constexpr const char kGitSha[] = \"${GIT_SHA}\";
 inline constexpr const char kCompiler[] = \"${BI_COMPILER}\";
 inline constexpr const char kBuildType[] = \"${BI_BUILD_TYPE}\";
-inline constexpr const char kObs[] = \"${BI_OBS}\";
-inline constexpr const char kFaults[] = \"${BI_FAULTS}\";
 
 }  // namespace buildinfo
 }  // namespace lsched

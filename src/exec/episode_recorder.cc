@@ -103,10 +103,8 @@ void EpisodeRecorder::Begin(const char* engine_name, Scheduler* scheduler,
   timelines_.clear();
   timelines_.resize(num_queries);
   timeline_base_ = 0;
-#if LSCHED_OBS_ENABLED
   trace_on_ =
       obs::Enabled() && obs::QueryTraceLog::Global().capture_enabled();
-#endif
   engine_name_ = engine_name;
   scheduler_ = scheduler;
   virtual_time_ = virtual_time;
@@ -188,7 +186,6 @@ void EpisodeRecorder::FinishTimeline(QueryState* query, double now) {
   result_.sum_latency_ns += t->breakdown.total_ns;
   ++result_.num_queries_decomposed;
 
-#if LSCHED_OBS_ENABLED
   if (trace_on_) {
     obs::QueryTraceRecord rec;
     rec.query = query->id();
@@ -212,7 +209,6 @@ void EpisodeRecorder::FinishTimeline(QueryState* query, double now) {
     rec.dropped_edges = t->dropped_edges;
     obs::QueryTraceLog::Global().Record(std::move(rec));
   }
-#endif
   // Retire the finished prefix: no later event reads those timelines.
   while (!timelines_.empty() && timelines_.front().finished) {
     timelines_.pop_front();
@@ -229,7 +225,6 @@ void EpisodeRecorder::RecordInstant(const char* name, const char* category,
       obs::ThreadId(), "query", query, arg2_name, arg2);
 }
 
-#if LSCHED_OBS_ENABLED
 void EpisodeRecorder::AddTraceEdge(QueryId qid, const obs::TraceEdge& e) {
   QueryTimeline* t = SlotFor(qid);
   if (t == nullptr || t->finished) return;
@@ -239,11 +234,9 @@ void EpisodeRecorder::AddTraceEdge(QueryId qid, const obs::TraceEdge& e) {
   }
   t->edges.push_back(e);
 }
-#endif
 
 void EpisodeRecorder::OnQueryArrival(const QueryState& query, double /*now*/) {
   TimelineFor(query.id(), query.arrival_time());
-#if LSCHED_OBS_ENABLED
   if (trace_on_) {
     obs::TraceEdge e;
     e.time = query.arrival_time();
@@ -252,12 +245,10 @@ void EpisodeRecorder::OnQueryArrival(const QueryState& query, double /*now*/) {
     e.b = static_cast<int64_t>(query.tag().priority);
     AddTraceEdge(query.id(), e);
   }
-#endif
 }
 
 void EpisodeRecorder::OnAdmissionVerdict(QueryId qid, double now,
                                          bool admitted, QueryId displaced) {
-#if LSCHED_OBS_ENABLED
   if (!trace_on_) return;
   obs::TraceEdge e;
   e.time = now;
@@ -276,28 +267,16 @@ void EpisodeRecorder::OnAdmissionVerdict(QueryId qid, double now,
     e.kind = obs::TraceEdgeKind::kShed;
     AddTraceEdge(qid, e);
   }
-#else
-  (void)qid;
-  (void)now;
-  (void)admitted;
-  (void)displaced;
-#endif
 }
 
 void EpisodeRecorder::OnQueryDisplaced(QueryId victim, QueryId newcomer,
                                        double now) {
-#if LSCHED_OBS_ENABLED
   if (!trace_on_) return;
   obs::TraceEdge e;
   e.time = now;
   e.kind = obs::TraceEdgeKind::kDisplacedBy;
   e.a = newcomer;
   AddTraceEdge(victim, e);
-#else
-  (void)victim;
-  (void)newcomer;
-  (void)now;
-#endif
 }
 
 int64_t EpisodeRecorder::OnSchedulerInvocation(
@@ -319,14 +298,10 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
   rec.engine = engine_name_;
   rec.event = SchedulingEventTypeName(event.type);
   rec.policy = scheduler_ != nullptr ? scheduler_->name() : "";
-#if LSCHED_OBS_ENABLED
   considered_scratch_.clear();
   rec.candidates = CandidateSetString(ctx, &rec.num_candidates,
                                       trace_on_ ? &considered_scratch_
                                                 : nullptr);
-#else
-  rec.candidates = CandidateSetString(ctx, &rec.num_candidates, nullptr);
-#endif
   rec.running_queries = static_cast<int>(ctx.queries().size());
   rec.free_threads = ctx.num_free_threads();
   if (!decision.pipelines.empty()) {
@@ -354,7 +329,6 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
     }
   }
   const int64_t decision_id = obs::DecisionLog::Global().Add(std::move(rec));
-#if LSCHED_OBS_ENABLED
   if (trace_on_) {
     // "Considered but skipped": every query with at least one schedulable
     // operator that this decision did not launch gets a causal edge tying
@@ -394,7 +368,6 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
       }
     }
   }
-#endif
   return decision_id;
 }
 
@@ -410,7 +383,6 @@ void EpisodeRecorder::OnPipelineLaunched(int64_t decision_id, QueryId query,
       t->launched = true;  // admission wait ends at the first launch
     }
   }
-#if LSCHED_OBS_ENABLED
   if (trace_on_) {
     obs::TraceEdge e;
     e.time = now;
@@ -420,7 +392,6 @@ void EpisodeRecorder::OnPipelineLaunched(int64_t decision_id, QueryId query,
     e.value = static_cast<double>(degree);
     AddTraceEdge(query, e);
   }
-#endif
 
   if (!obs::Enabled()) return;
   lh_pipeline_degree_.Observe(static_cast<double>(degree));
@@ -447,7 +418,6 @@ void EpisodeRecorder::OnWorkOrderDispatched(QueryId query, bool retry,
 
   if (!obs::Enabled()) return;
   lh_queue_wait_seconds_.Observe(std::max(0.0, queue_wait_seconds));
-#if LSCHED_OBS_ENABLED
   if (trace_on_) {
     obs::TraceEdge e;
     e.time = now;
@@ -455,7 +425,6 @@ void EpisodeRecorder::OnWorkOrderDispatched(QueryId query, bool retry,
     e.value = retry ? 1.0 : 0.0;
     AddTraceEdge(query, e);
   }
-#endif
 }
 
 void EpisodeRecorder::OnWorkOrderCompleted(QueryId query, int64_t decision_id,
@@ -467,7 +436,6 @@ void EpisodeRecorder::OnWorkOrderCompleted(QueryId query, int64_t decision_id,
       if (t->inflight > 0) --t->inflight;
     }
   }
-#if LSCHED_OBS_ENABLED
   if (trace_on_) {
     obs::TraceEdge e;
     e.time = now;
@@ -475,13 +443,12 @@ void EpisodeRecorder::OnWorkOrderCompleted(QueryId query, int64_t decision_id,
     e.value = seconds;
     AddTraceEdge(query, e);
   }
-#endif
 
   if (!obs::Enabled()) return;
   lh_work_order_seconds_.Observe(seconds);
   if (decision_id >= 0) {
-    // Coordinator-local accumulation; flushed to the decision log (one
-    // mutex acquisition per decision, not per work order) in Finalize.
+    // Coordinator-local accumulation; handed to the decision log (one
+    // mutex acquisition per decision, not per work order) by FlushRealized.
     if (realized_base_ < 0) realized_base_ = decision_id;
     if (decision_id < realized_base_) {
       obs::DecisionLog::Global().AddRealized(decision_id, seconds);
@@ -491,6 +458,7 @@ void EpisodeRecorder::OnWorkOrderCompleted(QueryId query, int64_t decision_id,
         realized_seconds_.resize(idx + 1, 0.0);
       }
       realized_seconds_[idx] += seconds;
+      if (realized_seconds_.size() >= kRealizedFlushSpan) FlushRealized();
     }
   }
 }
@@ -503,14 +471,12 @@ void EpisodeRecorder::OnWorkOrderFailed(QueryId query, double now) {
       if (t->inflight > 0) --t->inflight;
     }
   }
-#if LSCHED_OBS_ENABLED
   if (trace_on_) {
     obs::TraceEdge e;
     e.time = now;
     e.kind = obs::TraceEdgeKind::kFailed;
     AddTraceEdge(query, e);
   }
-#endif
 }
 
 void EpisodeRecorder::OnWorkOrderRetried(QueryId query, double now) {
@@ -522,14 +488,12 @@ void EpisodeRecorder::OnWorkOrderRetried(QueryId query, double now) {
       ++t->breakdown.retries;
     }
   }
-#if LSCHED_OBS_ENABLED
   if (trace_on_) {
     obs::TraceEdge e;
     e.time = now;
     e.kind = obs::TraceEdgeKind::kRetry;
     AddTraceEdge(query, e);
   }
-#endif
 }
 
 void EpisodeRecorder::OnWorkOrderDiscarded() {
@@ -595,7 +559,6 @@ int64_t EpisodeRecorder::OnFallback(double now, const SchedulingContext& ctx,
     }
   }
   const int64_t decision_id = obs::DecisionLog::Global().Add(std::move(rec));
-#if LSCHED_OBS_ENABLED
   if (trace_on_) {
     for (const QueryState* q : ctx.queries()) {
       if (q->id() == chosen) continue;
@@ -616,7 +579,6 @@ int64_t EpisodeRecorder::OnFallback(double now, const SchedulingContext& ctx,
       AddTraceEdge(q->id(), e);
     }
   }
-#endif
   return decision_id;
 }
 
@@ -677,15 +639,9 @@ void EpisodeRecorder::FlushWindow() {
     pipeline_degree_->MergeSnapshot(lh_pipeline_degree_.snap);
     queue_wait_seconds_->MergeSnapshot(lh_queue_wait_seconds_.snap);
     work_order_seconds_->MergeSnapshot(lh_work_order_seconds_.snap);
-    // Realized per-decision costs flow into the decision log here, which
-    // notifies its back-fill observer — so an attached DriftMonitor keeps
-    // scoring mid-stream without waiting for an episode end.
-    for (size_t i = 0; i < realized_seconds_.size(); ++i) {
-      if (realized_seconds_[i] != 0.0) {
-        obs::DecisionLog::Global().AddRealized(
-            realized_base_ + static_cast<int64_t>(i), realized_seconds_[i]);
-      }
-    }
+    // An attached DriftMonitor keeps scoring mid-stream without waiting
+    // for an episode end.
+    FlushRealized();
   }
   flushed_totals_ = totals;
   flushed_latencies_ = result_.query_latencies.size();
@@ -693,6 +649,17 @@ void EpisodeRecorder::FlushWindow() {
   lh_pipeline_degree_.Reset();
   lh_queue_wait_seconds_.Reset();
   lh_work_order_seconds_.Reset();
+  realized_base_ = -1;
+  realized_seconds_.clear();
+}
+
+void EpisodeRecorder::FlushRealized() {
+  for (size_t i = 0; i < realized_seconds_.size(); ++i) {
+    if (realized_seconds_[i] != 0.0) {
+      obs::DecisionLog::Global().AddRealized(
+          realized_base_ + static_cast<int64_t>(i), realized_seconds_[i]);
+    }
+  }
   realized_base_ = -1;
   realized_seconds_.clear();
 }

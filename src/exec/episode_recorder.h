@@ -190,11 +190,9 @@ class EpisodeRecorder {
     bool started = false;
     bool finished = false;
     LatencyBreakdown breakdown;
-#if LSCHED_OBS_ENABLED
     /// Lifetime-trace edges, published with the trace at finish.
     std::vector<obs::TraceEdge> edges;
     int64_t dropped_edges = 0;
-#endif
   };
 
   /// The slot of `qid`, grown on first touch but not started. nullptr for
@@ -207,10 +205,8 @@ class EpisodeRecorder {
   /// and into the EpisodeResult aggregates; publishes the lifetime trace.
   void FinishTimeline(QueryState* query, double now);
 
-#if LSCHED_OBS_ENABLED
   /// Buffers `e` for `qid`'s lifetime trace; dropped once it finished.
   void AddTraceEdge(QueryId qid, const obs::TraceEdge& e);
-#endif
   /// Instant trace event on the calling (coordinator) thread, stamped in
   /// the engine's timebase: virtual `now` for Sim, the wall clock for Real.
   void RecordInstant(const char* name, const char* category, double now,
@@ -227,18 +223,25 @@ class EpisodeRecorder {
   /// slots only from its oldest live query on.
   std::deque<QueryTimeline> timelines_;
   QueryId timeline_base_ = 0;
-#if LSCHED_OBS_ENABLED
   bool trace_on_ = false;  ///< edge capture active (set at Begin)
   /// Per-invocation scratch: queries with a schedulable op (the
   /// considered-but-skipped set), reused to avoid per-decision allocation.
   std::vector<QueryId> considered_scratch_;
-#endif
 
   // Realized work-order cost per decision, accumulated lock-free on the
-  // coordinator thread and flushed into the global decision log once per
-  // episode (Finalize). Indexed by decision_id - realized_base_.
+  // coordinator thread and handed to the global decision log by
+  // FlushRealized. Indexed by decision_id - realized_base_.
   int64_t realized_base_ = -1;
   std::vector<double> realized_seconds_;
+  /// The buffer is handed over once it spans this many decision ids, while
+  /// its oldest record is still in the log's ring: a session without flush
+  /// windows would otherwise hold every cost until the end, when most of
+  /// their records are evicted.
+  static constexpr size_t kRealizedFlushSpan =
+      obs::DecisionLog::kDefaultCapacity / 2;
+  /// Back-fills the buffered costs into the decision log (which notifies
+  /// its back-fill observer, e.g. the drift monitor) and empties the buffer.
+  void FlushRealized();
 
   /// The registry counters derived from EpisodeResult: Totals() reads
   /// their current values from result_, in the order of counters_. Each

@@ -52,7 +52,7 @@ inline int64_t LatencyNs(double seconds) {
 ///   admission_ns + queue_ns + service_ns + stall_ns == total_ns
 ///
 /// holds EXACTLY (integer equality, no floating-point slop) for every
-/// terminal query, in both engines, in every build mode.
+/// terminal query, in both engines.
 ///
 ///  * admission_ns — arrival until the first pipeline launch (the query sat
 ///    in the admitted set; for refused/shed queries the whole lifetime).

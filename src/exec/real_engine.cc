@@ -296,7 +296,7 @@ void RealEngine::ApplyDueThreadEvents(double now) {
   }
 }
 
-void RealEngine::WaitAndProcessCompletions(const Clock& clock) {
+void RealEngine::WaitAndProcessCompletions(const WallClock& clock) {
   bool timed_out = false;
   completion_batch_.clear();
   {
@@ -390,7 +390,7 @@ void RealEngine::MaybeFlushWindow(double now) {
   snapshot_ = recorder.SnapshotResult(now);
 }
 
-RealRunResult RealEngine::FinishRun(const Clock& clock) {
+RealRunResult RealEngine::FinishRun(const WallClock& clock) {
   DrainOutstanding();
   ShutdownPool();
   run_clock_ = nullptr;
@@ -553,7 +553,7 @@ RealRunResult RealEngine::Drain() {
 }
 
 void RealEngine::ServeLoop() {
-  const Clock& clock = *serving_clock_;
+  const WallClock& clock = *serving_clock_;
   while (true) {
     const double now = clock.Now();
     ApplyDueThreadEvents(now);

@@ -211,7 +211,7 @@ class RealEngine : private ExecutorBackend {
   /// timeout re-runs dispatch (a retry backoff may have elapsed). Queued
   /// ingress or cancels end the wait early. Never schedules under
   /// completion_mu_.
-  void WaitAndProcessCompletions(const Clock& clock);
+  void WaitAndProcessCompletions(const WallClock& clock);
   /// Waits out attempts still in flight for terminal queries (work-order
   /// conservation), then checks no terminal query leaked execution state.
   void DrainOutstanding();
@@ -224,7 +224,7 @@ class RealEngine : private ExecutorBackend {
   /// run (used for rolling /metrics refreshes).
   std::vector<prof::WorkerStateBuckets> CollectWorkerStates() const;
   /// Ends the run: drains, joins the pool, finalizes telemetry.
-  RealRunResult FinishRun(const Clock& clock);
+  RealRunResult FinishRun(const WallClock& clock);
   /// Serving coordinator body: intake → cancels → completions until drained.
   void ServeLoop();
 
@@ -250,7 +250,7 @@ class RealEngine : private ExecutorBackend {
   int last_flush_terminals_ = 0;
   /// Run clock, published (before workers spawn) for worker-side deadline
   /// checks; read-only while workers are alive.
-  const Clock* run_clock_ = nullptr;
+  const WallClock* run_clock_ = nullptr;
 
   /// Worker-state classification hints, read by workers when they go back
   /// to waiting (heuristic — only the bucket sums are exact):

@@ -55,8 +55,7 @@ void SimEngine::StartAttempt(Pipeline& p, int slot, int wo_index,
 
   // Fault injection at the canonical execution point. Probed AFTER the
   // noise draw so the RNG sequence — and therefore every duration — of a
-  // run with faults compiled out (or disarmed) is bit-identical to a
-  // no-fault run.
+  // disarmed run is bit-identical to a no-fault run.
   SimSlot& s = slots_[static_cast<size_t>(slot)];
   s.attempt_failed = false;
   s.expired = false;

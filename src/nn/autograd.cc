@@ -102,19 +102,22 @@ Var Tape::Custom(Matrix value, std::function<void(Tape*, Var)> backward) {
 }
 
 Var Tape::MatMul(Var a, Var b) {
-  // Forward and both backward products go through the process-wide
-  // GemmBackend, same as the tape-free serving path, so serving scores
-  // match training bit-for-bit under any backend.
-  GemmBackend& gemm = GemmBackend::Global();
-  const int id = NewNode(gemm.MatMul(a.value(), b.value()));
+  // Forward and both backward products use the blocked kernel, the same
+  // one the tape-free serving path calls, so serving scores match training
+  // bit-for-bit.
+  Matrix out;
+  MatMulBlockedInto(a.value(), b.value(), &out);
+  const int id = NewNode(std::move(out));
   const int ia = a.id(), ib = b.id();
   nodes_[id].backward = [id, ia, ib](Tape* t) {
-    GemmBackend& g_gemm = GemmBackend::Global();
     const Matrix& g = t->nodes_[id].grad;
     const Matrix& av = t->nodes_[ia].value;
     const Matrix& bv = t->nodes_[ib].value;
-    t->nodes_[ia].grad.AddInPlace(g_gemm.MatMul(g, bv.Transposed()));
-    t->nodes_[ib].grad.AddInPlace(g_gemm.MatMul(av.Transposed(), g));
+    Matrix prod;
+    MatMulBlockedInto(g, bv.Transposed(), &prod);
+    t->nodes_[ia].grad.AddInPlace(prod);
+    MatMulBlockedInto(av.Transposed(), g, &prod);
+    t->nodes_[ib].grad.AddInPlace(prod);
   };
   return Var(this, id);
 }

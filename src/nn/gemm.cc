@@ -93,9 +93,4 @@ void MatMulBlockedInto(const Matrix& a, const Matrix& b, Matrix* out) {
   }
 }
 
-GemmBackend& GemmBackend::Global() {
-  static GemmBackend backend;
-  return backend;
-}
-
 }  // namespace lsched

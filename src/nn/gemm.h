@@ -11,30 +11,10 @@ namespace lsched {
 /// over the 64-byte-aligned storage. Zero A entries are skipped and each
 /// output element accumulates its k-terms in ascending order, so results
 /// match the textbook i-k-j loop (gemm_test keeps it as the oracle).
+/// Every nn matrix product — the autograd tape and the tape-free serving
+/// path — calls this one kernel, so serving can never diverge from
+/// training. Shapes are checked; `out` is resized and overwritten.
 void MatMulBlockedInto(const Matrix& a, const Matrix& b, Matrix* out);
-
-/// Process-wide GEMM entry point. All nn matrix products — the autograd
-/// tape, the tape-free serving fast path, and training — route through it,
-/// so serving can never diverge from training.
-class GemmBackend {
- public:
-  static GemmBackend& Global();
-
-  /// out = a * b (shapes checked; out resized and overwritten).
-  void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) const {
-    MatMulBlockedInto(a, b, out);
-  }
-
-  /// Convenience value-returning product.
-  Matrix MatMul(const Matrix& a, const Matrix& b) const {
-    Matrix out;
-    MatMulInto(a, b, &out);
-    return out;
-  }
-
- private:
-  GemmBackend() = default;
-};
 
 }  // namespace lsched
 

@@ -8,10 +8,6 @@
 
 namespace lsched {
 
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  GemmBackend::Global().MatMulInto(a, b, out);
-}
-
 void AddRowBroadcastInPlace(Matrix* m, const Matrix& row) {
   LSCHED_CHECK(row.rows() == 1 && row.cols() == m->cols());
   for (int r = 0; r < m->rows(); ++r) {
@@ -54,7 +50,7 @@ void ActivateInPlace(Matrix* m, Activation act) {
 }
 
 void LinearForwardInto(const Linear& layer, const Matrix& x, Matrix* out) {
-  MatMulInto(x, layer.weight()->value, out);
+  MatMulBlockedInto(x, layer.weight()->value, out);
   AddRowBroadcastInPlace(out, layer.bias()->value);
 }
 

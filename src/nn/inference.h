@@ -41,13 +41,6 @@ class ScratchArena {
 /// loop order and accumulation order), so serving scores match training
 /// forward passes exactly. None of these construct Tape nodes or closures.
 
-/// out = a @ b via the process-wide GemmBackend — the same backend the
-/// Tape routes through, so serving stays bit-identical to the training
-/// forward pass under any backend. Per output element the accumulation
-/// order over k is ascending in every backend, so batching rows into one
-/// call is bit-identical to per-row calls.
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
-
 /// m[r, :] += row[0, :] for every row (the Linear bias broadcast).
 void AddRowBroadcastInPlace(Matrix* m, const Matrix& row);
 
@@ -59,7 +52,10 @@ void ExpInPlace(Matrix* m);
 /// Applies `act` in place (mirrors Activate()).
 void ActivateInPlace(Matrix* m, Activation act);
 
-/// out = x @ W + b for a Linear layer (batched over x's rows).
+/// out = x @ W + b for a Linear layer (batched over x's rows). The product
+/// is MatMulBlockedInto, the kernel the Tape uses; per output element it
+/// accumulates over k in ascending order, so batching rows into one call is
+/// bit-identical to per-row calls.
 void LinearForwardInto(const Linear& layer, const Matrix& x, Matrix* out);
 
 /// Full Mlp forward (batched over x's rows); intermediates come from

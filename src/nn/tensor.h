@@ -105,8 +105,8 @@ class Matrix {
   Matrix Transposed() const;
 
   /// Matrix product (rows x k) * (k x cols). Reference naive kernel kept
-  /// for tests; hot paths (Tape + serving) route through nn/gemm.h's
-  /// GemmBackend instead.
+  /// for tests; hot paths (Tape + serving) call nn/gemm.h's
+  /// MatMulBlockedInto instead.
   static Matrix MatMul(const Matrix& a, const Matrix& b);
 
   bool SameShape(const Matrix& o) const {

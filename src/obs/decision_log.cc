@@ -1,7 +1,5 @@
 #include "obs/decision_log.h"
 
-#if LSCHED_OBS_ENABLED
-
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -234,5 +232,3 @@ bool ParseDecisionCsv(std::istream& in, std::vector<DecisionRecord>* out) {
 
 }  // namespace obs
 }  // namespace lsched
-
-#endif  // LSCHED_OBS_ENABLED

@@ -60,8 +60,6 @@ struct DecisionRecord {
 
 inline constexpr int kMaxLoggedCandidates = 32;
 
-#if LSCHED_OBS_ENABLED
-
 /// A ring of the newest `capacity` records: a serving session makes one
 /// decision after another for its whole life, so older records are
 /// evicted. Ids keep counting across evictions and Clear().
@@ -130,35 +128,6 @@ class DecisionLog {
 /// Returns false on malformed input. Used by tests (round-trip) and
 /// available to offline tooling.
 bool ParseDecisionCsv(std::istream& in, std::vector<DecisionRecord>* out);
-
-#else  // !LSCHED_OBS_ENABLED
-
-class DecisionLog {
- public:
-  static DecisionLog& Global() {
-    static DecisionLog log;
-    return log;
-  }
-  explicit DecisionLog(size_t = 0) {}
-  int64_t Add(const DecisionRecord&) { return -1; }
-  void AddRealized(int64_t, double) {}
-  using BackfillObserver = std::function<void(const DecisionRecord&)>;
-  void SetBackfillObserver(BackfillObserver) {}
-  void AddPipeline(int64_t, int64_t) {}
-  size_t size() const { return 0; }
-  std::vector<DecisionRecord> Snapshot() const { return {}; }
-  void Clear() {}
-  int64_t lost_backfills() const { return 0; }
-  void WriteCsv(std::ostream&) const {}
-  bool WriteCsv(const std::string&) const { return false; }
-  static const char* CsvHeader() { return ""; }
-};
-
-inline bool ParseDecisionCsv(std::istream&, std::vector<DecisionRecord>*) {
-  return false;
-}
-
-#endif  // LSCHED_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace lsched

@@ -99,8 +99,6 @@ double P2Quantile::Value() const {
   return heights_[2];
 }
 
-#if LSCHED_OBS_ENABLED
-
 // ---------------------------------------------------------------------------
 // DriftMonitor
 // ---------------------------------------------------------------------------
@@ -375,10 +373,7 @@ DriftMonitor& DriftMonitor::Global() {
   return *m;
 }
 
-#endif  // LSCHED_OBS_ENABLED
-
 bool StartDriftMonitorFromEnv() {
-#if LSCHED_OBS_ENABLED
   const char* env = std::getenv("LSCHED_DRIFT_MONITOR");
   if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0 ||
       std::strcmp(env, "off") == 0 || std::strcmp(env, "false") == 0) {
@@ -386,9 +381,6 @@ bool StartDriftMonitorFromEnv() {
   }
   DriftMonitor::Global().AttachToDecisionLog();
   return true;
-#else
-  return false;
-#endif
 }
 
 }  // namespace obs

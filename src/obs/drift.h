@@ -36,8 +36,7 @@ struct DecisionRecord;
 
 /// Streaming quantile estimator (Jain & Chlamtac's P² algorithm): five
 /// markers, O(1) memory, no stored samples. Exact below five observations.
-/// Pure algorithm — compiled in regardless of LSCHED_OBS (tests and
-/// offline tooling use it directly).
+/// Pure algorithm (tests and offline tooling use it directly).
 class P2Quantile {
  public:
   /// `quantile` in (0, 1), e.g. 0.5 or 0.99.
@@ -94,8 +93,6 @@ struct DriftAlarm {
   /// Tenant whose shard fired, or -1 for the process-global stream.
   int32_t tenant = -1;
 };
-
-#if LSCHED_OBS_ENABLED
 
 class DriftMonitor {
  public:
@@ -220,54 +217,6 @@ class DriftMonitor {
   Gauge* pred_error_mean_gauge_ = nullptr;
   Counter* drift_alarms_counter_ = nullptr;
 };
-
-#else  // !LSCHED_OBS_ENABLED
-
-class DriftMonitor {
- public:
-  explicit DriftMonitor(DriftConfig config = DriftConfig())
-      : config_(config) {}
-  void Observe(const std::string&, double, double) {}
-  void Observe(const std::string&, int32_t, double, double) {}
-  void ObserveRecord(const DecisionRecord&) {}
-  void AttachToDecisionLog() {}
-  void DetachFromDecisionLog() {}
-  void AddAlarmCallback(std::function<void(const DriftAlarm&)>) {}
-  double drift_score() const { return 0.0; }
-  bool alarmed() const { return false; }
-  int64_t sample_count() const { return 0; }
-  struct KeyStats {
-    int64_t count = 0;
-    double mean_error = 0.0;
-    double p50 = 0.0;
-    double p99 = 0.0;
-  };
-  std::vector<std::pair<std::string, KeyStats>> SnapshotKeys() const {
-    return {};
-  }
-  struct TenantStats {
-    int64_t count = 0;
-    double mean_error = 0.0;
-    double drift_score = 0.0;
-    bool alarmed = false;
-    double p50 = 0.0;
-    double p99 = 0.0;
-  };
-  std::vector<std::pair<int32_t, TenantStats>> SnapshotTenants() const {
-    return {};
-  }
-  void Reset() {}
-  const DriftConfig& config() const { return config_; }
-  static DriftMonitor& Global() {
-    static DriftMonitor m;
-    return m;
-  }
-
- private:
-  DriftConfig config_;
-};
-
-#endif  // LSCHED_OBS_ENABLED
 
 /// Attaches DriftMonitor::Global() to the decision log when the
 /// LSCHED_DRIFT_MONITOR environment variable is set (and not 0/off), so

@@ -1,10 +1,20 @@
 #include "obs/exporter.h"
 
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <sstream>
 
+#include "obs/profiler.h"
 #include "util/build_info.h"
+#include "util/logging.h"
 
 namespace lsched {
 namespace obs {
@@ -42,9 +52,7 @@ std::string BuildInfoPrometheusText() {
   buf += "lsched_build_info{git_sha=\"" +
          EscapeLabelValue(buildinfo::kGitSha) + "\",compiler=\"" +
          EscapeLabelValue(buildinfo::kCompiler) + "\",build_type=\"" +
-         EscapeLabelValue(buildinfo::kBuildType) + "\",obs=\"" +
-         EscapeLabelValue(buildinfo::kObs) + "\",faults=\"" +
-         EscapeLabelValue(buildinfo::kFaults) + "\"} 1\n";
+         EscapeLabelValue(buildinfo::kBuildType) + "\"} 1\n";
   return buf;
 }
 
@@ -108,26 +116,6 @@ void RenderPrometheusText(const MetricsRegistry::Snapshot& snapshot,
   }
   out << buf;
 }
-
-}  // namespace obs
-}  // namespace lsched
-
-#if LSCHED_OBS_ENABLED
-
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <cstdlib>
-#include <sstream>
-
-#include "obs/profiler.h"
-#include "util/logging.h"
-
-namespace lsched {
-namespace obs {
 
 namespace {
 
@@ -333,5 +321,3 @@ bool StartExporterFromEnv() {
 
 }  // namespace obs
 }  // namespace lsched
-
-#endif  // LSCHED_OBS_ENABLED

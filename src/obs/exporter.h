@@ -27,19 +27,16 @@
 // characters become underscores: `model.drift_score` is exposed as
 // `model_drift_score`, with the original name in the HELP line).
 
-#include <ostream>
-#include <string>
-
-#include "obs/metrics.h"
-#include "obs/obs.h"
-
-#if LSCHED_OBS_ENABLED
 #include <atomic>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <ostream>
+#include <string>
 #include <thread>
-#endif
+
+#include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace lsched {
 namespace obs {
@@ -57,8 +54,7 @@ bool Draining();
 
 /// The three-line `lsched_build_info` block (HELP/TYPE/sample) stamped at
 /// the top of every /metrics response: a constant-1 gauge whose labels
-/// carry the git sha, compiler, build type, and obs/faults compile gates
-/// from util/build_info.h. The standard Prometheus idiom for joining
+/// carry the git sha, compiler and build type from util/build_info.h. The standard Prometheus idiom for joining
 /// provenance onto every other series.
 std::string BuildInfoPrometheusText();
 
@@ -67,8 +63,6 @@ std::string BuildInfoPrometheusText();
 /// snapshot — the golden-test surface.
 void RenderPrometheusText(const MetricsRegistry::Snapshot& snapshot,
                           std::ostream& out);
-
-#if LSCHED_OBS_ENABLED
 
 class MetricsExporter {
  public:
@@ -118,24 +112,6 @@ MetricsExporter& GlobalExporter();
 /// Starts GlobalExporter() if LSCHED_METRICS_PORT is set; returns whether
 /// it is running afterwards. Called from obs.cc's TU initializer.
 bool StartExporterFromEnv();
-
-#else  // !LSCHED_OBS_ENABLED
-
-class MetricsExporter {
- public:
-  bool Start(int) { return false; }
-  void Stop() {}
-  bool running() const { return false; }
-  int port() const { return -1; }
-};
-
-inline MetricsExporter& GlobalExporter() {
-  static MetricsExporter e;
-  return e;
-}
-inline bool StartExporterFromEnv() { return false; }
-
-#endif  // LSCHED_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace lsched

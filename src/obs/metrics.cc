@@ -7,12 +7,10 @@ namespace lsched {
 namespace obs {
 
 namespace {
-constexpr size_t kBuckets = 64;
-constexpr double kMinValue = 1e-9;
+constexpr size_t kBuckets = internal::kHistogramBuckets;
+constexpr double kMinValue = internal::kHistogramMinValue;
 }  // namespace
 
-// HistogramSnapshot is compiled in both modes (it is plain data the
-// compiled-out stubs still return).
 double HistogramSnapshot::LowerBound(size_t bucket) {
   if (bucket == 0) return 0.0;
   return kMinValue * std::exp2(static_cast<double>(bucket - 1));
@@ -53,11 +51,6 @@ double HistogramSnapshot::Percentile(double p) const {
   }
   return UpperBound(bucket_counts.empty() ? 0 : bucket_counts.size() - 1);
 }
-
-#if LSCHED_OBS_ENABLED
-
-static_assert(kBuckets == internal::kHistogramBuckets);
-static_assert(kMinValue == internal::kHistogramMinValue);
 
 namespace internal {
 
@@ -159,8 +152,6 @@ void MetricsRegistry::ResetAll() {
   for (const auto& g : gauges_) g->Reset();
   for (const auto& h : histograms_) h->Reset();
 }
-
-#endif  // LSCHED_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace lsched

@@ -13,9 +13,8 @@
 // — `engine.*` (work-order execution), `sched.*` (scheduling decisions),
 // `train.*` (RL trainer loop).
 //
-// When the library is compiled out (-DLSCHED_OBS=OFF, i.e.
-// LSCHED_OBS_ENABLED == 0) every type below degrades to an inline no-op
-// stub so instrumentation sites need no #ifdefs.
+// Every write checks obs::Enabled() first, so instrumentation sites need
+// no guard of their own.
 
 #include <atomic>
 #include <bit>
@@ -50,8 +49,6 @@ struct HistogramSnapshot {
   double Percentile(double p) const;
   double Mean() const { return count == 0 ? 0.0 : sum / double(count); }
 };
-
-#if LSCHED_OBS_ENABLED
 
 namespace internal {
 inline constexpr size_t kShards = 16;
@@ -238,58 +235,6 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Gauge>> gauges_;
   std::vector<std::unique_ptr<Histogram>> histograms_;
 };
-
-#else  // !LSCHED_OBS_ENABLED -------------------------------------------------
-
-class Counter {
- public:
-  void Add(int64_t = 1) {}
-  int64_t Value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Add(double) {}
-  void Sub(double) {}
-  void Set(double) {}
-  double Value() const { return 0.0; }
-  void Reset() {}
-};
-
-class Histogram {
- public:
-  void Observe(double) {}
-  HistogramSnapshot TakeSnapshot() const { return {}; }
-  void Reset() {}
-  void MergeSnapshot(const HistogramSnapshot&) {}
-  static size_t BucketFor(double) { return 0; }
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global() {
-    static MetricsRegistry r;
-    return r;
-  }
-  Counter* GetCounter(const std::string&) { return &counter_; }
-  Gauge* GetGauge(const std::string&) { return &gauge_; }
-  Histogram* GetHistogram(const std::string&) { return &histogram_; }
-  struct Snapshot {
-    std::vector<std::pair<std::string, int64_t>> counters;
-    std::vector<std::pair<std::string, double>> gauges;
-    std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
-  };
-  Snapshot TakeSnapshot() const { return {}; }
-  void ResetAll() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-#endif  // LSCHED_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace lsched

@@ -1,7 +1,5 @@
 #include "obs/obs.h"
 
-#if LSCHED_OBS_ENABLED
-
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -125,5 +123,3 @@ double NowMicros() {
 
 }  // namespace obs
 }  // namespace lsched
-
-#endif  // LSCHED_OBS_ENABLED

@@ -1,15 +1,11 @@
 #ifndef LSCHED_OBS_OBS_H_
 #define LSCHED_OBS_OBS_H_
 
-// Umbrella for the observability layer (DESIGN.md §8): compile-time gate,
-// runtime on/off switch, thread identity for trace attribution, and the
-// env-driven exporters.
+// Umbrella for the observability layer (DESIGN.md §8): runtime on/off
+// switch, thread identity for trace attribution, and the env-driven
+// exporters.
 //
-// Compile-time: the CMake option LSCHED_OBS (default ON) defines
-// LSCHED_OBS_ENABLED on every target. With -DLSCHED_OBS=OFF all metric,
-// trace, and decision-log calls compile to empty inline stubs.
-//
-// Runtime: recording defaults to on and can be suppressed with the
+// Recording defaults to on and can be suppressed with the
 // LSCHED_OBS environment variable (0/off/false) or SetEnabled(false).
 // Exporters: if LSCHED_TRACE_EXPORT=<path> is set, a Chrome trace_event
 // JSON is written at process exit (open it in chrome://tracing); if
@@ -19,17 +15,8 @@
 #include <atomic>
 #include <cstdint>
 
-#ifndef LSCHED_OBS_ENABLED
-#define LSCHED_OBS_ENABLED 1
-#endif
-
 namespace lsched {
 namespace obs {
-
-/// True iff the layer is compiled in (LSCHED_OBS=ON at configure time).
-inline constexpr bool kCompiledIn = LSCHED_OBS_ENABLED != 0;
-
-#if LSCHED_OBS_ENABLED
 
 namespace internal {
 /// Runtime switch backing Enabled(). Constant-initialized (no static-init
@@ -38,7 +25,7 @@ namespace internal {
 extern std::atomic<bool> g_enabled;
 }  // namespace internal
 
-/// Whether recording is active right now (compile gate && runtime switch).
+/// Whether recording is active right now (the runtime switch).
 /// Inline single relaxed load: cheap enough for every metric write.
 inline bool Enabled() {
   return internal::g_enabled.load(std::memory_order_relaxed);
@@ -54,16 +41,6 @@ void SetThreadId(uint32_t tid);
 /// Microseconds since process start (steady clock) — the wall-clock
 /// timebase for trace events recorded by RAII spans.
 double NowMicros();
-
-#else  // !LSCHED_OBS_ENABLED
-
-inline bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-inline uint32_t ThreadId() { return 0; }
-inline void SetThreadId(uint32_t) {}
-inline double NowMicros() { return 0.0; }
-
-#endif  // LSCHED_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace lsched

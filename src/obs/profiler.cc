@@ -317,8 +317,6 @@ std::string RenderProfileSummary(const std::vector<ProfileSample>& samples) {
   return os.str();
 }
 
-#if LSCHED_OBS_ENABLED
-
 SamplingProfiler& SamplingProfiler::Global() {
   static SamplingProfiler* profiler = new SamplingProfiler();
   return *profiler;
@@ -418,8 +416,6 @@ bool SamplingProfiler::WriteCsv(const std::string& path) const {
   std::fclose(f);
   return ok;
 }
-
-#endif  // LSCHED_OBS_ENABLED
 
 }  // namespace prof
 }  // namespace lsched

@@ -17,14 +17,13 @@
 //     (sched decisions/sec, encoder cache hit rate, NN batch occupancy,
 //     faultpoint fires, serve admission verdicts), registered
 //     declaratively as value closures and rendered as an aligned-text
-//     table with per-second rates between renders. Always compiled; the
-//     closures read the metrics registry, which returns zeros when the
-//     obs layer is compiled out.
+//     table with per-second rates between renders. The closures read the
+//     metrics registry.
 //
-//  3. SamplingProfiler — an OBS-gated background sampler that snapshots
-//     every registered worker's current state at a configurable Hz into a
+//  3. SamplingProfiler — a background sampler that snapshots every
+//     registered worker's current state at a configurable Hz into a
 //     bounded ring, exportable as CSV and rendered by `lsched_cli top
-//     --profile`. Compiles to an inert stub with -DLSCHED_OBS=OFF.
+//     --profile`.
 
 #include <atomic>
 #include <cstdint>
@@ -166,11 +165,8 @@ std::string ProfileSamplesToCsv(const std::vector<ProfileSample>& samples);
 bool ParseProfileCsv(const std::string& text, std::vector<ProfileSample>* out);
 
 /// Per-(engine, worker) state-occupancy summary of a sample set — the
-/// rendering behind `lsched_cli top --profile=<csv>`. Always compiled so
-/// OFF builds can still render a CSV captured elsewhere.
+/// rendering behind `lsched_cli top --profile=<csv>`.
 std::string RenderProfileSummary(const std::vector<ProfileSample>& samples);
-
-#if LSCHED_OBS_ENABLED
 
 class SamplingProfiler {
  public:
@@ -214,29 +210,6 @@ class SamplingProfiler {
   std::thread sampler_;
   double period_us_ = 0.0;
 };
-
-#else  // !LSCHED_OBS_ENABLED
-
-class SamplingProfiler {
- public:
-  static SamplingProfiler& Global() {
-    static SamplingProfiler p;
-    return p;
-  }
-  int RegisterWorkers(const std::string&,
-                      std::vector<const WorkerAccount*>) {
-    return 0;
-  }
-  void UnregisterWorkers(int) {}
-  bool Start(double, size_t = 0) { return false; }
-  void Stop() {}
-  bool running() const { return false; }
-  std::vector<ProfileSample> Snapshot() const { return {}; }
-  bool WriteCsv(const std::string&) const { return false; }
-  int64_t dropped() const { return 0; }
-};
-
-#endif  // LSCHED_OBS_ENABLED
 
 }  // namespace prof
 }  // namespace lsched

@@ -380,8 +380,6 @@ bool ParseQueryTraceCsv(std::istream& is,
   return true;
 }
 
-#if LSCHED_OBS_ENABLED
-
 QueryTraceLog::QueryTraceLog(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
@@ -456,8 +454,6 @@ QueryTraceLog& QueryTraceLog::Global() {
   static QueryTraceLog* log = new QueryTraceLog();
   return *log;
 }
-
-#endif  // LSCHED_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace lsched

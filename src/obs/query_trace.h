@@ -18,11 +18,6 @@
 // to CSV via LSCHED_QUERY_TRACE=<path> or `lsched_cli serve --trace-out=`.
 // `lsched_cli explain <query-id>` replays a dumped trace into a
 // human-readable timeline (RenderExplain).
-//
-// The plain-data types and pure functions (parse / derive / render) are
-// compiled in every build mode so offline tooling keeps working; the
-// QueryTraceLog itself compiles to a no-op stub under -DLSCHED_OBS=OFF
-// like the rest of src/obs.
 
 #include <cstdint>
 #include <istream>
@@ -114,8 +109,6 @@ void WriteQueryTraceCsv(const std::vector<QueryTraceRecord>& records,
 /// `out` in an unspecified state) on a malformed header or row.
 bool ParseQueryTraceCsv(std::istream& is, std::vector<QueryTraceRecord>* out);
 
-#if LSCHED_OBS_ENABLED
-
 /// Process-global bounded log of the most recently finished query traces.
 /// Thread-safe; Record() is one mutex acquisition per *terminal query*
 /// (not per edge), so it stays off the per-work-order hot path.
@@ -152,27 +145,6 @@ class QueryTraceLog {
   bool capture_ = true;
   std::vector<QueryTraceRecord> ring_;
 };
-
-#else  // !LSCHED_OBS_ENABLED
-
-class QueryTraceLog {
- public:
-  explicit QueryTraceLog(size_t = 4096) {}
-  void SetCapture(bool) {}
-  bool capture_enabled() const { return false; }
-  void Record(QueryTraceRecord) {}
-  std::vector<QueryTraceRecord> Snapshot() const { return {}; }
-  bool Find(int64_t, QueryTraceRecord*) const { return false; }
-  size_t size() const { return 0; }
-  void Clear() {}
-  bool WriteCsv(const std::string&) const { return false; }
-  static QueryTraceLog& Global() {
-    static QueryTraceLog log;
-    return log;
-  }
-};
-
-#endif  // LSCHED_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace lsched

@@ -1,7 +1,5 @@
 #include "obs/scalar_events.h"
 
-#if LSCHED_OBS_ENABLED
-
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -147,5 +145,3 @@ bool ParseScalarEventsJsonl(std::istream& in, std::vector<ScalarEvent>* out) {
 
 }  // namespace obs
 }  // namespace lsched
-
-#endif  // LSCHED_OBS_ENABLED

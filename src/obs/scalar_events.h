@@ -36,8 +36,6 @@ struct ScalarEvent {
   double value = 0.0;   ///< non-finite values round-trip as JSON null
 };
 
-#if LSCHED_OBS_ENABLED
-
 /// Process-global append-only scalar event log. Thread-safe; Append is a
 /// mutex push (these are per-episode/per-update events, not per-work-order
 /// hot-path writes).
@@ -67,30 +65,6 @@ class ScalarEventWriter {
 /// Parses a JSONL stream produced by WriteJsonl back into events. Returns
 /// false on malformed input. Blank lines are skipped.
 bool ParseScalarEventsJsonl(std::istream& in, std::vector<ScalarEvent>* out);
-
-#else  // !LSCHED_OBS_ENABLED
-
-class ScalarEventWriter {
- public:
-  static ScalarEventWriter& Global() {
-    static ScalarEventWriter w;
-    return w;
-  }
-  void Append(const std::string&, int64_t, double) {}
-  size_t size() const { return 0; }
-  std::vector<ScalarEvent> Snapshot() const { return {}; }
-  std::vector<ScalarEvent> Series(const std::string&) const { return {}; }
-  std::vector<double> SeriesValues(const std::string&) const { return {}; }
-  void Clear() {}
-  void WriteJsonl(std::ostream&) const {}
-  bool WriteJsonl(const std::string&) const { return false; }
-};
-
-inline bool ParseScalarEventsJsonl(std::istream&, std::vector<ScalarEvent>*) {
-  return false;
-}
-
-#endif  // LSCHED_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace lsched

@@ -1,11 +1,8 @@
 #include "obs/trace.h"
 
-#if LSCHED_OBS_ENABLED
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -35,13 +32,8 @@ struct Ring {
   }
 };
 
-size_t DefaultCapacity() {
-  if (const char* env = std::getenv("LSCHED_TRACE_CAPACITY")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 4096;
-}
+/// Events per thread ring.
+constexpr size_t kDefaultCapacity = 4096;
 
 void JsonEscape(std::ostream& out, const char* s) {
   for (; *s; ++s) {
@@ -111,7 +103,7 @@ struct Tracer::Impl {
   std::mutex pool_mu;
   std::vector<std::unique_ptr<Ring>> rings;  ///< all rings ever created
   std::vector<Ring*> free_rings;             ///< released by exited threads
-  std::atomic<size_t> capacity{DefaultCapacity()};
+  std::atomic<size_t> capacity{kDefaultCapacity};
 
   Ring* Lease() {
     const size_t cap = capacity.load(std::memory_order_relaxed);
@@ -247,5 +239,3 @@ void Tracer::SetCapacityForTest(size_t capacity) {
 
 }  // namespace obs
 }  // namespace lsched
-
-#endif  // LSCHED_OBS_ENABLED

@@ -42,8 +42,6 @@ struct TraceEvent {
   int64_t arg2 = 0;
 };
 
-#if LSCHED_OBS_ENABLED
-
 class Tracer {
  public:
   static Tracer& Global();
@@ -66,9 +64,8 @@ class Tracer {
   uint64_t dropped_events() const;
   uint64_t buffered_events() const;
 
-  /// Ring capacity (events per thread). Default 4096, overridable via the
-  /// LSCHED_TRACE_CAPACITY env var; SetCapacityForTest only affects rings
-  /// leased after the call.
+  /// Ring capacity (events per thread), 4096 by default;
+  /// SetCapacityForTest only affects rings leased after the call.
   size_t capacity() const;
   void SetCapacityForTest(size_t capacity);
 
@@ -109,37 +106,6 @@ class ScopedSpan {
   bool active_;
   TraceEvent event_;
 };
-
-#else  // !LSCHED_OBS_ENABLED
-
-class Tracer {
- public:
-  static Tracer& Global() {
-    static Tracer t;
-    return t;
-  }
-  void RecordSpan(const TraceEvent&) {}
-  void RecordInstant(const char*, const char*, double, uint32_t,
-                     const char* = nullptr, int64_t = 0,
-                     const char* = nullptr, int64_t = 0) {}
-  void ExportChromeTrace(std::ostream& out) const {
-    out << "{\"traceEvents\":[]}\n";
-  }
-  bool WriteChromeTrace(const std::string&) const { return false; }
-  void Clear() {}
-  uint64_t dropped_events() const { return 0; }
-  uint64_t buffered_events() const { return 0; }
-  size_t capacity() const { return 0; }
-  void SetCapacityForTest(size_t) {}
-};
-
-class ScopedSpan {
- public:
-  ScopedSpan(const char*, const char*, const char* = nullptr, int64_t = 0,
-             const char* = nullptr, int64_t = 0) {}
-};
-
-#endif  // LSCHED_OBS_ENABLED
 
 /// `LSCHED_TRACE_SPAN("exec.work_order", "exec", "query", qid);`
 #define LSCHED_TRACE_SPAN(...) \

@@ -13,8 +13,8 @@
 // each rule in the schedule decides when its point fires (on the Nth matching
 // hit, with probability p from a rule-local seeded RNG, inside a time
 // window), so any chaos episode is replayable from (seed, schedule) alone.
-// With -DLSCHED_FAULTS=OFF the macro compiles to a no-fault constant and the
-// engines are byte-identical to a build that never heard of fault injection.
+// With no schedule installed every point costs one relaxed atomic load and
+// returns a no-fault action.
 //
 // Known fault points:
 //   work_order_exec  both engines, before each work-order attempt executes
@@ -32,15 +32,6 @@
 #include "util/rng.h"
 
 namespace lsched {
-
-#ifndef LSCHED_FAULTS_ENABLED
-#define LSCHED_FAULTS_ENABLED 1
-#endif
-
-/// True when fault points are compiled in (-DLSCHED_FAULTS=ON, the default).
-/// Release/production builds set it to false and every LSCHED_FAULT site
-/// collapses to `FaultAction{}`.
-inline constexpr bool kFaultsCompiledIn = LSCHED_FAULTS_ENABLED != 0;
 
 enum class FaultType : uint8_t {
   kNone = 0,  ///< no fault — continue normally
@@ -163,7 +154,6 @@ class FaultInjector {
   int64_t log_dropped_ = 0;
 };
 
-#if LSCHED_FAULTS_ENABLED
 /// Probes the fault point `point` for query `query` at engine time `now`.
 /// Costs one relaxed atomic load when no schedule is installed.
 #define LSCHED_FAULT(point, query, now)                                   \
@@ -171,10 +161,6 @@ class FaultInjector {
        ? ::lsched::FaultInjector::Global().Check(                         \
              (point), static_cast<int64_t>(query), (now))                 \
        : ::lsched::FaultAction{})
-#else
-#define LSCHED_FAULT(point, query, now) \
-  ((void)(query), (void)(now), ::lsched::FaultAction{})
-#endif
 
 }  // namespace lsched
 

@@ -5,19 +5,11 @@
 
 namespace lsched {
 
-/// Abstract time source so engines can run on wall-clock time (RealEngine)
-/// or virtual time (SimEngine) behind the same interface. Times are seconds.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  virtual double Now() const = 0;
-};
-
-/// Monotonic wall clock (seconds since first use).
-class WallClock : public Clock {
+/// Monotonic wall clock in seconds since construction.
+class WallClock {
  public:
   WallClock() : start_(std::chrono::steady_clock::now()) {}
-  double Now() const override {
+  double Now() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start_)
         .count();
@@ -25,19 +17,6 @@ class WallClock : public Clock {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Manually-advanced virtual clock used by the discrete-event simulator.
-class VirtualClock : public Clock {
- public:
-  double Now() const override { return now_; }
-  void AdvanceTo(double t) {
-    if (t > now_) now_ = t;
-  }
-  void Reset() { now_ = 0.0; }
-
- private:
-  double now_ = 0.0;
 };
 
 /// RAII stopwatch measuring elapsed wall time in seconds.

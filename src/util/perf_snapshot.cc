@@ -68,8 +68,6 @@ PerfSnapshot MakePerfSnapshot(const std::string& name) {
   snap.git_sha = buildinfo::kGitSha;
   snap.compiler = buildinfo::kCompiler;
   snap.build_type = buildinfo::kBuildType;
-  snap.obs = buildinfo::kObs;
-  snap.faults = buildinfo::kFaults;
   utsname un{};
   if (uname(&un) == 0) {
     snap.machine = std::string(un.sysname) + "-" + un.machine;
@@ -87,9 +85,7 @@ std::string PerfSnapshotToJson(const PerfSnapshot& snap) {
   os << "  \"build\": {\n";
   os << "    \"git_sha\": \"" << JsonEscape(snap.git_sha) << "\",\n";
   os << "    \"compiler\": \"" << JsonEscape(snap.compiler) << "\",\n";
-  os << "    \"build_type\": \"" << JsonEscape(snap.build_type) << "\",\n";
-  os << "    \"obs\": \"" << JsonEscape(snap.obs) << "\",\n";
-  os << "    \"faults\": \"" << JsonEscape(snap.faults) << "\"\n";
+  os << "    \"build_type\": \"" << JsonEscape(snap.build_type) << "\"\n";
   os << "  },\n";
   os << "  \"machine\": {\n";
   os << "    \"fingerprint\": \"" << JsonEscape(snap.machine) << "\",\n";
@@ -150,8 +146,6 @@ bool ParsePerfSnapshot(const std::string& text, PerfSnapshot* out) {
       if (key == "git_sha") out->git_sha = sval;
       if (key == "compiler") out->compiler = sval;
       if (key == "build_type") out->build_type = sval;
-      if (key == "obs") out->obs = sval;
-      if (key == "faults") out->faults = sval;
     } else if (section == "machine") {
       if (key == "fingerprint" && is_string) out->machine = sval;
       if (key == "cores") out->cores = std::atoi(rest.c_str());
@@ -190,9 +184,7 @@ CompareResult ComparePerfSnapshots(const PerfSnapshot& baseline,
   CompareResult result;
   result.machine_mismatch =
       baseline.machine != fresh.machine || baseline.cores != fresh.cores;
-  result.build_flags_mismatch = baseline.obs != fresh.obs ||
-                                baseline.faults != fresh.faults ||
-                                baseline.build_type != fresh.build_type;
+  result.build_flags_mismatch = baseline.build_type != fresh.build_type;
   for (const auto& [key, old_value] : baseline.metrics) {
     MetricDelta d;
     d.key = key;
@@ -248,9 +240,9 @@ std::string RenderCompare(const PerfSnapshot& baseline,
   std::ostringstream os;
   os << "bench_compare: " << baseline.name << "\n";
   os << "  baseline: sha=" << baseline.git_sha << " machine=" << baseline.machine
-     << "/" << baseline.cores << "c obs=" << baseline.obs << "\n";
+     << "/" << baseline.cores << "c\n";
   os << "  fresh:    sha=" << fresh.git_sha << " machine=" << fresh.machine
-     << "/" << fresh.cores << "c obs=" << fresh.obs << "\n";
+     << "/" << fresh.cores << "c\n";
   if (result.machine_mismatch) {
     os << "  note: machine fingerprints differ — regressions downgraded to"
           " warnings (pass --strict to gate anyway)\n";

@@ -19,8 +19,6 @@ struct PerfSnapshot {
   std::string git_sha;
   std::string compiler;
   std::string build_type;
-  std::string obs;         ///< "on"/"off" (LSCHED_OBS at configure time)
-  std::string faults;      ///< "on"/"off" (LSCHED_FAULTS)
   std::string machine;     ///< uname fingerprint, e.g. "Linux-x86_64"
   int cores = 0;
 
@@ -78,7 +76,7 @@ struct MetricDelta {
 struct CompareResult {
   std::vector<MetricDelta> deltas;
   bool machine_mismatch = false;
-  bool build_flags_mismatch = false;  ///< obs/faults/build_type differ
+  bool build_flags_mismatch = false;  ///< build_type differs
   int warns = 0;
   int fails = 0;
 };

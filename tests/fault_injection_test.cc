@@ -149,7 +149,6 @@ TEST(FaultInjectorTest, DisarmedMacroReturnsNoFault) {
 }
 
 TEST(FaultPointTest, WorkOrderExecFaultFailsQuery) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "built with -DLSCHED_FAULTS=OFF";
   InjectorCleaner cleaner;
   FaultSchedule schedule;
   schedule.seed = 1;
@@ -181,7 +180,6 @@ TEST(FaultPointTest, WorkOrderExecFaultFailsQuery) {
 }
 
 TEST(FaultPointTest, QueryAdmitFaultRejectsQueryBeforeScheduling) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "built with -DLSCHED_FAULTS=OFF";
   InjectorCleaner cleaner;
   FaultSchedule schedule;
   schedule.seed = 2;
@@ -211,7 +209,6 @@ TEST(FaultPointTest, QueryAdmitFaultRejectsQueryBeforeScheduling) {
 }
 
 TEST(FaultPointTest, PolicyDecideFaultTriggersGuardFallback) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "built with -DLSCHED_FAULTS=OFF";
   InjectorCleaner cleaner;
   FaultSchedule schedule;
   schedule.seed = 3;
@@ -238,7 +235,6 @@ TEST(FaultPointTest, PolicyDecideFaultTriggersGuardFallback) {
 }
 
 TEST(FaultReplayTest, SameSeedAndScheduleYieldIdenticalEpisodes) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "built with -DLSCHED_FAULTS=OFF";
   InjectorCleaner cleaner;
   FuzzerOptions opts;
   opts.chaos = true;
@@ -268,13 +264,11 @@ TEST(FaultReplayTest, SameSeedAndScheduleYieldIdenticalEpisodes) {
   }
 }
 
-/// The compiled-out guarantee (satellite 1): with -DLSCHED_FAULTS=OFF every
-/// LSCHED_FAULT site collapses to a constant, so such a build is
-/// byte-identical to a run that never armed the injector. A single process
-/// cannot host both build flavours, so the in-process proxy is the disarmed
-/// identity: (a) a run after Install+Clear — armed machinery exercised, then
+/// The disarmed guarantee: a fault point with no schedule installed returns a
+/// no-fault action, so a run is bit-identical to one that never armed the
+/// injector. (a) A run after Install+Clear — armed machinery exercised, then
 /// disarmed — and (b) a run with an armed schedule whose rules match no
-/// probe, must both equal a run that never touched the injector.
+/// probe must both equal a run that never touched the injector.
 TEST(FaultReplayTest, DisarmedRunMatchesNeverArmedRunBitForBit) {
   InjectorCleaner cleaner;
   auto run_once = [] {
@@ -321,7 +315,6 @@ TEST(FaultReplayTest, DisarmedRunMatchesNeverArmedRunBitForBit) {
 /// must complete with every query terminal, zero invariant violations, and
 /// the guard visibly falling back while still emitting valid decisions.
 TEST(ChaosAcceptanceTest, ThousandQueryFuzzedEpisodeStaysConsistent) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "built with -DLSCHED_FAULTS=OFF";
   InjectorCleaner cleaner;
   constexpr int kQueries = 1000;
   Rng rng(424242);

@@ -149,7 +149,6 @@ TEST(WorkloadFuzzerTest, ChaosScriptsAreDeterministicAndConsistent) {
 /// script, Sim and Real must drive every query to the SAME scripted
 /// terminal status, and completed queries must still match the oracle.
 TEST(WorkloadFuzzerTest, DifferentialChaosTerminalStatusesAgree) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "built with -DLSCHED_FAULTS=OFF";
   DifferentialOptions options;
   options.fuzzer.chaos = true;
   options.real_thread_counts = {2};

@@ -101,20 +101,6 @@ TEST(GemmEquivalenceTest, SparseInputsStayWithinTolerance) {
   EXPECT_LE(MaxAbsDiff(naive, blocked), 1e-9);
 }
 
-TEST(GemmBackendTest, BackendMatchesNaiveOracle) {
-  Rng rng(5);
-  const Matrix a = RandomMatrix(4, 32, &rng);
-  const Matrix b = RandomMatrix(32, 4, &rng);
-  Matrix expected(4, 4);
-  MatMulNaiveInto(a, b, &expected);
-
-  const Matrix via_backend = GemmBackend::Global().MatMul(a, b);
-  EXPECT_LE(MaxAbsDiff(expected, via_backend), 1e-12);
-  Matrix into(4, 4);
-  GemmBackend::Global().MatMulInto(a, b, &into);
-  EXPECT_LE(MaxAbsDiff(expected, into), 1e-12);
-}
-
 TEST(GemmEquivalenceTest, MatchesMatrixMatMulReference) {
   Rng rng(31);
   const Matrix a = RandomMatrix(7, 23, &rng);

@@ -204,7 +204,6 @@ TEST(DeadlineRetryTest, RetryBackoffDelaysRedispatch) {
 }
 
 TEST(DeadlineRetryTest, FailingQueryDoesNotWedgeThePool) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "built with -DLSCHED_FAULTS=OFF";
   InjectorCleaner cleaner;
   // Query 0 fails every attempt; query 1 shares the pool and must still
   // finish normally.
@@ -340,7 +339,6 @@ TEST(GuardedPolicyTest, InvalidDecisionIsCaughtAndReplaced) {
 /// When the guard replaces a rejected decision with FIFO's, the decision
 /// log must not credit FIFO's choice with the rejected policy's score.
 TEST(GuardedPolicyTest, FallbackDecisionCarriesNoInnerScore) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLSCHED_OBS=OFF";
   obs::SetEnabled(true);
   obs::DecisionLog::Global().Clear();
   ScoredInvalidScheduler inner;
@@ -364,7 +362,6 @@ TEST(GuardedPolicyTest, FallbackDecisionCarriesNoInnerScore) {
 }
 
 TEST(GuardedPolicyTest, SimulatedDecisionDelayExceedsBudget) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "built with -DLSCHED_FAULTS=OFF";
   InjectorCleaner cleaner;
   // Deterministic slowness: every policy_decide hit injects 1.0s of
   // simulated latency against a 0.5s budget (no real sleeping, so the sim
@@ -543,7 +540,6 @@ TEST(RealLifecycleTest, CancelledQueryFreesResourcesOthersComplete) {
 }
 
 TEST(RealLifecycleTest, InjectedFaultFailsQueryWithoutWedgingPool) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "built with -DLSCHED_FAULTS=OFF";
   InjectorCleaner cleaner;
   FaultSchedule schedule;
   schedule.seed = 8;

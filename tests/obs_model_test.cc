@@ -4,12 +4,21 @@
 // drift → OnlineLSched retrain-escalation hook.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/online.h"
@@ -25,18 +34,6 @@
 #include "util/rng.h"
 #include "workload/workload.h"
 
-#if LSCHED_OBS_ENABLED
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <array>
-#include <atomic>
-#include <chrono>
-#include <cstdlib>
-#include <thread>
-#endif
-
 namespace lsched {
 namespace {
 
@@ -49,7 +46,7 @@ double ExactQuantile(std::vector<double> v, double q) {
 }
 
 // ---------------------------------------------------------------------------
-// P² quantile sketch (compiled in both obs modes)
+// P² quantile sketch
 // ---------------------------------------------------------------------------
 
 TEST(P2QuantileTest, ExactForSmallSamples) {
@@ -92,7 +89,7 @@ TEST(P2QuantileTest, MonotoneQuantilesStayOrdered) {
 }
 
 // ---------------------------------------------------------------------------
-// Prometheus rendering (compiled in both obs modes)
+// Prometheus rendering
 // ---------------------------------------------------------------------------
 
 TEST(PrometheusTest, NameSanitization) {
@@ -117,8 +114,6 @@ TEST(PrometheusTest, GoldenCounterAndGauge) {
   EXPECT_NE(info.find("# TYPE lsched_build_info gauge\n"), std::string::npos);
   EXPECT_NE(info.find("lsched_build_info{git_sha=\""), std::string::npos);
   EXPECT_NE(info.find("compiler=\""), std::string::npos);
-  EXPECT_NE(info.find("obs=\""), std::string::npos);
-  EXPECT_NE(info.find("faults=\""), std::string::npos);
   EXPECT_NE(info.find("\"} 1\n"), std::string::npos);
   EXPECT_EQ(out.str(),
             info +
@@ -157,8 +152,6 @@ TEST(PrometheusTest, HistogramBucketsAreCumulativeWithInf) {
   EXPECT_NE(text.find("train_latency_sum 0.5\n"), std::string::npos);
   EXPECT_NE(text.find("train_latency_count 3\n"), std::string::npos);
 }
-
-#if LSCHED_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Scalar event stream
@@ -680,27 +673,6 @@ TEST(OnlineGaugesTest, ProgressGaugesTrackUpdates) {
                    static_cast<double>(online.num_updates()));
   EXPECT_DOUBLE_EQ(reg.GetGauge("online.update_every_queries")->Value(), 2.0);
   EXPECT_LT(reg.GetGauge("online.completions_since_update")->Value(), 2.5);
-}
-
-#endif  // LSCHED_OBS_ENABLED
-
-// Compiles in both modes: the model-obs stub API must stay
-// source-compatible with -DLSCHED_OBS=OFF.
-TEST(ObsModelStubTest, ApiIsUsableRegardlessOfCompileGate) {
-  obs::ScalarEventWriter::Global().Append("stub.tag", 0, 1.0);
-  obs::DriftMonitor monitor;
-  monitor.Observe("stub", 1.0, 2.0);
-  monitor.AddAlarmCallback([](const obs::DriftAlarm&) {});
-  (void)monitor.drift_score();
-  (void)monitor.SnapshotKeys();
-  monitor.Reset();
-  obs::MetricsExporter exporter;
-  EXPECT_FALSE(exporter.running());
-  exporter.Stop();
-  std::ostringstream out;
-  obs::RenderPrometheusText(obs::MetricsRegistry::Global().TakeSnapshot(),
-                            out);
-  SUCCEED();
 }
 
 }  // namespace

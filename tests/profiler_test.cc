@@ -148,20 +148,20 @@ TEST(ProfilerEngineTest, SimEpisodeTelescopesAndIsDeterministic) {
 /// matter how ugly the run gets.
 TEST(ProfilerEngineTest, RealChaosRunConservesWallTime) {
   FuzzerOptions opts;
-  opts.chaos = kFaultsCompiledIn;
+  opts.chaos = true;
   opts.min_queries = 4;
   opts.max_queries = 6;
   WorkloadFuzzer fuzzer(777001, opts);
   const FuzzedWorkload w = fuzzer.NextWorkload();
 
-  if (kFaultsCompiledIn) FaultInjector::Global().Install(w.faults);
+  FaultInjector::Global().Install(w.faults);
   RealEngineConfig cfg;
   cfg.num_threads = 3;
   cfg.cancels = w.cancels;
   RealEngine engine(w.catalog.get(), cfg);
   FifoScheduler fifo;
   const RealRunResult r = engine.Run(w.real_queries, &fifo);
-  if (kFaultsCompiledIn) FaultInjector::Global().Clear();
+  FaultInjector::Global().Clear();
 
   ASSERT_EQ(r.episode.worker_states.size(), 3u);
   for (size_t i = 0; i < r.episode.worker_states.size(); ++i) {
@@ -273,10 +273,9 @@ TEST(ProfileCsvTest, SummaryBreaksDownByEngineAndWorker) {
   EXPECT_FALSE(prof::RenderProfileSummary({}).empty());
 }
 
-// --- 5. sampling profiler (OBS builds only) --------------------------------
+// --- 5. sampling profiler --------------------------------------------------
 
 TEST(SamplingProfilerTest, BoundedRingCapturesRegisteredWorkers) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLSCHED_OBS=OFF";
   prof::SamplingProfiler& profiler = prof::SamplingProfiler::Global();
   ASSERT_FALSE(profiler.running());
 
@@ -450,8 +449,6 @@ TEST(PerfSnapshotTest, JsonRoundTripSelfComparesToZero) {
   EXPECT_EQ(parsed.git_sha, snap.git_sha);
   EXPECT_EQ(parsed.compiler, snap.compiler);
   EXPECT_EQ(parsed.build_type, snap.build_type);
-  EXPECT_EQ(parsed.obs, snap.obs);
-  EXPECT_EQ(parsed.faults, snap.faults);
   EXPECT_EQ(parsed.machine, snap.machine);
   EXPECT_EQ(parsed.cores, snap.cores);
   ASSERT_EQ(parsed.metrics.size(), snap.metrics.size());

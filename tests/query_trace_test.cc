@@ -148,7 +148,7 @@ TEST(LatencyDecompositionTest, SimReplayIsBitIdentical) {
 // ServingPolicy. Real wall-clock timings differ from Sim's virtual clock,
 // so the *values* of the segments differ — what must agree is the
 // structure: the same terminal statuses, the exact-sum invariant on every
-// decomposition, and (below, obs builds) the engine-independent
+// decomposition, and (below) the engine-independent
 // DeriveBreakdown round-trip that defines "bit-identical decomposition".
 TEST(SimRealDifferentialTest, DecompositionsAgreeStructurally) {
   FuzzerOptions opts;
@@ -215,7 +215,6 @@ TEST(SimRealDifferentialTest, DecompositionsAgreeStructurally) {
 // differential that makes "Sim and Real decompose identically" precise
 // without comparing virtual seconds to wall seconds.
 TEST(DeriveBreakdownTest, RoundTripsBitIdenticalOnBothEngines) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLSCHED_OBS=OFF";
   obs::SetEnabled(true);
   obs::QueryTraceLog::Global().SetCapture(true);
   obs::QueryTraceLog::Global().Clear();
@@ -279,7 +278,6 @@ TEST(DeriveBreakdownTest, RoundTripsBitIdenticalOnBothEngines) {
 // ---------------------------------------------------------------------------
 
 TEST(QueryTraceCsvTest, RoundTripsEveryFieldAndEdge) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLSCHED_OBS=OFF";
   obs::SetEnabled(true);
   obs::QueryTraceLog::Global().SetCapture(true);
   obs::QueryTraceLog::Global().Clear();
@@ -581,7 +579,6 @@ class CountingHooks : public ServingHooks {
 /// FilterDecision applies. Here a pool grown from one slot to 60 finds 48
 /// queued queries of four tenants and fills their shares in one decision.
 TEST(ServingTraceTest, EveryInjectionBecomesAnEdge) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLSCHED_OBS=OFF";
   obs::SetEnabled(true);
   obs::QueryTraceLog::Global().SetCapture(true);
   obs::QueryTraceLog::Global().Clear();

@@ -387,8 +387,6 @@ TEST(AdversarialMixTest, SearchIsSeedDeterministic) {
 // OnQueryCompleted calls).
 // ---------------------------------------------------------------------------
 
-#if LSCHED_OBS_ENABLED
-
 TEST(ScenarioDriftTest, DriftRampEscalatesOnlineRetraining) {
   obs::SetEnabled(true);
   auto& log = obs::DecisionLog::Global();
@@ -472,8 +470,6 @@ TEST(ScenarioDriftTest, DriftRampEscalatesOnlineRetraining) {
   monitor.DetachFromDecisionLog();
   log.Clear();
 }
-
-#endif  // LSCHED_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Differential: Sim and Real engines under the elastic preset
@@ -565,7 +561,6 @@ TEST(ScenarioElasticDifferentialTest, EnginesAgreeUnderElasticPreset) {
 }
 
 TEST(ScenarioElasticDifferentialTest, ChaosVariantKeepsScriptedStatuses) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "built with -DLSCHED_FAULTS=OFF";
   FuzzerOptions fopts;
   fopts.scenario = "elastic";
   fopts.min_queries = 16;

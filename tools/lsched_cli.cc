@@ -487,12 +487,6 @@ int ReportDecisions(const std::string& path) {
 }
 
 int RunReport(const Args& args) {
-  if (!obs::kCompiledIn) {
-    std::fprintf(stderr,
-                 "report requires an observability build "
-                 "(reconfigure with -DLSCHED_OBS=ON)\n");
-    return 2;
-  }
   if (args.events_path.empty() && args.decisions_path.empty()) {
     std::fprintf(stderr,
                  "report requires --events=PATH and/or --decisions=PATH\n");
@@ -569,12 +563,6 @@ int PeakPool(int base, const std::vector<ThreadPoolEvent>& events) {
 }
 
 int RunChaos(const Args& args) {
-  if (!kFaultsCompiledIn) {
-    std::fprintf(stderr,
-                 "chaos requires a fault-injection build "
-                 "(reconfigure with -DLSCHED_FAULTS=ON)\n");
-    return 2;
-  }
   if (!CheckScenarioName(args.scenario)) return 2;
   FuzzerOptions fopts;
   fopts.chaos = true;
@@ -692,8 +680,8 @@ int RunChaos(const Args& args) {
 int RunExplain(const Args& args) {
   // Replay a dumped lifetime trace (serve --trace-out= / LSCHED_QUERY_TRACE)
   // into a human-readable timeline attributing each wait segment to the
-  // serving decision that caused it. Pure offline tooling: works in every
-  // build mode, on traces produced by any engine.
+  // serving decision that caused it. Pure offline tooling: works on traces
+  // produced by any engine.
   if (args.trace_path.empty()) {
     std::fprintf(stderr, "explain: --trace=PATH is required\n");
     return 2;
@@ -746,8 +734,8 @@ int RunExplain(const Args& args) {
 // ---------------------------------------------------------------------------
 // top: live worker-state utilization against a running daemon's /metrics
 // (one-shot or --watch refresh), or an offline summary of a sampling-
-// profiler CSV (--profile=). Plain POSIX sockets, so it works regardless
-// of this binary's own obs gate — only the *daemon* needs -DLSCHED_OBS=ON.
+// profiler CSV (--profile=). Plain POSIX sockets against the daemon's
+// exporter.
 // ---------------------------------------------------------------------------
 
 std::string TopHttpGet(int port, const std::string& target) {
@@ -926,8 +914,6 @@ int RunVersion() {
   std::printf("lsched_cli %s\n", buildinfo::kGitSha);
   std::printf("  compiler   : %s\n", buildinfo::kCompiler);
   std::printf("  build type : %s\n", buildinfo::kBuildType);
-  std::printf("  obs        : %s\n", buildinfo::kObs);
-  std::printf("  faults     : %s\n", buildinfo::kFaults);
   return 0;
 }
 
@@ -977,12 +963,7 @@ int RunServe(const Args& args) {
     }
   }
   if (!args.trace_out_path.empty()) {
-    if (obs::kCompiledIn) {
-      obs::SetEnabled(true);  // trace capture needs the obs runtime on
-    } else {
-      std::fprintf(stderr, "serve: --trace-out needs -DLSCHED_OBS=ON; no "
-                   "trace will be written\n");
-    }
+    obs::SetEnabled(true);  // trace capture needs the obs runtime on
   }
 
   obs::MetricsExporter exporter;
@@ -991,8 +972,8 @@ int RunServe(const Args& args) {
       std::fprintf(stderr, "serve: metrics on 127.0.0.1:%d/metrics\n",
                    exporter.port());
     } else {
-      std::fprintf(stderr, "serve: metrics exporter unavailable "
-                   "(build with -DLSCHED_OBS=ON)\n");
+      std::fprintf(stderr, "serve: metrics exporter failed to start on "
+                   "port %d\n", args.metrics_port);
     }
   }
 
@@ -1001,16 +982,10 @@ int RunServe(const Args& args) {
   // a bounded ring dumped as CSV on drain (the input of `top --profile=`).
   bool profiling = false;
   if (args.profile_hz > 0.0) {
-    if (obs::kCompiledIn) {
-      obs::SetEnabled(true);
-      profiling = prof::SamplingProfiler::Global().Start(args.profile_hz);
-      if (!profiling) {
-        std::fprintf(stderr, "serve: sampling profiler failed to start\n");
-      }
-    } else {
-      std::fprintf(stderr,
-                   "serve: --profile-hz needs -DLSCHED_OBS=ON; no profile "
-                   "will be written\n");
+    obs::SetEnabled(true);
+    profiling = prof::SamplingProfiler::Global().Start(args.profile_hz);
+    if (!profiling) {
+      std::fprintf(stderr, "serve: sampling profiler failed to start\n");
     }
   }
 
@@ -1083,7 +1058,7 @@ int RunServe(const Args& args) {
     prof::RegisterDefaultCounterTables();
     std::fputs(prof::CounterTables::Global().Render().c_str(), stdout);
   }
-  if (!args.trace_out_path.empty() && obs::kCompiledIn) {
+  if (!args.trace_out_path.empty()) {
     if (obs::QueryTraceLog::Global().WriteCsv(args.trace_out_path)) {
       std::fprintf(stderr, "serve: %zu query traces -> %s\n",
                    obs::QueryTraceLog::Global().size(),
