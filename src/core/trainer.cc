@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/encoder.h"
+#include "nn/replay.h"
 #include "obs/metrics.h"
 #include "obs/scalar_events.h"
 #include "obs/trace.h"
@@ -60,13 +61,17 @@ PredictorOutput DecisionReplay::Forward(const Experience& exp) {
 PolicyGradientStats AccumulatePolicyGradient(
     LSchedModel* model, const std::vector<Experience>& experiences,
     const std::vector<double>& advantages, double scale, double entropy_coef,
-    bool track_entropy) {
-  PolicyGradientStats stats;
+    bool track_entropy, int workers) {
   const size_t n = experiences.size();
-  for (size_t begin = 0; begin < n; begin += kDecisionsPerTape) {
+  const size_t chunks = (n + kDecisionsPerTape - 1) / kDecisionsPerTape;
+  // Written per decision by whichever thread replays its chunk, summed in
+  // decision order below.
+  std::vector<char> replayed(n, 0);
+  std::vector<double> entropies(n, 0.0);
+  ReplayUnits(static_cast<int>(chunks), workers, [&](int chunk, Tape* tape) {
+    const size_t begin = static_cast<size_t>(chunk) * kDecisionsPerTape;
     const size_t end = std::min(n, begin + kDecisionsPerTape);
-    Tape tape;
-    DecisionReplay replay(model, &tape);
+    DecisionReplay replay(model, tape);
     Var total;
     for (size_t d = begin; d < end; ++d) {
       const Experience& exp = experiences[d];
@@ -74,18 +79,24 @@ PolicyGradientStats AccumulatePolicyGradient(
       // loss_d = -adv_d * log pi(a_d | s_d) - beta * H(pi).
       const PredictorOutput out = replay.Forward(exp);
       Var loss =
-          tape.Scale(ActionLogProb(&tape, out, exp.action), -advantages[d]);
+          tape->Scale(ActionLogProb(tape, out, exp.action), -advantages[d]);
       if (track_entropy || entropy_coef > 0.0) {
-        const Var entropy = ActionEntropy(&tape, out, exp.action);
-        stats.entropy_sum += entropy.value().at(0, 0);
+        const Var entropy = ActionEntropy(tape, out, exp.action);
+        entropies[d] = entropy.value().at(0, 0);
         if (entropy_coef > 0.0) {
-          loss = tape.Add(loss, tape.Scale(entropy, -entropy_coef));
+          loss = tape->Add(loss, tape->Scale(entropy, -entropy_coef));
         }
       }
-      total = total.valid() ? tape.Add(total, loss) : loss;
-      ++stats.decisions;
+      total = total.valid() ? tape->Add(total, loss) : loss;
+      replayed[d] = 1;
     }
-    if (total.valid()) tape.Backward(total, scale);
+    if (total.valid()) tape->Sweep(total, scale);
+  });
+  PolicyGradientStats stats;
+  for (size_t d = 0; d < n; ++d) {
+    if (!replayed[d]) continue;
+    ++stats.decisions;
+    stats.entropy_sum += entropies[d];
   }
   return stats;
 }

@@ -90,14 +90,17 @@ struct PolicyGradientStats {
 /// Adds the REINFORCE gradient of one episode into the model's parameter
 /// grads: scale * d/dθ sum_d [-advantages[d] * log π(a_d | s_d)
 /// - entropy_coef * H_d] over the decisions with candidates. The episode
-/// is replayed in chunks of kDecisionsPerTape decisions, each on one tape
-/// (DecisionReplay) with one Backward of the chunk's summed loss. With
-/// `track_entropy`, each decision's entropy is computed (and summed into
-/// the stats) even when entropy_coef is 0.
+/// is replayed in chunks of kDecisionsPerTape decisions, each on its own
+/// tape (DecisionReplay) with one sweep of the chunk's summed loss. The
+/// chunks run in parallel (ReplayUnits, `workers` threads, <= 0 for one per
+/// CPU) and their grads are added in chunk order, so the result does not
+/// depend on `workers`. With `track_entropy`, each decision's entropy is
+/// computed (and summed, in decision order, into the stats) even when
+/// entropy_coef is 0.
 PolicyGradientStats AccumulatePolicyGradient(
     LSchedModel* model, const std::vector<Experience>& experiences,
     const std::vector<double>& advantages, double scale, double entropy_coef,
-    bool track_entropy);
+    bool track_entropy, int workers = 0);
 
 /// Generates the workload for training episode `episode` (paper §7.1:
 /// episodes vary query counts and arrival rates).

@@ -31,12 +31,27 @@ int64_t Tape::num_constructed() {
 
 const Matrix& Var::value() const { return tape_->value(id_); }
 
-int Tape::NewNode(Matrix value) {
+int Tape::NewNode(Matrix value, bool needs_grad) {
   Node n;
-  n.grad = Matrix(value.rows(), value.cols(), 0.0);
   n.value = std::move(value);
+  n.needs_grad = needs_grad;
   nodes_.push_back(std::move(n));
   return static_cast<int>(nodes_.size()) - 1;
+}
+
+Var Tape::Op(Matrix value, std::initializer_list<int> inputs,
+             BackwardFn backward) {
+  bool needs_grad = false;
+  for (int input : inputs) needs_grad = needs_grad || nodes_[input].needs_grad;
+  const int id = NewNode(std::move(value), needs_grad);
+  if (needs_grad) nodes_[id].backward = std::move(backward);
+  return Var(this, id);
+}
+
+Matrix& Tape::grad_ref(int id) {
+  Node& n = nodes_[id];
+  if (n.grad.empty()) n.grad = Matrix(n.value.rows(), n.value.cols(), 0.0);
+  return n.grad;
 }
 
 void Tape::AccumulateWithBroadcast(Matrix* target_grad, const Matrix& delta) {
@@ -77,26 +92,25 @@ inline bool BroadcastCompatible(const Matrix& a, const Matrix& b) {
 }
 }  // namespace
 
-Var Tape::Constant(Matrix value) { return Var(this, NewNode(std::move(value))); }
+Var Tape::Constant(Matrix value) {
+  return Var(this, NewNode(std::move(value), false));
+}
 
 Var Tape::Leaf(Param* param) {
   auto [it, inserted] = leaves_.try_emplace(param, 0);
   if (!inserted) return Var(this, it->second);
-  const int id = NewNode(param->value);
+  // Frozen params get a grad too; the optimizer is what skips them.
+  const int id = NewNode(param->value, true);
   it->second = id;
   nodes_[id].param = param;
-  nodes_[id].backward = [id](Tape* t) {
-    // Frozen params accumulate too; the optimizer is what skips them.
-    Param* p = t->nodes_[id].param;
-    p->grad.AddInPlace(t->nodes_[id].grad);
-  };
   return Var(this, id);
 }
 
 Var Tape::Custom(Matrix value, std::function<void(Tape*, Var)> backward) {
-  const int id = NewNode(std::move(value));
-  nodes_[id].backward = [id, fn = std::move(backward)](Tape* t) {
-    fn(t, Var(t, id));
+  // The tape does not see a custom node's inputs, so it always takes a grad.
+  const int id = NewNode(std::move(value), true);
+  nodes_[id].backward = [fn = std::move(backward)](Tape* t, int self) {
+    fn(t, Var(t, self));
   };
   return Var(this, id);
 }
@@ -107,19 +121,19 @@ Var Tape::MatMul(Var a, Var b) {
   // bit-for-bit.
   Matrix out;
   MatMulBlockedInto(a.value(), b.value(), &out);
-  const int id = NewNode(std::move(out));
   const int ia = a.id(), ib = b.id();
-  nodes_[id].backward = [id, ia, ib](Tape* t) {
+  return Op(std::move(out), {ia, ib}, [ia, ib](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
-    const Matrix& av = t->nodes_[ia].value;
-    const Matrix& bv = t->nodes_[ib].value;
     Matrix prod;
-    MatMulBlockedInto(g, bv.Transposed(), &prod);
-    t->nodes_[ia].grad.AddInPlace(prod);
-    MatMulBlockedInto(av.Transposed(), g, &prod);
-    t->nodes_[ib].grad.AddInPlace(prod);
-  };
-  return Var(this, id);
+    if (Matrix* ga = t->sink(ia)) {
+      MatMulBlockedInto(g, t->nodes_[ib].value.Transposed(), &prod);
+      ga->AddInPlace(prod);
+    }
+    if (Matrix* gb = t->sink(ib)) {
+      MatMulBlockedInto(t->nodes_[ia].value.Transposed(), g, &prod);
+      gb->AddInPlace(prod);
+    }
+  });
 }
 
 Var Tape::Add(Var a, Var b) {
@@ -132,14 +146,12 @@ Var Tape::Add(Var a, Var b) {
       out.at(r, c) = av.at(r, c) + BroadcastAt(bv, r, c);
     }
   }
-  const int id = NewNode(std::move(out));
   const int ia = a.id(), ib = b.id();
-  nodes_[id].backward = [id, ia, ib](Tape* t) {
+  return Op(std::move(out), {ia, ib}, [ia, ib](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
-    AccumulateWithBroadcast(&t->nodes_[ia].grad, g);
-    AccumulateWithBroadcast(&t->nodes_[ib].grad, g);
-  };
-  return Var(this, id);
+    if (Matrix* ga = t->sink(ia)) AccumulateWithBroadcast(ga, g);
+    if (Matrix* gb = t->sink(ib)) AccumulateWithBroadcast(gb, g);
+  });
 }
 
 Var Tape::Sub(Var a, Var b) { return Add(a, Scale(b, -1.0)); }
@@ -154,140 +166,134 @@ Var Tape::Mul(Var a, Var b) {
       out.at(r, c) = av.at(r, c) * BroadcastAt(bv, r, c);
     }
   }
-  const int id = NewNode(std::move(out));
   const int ia = a.id(), ib = b.id();
-  nodes_[id].backward = [id, ia, ib](Tape* t) {
+  return Op(std::move(out), {ia, ib}, [ia, ib](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
     const Matrix& av2 = t->nodes_[ia].value;
     const Matrix& bv2 = t->nodes_[ib].value;
-    Matrix da(av2.rows(), av2.cols());
-    Matrix db_full(av2.rows(), av2.cols());
-    for (int r = 0; r < av2.rows(); ++r) {
-      for (int c = 0; c < av2.cols(); ++c) {
-        da.at(r, c) = g.at(r, c) * BroadcastAt(bv2, r, c);
-        db_full.at(r, c) = g.at(r, c) * av2.at(r, c);
+    if (Matrix* ga = t->sink(ia)) {
+      Matrix da(av2.rows(), av2.cols());
+      for (int r = 0; r < av2.rows(); ++r) {
+        for (int c = 0; c < av2.cols(); ++c) {
+          da.at(r, c) = g.at(r, c) * BroadcastAt(bv2, r, c);
+        }
       }
+      ga->AddInPlace(da);
     }
-    t->nodes_[ia].grad.AddInPlace(da);
-    AccumulateWithBroadcast(&t->nodes_[ib].grad, db_full);
-  };
-  return Var(this, id);
+    if (Matrix* gb = t->sink(ib)) {
+      Matrix db_full(av2.rows(), av2.cols());
+      for (int r = 0; r < av2.rows(); ++r) {
+        for (int c = 0; c < av2.cols(); ++c) {
+          db_full.at(r, c) = g.at(r, c) * av2.at(r, c);
+        }
+      }
+      AccumulateWithBroadcast(gb, db_full);
+    }
+  });
 }
 
 Var Tape::Scale(Var a, double c) {
   Matrix out = a.value();
   for (double& v : out.raw()) v *= c;
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia, c](Tape* t) {
-    t->nodes_[ia].grad.AddScaled(t->nodes_[id].grad, c);
-  };
-  return Var(this, id);
+  return Op(std::move(out), {ia}, [ia, c](Tape* t, int id) {
+    t->grad_ref(ia).AddScaled(t->nodes_[id].grad, c);
+  });
 }
 
 Var Tape::AddConst(Var a, double c) {
   Matrix out = a.value();
   for (double& v : out.raw()) v += c;
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia](Tape* t) {
-    t->nodes_[ia].grad.AddInPlace(t->nodes_[id].grad);
-  };
-  return Var(this, id);
+  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
+    t->grad_ref(ia).AddInPlace(t->nodes_[id].grad);
+  });
 }
+
+namespace {
+/// Adds `f(i)` to every element of `target`, for the elementwise ops'
+/// backward.
+template <typename F>
+void AddElementwise(Matrix* target, F f) {
+  Matrix d(target->rows(), target->cols());
+  for (size_t i = 0; i < d.raw().size(); ++i) d.raw()[i] = f(i);
+  target->AddInPlace(d);
+}
+}  // namespace
 
 Var Tape::Relu(Var a) {
   Matrix out = a.value();
   for (double& v : out.raw()) v = v > 0.0 ? v : 0.0;
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia](Tape* t) {
+  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
     const Matrix& av = t->nodes_[ia].value;
-    Matrix d(g.rows(), g.cols());
-    for (size_t i = 0; i < g.raw().size(); ++i) {
-      d.raw()[i] = av.raw()[i] > 0.0 ? g.raw()[i] : 0.0;
-    }
-    t->nodes_[ia].grad.AddInPlace(d);
-  };
-  return Var(this, id);
+    AddElementwise(&t->grad_ref(ia), [&](size_t i) {
+      return av.raw()[i] > 0.0 ? g.raw()[i] : 0.0;
+    });
+  });
 }
 
 Var Tape::Exp(Var a) {
   Matrix out = a.value();
   for (double& v : out.raw()) v = std::exp(v);
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia](Tape* t) {
+  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
     const Matrix& ov = t->nodes_[id].value;
-    Matrix d(g.rows(), g.cols());
-    for (size_t i = 0; i < g.raw().size(); ++i) {
-      d.raw()[i] = g.raw()[i] * ov.raw()[i];
-    }
-    t->nodes_[ia].grad.AddInPlace(d);
-  };
-  return Var(this, id);
+    AddElementwise(&t->grad_ref(ia),
+                   [&](size_t i) { return g.raw()[i] * ov.raw()[i]; });
+  });
 }
 
 Var Tape::LeakyRelu(Var a, double alpha) {
   Matrix out = a.value();
   for (double& v : out.raw()) v = v > 0.0 ? v : alpha * v;
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia, alpha](Tape* t) {
+  return Op(std::move(out), {ia}, [ia, alpha](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
     const Matrix& av = t->nodes_[ia].value;
-    Matrix d(g.rows(), g.cols());
-    for (size_t i = 0; i < g.raw().size(); ++i) {
-      d.raw()[i] = av.raw()[i] > 0.0 ? g.raw()[i] : alpha * g.raw()[i];
-    }
-    t->nodes_[ia].grad.AddInPlace(d);
-  };
-  return Var(this, id);
+    AddElementwise(&t->grad_ref(ia), [&](size_t i) {
+      return av.raw()[i] > 0.0 ? g.raw()[i] : alpha * g.raw()[i];
+    });
+  });
 }
 
 Var Tape::Tanh(Var a) {
   Matrix out = a.value();
   for (double& v : out.raw()) v = std::tanh(v);
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia](Tape* t) {
+  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
     const Matrix& ov = t->nodes_[id].value;
-    Matrix d(g.rows(), g.cols());
-    for (size_t i = 0; i < g.raw().size(); ++i) {
-      d.raw()[i] = g.raw()[i] * (1.0 - ov.raw()[i] * ov.raw()[i]);
-    }
-    t->nodes_[ia].grad.AddInPlace(d);
-  };
-  return Var(this, id);
+    AddElementwise(&t->grad_ref(ia), [&](size_t i) {
+      return g.raw()[i] * (1.0 - ov.raw()[i] * ov.raw()[i]);
+    });
+  });
 }
 
 Var Tape::Sigmoid(Var a) {
   Matrix out = a.value();
   for (double& v : out.raw()) v = 1.0 / (1.0 + std::exp(-v));
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia](Tape* t) {
+  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
     const Matrix& ov = t->nodes_[id].value;
-    Matrix d(g.rows(), g.cols());
-    for (size_t i = 0; i < g.raw().size(); ++i) {
-      d.raw()[i] = g.raw()[i] * ov.raw()[i] * (1.0 - ov.raw()[i]);
-    }
-    t->nodes_[ia].grad.AddInPlace(d);
-  };
-  return Var(this, id);
+    AddElementwise(&t->grad_ref(ia), [&](size_t i) {
+      return g.raw()[i] * ov.raw()[i] * (1.0 - ov.raw()[i]);
+    });
+  });
 }
 
 Var Tape::ConcatCols(const std::vector<Var>& parts) {
   LSCHED_CHECK(!parts.empty());
   const int rows = parts[0].value().rows();
   int cols = 0;
+  bool needs_grad = false;
   for (const Var& p : parts) {
     LSCHED_CHECK(p.value().rows() == rows) << "ConcatCols row mismatch";
     cols += p.value().cols();
+    needs_grad = needs_grad || nodes_[p.id()].needs_grad;
   }
   Matrix out(rows, cols);
   int offset = 0;
@@ -298,19 +304,22 @@ Var Tape::ConcatCols(const std::vector<Var>& parts) {
     }
     offset += v.cols();
   }
-  const int id = NewNode(std::move(out));
+  const int id = NewNode(std::move(out), needs_grad);
+  if (!needs_grad) return Var(this, id);
   std::vector<int> ids;
   ids.reserve(parts.size());
   for (const Var& p : parts) ids.push_back(p.id());
-  nodes_[id].backward = [id, ids](Tape* t) {
-    const Matrix& g = t->nodes_[id].grad;
+  nodes_[id].backward = [ids](Tape* t, int self) {
+    const Matrix& g = t->nodes_[self].grad;
     int off = 0;
     for (int pid : ids) {
-      Matrix& pg = t->nodes_[pid].grad;
-      for (int r = 0; r < pg.rows(); ++r) {
-        for (int c = 0; c < pg.cols(); ++c) pg.at(r, c) += g.at(r, off + c);
+      const int cols = t->nodes_[pid].value.cols();
+      if (Matrix* pg = t->sink(pid)) {
+        for (int r = 0; r < pg->rows(); ++r) {
+          for (int c = 0; c < cols; ++c) pg->at(r, c) += g.at(r, off + c);
+        }
       }
-      off += pg.cols();
+      off += cols;
     }
   };
   return Var(this, id);
@@ -320,9 +329,11 @@ Var Tape::ConcatRows(const std::vector<Var>& parts) {
   LSCHED_CHECK(!parts.empty());
   const int cols = parts[0].value().cols();
   int rows = 0;
+  bool needs_grad = false;
   for (const Var& p : parts) {
     LSCHED_CHECK(p.value().cols() == cols) << "ConcatRows col mismatch";
     rows += p.value().rows();
+    needs_grad = needs_grad || nodes_[p.id()].needs_grad;
   }
   Matrix out(rows, cols);
   int offset = 0;
@@ -333,19 +344,22 @@ Var Tape::ConcatRows(const std::vector<Var>& parts) {
     }
     offset += v.rows();
   }
-  const int id = NewNode(std::move(out));
+  const int id = NewNode(std::move(out), needs_grad);
+  if (!needs_grad) return Var(this, id);
   std::vector<int> ids;
   ids.reserve(parts.size());
   for (const Var& p : parts) ids.push_back(p.id());
-  nodes_[id].backward = [id, ids](Tape* t) {
-    const Matrix& g = t->nodes_[id].grad;
+  nodes_[id].backward = [ids](Tape* t, int self) {
+    const Matrix& g = t->nodes_[self].grad;
     int off = 0;
     for (int pid : ids) {
-      Matrix& pg = t->nodes_[pid].grad;
-      for (int r = 0; r < pg.rows(); ++r) {
-        for (int c = 0; c < pg.cols(); ++c) pg.at(r, c) += g.at(off + r, c);
+      const int rows = t->nodes_[pid].value.rows();
+      if (Matrix* pg = t->sink(pid)) {
+        for (int r = 0; r < rows; ++r) {
+          for (int c = 0; c < pg->cols(); ++c) pg->at(r, c) += g.at(off + r, c);
+        }
       }
-      off += pg.rows();
+      off += rows;
     }
   };
   return Var(this, id);
@@ -355,14 +369,12 @@ Var Tape::SliceRow(Var a, int row) {
   const Matrix& av = a.value();
   Matrix out(1, av.cols());
   for (int c = 0; c < av.cols(); ++c) out.at(0, c) = av.at(row, c);
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia, row](Tape* t) {
+  return Op(std::move(out), {ia}, [ia, row](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
-    Matrix& pg = t->nodes_[ia].grad;
+    Matrix& pg = t->grad_ref(ia);
     for (int c = 0; c < g.cols(); ++c) pg.at(row, c) += g.at(0, c);
-  };
-  return Var(this, id);
+  });
 }
 
 Var Tape::SumAll(Var a) {
@@ -370,14 +382,11 @@ Var Tape::SumAll(Var a) {
   for (double v : a.value().raw()) s += v;
   Matrix out(1, 1);
   out.at(0, 0) = s;
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia](Tape* t) {
+  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
     const double g = t->nodes_[id].grad.at(0, 0);
-    Matrix& pg = t->nodes_[ia].grad;
-    for (double& v : pg.raw()) v += g;
-  };
-  return Var(this, id);
+    for (double& v : t->grad_ref(ia).raw()) v += g;
+  });
 }
 
 Var Tape::SumRows(Var a) {
@@ -386,16 +395,14 @@ Var Tape::SumRows(Var a) {
   for (int r = 0; r < av.rows(); ++r) {
     for (int c = 0; c < av.cols(); ++c) out.at(0, c) += av.at(r, c);
   }
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia](Tape* t) {
+  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
-    Matrix& pg = t->nodes_[ia].grad;
+    Matrix& pg = t->grad_ref(ia);
     for (int r = 0; r < pg.rows(); ++r) {
       for (int c = 0; c < pg.cols(); ++c) pg.at(r, c) += g.at(0, c);
     }
-  };
-  return Var(this, id);
+  });
 }
 
 Var Tape::MeanRows(Var a) {
@@ -409,9 +416,8 @@ Var Tape::LogSoftmaxRow(Var a) {
   const double lse = LogSumExp(av.data(), av.size());
   Matrix out = av;
   for (double& v : out.raw()) v -= lse;
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia](Tape* t) {
+  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
     const Matrix& ov = t->nodes_[id].value;  // log-probs
     double gsum = 0.0;
@@ -420,9 +426,8 @@ Var Tape::LogSoftmaxRow(Var a) {
     for (int c = 0; c < g.cols(); ++c) {
       d.at(0, c) = g.at(0, c) - std::exp(ov.at(0, c)) * gsum;
     }
-    t->nodes_[ia].grad.AddInPlace(d);
-  };
-  return Var(this, id);
+    t->grad_ref(ia).AddInPlace(d);
+  });
 }
 
 Var Tape::PickCol(Var a, int j) {
@@ -430,25 +435,44 @@ Var Tape::PickCol(Var a, int j) {
   LSCHED_CHECK(av.rows() == 1 && j >= 0 && j < av.cols());
   Matrix out(1, 1);
   out.at(0, 0) = av.at(0, j);
-  const int id = NewNode(std::move(out));
   const int ia = a.id();
-  nodes_[id].backward = [id, ia, j](Tape* t) {
-    t->nodes_[ia].grad.at(0, j) += t->nodes_[id].grad.at(0, 0);
-  };
-  return Var(this, id);
+  return Op(std::move(out), {ia}, [ia, j](Tape* t, int id) {
+    t->grad_ref(ia).at(0, j) += t->nodes_[id].grad.at(0, 0);
+  });
 }
 
 Var Tape::DotRows(Var a, Var b) { return SumAll(Mul(a, b)); }
 
-void Tape::Backward(Var output, double seed) {
+void Tape::Sweep(Var output, double seed) {
   LSCHED_CHECK(output.tape() == this);
-  const Matrix& out = output.value();
+  const int root = output.id();
+  const Matrix& out = nodes_[root].value;
   LSCHED_CHECK(out.rows() == 1 && out.cols() == 1)
-      << "Backward expects a scalar output";
-  nodes_[output.id()].grad.at(0, 0) += seed;
-  for (int i = output.id(); i >= 0; --i) {
-    if (nodes_[i].backward) nodes_[i].backward(this);
+      << "Sweep expects a scalar output";
+  Matrix* root_grad = sink(root);
+  if (root_grad == nullptr) return;  // no parameter below the output
+  root_grad->at(0, 0) += seed;
+  for (int i = root; i >= 0; --i) {
+    Node& n = nodes_[i];
+    if (n.backward && !n.grad.empty()) n.backward(this, i);
+    if (i == root) continue;
+    // Nodes below i never read i's value or grad: free both, keeping leaf
+    // grads for AddGradsToParams.
+    n.value = Matrix();
+    n.backward = nullptr;
+    if (n.param == nullptr) n.grad = Matrix();
   }
+}
+
+void Tape::AddGradsToParams() {
+  for (const Node& n : nodes_) {
+    if (n.param != nullptr && !n.grad.empty()) n.param->grad.AddInPlace(n.grad);
+  }
+}
+
+void Tape::Backward(Var output, double seed) {
+  Sweep(output, seed);
+  AddGradsToParams();
 }
 
 }  // namespace lsched

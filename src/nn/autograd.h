@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <unordered_map>
 #include <vector>
 
@@ -34,11 +35,21 @@ class Var {
 };
 
 /// Dynamic reverse-mode autodiff tape. The trainer builds one Tape per few
-/// replayed decisions; Backward() accumulates gradients of a scalar output
-/// into the tape nodes and, for Leaf(Param*) nodes, into the
-/// ParameterStore's grad buffers. Backward runs at most once per tape, and a
-/// tape must not span an optimizer step: its leaves hold copies of the
-/// parameter values taken at first use.
+/// replayed decisions. Differentiating a scalar output takes two steps:
+/// Sweep() runs the reverse pass and writes gradients into tape-owned
+/// buffers only, and AddGradsToParams() then adds each Leaf(Param*) node's
+/// gradient into its `param->grad`. Backward() is the two in a row. Because
+/// a sweep never writes a Param, tapes of independent losses can be swept
+/// on different threads while the parameter values stay read-only; the
+/// caller then adds their gradients in a fixed order (nn/replay.h). Each
+/// tape is swept at most once, and a tape must not span an optimizer step:
+/// its leaves hold copies of the parameter values taken at first use.
+///
+/// The tape is lean: a node's grad is allocated at its first write, a node
+/// computed only from constants needs none (so nothing writes one into it),
+/// a node whose grad was never written does not run its backward, and the
+/// sweep frees every value and every non-leaf grad it has passed (the
+/// output's value stays readable). Only leaf grads survive a sweep.
 ///
 /// Broadcasting: binary elementwise ops (Add/Mul) accept a right operand
 /// that is (1 x d) against (n x d), or (1 x 1) against anything; the
@@ -58,15 +69,15 @@ class Tape {
   /// --- graph inputs -----------------------------------------------------
   Var Constant(Matrix value);                 ///< no gradient tracked
   /// Parameter leaf. One node per parameter per tape: later calls return
-  /// the same node, so every use accumulates into one grad that Backward
-  /// adds into `param->grad` once.
+  /// the same node, so every use accumulates into one grad that
+  /// AddGradsToParams adds into `param->grad` once.
   Var Leaf(Param* param);
 
   /// Node with a caller-written backward. `value` is the forward result the
-  /// caller computed from its input Vars' values. During Backward,
-  /// `backward(tape, out)` runs once, reads `grad(out)` and adds each
-  /// input's share into `mutable_grad(input)`. Inputs must be Vars created
-  /// on this tape before the call.
+  /// caller computed from its input Vars' values. During the sweep,
+  /// `backward(tape, out)` runs once if `out` received a gradient, reads
+  /// `grad(out)` and adds each input's share into `mutable_grad(input)`.
+  /// Inputs must be Vars created on this tape before the call.
   Var Custom(Matrix value, std::function<void(Tape*, Var)> backward);
 
   /// --- elementwise / linear algebra --------------------------------------
@@ -100,26 +111,47 @@ class Tape {
   /// Dot product of two (1 x d) rows -> (1 x 1).
   Var DotRows(Var a, Var b);
 
-  /// Runs backprop from scalar (1 x 1) node `output`, seeding with `seed`.
-  /// Accumulates parameter gradients into their ParameterStore entries.
+  /// Reverse pass from scalar (1 x 1) node `output`, seeding its grad with
+  /// `seed`. Writes tape-owned grads only; see the class comment for what
+  /// it frees.
+  void Sweep(Var output, double seed = 1.0);
+  /// Adds every leaf's grad into its `param->grad` (the only write to a
+  /// Param). Call once, after Sweep.
+  void AddGradsToParams();
+  /// Sweep followed by AddGradsToParams.
   void Backward(Var output, double seed = 1.0);
 
   const Matrix& value(int id) const { return nodes_[id].value; }
+  /// Empty until the node's first gradient write.
   const Matrix& grad(int id) const { return nodes_[id].grad; }
-  Matrix& mutable_grad(Var v) { return nodes_[v.id()].grad; }
+  /// The grad of `v`, allocated as zeros on first use.
+  Matrix& mutable_grad(Var v) { return grad_ref(v.id()); }
 
   size_t num_nodes() const { return nodes_.size(); }
 
  private:
+  using BackwardFn = std::function<void(Tape*, int id)>;
+
   struct Node {
     Matrix value;
-    Matrix grad;
-    std::function<void(Tape*)> backward;  ///< may be empty (constants)
+    Matrix grad;          ///< empty until the first write
+    BackwardFn backward;  ///< empty for leaves and constants
     Param* param = nullptr;
+    /// A leaf, or computed from one: gradients written into any other
+    /// node would never reach a parameter.
+    bool needs_grad = false;
   };
 
-  int NewNode(Matrix value);
-  Matrix& grad_ref(int id) { return nodes_[id].grad; }
+  int NewNode(Matrix value, bool needs_grad);
+  /// Adds an op node over `inputs`. It needs a grad iff an input does; only
+  /// then is `backward` kept.
+  Var Op(Matrix value, std::initializer_list<int> inputs, BackwardFn backward);
+  Matrix& grad_ref(int id);
+  /// The grad to add an input's share into, or null when the input needs
+  /// none.
+  Matrix* sink(int id) {
+    return nodes_[id].needs_grad ? &grad_ref(id) : nullptr;
+  }
 
   /// Accumulates `delta` (shaped like the op output) into `target` grad of
   /// shape `shape`, sum-reducing when `target` was broadcast.

@@ -7,6 +7,7 @@
 
 #include "nn/autograd.h"
 #include "nn/inference.h"
+#include "nn/replay.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -494,20 +495,19 @@ double DecimaTrainer::TrainOneEpisode(
   model_->params()->ZeroGrads();
   const double scale =
       1.0 / static_cast<double>(std::max<size_t>(exps.size(), 1));
-  for (size_t d = 0; d < exps.size(); ++d) {
-    const DecimaExperience& exp = exps[d];
-    if (exp.state.candidates.empty()) continue;
-    Tape tape;
-    const DecimaEncoded enc = Encode(model_, exp.state, &tape);
-    const DecimaForward out = Forward(model_, exp.state, enc, &tape);
-    Var lp = tape.PickCol(out.node_logprobs, exp.chosen_candidate);
-    lp = tape.Add(
-        lp, tape.PickCol(
+  // One tape per decision, replayed in parallel; grads added in order.
+  ReplayUnits(static_cast<int>(exps.size()), 0, [&](int d, Tape* tape) {
+    const DecimaExperience& exp = exps[static_cast<size_t>(d)];
+    if (exp.state.candidates.empty()) return;
+    const DecimaEncoded enc = Encode(model_, exp.state, tape);
+    const DecimaForward out = Forward(model_, exp.state, enc, tape);
+    Var lp = tape->PickCol(out.node_logprobs, exp.chosen_candidate);
+    lp = tape->Add(
+        lp, tape->PickCol(
                 out.par_logprobs[static_cast<size_t>(exp.chosen_candidate)],
                 exp.chosen_parallelism));
-    Var loss = tape.Scale(lp, -adv[d]);
-    tape.Backward(loss, scale);
-  }
+    tape->Sweep(tape->Scale(lp, -adv[static_cast<size_t>(d)]), scale);
+  });
   model_->params()->ClipGradNorm(5.0);
   optimizer_.Step(model_->params());
 

@@ -225,6 +225,73 @@ TEST(AutogradTest, LeafIsOneNodePerParameterPerTape) {
   for (int c = 0; c < 2; ++c) EXPECT_DOUBLE_EQ(b->grad.at(0, c), 3.0);
 }
 
+TEST(AutogradTest, NodeWithoutGradientRunsNoBackwardAndHasNoGrad) {
+  // Like a candidate head the action did not pick: built, never in the loss.
+  ParameterStore store;
+  Param* w = store.CreateZero("w", 1, 2);
+  w->value.at(0, 0) = 1.5;
+  w->value.at(0, 1) = -0.5;
+  Tape tape;
+  const Var x = tape.Leaf(w);
+  bool unused_ran = false;
+  const Var unused = tape.Custom(
+      x.value(), [&unused_ran](Tape*, Var) { unused_ran = true; });
+  // Runs before the sweep reaches `unused`, which is below it.
+  bool unused_grad_empty = false;
+  const Var probe = tape.Custom(
+      Matrix(1, 1, 0.0), [&unused_grad_empty, unused](Tape* t, Var) {
+        unused_grad_empty = t->grad(unused.id()).empty();
+      });
+  tape.Backward(tape.Add(tape.SumAll(tape.Mul(x, x)), probe));
+  EXPECT_FALSE(unused_ran);
+  EXPECT_TRUE(unused_grad_empty);
+  EXPECT_DOUBLE_EQ(w->grad.at(0, 0), 3.0);
+  EXPECT_DOUBLE_EQ(w->grad.at(0, 1), -1.0);
+}
+
+TEST(AutogradTest, MatMulWritesNoGradIntoAConstant) {
+  ParameterStore store;
+  Rng rng(19);
+  Param* w = store.Create("w", 3, 2, &rng);
+  Matrix m(2, 3);
+  for (int c = 0; c < 3; ++c) {
+    m.at(0, c) = 0.5 + c;
+    m.at(1, c) = -1.0 + c;
+  }
+  Tape tape;
+  const Var constant = tape.Constant(m);
+  // Its backward runs after MatMul's and before the sweep reaches
+  // `constant`.
+  bool constant_grad_empty = false;
+  const Var probe = tape.Custom(
+      Matrix(1, 1, 0.0), [&constant_grad_empty, constant](Tape* t, Var) {
+        constant_grad_empty = t->grad(constant.id()).empty();
+      });
+  const Var y = tape.MatMul(constant, tape.Leaf(w));
+  tape.Backward(tape.Add(tape.SumAll(y), probe));
+  EXPECT_TRUE(constant_grad_empty);
+  // d/dW of sum(m W) is the column sums of m.
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_DOUBLE_EQ(w->grad.at(r, 0), m.at(0, r) + m.at(1, r));
+  }
+}
+
+TEST(AutogradTest, SweepLeavesParamsUntilGradsAreAdded) {
+  ParameterStore store;
+  Param* w = store.CreateZero("w", 1, 1);
+  w->value.at(0, 0) = 2.0;
+  store.ZeroGrads();
+  Tape tape;
+  const Var x = tape.Leaf(w);
+  const Var loss = tape.Mul(x, x);
+  tape.Sweep(loss);
+  EXPECT_EQ(w->grad.at(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(tape.grad(x.id()).at(0, 0), 4.0);
+  EXPECT_DOUBLE_EQ(loss.value().at(0, 0), 4.0);  // the output stays readable
+  tape.AddGradsToParams();
+  EXPECT_DOUBLE_EQ(w->grad.at(0, 0), 4.0);
+}
+
 TEST(LayersTest, MlpShapesAndDeterminism) {
   ParameterStore store;
   Rng rng(11);
