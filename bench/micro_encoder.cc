@@ -1,6 +1,7 @@
 // Micro-benchmarks of the learned scheduler's per-decision costs: feature
-// extraction, query encoding (TCN+GAT vs GCN fallback), and the full
-// predictor forward pass — the ingredients of the Fig. 13a overhead.
+// extraction, query encoding (TCN+GAT vs GCN fallback), the serving cache's
+// incremental refresh and re-encode, and the full predictor forward pass —
+// the ingredients of the Fig. 13a overhead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -115,6 +116,56 @@ double MedianUsPerCall(const std::function<void()>& fn, int reps) {
   return us[us.size() / 2];
 }
 
+/// Median microseconds of `timed` over `reps` rounds, each after an
+/// untimed `setup` (after one warmup round).
+double MedianUsAfterSetup(const std::function<void()>& setup,
+                          const std::function<void()>& timed, int reps) {
+  setup();
+  timed();
+  std::vector<double> us;
+  us.reserve(static_cast<size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    setup();
+    const auto t0 = std::chrono::steady_clock::now();
+    timed();
+    const auto t1 = std::chrono::steady_clock::now();
+    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+  }
+  std::sort(us.begin(), us.end());
+  return us[us.size() / 2];
+}
+
+/// The serving cache over every query of `fx`. Each Bump() gives every
+/// query a new version with one changed monitor column (operator 0's
+/// scheduled flag flips), the change a work-order event makes.
+struct CacheRounds {
+  explicit CacheRounds(Fixture* fixture) : fx(fixture) {
+    Refresh();
+    Encode();
+  }
+  void Bump() {
+    ++version;
+    for (auto& q : fx->queries) q->set_op_scheduled(0, !q->op_scheduled(0));
+  }
+  void Refresh() {
+    for (auto& q : fx->queries) {
+      cache.GetStructural(*q, version, *fx->model, *fx->extractor);
+    }
+  }
+  void Encode() {
+    arena.Reset();
+    for (auto& q : fx->queries) {
+      cache.EnsureEncoded(
+          &cache.GetStructural(*q, version, *fx->model, *fx->extractor),
+          *fx->model, &arena);
+    }
+  }
+  Fixture* fx;
+  EncodingCache cache;
+  ScratchArena arena;
+  uint64_t version = 1;
+};
+
 void WriteEncoderSnapshot() {
   const char* env = std::getenv("LSCHED_ENCODER_REPS");
   const int reps = env != nullptr && std::atoi(env) > 0 ? std::atoi(env) : 30;
@@ -131,6 +182,19 @@ void WriteEncoderSnapshot() {
              benchmark::DoNotOptimize(
                  EncodeState(tcn.model.get(), tcn.features, &tape));
            }, reps));
+  // A version bump of every query: its monitor columns and candidates are
+  // re-extracted, its static part kept.
+  CacheRounds rounds(&tcn);
+  snap.Add("refresh.p50_us",
+           MedianUsAfterSetup([&] { rounds.Bump(); }, [&] { rounds.Refresh(); },
+                              reps));
+  // Every query re-encoded after one monitor-column change.
+  snap.Add("reencode.p50_us", MedianUsAfterSetup(
+                                  [&] {
+                                    rounds.Bump();
+                                    rounds.Refresh();
+                                  },
+                                  [&] { rounds.Encode(); }, reps));
   snap.Add("encode_gcn.p50_us", MedianUsPerCall([&] {
              Tape tape;
              benchmark::DoNotOptimize(

@@ -19,14 +19,16 @@ void LSchedAgent::Reset() {
 }
 
 int LSchedAgent::SampleFromLogProbs(const double* logprobs, int n) {
-  std::vector<double> probs(static_cast<size_t>(n));
+  std::vector<double>& probs = probs_scratch_;
+  probs.resize(static_cast<size_t>(n));
   for (int c = 0; c < n; ++c) {
     probs[static_cast<size_t>(c)] = std::exp(logprobs[c]);
   }
   if (exploration_epsilon_ > 0.0 &&
       rng_.Uniform() < exploration_epsilon_) {
     // Uniform among actions the policy has not masked out (p > 0).
-    std::vector<double> uniform(probs.size(), 0.0);
+    std::vector<double>& uniform = uniform_scratch_;
+    uniform.resize(probs.size());
     for (size_t i = 0; i < probs.size(); ++i) {
       uniform[i] = probs[i] > 1e-30 ? 1.0 : 0.0;
     }
@@ -109,7 +111,7 @@ SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
     EncodingCache::Entry& entry = cache_.GetStructural(
         *q, ctx.query_version(q->id()), *model_, extractor_);
     entries[qi] = &entry;
-    view.queries.push_back(&entry.features);
+    view.queries.push_back(entry.features.get());
     extractor_.ExtractQf(*q, ctx, &qf_rows[qi]);
     view.qf.push_back(&qf_rows[qi]);
     int head_row = 0;
@@ -176,8 +178,8 @@ SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
 
   if (record_experiences_) {
     // The trainer replays this state through the tape path; the cached
-    // structural features plus the fresh QF rows reconstruct exactly what
-    // a full extraction would have produced.
+    // features plus the fresh QF rows are exactly what a full extraction
+    // would have produced. The features are shared, not copied.
     Experience exp;
     exp.time = ctx.now();
     exp.num_running_queries = static_cast<int>(queries.size());
@@ -187,11 +189,11 @@ SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
     exp.state.free_threads = view.free_threads;
     exp.state.candidates = view.candidates;
     exp.state.queries.reserve(queries.size());
+    exp.state.qf.reserve(queries.size());
     exp.versions.reserve(queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      QueryFeatures f = *view.queries[qi];
-      f.qf = std::move(qf_rows[qi]);
-      exp.state.queries.push_back(std::move(f));
+      exp.state.queries.push_back(entries[qi]->features);
+      exp.state.qf.push_back(std::move(qf_rows[qi]));
       exp.versions.push_back(entries[qi]->version);
     }
     experiences_.push_back(std::move(exp));

@@ -16,13 +16,15 @@
 namespace lsched {
 
 /// One recorded decision: enough to replay the forward pass during the
-/// REINFORCE update (paper §6) long after the episode finished.
+/// REINFORCE update (paper §6) long after the episode finished. Its
+/// QueryFeatures are the encoding cache's objects, shared by every decision
+/// recorded at the same query versions.
 struct Experience {
   StateFeatures state;
   /// Context version of each query in `state.queries` (parallel to it):
   /// SchedulingContext::query_version at the decision. Versions are never
-  /// reused, so (query id, version) names one set of structural features,
-  /// and the replay encodes each such state once.
+  /// reused, so (query id, version) names one QueryFeatures object, and
+  /// the replay encodes each such state once.
   std::vector<uint64_t> versions;
   SchedulingAction action;
   double time = 0.0;
@@ -81,6 +83,9 @@ class LSchedAgent : public Scheduler {
   /// Per-decision scratch: each query's cache entry and QF row.
   std::vector<EncodingCache::Entry*> entries_scratch_;
   std::vector<std::vector<double>> qf_scratch_;
+  /// SampleFromLogProbs's probabilities and exploration weights.
+  std::vector<double> probs_scratch_;
+  std::vector<double> uniform_scratch_;
 };
 
 }  // namespace lsched

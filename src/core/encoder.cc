@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 
 #include "obs/metrics.h"
@@ -12,14 +13,6 @@
 namespace lsched {
 
 namespace {
-
-/// Copies per-row feature vectors into the rows of `m` (already sized).
-void FillRows(const std::vector<std::vector<double>>& rows, Matrix* m) {
-  for (size_t r = 0; r < rows.size(); ++r) {
-    std::copy(rows[r].begin(), rows[r].end(),
-              m->data() + r * static_cast<size_t>(m->cols()));
-  }
-}
 
 /// Weights of one tree-convolution layer's triangle filter (Eq. 2) and GAT
 /// scores (Eq. 3), as raw rows: w[slot] is (1 x d), att is (1 x 2d).
@@ -96,18 +89,22 @@ int NodeTerms(const Producers& p, int i, const CombineWeights& cw,
 /// (Eq. 5), or a plain sum without GAT (the Fig. 15 "w/o GAT" ablation).
 /// Both encoders run this routine, so the serving encoder equals the tape
 /// encoder by construction. `out` is (num_nodes x d); `t` is scratch for
-/// the terms, (kMaxTerms x d).
+/// the terms, (kMaxTerms x d). With `rows`, only those nodes are combined,
+/// node rows[r] into row r of `out` (rows.size() x d); each node's result
+/// does not depend on which others are combined with it.
 void CombineForward(const Producers& p, const CombineWeights& cw,
                     bool use_gat, const Matrix& x, const Matrix& e, Matrix* t,
-                    Matrix* out) {
+                    Matrix* out, const std::vector<int>* rows = nullptr) {
   const int d = x.cols();
   Term terms[kMaxTerms];
   double s[kMaxTerms], z[kMaxTerms];
-  for (int i = 0; i < x.rows(); ++i) {
+  const int count = rows != nullptr ? static_cast<int>(rows->size()) : x.rows();
+  for (int r = 0; r < count; ++r) {
+    const int i = rows != nullptr ? (*rows)[static_cast<size_t>(r)] : r;
     const int n = NodeTerms(p, i, cw, use_gat, x.data(), e.data(), d, terms,
                             t->data(), s, z);
     double* combined =
-        out->data() + static_cast<size_t>(i) * static_cast<size_t>(d);
+        out->data() + static_cast<size_t>(r) * static_cast<size_t>(d);
     for (int j = 0; j < d; ++j) combined[j] = t->data()[j] * z[0];
     for (int k = 1; k < n; ++k) {
       const double* tk =
@@ -209,7 +206,8 @@ Var TreeConvLayer(const LSchedModel& model,
     cw.att = att.value().data();
     return cw;
   };
-  const Producers producers{q.child_node.data(), q.child_edge.data()};
+  const Producers producers{q.structure->child_node.data(),
+                            q.structure->child_edge.data()};
   Matrix terms(kMaxTerms, x.cols());
   Matrix combined(q.num_nodes, x.cols());
   CombineForward(producers, weights(), use_gat, x.value(), e.value(), &terms,
@@ -240,10 +238,11 @@ Var GcnLayer(const LSchedModel& model, const QueryFeatures& q, Var x,
   std::vector<Var> out;
   out.reserve(static_cast<size_t>(q.num_nodes));
   for (int i = 0; i < q.num_nodes; ++i) out.push_back(tape->SliceRow(x, i));
-  for (int i : q.topo_order) {  // producers first: sequential steps
+  const QueryStructure& st = *q.structure;
+  for (int i : st.topo_order) {  // producers first: sequential steps
     Var h = model.gcn_self.Forward(tape, out[static_cast<size_t>(i)]);
     for (int s = 0; s < 2; ++s) {
-      const int child = q.child_node[static_cast<size_t>(i)][s];
+      const int child = st.child_node[static_cast<size_t>(i)][s];
       if (child < 0) continue;
       h = tape->Add(
           h, model.gcn_child.Forward(tape, out[static_cast<size_t>(child)]));
@@ -258,12 +257,8 @@ Var GcnLayer(const LSchedModel& model, const QueryFeatures& q, Var x,
 EncodedQuery EncodeQuery(LSchedModel* model, const QueryFeatures& q,
                          Tape* tape) {
   const LSchedConfig& cfg = model->config();
-  Matrix opf_mat(q.num_nodes, cfg.features.opf_dim());
-  FillRows(q.opf, &opf_mat);
-  Matrix edf_mat(static_cast<int>(q.edf.size()), cfg.features.edf_dim());
-  FillRows(q.edf, &edf_mat);
-  const Var opf = tape->Constant(std::move(opf_mat));
-  const Var edf = tape->Constant(std::move(edf_mat));
+  const Var opf = tape->Constant(q.opf);
+  const Var edf = tape->Constant(q.structure->edf);
 
   // Initial projections of OPF and EDF, one Linear over all rows. A query
   // without edges gets (0 x d) edge embeddings, and the PQE's edge sum below
@@ -305,151 +300,225 @@ inline void AddRowInPlace(double* acc, const double* b, int d) {
   for (int j = 0; j < d; ++j) acc[j] += b[j];
 }
 
-/// One tape-free tree-convolution layer: the tape encoder's combine
-/// routine, then the channel mix as one GEMM over the query's nodes.
-void TreeConvLayerServing(const LSchedModel& model,
-                          const LSchedModel::ConvLayer& layer,
-                          const QueryFeatures& q, Matrix* node_emb,
-                          const Matrix& edge_emb, ScratchArena* arena) {
+double* Row(Matrix* m, int r) {
+  return m->data() + static_cast<size_t>(r) * static_cast<size_t>(m->cols());
+}
+const double* Row(const Matrix& m, int r) {
+  return m.data() + static_cast<size_t>(r) * static_cast<size_t>(m.cols());
+}
+
+/// The indices of the set flags, ascending.
+void Flagged(const std::vector<char>& flags, std::vector<int>* rows) {
+  rows->clear();
+  for (size_t i = 0; i < flags.size(); ++i) {
+    if (flags[i]) rows->push_back(static_cast<int>(i));
+  }
+}
+
+/// Copies `src`'s `rows` into a compact arena matrix.
+const Matrix& GatherRows(const Matrix& src, const std::vector<int>& rows,
+                         ScratchArena* arena) {
+  if (static_cast<int>(rows.size()) == src.rows()) return src;  // all, in order
+  Matrix* out = arena->Alloc(static_cast<int>(rows.size()), src.cols());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const double* from = Row(src, rows[r]);
+    std::copy(from, from + src.cols(), Row(out, static_cast<int>(r)));
+  }
+  return *out;
+}
+
+/// Writes compact row r of `src` to row rows[r] of `dst`.
+void ScatterRows(const Matrix& src, const std::vector<int>& rows,
+                 Matrix* dst) {
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const double* from = Row(src, static_cast<int>(r));
+    std::copy(from, from + src.cols(), Row(dst, rows[r]));
+  }
+}
+
+/// Ordered row sum (row 0 copied, the rest added in order: the tape's
+/// SumRows), into a (1 x cols) `out`.
+void SumRowsInto(const Matrix& m, Matrix* out) {
+  out->Resize(1, m.cols());
+  for (int r = 0; r < m.rows(); ++r) {
+    if (r == 0) {
+      std::copy(Row(m, 0), Row(m, 0) + m.cols(), out->data());
+    } else {
+      AddRowInPlace(out->data(), Row(m, r), m.cols());
+    }
+  }
+}
+
+/// One tape-free tree-convolution layer over the listed nodes: the tape
+/// encoder's combine routine, then the channel mix as one GEMM over them.
+/// Writes their rows of `out`.
+void TreeConvRowsServing(const LSchedModel& model,
+                         const LSchedModel::ConvLayer& layer,
+                         const QueryStructure& s, const Matrix& in,
+                         const Matrix& edge_emb, const std::vector<int>& rows,
+                         ScratchArena* arena, Matrix* out) {
   CombineWeights cw;
   cw.w = {layer.w_self->value.data(), layer.w_right->value.data(),
           layer.w_left->value.data(), layer.w_eright->value.data(),
           layer.w_eleft->value.data()};
   cw.att = layer.att->value.data();
   const int d = model.config().hidden_dim;
+  const int k = static_cast<int>(rows.size());
   Matrix* terms = arena->Alloc(kMaxTerms, d);
-  Matrix* combined = arena->Alloc(q.num_nodes, d);
-  CombineForward({q.child_node.data(), q.child_edge.data()}, cw,
-                 model.config().use_gat, *node_emb, edge_emb, terms,
-                 combined);
-  Matrix* mixed = arena->Alloc(q.num_nodes, d);
+  Matrix* combined = arena->Alloc(k, d);
+  CombineForward({s.child_node.data(), s.child_edge.data()}, cw,
+                 model.config().use_gat, in, edge_emb, terms, combined, &rows);
+  Matrix* mixed = arena->Alloc(k, d);
   LinearForwardInto(layer.mix, *combined, mixed);
   ReluInPlace(mixed);
-  *node_emb = *mixed;
+  ScatterRows(*mixed, rows, out);
 }
 
-/// Tape-free sequential message-passing GCN layer (ablation fallback).
-void GcnLayerServing(const LSchedModel& model, const QueryFeatures& q,
-                     Matrix* node_emb, ScratchArena* arena) {
+/// One tape-free sequential message-passing GCN layer (ablation fallback):
+/// in topological order, a node whose flag is set or whose producer's new
+/// row changed gets relu(self(in_i) + sum child(out_child)). Sets the flag
+/// of every node it recomputes.
+void GcnRowsServing(const LSchedModel& model, const QueryStructure& s,
+                    const Matrix& in, std::vector<char>* flags,
+                    ScratchArena* arena, Matrix* out) {
   const int d = model.config().hidden_dim;
   Matrix* row = arena->Alloc(1, d);
   Matrix* h = arena->Alloc(1, d);
   Matrix* child_out = arena->Alloc(1, d);
-  for (int i : q.topo_order) {
-    double* x_i =
-        node_emb->data() + static_cast<size_t>(i) * static_cast<size_t>(d);
-    for (int j = 0; j < d; ++j) row->data()[j] = x_i[j];
+  std::vector<char>& dirty = *flags;
+  for (int i : s.topo_order) {
+    const std::array<int, 2>& children = s.child_node[static_cast<size_t>(i)];
+    const size_t ui = static_cast<size_t>(i);
+    for (int child : children) {
+      if (child >= 0 && dirty[static_cast<size_t>(child)]) dirty[ui] = 1;
+    }
+    if (!dirty[ui]) continue;
+    std::copy(Row(in, i), Row(in, i) + d, row->data());
     LinearForwardInto(model.gcn_self, *row, h);
-    for (int s = 0; s < 2; ++s) {
-      const int child = q.child_node[static_cast<size_t>(i)][s];
+    for (int child : children) {
       if (child < 0) continue;
-      const double* xc = node_emb->data() +
-                         static_cast<size_t>(child) * static_cast<size_t>(d);
-      for (int j = 0; j < d; ++j) row->data()[j] = xc[j];
+      std::copy(Row(*out, child), Row(*out, child) + d, row->data());
       LinearForwardInto(model.gcn_child, *row, child_out);
       AddRowInPlace(h->data(), child_out->data(), d);
     }
+    double* x_i = Row(out, i);
     for (int j = 0; j < d; ++j) x_i[j] = h->data()[j] > 0.0 ? h->data()[j] : 0.0;
   }
 }
 
 }  // namespace
 
-ServingEncodedQuery EncodeQueryServing(const LSchedModel& model,
-                                       const QueryFeatures& q,
-                                       ScratchArena* arena) {
+void ReencodeQueryServing(const LSchedModel& model, const QueryFeatures& q,
+                          const std::vector<char>* dirty, ScratchArena* arena,
+                          ServingEncodedQuery* enc) {
   const LSchedConfig& cfg = model.config();
+  const QueryStructure& s = *q.structure;
+  const int n = q.num_nodes;
   const int d = cfg.hidden_dim;
   const int sd = cfg.summary_dim;
   const int opf_dim = cfg.features.opf_dim();
   const int edf_dim = cfg.features.edf_dim();
-  const int num_edges = static_cast<int>(q.edf.size());
-  ServingEncodedQuery out;
+  const int num_edges = s.edf.rows();
+  const int num_layers = cfg.use_tree_conv
+                             ? static_cast<int>(model.conv.size())
+                             : cfg.num_conv_layers;
 
-  // Initial projections, batched over all nodes / edges of the query.
-  Matrix* opf_mat = arena->Alloc(q.num_nodes, opf_dim);
-  FillRows(q.opf, opf_mat);
-  Matrix* ne = arena->Alloc(q.num_nodes, d);
-  LinearForwardInto(model.proj_node, *opf_mat, ne);
-  ReluInPlace(ne);
-
-  Matrix* edf_mat = arena->Alloc(num_edges, edf_dim);
-  FillRows(q.edf, edf_mat);
-  out.edge_emb.Resize(num_edges, d);
-  if (num_edges > 0) {
-    Matrix* ee = arena->Alloc(num_edges, d);
-    LinearForwardInto(model.proj_edge, *edf_mat, ee);
-    ReluInPlace(ee);
-    out.edge_emb = *ee;
-  }
-
-  // Stacked convolution layers.
-  if (cfg.use_tree_conv) {
-    for (const LSchedModel::ConvLayer& layer : model.conv) {
-      TreeConvLayerServing(model, layer, q, ne, out.edge_emb, arena);
-    }
-  } else {
-    for (int l = 0; l < cfg.num_conv_layers; ++l) {
-      GcnLayerServing(model, q, ne, arena);
-    }
-  }
-  out.node_emb = *ne;
-
-  // PQE: batched node / edge messages, then ordered row-summation (same
-  // accumulation order as the tape's sequential Adds).
-  Matrix* node_cat = arena->Alloc(q.num_nodes, d + opf_dim);
-  for (int i = 0; i < q.num_nodes; ++i) {
-    double* row = node_cat->data() +
-                  static_cast<size_t>(i) * static_cast<size_t>(d + opf_dim);
-    const double* nrow = out.node_emb.data() +
-                         static_cast<size_t>(i) * static_cast<size_t>(d);
-    std::copy(nrow, nrow + d, row);
-    const std::vector<double>& f = q.opf[static_cast<size_t>(i)];
-    std::copy(f.begin(), f.end(), row + d);
-  }
-  Matrix* node_msgs = MlpForward(model.pqe_node_in, *node_cat, arena);
-  ReluInPlace(node_msgs);
-  Matrix* node_sum = arena->Alloc(1, sd);
-  for (int i = 0; i < q.num_nodes; ++i) {
-    const double* row =
-        node_msgs->data() + static_cast<size_t>(i) * static_cast<size_t>(sd);
-    if (i == 0) {
-      std::copy(row, row + sd, node_sum->data());
-    } else {
-      AddRowInPlace(node_sum->data(), row, sd);
-    }
-  }
-
-  Matrix* edge_sum = arena->Alloc(1, sd);
-  if (num_edges > 0) {
-    Matrix* edge_cat = arena->Alloc(num_edges, d + edf_dim);
-    for (int e = 0; e < num_edges; ++e) {
-      double* row = edge_cat->data() +
-                    static_cast<size_t>(e) * static_cast<size_t>(d + edf_dim);
-      const double* erow = out.edge_emb.data() +
-                           static_cast<size_t>(e) * static_cast<size_t>(d);
-      std::copy(erow, erow + d, row);
-      const std::vector<double>& f = q.edf[static_cast<size_t>(e)];
-      std::copy(f.begin(), f.end(), row + d);
-    }
-    Matrix* edge_msgs = MlpForward(model.pqe_edge_in, *edge_cat, arena);
-    ReluInPlace(edge_msgs);
-    for (int e = 0; e < num_edges; ++e) {
-      const double* row = edge_msgs->data() +
-                          static_cast<size_t>(e) * static_cast<size_t>(sd);
-      if (e == 0) {
-        std::copy(row, row + sd, edge_sum->data());
-      } else {
-        AddRowInPlace(edge_sum->data(), row, sd);
+  if (dirty == nullptr) {
+    // Everything: the shapes, then the parts that depend on the weights
+    // and EDF only — edge embeddings and the PQE edge-message sum.
+    enc->layer_in.resize(static_cast<size_t>(num_layers));
+    for (Matrix& m : enc->layer_in) m.Resize(n, d);
+    enc->node_emb.Resize(n, d);
+    enc->node_msgs.Resize(n, sd);
+    enc->edge_emb.Resize(num_edges, d);
+    enc->edge_sum.Resize(1, sd);  // zeros without edges, as on the tape
+    if (num_edges > 0) {
+      LinearForwardInto(model.proj_edge, s.edf, &enc->edge_emb);
+      ReluInPlace(&enc->edge_emb);
+      Matrix* edge_cat = arena->Alloc(num_edges, d + edf_dim);
+      for (int e = 0; e < num_edges; ++e) {
+        double* row = Row(edge_cat, e);
+        std::copy(Row(enc->edge_emb, e), Row(enc->edge_emb, e) + d, row);
+        std::copy(Row(s.edf, e), Row(s.edf, e) + edf_dim, row + d);
       }
+      Matrix* edge_msgs = MlpForward(model.pqe_edge_in, *edge_cat, arena);
+      ReluInPlace(edge_msgs);
+      SumRowsInto(*edge_msgs, &enc->edge_sum);
     }
-  }  // else: zeros, matching the tape's zero constant.
+  }
+  std::vector<char> flags =
+      dirty != nullptr ? *dirty : std::vector<char>(static_cast<size_t>(n), 1);
+  std::vector<int> rows;
+  Flagged(flags, &rows);
 
+  // Initial projection of the changed OPF rows.
+  Matrix& projected = num_layers > 0 ? enc->layer_in[0] : enc->node_emb;
+  if (!rows.empty()) {
+    Matrix* ne = arena->Alloc(static_cast<int>(rows.size()), d);
+    LinearForwardInto(model.proj_node, GatherRows(q.opf, rows, arena), ne);
+    ReluInPlace(ne);
+    ScatterRows(*ne, rows, &projected);
+  }
+
+  // Stacked convolution layers: a row is recomputed when an input row it
+  // reads was.
+  for (int l = 0; l < num_layers; ++l) {
+    const Matrix& in = enc->layer_in[static_cast<size_t>(l)];
+    Matrix* out = l + 1 < num_layers
+                      ? &enc->layer_in[static_cast<size_t>(l) + 1]
+                      : &enc->node_emb;
+    if (cfg.use_tree_conv) {
+      std::vector<char> reached = flags;
+      for (int i = 0; i < n; ++i) {
+        for (int child : s.child_node[static_cast<size_t>(i)]) {
+          if (child >= 0 && flags[static_cast<size_t>(child)]) {
+            reached[static_cast<size_t>(i)] = 1;
+          }
+        }
+      }
+      flags.swap(reached);
+      Flagged(flags, &rows);
+      if (!rows.empty()) {
+        TreeConvRowsServing(model, model.conv[static_cast<size_t>(l)], s, in,
+                            enc->edge_emb, rows, arena, out);
+      }
+    } else {
+      GcnRowsServing(model, s, in, &flags, arena, out);
+    }
+  }
+
+  // PQE: the node messages of the recomputed rows, then the ordered row
+  // sums (same accumulation order as the tape's sequential Adds).
+  Flagged(flags, &rows);
+  if (!rows.empty()) {
+    Matrix* node_cat = arena->Alloc(static_cast<int>(rows.size()), d + opf_dim);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      double* row = Row(node_cat, static_cast<int>(r));
+      std::copy(Row(enc->node_emb, rows[r]), Row(enc->node_emb, rows[r]) + d,
+                row);
+      std::copy(Row(q.opf, rows[r]), Row(q.opf, rows[r]) + opf_dim, row + d);
+    }
+    Matrix* node_msgs = MlpForward(model.pqe_node_in, *node_cat, arena);
+    ReluInPlace(node_msgs);
+    ScatterRows(*node_msgs, rows, &enc->node_msgs);
+  }
   Matrix* pqe_cat = arena->Alloc(1, 2 * sd);
-  std::copy(node_sum->data(), node_sum->data() + sd, pqe_cat->data());
-  std::copy(edge_sum->data(), edge_sum->data() + sd, pqe_cat->data() + sd);
-  out.pqe = *MlpForward(model.pqe_out, *pqe_cat, arena);
-  return out;
+  if (n > 0) {  // else zeros, matching the tape's zero constant
+    Matrix* node_sum = arena->Alloc(1, sd);
+    SumRowsInto(enc->node_msgs, node_sum);
+    std::copy(node_sum->data(), node_sum->data() + sd, pqe_cat->data());
+  }
+  std::copy(enc->edge_sum.data(), enc->edge_sum.data() + sd,
+            pqe_cat->data() + sd);
+  enc->pqe = *MlpForward(model.pqe_out, *pqe_cat, arena);
+}
+
+ServingEncodedQuery EncodeQueryServing(const LSchedModel& model,
+                                       const QueryFeatures& q,
+                                       ScratchArena* arena) {
+  ServingEncodedQuery enc;
+  ReencodeQueryServing(model, q, nullptr, arena, &enc);
+  return enc;
 }
 
 EncodingCache::Entry& EncodingCache::GetStructural(
@@ -458,8 +527,12 @@ EncodingCache::Entry& EncodingCache::GetStructural(
   const uint64_t epoch = model.params().value_epoch();
   if (epoch != params_epoch_) {
     // Parameter values moved (optimizer step / checkpoint load): every
-    // cached encoding is stale regardless of query versions.
-    entries_.clear();
+    // cached encoding is stale regardless of query versions; the features
+    // are not.
+    for (auto& [id, entry] : entries_) {
+      entry.encoded = false;
+      entry.all_dirty = true;
+    }
     params_epoch_ = epoch;
   }
   // Process-wide mirrors of the per-instance counters feed the "encoder"
@@ -477,23 +550,56 @@ EncodingCache::Entry& EncodingCache::GetStructural(
   ++misses_;
   miss_counter->Add(1);
   e.version = version;
-  e.features = extractor.ExtractQueryStructural(q);
-  e.candidates = FeatureExtractor::SchedulableCandidates(q);
-  e.encoded = false;
+  std::vector<std::pair<int, int>> candidates =
+      FeatureExtractor::SchedulableCandidates(q);
+  if (candidates != e.candidates) {
+    e.candidates = std::move(candidates);
+    e.encoded = false;
+  }
+  if (e.features == nullptr || e.serial != q.serial()) {
+    e.serial = q.serial();
+    e.all_dirty = true;
+    e.encoded = false;
+    e.features = std::make_shared<const QueryFeatures>(
+        extractor.ExtractQueryStructural(q));
+    e.dirty.assign(static_cast<size_t>(e.features->num_nodes), 0);
+    return e;
+  }
+  // A later version: only the monitor columns can have moved. The rows
+  // that did are copied into a new object — the old one may be held by
+  // recorded Experiences — and flagged for the next encode. With none
+  // moved, the entry keeps its object and, if the candidates are the same
+  // too, its encoding.
+  const QueryFeatures& prev = *e.features;
+  const int width = prev.opf.cols();
+  std::shared_ptr<QueryFeatures> next;
+  double monitor[kMonitorColumns];
+  for (int i = 0; i < prev.num_nodes; ++i) {
+    FeatureExtractor::ExtractMonitorColumns(q, i, monitor);
+    const double* old = Row(prev.opf, i) + (width - kMonitorColumns);
+    if (std::memcmp(monitor, old, sizeof(monitor)) == 0) continue;
+    if (next == nullptr) next = std::make_shared<QueryFeatures>(prev);
+    std::copy(monitor, monitor + kMonitorColumns,
+              Row(&next->opf, i) + (width - kMonitorColumns));
+    e.dirty[static_cast<size_t>(i)] = 1;
+  }
+  if (next != nullptr) {
+    e.features = std::move(next);
+    e.encoded = false;
+  }
   return e;
 }
 
 Matrix EdfAggregate(const QueryFeatures& q, int op, int edf_dim) {
+  const QueryStructure& s = *q.structure;
   Matrix agg(1, edf_dim, 0.0);
   int count = 0;
   auto add = [&](int e) {
-    for (int c = 0; c < edf_dim; ++c) {
-      agg.at(0, c) += q.edf[static_cast<size_t>(e)][static_cast<size_t>(c)];
-    }
+    for (int c = 0; c < edf_dim; ++c) agg.at(0, c) += s.edf.at(e, c);
     ++count;
   };
-  for (int e : q.in_edges[static_cast<size_t>(op)]) add(e);
-  for (int e : q.out_edges[static_cast<size_t>(op)]) add(e);
+  for (int e : s.in_edges[static_cast<size_t>(op)]) add(e);
+  for (int e : s.out_edges[static_cast<size_t>(op)]) add(e);
   if (count > 0) {
     for (int c = 0; c < edf_dim; ++c) {
       agg.at(0, c) /= static_cast<double>(count);
@@ -502,44 +608,34 @@ Matrix EdfAggregate(const QueryFeatures& q, int op, int edf_dim) {
   return agg;
 }
 
-void EncodingCache::EnsureEncoded(Entry* entry, const LSchedModel& model,
-                                  ScratchArena* arena) {
-  if (entry->encoded) return;
-  entry->enc = EncodeQueryServing(model, entry->features, arena);
-  // Pre-assemble the head-input row of every candidate while the encodings
-  // are hot. Same ordered arithmetic (copy, +=, scale) as the predictor's
-  // per-event fallback assembly, so the cached rows are bit-identical to
-  // recomputing them at each event.
+void AssembleHeadRows(const LSchedModel& model, const QueryFeatures& q,
+                      const ServingEncodedQuery& enc,
+                      const std::vector<std::pair<int, int>>& candidates,
+                      Matrix* head_in) {
   const LSchedConfig& cfg = model.config();
   const int d = cfg.hidden_dim;
   const int sd = cfg.summary_dim;
   const int edf_dim = cfg.features.edf_dim();
   const int width = 2 * d + sd + edf_dim;
-  const QueryFeatures& q = entry->features;
-  const ServingEncodedQuery& enc = entry->enc;
-  const int nc = static_cast<int>(entry->candidates.size());
-  entry->head_in.Resize(nc, width);
+  const int nc = static_cast<int>(candidates.size());
+  head_in->Resize(nc, width);
   for (int c = 0; c < nc; ++c) {
-    const int op = entry->candidates[static_cast<size_t>(c)].first;
-    double* row = entry->head_in.data() +
-                  static_cast<size_t>(c) * static_cast<size_t>(width);
-    const double* ne = enc.node_emb.data() +
-                       static_cast<size_t>(op) * static_cast<size_t>(d);
-    std::copy(ne, ne + d, row);
+    const int op = candidates[static_cast<size_t>(c)].first;
+    double* row = Row(head_in, c);
+    std::copy(Row(enc.node_emb, op), Row(enc.node_emb, op) + d, row);
     // Mean in-edge embedding — same ordered sum + scale as the tape path.
     double* ee = row + d;
-    const std::vector<int>& edges = q.in_edges[static_cast<size_t>(op)];
+    const std::vector<int>& edges =
+        q.structure->in_edges[static_cast<size_t>(op)];
     if (edges.empty()) {
       std::fill(ee, ee + d, 0.0);
     } else {
       for (size_t k = 0; k < edges.size(); ++k) {
-        const double* erow =
-            enc.edge_emb.data() +
-            static_cast<size_t>(edges[k]) * static_cast<size_t>(d);
+        const double* erow = Row(enc.edge_emb, edges[k]);
         if (k == 0) {
           std::copy(erow, erow + d, ee);
         } else {
-          for (int j = 0; j < d; ++j) ee[j] += erow[j];
+          AddRowInPlace(ee, erow, d);
         }
       }
       const double inv = 1.0 / static_cast<double>(edges.size());
@@ -549,6 +645,25 @@ void EncodingCache::EnsureEncoded(Entry* entry, const LSchedModel& model,
     const Matrix edf_agg = EdfAggregate(q, op, edf_dim);
     std::copy(edf_agg.data(), edf_agg.data() + edf_dim, row + 2 * d + sd);
   }
+}
+
+void EncodingCache::EnsureEncoded(Entry* entry, const LSchedModel& model,
+                                  ScratchArena* arena) {
+  if (entry->encoded) return;
+  // Without a dirty row the encoding stands and only the candidates moved.
+  if (entry->all_dirty ||
+      std::find(entry->dirty.begin(), entry->dirty.end(), 1) !=
+          entry->dirty.end()) {
+    ReencodeQueryServing(model, *entry->features,
+                         entry->all_dirty ? nullptr : &entry->dirty, arena,
+                         &entry->enc);
+    entry->all_dirty = false;
+    std::fill(entry->dirty.begin(), entry->dirty.end(), 0);
+  }
+  // Pre-assemble the head-input row of every candidate while the encodings
+  // are hot.
+  AssembleHeadRows(model, *entry->features, entry->enc, entry->candidates,
+                   &entry->head_in);
   entry->encoded = true;
 }
 
@@ -560,6 +675,11 @@ const EncodingCache::Entry& EncodingCache::Get(const QueryState& q,
   Entry& e = GetStructural(q, version, model, extractor);
   EnsureEncoded(&e, model, arena);
   return e;
+}
+
+const EncodingCache::Entry* EncodingCache::Find(QueryId id) const {
+  const auto it = entries_.find(id);
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 void EncodingCache::Clear() {
@@ -585,8 +705,8 @@ EncodedState EncodeState(LSchedModel* model, const StateFeatures& state,
                          Tape* tape) {
   std::vector<EncodedQuery> queries;
   queries.reserve(state.queries.size());
-  for (const QueryFeatures& q : state.queries) {
-    queries.push_back(EncodeQuery(model, q, tape));
+  for (const std::shared_ptr<const QueryFeatures>& q : state.queries) {
+    queries.push_back(EncodeQuery(model, *q, tape));
   }
   return AssembleState(model, state, std::move(queries), tape);
 }
@@ -602,7 +722,7 @@ EncodedState AssembleState(LSchedModel* model, const StateFeatures& state,
   std::vector<Var> pqes;
   pqes.reserve(out.queries.size());
   for (int qi = 0; qi < nq; ++qi) {
-    const std::vector<double>& qf = state.queries[static_cast<size_t>(qi)].qf;
+    const std::vector<double>& qf = state.qf[static_cast<size_t>(qi)];
     std::copy(qf.begin(), qf.end(),
               qf_mat.data() + static_cast<size_t>(qi) *
                                   static_cast<size_t>(qf_mat.cols()));

@@ -2,6 +2,7 @@
 #define LSCHED_CORE_ENCODER_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -62,6 +63,13 @@ struct ServingEncodedQuery {
   Matrix node_emb;  ///< (num_nodes x hidden_dim), post conv stack
   Matrix edge_emb;  ///< (num_edges x hidden_dim)
   Matrix pqe;       ///< (1 x summary_dim)
+  /// What the next version's re-encode reuses: the node rows entering each
+  /// convolution layer (layer_in[0] is the projection), the PQE node
+  /// messages (num_nodes x summary_dim) and the PQE edge-message sum
+  /// (1 x summary_dim), which depends on the weights and EDF only.
+  std::vector<Matrix> layer_in;
+  Matrix node_msgs;
+  Matrix edge_sum;
 };
 
 /// Mean raw EDF over all edges touching `op` (input of the pipeline-degree
@@ -72,47 +80,84 @@ Matrix EdfAggregate(const QueryFeatures& q, int op, int edf_dim);
 /// Tape-free forward of the Single Query Encoder. Bit-identical to
 /// EncodeQuery's values by construction: the combine step of every
 /// tree-convolution layer is the same routine, and the projections, mixes
-/// and PQE networks are the same batched GEMMs with the same row sums.
-/// Never constructs a Tape. Depends only on the structural features, so
-/// the result is cacheable per (query id, context version).
+/// and PQE networks are the same GEMMs with the same row sums.
+/// Never constructs a Tape. Depends only on `q`, so the result is cacheable
+/// per (query id, context version). Equals ReencodeQueryServing with every
+/// row dirty.
 ServingEncodedQuery EncodeQueryServing(const LSchedModel& model,
                                        const QueryFeatures& q,
                                        ScratchArena* arena);
 
+/// Brings `enc`, the encoding of an earlier version of `q` under the same
+/// weights, up to `q`. `dirty` flags the OPF rows that changed since; the
+/// re-encode recomputes only the node rows they reach — the row itself for
+/// the projection and the PQE node message, plus each tree-convolution
+/// layer's consumers of a recomputed row (or, for the sequential GCN, every
+/// node whose input row or producers' new rows changed) — then the ordered
+/// PQE row sum and pqe_out. Every recomputed row goes through the same
+/// kernels as a full encode (MatMulBlockedInto sums each element's k-terms
+/// in ascending order whatever the row count), so the result is
+/// byte-identical to EncodeQueryServing(q). A null `dirty` encodes
+/// everything, the edge embeddings and edge messages included.
+void ReencodeQueryServing(const LSchedModel& model, const QueryFeatures& q,
+                          const std::vector<char>* dirty, ScratchArena* arena,
+                          ServingEncodedQuery* enc);
+
+/// Decision-head input rows, one per candidate (same order as
+/// `candidates`): [NE | mean-in-EE | PQE | EDF-aggregate], width
+/// 2*hidden_dim + summary_dim + edf_dim. Same ordered arithmetic (copy,
+/// +=, scale) as the predictor's per-event fallback assembly, so the rows
+/// are bit-identical to recomputing them at each event.
+void AssembleHeadRows(const LSchedModel& model, const QueryFeatures& q,
+                      const ServingEncodedQuery& enc,
+                      const std::vector<std::pair<int, int>>& candidates,
+                      Matrix* head_in);
+
 /// Per-query serving cache keyed by the SchedulingContext's (id, version)
-/// pairs and the model's parameter value-epoch. A hit returns the cached
-/// structural features, candidate list, and encoder outputs without
-/// touching the plan; a miss re-extracts and re-encodes just that query.
+/// pairs and the model's parameter value-epoch. A query's static features
+/// are extracted once; a version bump re-extracts only the monitor columns
+/// and the candidate list, and the next encode re-encodes only the node
+/// rows the changed OPF rows reach. A value-epoch move (optimizer step,
+/// checkpoint load) keeps the features and re-encodes everything.
 class EncodingCache {
  public:
   struct Entry {
     uint64_t version = 0;
-    QueryFeatures features;  ///< structural only — qf is left empty
+    /// QueryState::serial of the query the features were extracted from.
+    uint64_t serial = 0;
+    /// This version's features, shared with the Experiences recorded at it.
+    std::shared_ptr<const QueryFeatures> features;
     /// Schedulable (op, valid-pipeline-length) pairs.
     std::vector<std::pair<int, int>> candidates;
-    /// True once `enc` reflects `features` (encoding is lazy: an event
-    /// whose candidate set turns out empty never pays for the forward).
+    /// True once `enc` and `head_in` reflect `features` (encoding is lazy:
+    /// an event whose candidate set turns out empty never pays for the
+    /// forward).
     bool encoded = false;
     ServingEncodedQuery enc;
-    /// Pre-assembled decision-head input rows, one per candidate (same
-    /// order as `candidates`): [NE | mean-in-EE | PQE | EDF-aggregate],
-    /// width 2*hidden_dim + summary_dim + edf_dim. Everything in a row is
-    /// structural, so consecutive serving events that hit this entry skip
-    /// the per-candidate gather/aggregate work entirely — the per-event
-    /// cost shrinks to QF assembly, row copies, and the head GEMMs. Valid
-    /// iff `encoded`.
+    /// Pre-assembled decision-head input rows (AssembleHeadRows), so
+    /// consecutive serving events that hit this entry skip the
+    /// per-candidate gather/aggregate work entirely — the per-event cost
+    /// shrinks to QF assembly, row copies, and the head GEMMs. Valid iff
+    /// `encoded`.
     Matrix head_in;
+    /// OPF rows changed since `enc` was last brought up to date, and
+    /// whether `enc` holds nothing reusable (first encode, or the weights
+    /// moved) so that every row must be encoded.
+    std::vector<char> dirty;
+    bool all_dirty = true;
   };
 
-  /// Refreshes the structural half of `q`'s entry (features + candidate
-  /// list) if `version` (from SchedulingContext::query_version) or the
-  /// model's parameter epoch moved. Does NOT encode — callers that decide
-  /// to run the forward pass call EnsureEncoded on the returned entry.
+  /// Refreshes the version-dependent half of `q`'s entry (monitor columns
+  /// + candidate list) if `version` (from SchedulingContext::query_version)
+  /// moved, extracting the static features on the query's first call. Does
+  /// NOT encode — callers that decide to run the forward pass call
+  /// EnsureEncoded on the returned entry.
   Entry& GetStructural(const QueryState& q, uint64_t version,
                        const LSchedModel& model,
                        const FeatureExtractor& extractor);
 
-  /// Runs the serving encoder for `entry` if its encoding is stale.
+  /// Re-encodes the dirty rows of `entry` and re-assembles its head rows if
+  /// its encoding is stale.
   void EnsureEncoded(Entry* entry, const LSchedModel& model,
                      ScratchArena* arena);
 
@@ -120,6 +165,9 @@ class EncodingCache {
   const Entry& Get(const QueryState& q, uint64_t version,
                    const LSchedModel& model, const FeatureExtractor& extractor,
                    ScratchArena* arena);
+
+  /// The entry of query `id`, or nullptr.
+  const Entry* Find(QueryId id) const;
 
   void Clear();
   /// Drops entries for queries no longer in `live` (call occasionally; a

@@ -2,10 +2,12 @@
 #define LSCHED_CORE_FEATURES_H_
 
 #include <array>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "exec/scheduler.h"
+#include "nn/tensor.h"
 
 namespace lsched {
 
@@ -29,16 +31,19 @@ struct FeatureConfig {
   int qf_dim() const { return 2 + max_threads; }
 };
 
-/// Features + structure of one running query at a scheduling event. The
-/// structure (children slots per node) is what the tree convolution slides
-/// its triangle filters over — it encodes the O-CON adjacency feature.
-struct QueryFeatures {
-  QueryId qid = kInvalidQuery;
-  int num_nodes = 0;
-  /// OPF row per operator.
-  std::vector<std::vector<double>> opf;
-  /// EDF row per plan edge.
-  std::vector<std::vector<double>> edf;
+/// Execution-monitor OPF columns: the last ones of every OPF row ([O-WO
+/// ratio, O-WO log, O-DUR log, O-MEM log, is_scheduled, is_schedulable]).
+/// They are the only features that change while a query runs.
+constexpr int kMonitorColumns = 6;
+
+/// The static part of one query's features: fixed from the query's
+/// admission to its completion, so it is extracted once per query and
+/// shared by every version's QueryFeatures. The structure (producer slots
+/// per node) is what the tree convolution slides its triangle filters over
+/// — it encodes the O-CON adjacency feature.
+struct QueryStructure {
+  /// EDF row per plan edge, (num_edges x edf_dim).
+  Matrix edf;
   /// Producer ("child" in tree-convolution terms) slots per node: up to two
   /// (node, edge) pairs; -1 marks an absent slot.
   std::vector<std::array<int, 2>> child_node;
@@ -49,8 +54,19 @@ struct QueryFeatures {
   std::vector<std::vector<int>> out_edges;
   /// Topological order (producers first) — used by the GCN baselines.
   std::vector<int> topo_order;
-  /// QF row for the whole query.
-  std::vector<double> qf;
+};
+
+/// Features of one running query at one context version: everything the
+/// encoder reads. Immutable once built, so one object per (query id,
+/// version) is shared by the encoding cache entry, every Experience
+/// recorded at that version, and the trainer's replay memo.
+struct QueryFeatures {
+  QueryId qid = kInvalidQuery;
+  int num_nodes = 0;
+  /// OPF row per operator, (num_nodes x opf_dim): the static columns
+  /// (O-TY, O-IN, O-COLS, O-BLCKS) then the kMonitorColumns monitor ones.
+  Matrix opf;
+  std::shared_ptr<const QueryStructure> structure;
 };
 
 /// One candidate execution root (a schedulable operator).
@@ -67,7 +83,11 @@ struct StateFeatures {
   double time = 0.0;
   int total_threads = 0;
   int free_threads = 0;
-  std::vector<QueryFeatures> queries;
+  /// Per query: its features at this event's version (shared, immutable).
+  std::vector<std::shared_ptr<const QueryFeatures>> queries;
+  /// QF row per query (parallel to `queries`): reads thread occupancy, so
+  /// it belongs to the event, not to the query's version.
+  std::vector<std::vector<double>> qf;
   std::vector<Candidate> candidates;
 };
 
@@ -90,7 +110,14 @@ class FeatureExtractor {
 
   /// The version-cacheable part of one query's features: OPF, EDF, plan
   /// structure, and topological order — everything except the QF row.
+  /// Extracts the static part afresh too (the reference the cache's
+  /// refreshed versions must equal).
   QueryFeatures ExtractQueryStructural(const QueryState& q) const;
+
+  /// Writes operator `op`'s kMonitorColumns monitor columns to `out`.
+  /// Everything else in a QueryFeatures is static, so this is all a
+  /// version bump re-extracts.
+  static void ExtractMonitorColumns(const QueryState& q, int op, double* out);
 
   /// Writes the per-event QF row ([Q-ATH, Q-FTH] + Q-LOC locality bits)
   /// into `*qf`, reusing its capacity. Depends on thread occupancy, so

@@ -11,7 +11,8 @@ namespace {
 /// Mean of the edge embeddings incident (incoming) to `op`, or zeros.
 Var InEdgeEmbedding(const EncodedQuery& eq, const QueryFeatures& q, int op,
                     int dim, Tape* tape) {
-  const std::vector<int>& edges = q.in_edges[static_cast<size_t>(op)];
+  const std::vector<int>& edges =
+      q.structure->in_edges[static_cast<size_t>(op)];
   if (edges.empty()) return tape->Constant(Matrix(1, dim, 0.0));
   Var sum;
   for (size_t k = 0; k < edges.size(); ++k) {
@@ -37,7 +38,8 @@ PredictorOutput RunPredictor(LSchedModel* model, const StateFeatures& state,
   root_scores.reserve(state.candidates.size());
 
   for (const Candidate& cand : state.candidates) {
-    const QueryFeatures& q = state.queries[static_cast<size_t>(cand.query_index)];
+    const QueryFeatures& q =
+        *state.queries[static_cast<size_t>(cand.query_index)];
     const EncodedQuery& eq = encoded.queries[static_cast<size_t>(cand.query_index)];
     Var ne = tape->SliceRow(eq.node_emb, cand.op);
     Var ee = InEdgeEmbedding(eq, q, cand.op, d, tape);
@@ -63,7 +65,8 @@ PredictorOutput RunPredictor(LSchedModel* model, const StateFeatures& state,
     out.degree_logprobs.push_back(tape->LogSoftmaxRow(deg_logits));
 
     // Parallelism-degree head: AQE + PQE + QF (Fig. 7 right).
-    Var qf = tape->Constant(Matrix::FromRow(q.qf));
+    Var qf = tape->Constant(
+        Matrix::FromRow(state.qf[static_cast<size_t>(cand.query_index)]));
     Var par_in = tape->ConcatCols({encoded.aqe, eq.pqe, qf});
     Var par_logits = model->par_head.Forward(tape, par_in);
     LSCHED_DCHECK(par_logits.cols() == num_par);
@@ -160,7 +163,8 @@ void RunPredictorServing(const LSchedModel& model, const ServingStateView& view,
                          static_cast<size_t>(cand.op) * static_cast<size_t>(d);
 
       // Mean in-edge embedding — same ordered sum + scale as the tape path.
-      const std::vector<int>& edges = q.in_edges[static_cast<size_t>(cand.op)];
+      const std::vector<int>& edges =
+          q.structure->in_edges[static_cast<size_t>(cand.op)];
       if (edges.empty()) {
         for (int j = 0; j < d; ++j) ee->data()[j] = 0.0;
       } else {

@@ -51,7 +51,7 @@ Var ActionEntropy(Tape* tape, const PredictorOutput& output,
 struct ServingStateView {
   int total_threads = 0;
   int free_threads = 0;
-  std::vector<const QueryFeatures*> queries;  ///< structural (qf unused)
+  std::vector<const QueryFeatures*> queries;
   std::vector<const std::vector<double>*> qf; ///< fresh per-event QF rows
   std::vector<const ServingEncodedQuery*> encoded;
   std::vector<Candidate> candidates;

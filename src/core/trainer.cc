@@ -22,13 +22,6 @@ double Variance(const std::vector<double>& v) {
   return sum / static_cast<double>(v.size() - 1);
 }
 
-/// The encoder reads the structural features only (not the QF row).
-bool SameStructure(const QueryFeatures& a, const QueryFeatures& b) {
-  return a.num_nodes == b.num_nodes && a.opf == b.opf && a.edf == b.edf &&
-         a.child_node == b.child_node && a.child_edge == b.child_edge &&
-         a.topo_order == b.topo_order;
-}
-
 }  // namespace
 
 PredictorOutput DecisionReplay::Forward(const Experience& exp) {
@@ -39,16 +32,16 @@ PredictorOutput DecisionReplay::Forward(const Experience& exp) {
   std::vector<EncodedQuery> queries;
   queries.reserve(state.queries.size());
   for (size_t qi = 0; qi < state.queries.size(); ++qi) {
-    const QueryFeatures& q = state.queries[qi];
+    const QueryFeatures* q = state.queries[qi].get();
     const uint64_t version = exp.versions[qi];
     auto [it, inserted] =
-        memo_.try_emplace({q.qid, version}, Memo{&q, EncodedQuery{}});
+        memo_.try_emplace({q->qid, version}, Memo{q, EncodedQuery{}});
     if (inserted) {
-      it->second.enc = EncodeQuery(model_, q, tape_);
+      it->second.enc = EncodeQuery(model_, *q, tape_);
     } else {
-      LSCHED_DCHECK(SameStructure(*it->second.features, q))
-          << "query " << q.qid << " version " << version
-          << " recorded with different features";
+      LSCHED_DCHECK(it->second.features == q)
+          << "query " << q->qid << " version " << version
+          << " recorded with a second feature object";
       ++memo_hits_;
     }
     queries.push_back(it->second.enc);

@@ -55,8 +55,9 @@ constexpr int kDecisionsPerTape = 4;
 /// Replays recorded decisions' forward passes on one tape, encoding each
 /// distinct query state once: EncodedQuerys are memoized under the
 /// (query id, context version) key of Experience::versions, the key the
-/// serving EncodingCache uses. The replayed Experiences must outlive this
-/// object.
+/// serving EncodingCache uses. Every Experience recorded at one version
+/// holds the same QueryFeatures object, so a memo hit is checked by
+/// identity. The replayed Experiences must outlive this object.
 class DecisionReplay {
  public:
   DecisionReplay(LSchedModel* model, Tape* tape)
@@ -71,7 +72,7 @@ class DecisionReplay {
 
  private:
   struct Memo {
-    const QueryFeatures* features;  ///< of the first encoding, for checks
+    const QueryFeatures* features;  ///< the encoded object, for checks
     EncodedQuery enc;
   };
 

@@ -1,6 +1,7 @@
 #include "exec/query_state.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "exec/kernels.h"
@@ -80,8 +81,15 @@ bool QueryState::TransitionTo(QueryStatus to) {
   return legal;
 }
 
+namespace {
+std::atomic<uint64_t> next_serial{1};
+}  // namespace
+
 QueryState::QueryState(QueryId id, QueryPlan plan, double arrival_time)
-    : id_(id), plan_(std::move(plan)), arrival_time_(arrival_time) {
+    : id_(id),
+      serial_(next_serial.fetch_add(1, std::memory_order_relaxed)),
+      plan_(std::move(plan)),
+      arrival_time_(arrival_time) {
   ops_.reserve(plan_.num_nodes());
   for (size_t i = 0; i < plan_.num_nodes(); ++i) {
     OpRuntime rt;

@@ -1,6 +1,7 @@
 #ifndef LSCHED_EXEC_QUERY_STATE_H_
 #define LSCHED_EXEC_QUERY_STATE_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -19,6 +20,11 @@ class QueryState {
   QueryState(QueryId id, QueryPlan plan, double arrival_time);
 
   QueryId id() const { return id_; }
+  /// Process-unique number of this query (a copy shares it). Query ids
+  /// restart with every episode; the serial tells a cache that state
+  /// derived from the plan belongs to this query and not to an earlier one
+  /// with the same id.
+  uint64_t serial() const { return serial_; }
   const QueryPlan& plan() const { return plan_; }
   double arrival_time() const { return arrival_time_; }
 
@@ -126,6 +132,7 @@ class QueryState {
   };
 
   QueryId id_;
+  uint64_t serial_;
   QueryPlan plan_;
   double arrival_time_;
   QueryTag tag_;

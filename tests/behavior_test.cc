@@ -112,15 +112,14 @@ TEST(FeatureBehavior, DynamicFeaturesChangeAfterProgress) {
   const QueryFeatures after = fx.ExtractQueryStructural(q);
   // O-WO ratio (index right after the static prefix) must drop.
   const FeatureConfig cfg;
-  const size_t owo = static_cast<size_t>(kNumOperatorTypes +
-                                         cfg.num_relations + cfg.num_columns +
-                                         cfg.blocks_downsample);
-  EXPECT_LT(after.opf[0][owo], before.opf[0][owo]);
+  const int owo = kNumOperatorTypes + cfg.num_relations + cfg.num_columns +
+                  cfg.blocks_downsample;
+  EXPECT_LT(after.opf.at(0, owo), before.opf.at(0, owo));
   // Scheduled flag flipped on.
-  EXPECT_EQ(after.opf[0][static_cast<size_t>(cfg.opf_dim()) - 2], 1.0);
+  EXPECT_EQ(after.opf.at(0, cfg.opf_dim() - 2), 1.0);
   // Static one-hots unchanged.
-  for (size_t i = 0; i < owo; ++i) {
-    EXPECT_EQ(after.opf[0][i], before.opf[0][i]) << i;
+  for (int i = 0; i < owo; ++i) {
+    EXPECT_EQ(after.opf.at(0, i), before.opf.at(0, i)) << i;
   }
 }
 

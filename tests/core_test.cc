@@ -70,15 +70,13 @@ TEST(FeaturesTest, ExtractProducesConsistentShapes) {
   ASSERT_EQ(f.queries.size(), 2u);
   EXPECT_EQ(f.total_threads, 8);
   EXPECT_EQ(f.free_threads, 7);
-  for (const QueryFeatures& q : f.queries) {
-    EXPECT_EQ(q.opf.size(), static_cast<size_t>(q.num_nodes));
-    for (const auto& row : q.opf) {
-      EXPECT_EQ(row.size(), static_cast<size_t>(cfg.opf_dim()));
-    }
-    for (const auto& row : q.edf) {
-      EXPECT_EQ(row.size(), static_cast<size_t>(cfg.edf_dim()));
-    }
-    EXPECT_EQ(q.qf.size(), static_cast<size_t>(cfg.qf_dim()));
+  ASSERT_EQ(f.qf.size(), f.queries.size());
+  for (size_t qi = 0; qi < f.queries.size(); ++qi) {
+    const QueryFeatures& q = *f.queries[qi];
+    EXPECT_EQ(q.opf.rows(), q.num_nodes);
+    EXPECT_EQ(q.opf.cols(), cfg.opf_dim());
+    EXPECT_EQ(q.structure->edf.cols(), cfg.edf_dim());
+    EXPECT_EQ(f.qf[qi].size(), static_cast<size_t>(cfg.qf_dim()));
   }
   // Both queries have 2 schedulable sources each.
   EXPECT_EQ(f.candidates.size(), 4u);
@@ -90,10 +88,10 @@ TEST(FeaturesTest, OperatorTypeOneHot) {
   const QueryFeatures q = extractor.ExtractQueryStructural(*fx.q1);
   // Node 0 is a Select.
   const int select_idx = static_cast<int>(OperatorType::kSelect);
-  EXPECT_DOUBLE_EQ(q.opf[0][static_cast<size_t>(select_idx)], 1.0);
+  EXPECT_DOUBLE_EQ(q.opf.at(0, select_idx), 1.0);
   double onehot_sum = 0.0;
   for (int t = 0; t < kNumOperatorTypes; ++t) {
-    onehot_sum += q.opf[0][static_cast<size_t>(t)];
+    onehot_sum += q.opf.at(0, t);
   }
   EXPECT_DOUBLE_EQ(onehot_sum, 1.0);
 }
@@ -114,7 +112,7 @@ TEST(FeaturesTest, EdfEncodesPipelineBreaking) {
   const QueryFeatures q = extractor.ExtractQueryStructural(*fx.q1);
   const QueryPlan& plan = fx.q1->plan();
   for (size_t e = 0; e < plan.num_edges(); ++e) {
-    EXPECT_DOUBLE_EQ(q.edf[e][0],
+    EXPECT_DOUBLE_EQ(q.structure->edf.at(static_cast<int>(e), 0),
                      plan.edge(static_cast<int>(e)).pipeline_breaking ? 0.0
                                                                       : 1.0);
   }
@@ -137,7 +135,7 @@ TEST(EncoderTest, ShapesAndDeterminism) {
   Tape t1;
   const EncodedState e1 = EncodeState(&model, f, &t1);
   ASSERT_EQ(e1.queries.size(), 2u);
-  EXPECT_EQ(e1.queries[0].node_emb.rows(), f.queries[0].num_nodes);
+  EXPECT_EQ(e1.queries[0].node_emb.rows(), f.queries[0]->num_nodes);
   EXPECT_EQ(e1.queries[0].pqe.cols(), 8);
   EXPECT_EQ(e1.aqe.cols(), 8);
   Tape t2;

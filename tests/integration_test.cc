@@ -239,7 +239,7 @@ int ChunkRepeats(const std::vector<Experience>& experiences) {
     for (size_t d = begin; d < end; ++d) {
       const Experience& exp = experiences[d];
       for (size_t qi = 0; qi < exp.versions.size(); ++qi) {
-        repeats += seen.insert({exp.state.queries[qi].qid, exp.versions[qi]})
+        repeats += seen.insert({exp.state.queries[qi]->qid, exp.versions[qi]})
                            .second
                        ? 0
                        : 1;

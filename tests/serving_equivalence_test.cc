@@ -138,7 +138,7 @@ class LSchedForwardProbe : public Scheduler {
           *q, ctx.query_version(q->id()), model_, extractor_, &arena_);
       // Claim 2: the cache entry equals a from-scratch re-encode.
       const ServingEncodedQuery fresh =
-          EncodeQueryServing(model_, entry.features, &reencode_arena_);
+          EncodeQueryServing(model_, *entry.features, &reencode_arena_);
       if (!MatricesBitEqual(fresh.node_emb, entry.enc.node_emb) ||
           !MatricesBitEqual(fresh.edge_emb, entry.enc.edge_emb) ||
           !MatricesBitEqual(fresh.pqe, entry.enc.pqe)) {
@@ -155,7 +155,7 @@ class LSchedForwardProbe : public Scheduler {
           ++tape_encoding_mismatches_;
         }
       }
-      view.queries.push_back(&entry.features);
+      view.queries.push_back(entry.features.get());
       view.encoded.push_back(&entry.enc);
       head_in.push_back(&entry.head_in);
       extractor_.ExtractQf(*q, ctx, &qf_rows[qi]);
@@ -258,13 +258,17 @@ bool StatesBitEqual(const StateFeatures& a, const StateFeatures& b) {
     return false;
   }
   for (size_t i = 0; i < a.queries.size(); ++i) {
-    const QueryFeatures& x = a.queries[i];
-    const QueryFeatures& y = b.queries[i];
+    const QueryFeatures& x = *a.queries[i];
+    const QueryFeatures& y = *b.queries[i];
+    const QueryStructure& xs = *x.structure;
+    const QueryStructure& ys = *y.structure;
     if (x.qid != y.qid || x.num_nodes != y.num_nodes ||
-        !RowsBitEqual(x.opf, y.opf) || !RowsBitEqual(x.edf, y.edf) ||
-        x.child_node != y.child_node || x.child_edge != y.child_edge ||
-        x.in_edges != y.in_edges || x.out_edges != y.out_edges ||
-        x.topo_order != y.topo_order || !BitsEqual(x.qf, y.qf)) {
+        !MatricesBytesEqual(x.opf, y.opf) ||
+        !MatricesBytesEqual(xs.edf, ys.edf) ||
+        xs.child_node != ys.child_node || xs.child_edge != ys.child_edge ||
+        xs.in_edges != ys.in_edges || xs.out_edges != ys.out_edges ||
+        xs.topo_order != ys.topo_order || a.qf.size() != b.qf.size() ||
+        !BitsEqual(a.qf[i], b.qf[i])) {
       return false;
     }
   }
