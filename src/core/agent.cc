@@ -39,46 +39,18 @@ int LSchedAgent::SampleFromLogProbs(const double* logprobs, int n) {
   return idx >= probs.size() ? 0 : static_cast<int>(idx);
 }
 
-namespace {
-int ArgmaxSpan(const double* v, int n) {
-  int best = 0;
-  for (int c = 1; c < n; ++c) {
-    if (v[c] > v[best]) best = c;
-  }
-  return best;
-}
-}  // namespace
-
 SchedulingAction LSchedAgent::SelectAction(const ServingPredictorOutput& out) {
-  const int max_deg = out.degree_logprobs.cols();
-  const int num_par = out.par_logprobs.cols();
+  auto choose = [&](const Matrix& logprobs, int row) {
+    const double* lp = Row(logprobs, row);
+    return sample_actions_ ? SampleFromLogProbs(lp, logprobs.cols())
+                           : ArgmaxSpan(lp, logprobs.cols());
+  };
   SchedulingAction action;
-  if (sample_actions_) {
-    action.candidate_index =
-        SampleFromLogProbs(out.root_logprobs.data(), out.root_logprobs.cols());
-    action.degree_index = SampleFromLogProbs(
-        out.degree_logprobs.data() +
-            static_cast<size_t>(action.candidate_index) *
-                static_cast<size_t>(max_deg),
-        max_deg);
-    action.parallelism_index = SampleFromLogProbs(
-        out.par_logprobs.data() + static_cast<size_t>(action.candidate_index) *
-                                      static_cast<size_t>(num_par),
-        num_par);
-  } else {
-    action.candidate_index =
-        ArgmaxSpan(out.root_logprobs.data(), out.root_logprobs.cols());
-    action.degree_index =
-        ArgmaxSpan(out.degree_logprobs.data() +
-                       static_cast<size_t>(action.candidate_index) *
-                           static_cast<size_t>(max_deg),
-                   max_deg);
-    action.parallelism_index =
-        ArgmaxSpan(out.par_logprobs.data() +
-                       static_cast<size_t>(action.candidate_index) *
-                           static_cast<size_t>(num_par),
-                   num_par);
-  }
+  action.candidate_index = choose(out.root_logprobs, 0);
+  const int c = action.candidate_index;
+  action.degree_index = choose(out.degree_logprobs, c);
+  action.parallelism_index =
+      choose(out.par_logprobs, out.par_row[static_cast<size_t>(c)]);
   return action;
 }
 
@@ -95,7 +67,6 @@ SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
   ServingStateView view;
   view.total_threads = ctx.total_threads();
   view.free_threads = ctx.num_free_threads();
-  view.queries.reserve(queries.size());
   view.encoded.reserve(queries.size());
   view.qf.reserve(queries.size());
   // Member scratch: the outer vectors and each QF row keep their capacity
@@ -111,19 +82,16 @@ SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
     EncodingCache::Entry& entry = cache_.GetStructural(
         *q, ctx.query_version(q->id()), *model_, extractor_);
     entries[qi] = &entry;
-    view.queries.push_back(entry.features.get());
     extractor_.ExtractQf(*q, ctx, &qf_rows[qi]);
     view.qf.push_back(&qf_rows[qi]);
-    int head_row = 0;
+    // The query's candidates are the rows of the entry's head_in (filled
+    // by EnsureEncoded below), in order.
     for (const auto& [op, degree] : entry.candidates) {
       Candidate c;
       c.query_index = static_cast<int>(qi);
       c.op = op;
       c.max_degree = degree;
       view.candidates.push_back(c);
-      // Candidate c's pre-assembled head input is row `head_row` of the
-      // entry's head_in matrix (filled by EnsureEncoded below).
-      view.head_row.push_back(head_row++);
     }
   }
   if (view.candidates.empty()) {
@@ -158,7 +126,7 @@ SchedulingDecision LSchedAgent::Schedule(const SchedulingEvent& event,
   const Candidate& cand =
       view.candidates[static_cast<size_t>(action.candidate_index)];
   const QueryFeatures& q =
-      *view.queries[static_cast<size_t>(cand.query_index)];
+      *entries[static_cast<size_t>(cand.query_index)]->features;
 
   PipelineChoice pipeline;
   pipeline.query = q.qid;

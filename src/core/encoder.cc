@@ -295,18 +295,6 @@ EncodedQuery EncodeQuery(LSchedModel* model, const QueryFeatures& q,
 
 namespace {
 
-/// acc[0..d) += b[0..d) — mirrors Tape::Add on (1 x d) rows.
-inline void AddRowInPlace(double* acc, const double* b, int d) {
-  for (int j = 0; j < d; ++j) acc[j] += b[j];
-}
-
-double* Row(Matrix* m, int r) {
-  return m->data() + static_cast<size_t>(r) * static_cast<size_t>(m->cols());
-}
-const double* Row(const Matrix& m, int r) {
-  return m.data() + static_cast<size_t>(r) * static_cast<size_t>(m.cols());
-}
-
 /// The indices of the set flags, ascending.
 void Flagged(const std::vector<char>& flags, std::vector<int>* rows) {
   rows->clear();
@@ -590,61 +578,56 @@ EncodingCache::Entry& EncodingCache::GetStructural(
   return e;
 }
 
-Matrix EdfAggregate(const QueryFeatures& q, int op, int edf_dim) {
-  const QueryStructure& s = *q.structure;
-  Matrix agg(1, edf_dim, 0.0);
-  int count = 0;
-  auto add = [&](int e) {
-    for (int c = 0; c < edf_dim; ++c) agg.at(0, c) += s.edf.at(e, c);
-    ++count;
-  };
-  for (int e : s.in_edges[static_cast<size_t>(op)]) add(e);
-  for (int e : s.out_edges[static_cast<size_t>(op)]) add(e);
-  if (count > 0) {
-    for (int c = 0; c < edf_dim; ++c) {
-      agg.at(0, c) /= static_cast<double>(count);
-    }
-  }
-  return agg;
-}
-
 void AssembleHeadRows(const LSchedModel& model, const QueryFeatures& q,
-                      const ServingEncodedQuery& enc,
+                      const Matrix& node_emb, const Matrix& edge_emb,
+                      const Matrix& pqe,
                       const std::vector<std::pair<int, int>>& candidates,
                       Matrix* head_in) {
   const LSchedConfig& cfg = model.config();
   const int d = cfg.hidden_dim;
   const int sd = cfg.summary_dim;
   const int edf_dim = cfg.features.edf_dim();
-  const int width = 2 * d + sd + edf_dim;
+  const QueryStructure& s = *q.structure;
   const int nc = static_cast<int>(candidates.size());
-  head_in->Resize(nc, width);
+  head_in->Resize(nc, 2 * d + sd + edf_dim);
   for (int c = 0; c < nc; ++c) {
     const int op = candidates[static_cast<size_t>(c)].first;
     double* row = Row(head_in, c);
-    std::copy(Row(enc.node_emb, op), Row(enc.node_emb, op) + d, row);
-    // Mean in-edge embedding — same ordered sum + scale as the tape path.
+    std::copy(Row(node_emb, op), Row(node_emb, op) + d, row);
+    // Mean in-edge embedding: ordered sum, then one scale.
     double* ee = row + d;
-    const std::vector<int>& edges =
-        q.structure->in_edges[static_cast<size_t>(op)];
-    if (edges.empty()) {
-      std::fill(ee, ee + d, 0.0);
-    } else {
-      for (size_t k = 0; k < edges.size(); ++k) {
-        const double* erow = Row(enc.edge_emb, edges[k]);
-        if (k == 0) {
-          std::copy(erow, erow + d, ee);
-        } else {
-          AddRowInPlace(ee, erow, d);
-        }
+    const std::vector<int>& in = s.in_edges[static_cast<size_t>(op)];
+    for (size_t k = 0; k < in.size(); ++k) {
+      const double* erow = Row(edge_emb, in[k]);
+      if (k == 0) {
+        std::copy(erow, erow + d, ee);
+      } else {
+        AddRowInPlace(ee, erow, d);
       }
-      const double inv = 1.0 / static_cast<double>(edges.size());
+    }
+    if (!in.empty()) {
+      const double inv = 1.0 / static_cast<double>(in.size());
       for (int j = 0; j < d; ++j) ee[j] *= inv;
     }
-    std::copy(enc.pqe.data(), enc.pqe.data() + sd, row + 2 * d);
-    const Matrix edf_agg = EdfAggregate(q, op, edf_dim);
-    std::copy(edf_agg.data(), edf_agg.data() + edf_dim, row + 2 * d + sd);
+    std::copy(pqe.data(), pqe.data() + sd, row + 2 * d);
+    // EDF aggregate: mean raw EDF over the in- then the out-edges.
+    double* agg = row + 2 * d + sd;
+    const std::vector<int>& out = s.out_edges[static_cast<size_t>(op)];
+    for (int e : in) AddRowInPlace(agg, Row(s.edf, e), edf_dim);
+    for (int e : out) AddRowInPlace(agg, Row(s.edf, e), edf_dim);
+    const size_t count = in.size() + out.size();
+    if (count > 0) {
+      for (int j = 0; j < edf_dim; ++j) agg[j] /= static_cast<double>(count);
+    }
   }
+}
+
+void AssembleHeadRows(const LSchedModel& model, const QueryFeatures& q,
+                      const ServingEncodedQuery& enc,
+                      const std::vector<std::pair<int, int>>& candidates,
+                      Matrix* head_in) {
+  AssembleHeadRows(model, q, enc.node_emb, enc.edge_emb, enc.pqe, candidates,
+                   head_in);
 }
 
 void EncodingCache::EnsureEncoded(Entry* entry, const LSchedModel& model,

@@ -72,11 +72,6 @@ struct ServingEncodedQuery {
   Matrix edge_sum;
 };
 
-/// Mean raw EDF over all edges touching `op` (input of the pipeline-degree
-/// head, Fig. 7 middle). Purely structural — shared by the tape predictor,
-/// the serving fallback path, and the cached head-input rows below.
-Matrix EdfAggregate(const QueryFeatures& q, int op, int edf_dim);
-
 /// Tape-free forward of the Single Query Encoder. Bit-identical to
 /// EncodeQuery's values by construction: the combine step of every
 /// tree-convolution layer is the same routine, and the projections, mixes
@@ -103,11 +98,20 @@ void ReencodeQueryServing(const LSchedModel& model, const QueryFeatures& q,
                           const std::vector<char>* dirty, ScratchArena* arena,
                           ServingEncodedQuery* enc);
 
-/// Decision-head input rows, one per candidate (same order as
-/// `candidates`): [NE | mean-in-EE | PQE | EDF-aggregate], width
-/// 2*hidden_dim + summary_dim + edf_dim. Same ordered arithmetic (copy,
-/// +=, scale) as the predictor's per-event fallback assembly, so the rows
-/// are bit-identical to recomputing them at each event.
+/// Decision-head input rows of one query, one per candidate (same order
+/// as `candidates`): [NE | mean-in-EE | PQE | EDF-aggregate], width
+/// 2*hidden_dim + summary_dim + edf_dim. NE is the candidate's node
+/// embedding, mean-in-EE the mean embedding of its incoming edges (zeros
+/// without one) and the EDF aggregate the mean raw EDF over all its
+/// incoming and outgoing edges. The one routine that builds head inputs:
+/// the serving cache keeps its rows (EncodingCache::Entry::head_in), and
+/// the tape predictor wraps it in one node per query.
+void AssembleHeadRows(const LSchedModel& model, const QueryFeatures& q,
+                      const Matrix& node_emb, const Matrix& edge_emb,
+                      const Matrix& pqe,
+                      const std::vector<std::pair<int, int>>& candidates,
+                      Matrix* head_in);
+/// AssembleHeadRows over a serving encoding.
 void AssembleHeadRows(const LSchedModel& model, const QueryFeatures& q,
                       const ServingEncodedQuery& enc,
                       const std::vector<std::pair<int, int>>& candidates,
@@ -134,11 +138,10 @@ class EncodingCache {
     /// forward).
     bool encoded = false;
     ServingEncodedQuery enc;
-    /// Pre-assembled decision-head input rows (AssembleHeadRows), so
-    /// consecutive serving events that hit this entry skip the
-    /// per-candidate gather/aggregate work entirely — the per-event cost
-    /// shrinks to QF assembly, row copies, and the head GEMMs. Valid iff
-    /// `encoded`.
+    /// Decision-head input rows of `candidates` (AssembleHeadRows), so
+    /// consecutive serving events that hit this entry only copy them — the
+    /// per-event cost shrinks to QF assembly, row copies, and the head
+    /// GEMMs. Valid iff `encoded`.
     Matrix head_in;
     /// OPF rows changed since `enc` was last brought up to date, and
     /// whether `enc` holds nothing reusable (first encode, or the weights

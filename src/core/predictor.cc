@@ -8,18 +8,78 @@ namespace lsched {
 
 namespace {
 
-/// Mean of the edge embeddings incident (incoming) to `op`, or zeros.
-Var InEdgeEmbedding(const EncodedQuery& eq, const QueryFeatures& q, int op,
-                    int dim, Tape* tape) {
-  const std::vector<int>& edges =
-      q.structure->in_edges[static_cast<size_t>(op)];
-  if (edges.empty()) return tape->Constant(Matrix(1, dim, 0.0));
-  Var sum;
-  for (size_t k = 0; k < edges.size(); ++k) {
-    const Var e = tape->SliceRow(eq.edge_emb, edges[k]);
-    sum = k == 0 ? e : tape->Add(sum, e);
+/// The query of a candidate: the parallelism head's rows group candidates
+/// by it (GroupRows).
+int QueryOf(const Candidate& c) { return c.query_index; }
+
+/// Row of the parallelism head's input: [AQE | PQE | QF].
+void ParallelismInputRow(const Matrix& aqe, const Matrix& pqe,
+                         const std::vector<double>& qf, double* row) {
+  std::copy(aqe.data(), aqe.data() + aqe.cols(), row);
+  std::copy(pqe.data(), pqe.data() + pqe.cols(), row + aqe.cols());
+  std::copy(qf.begin(), qf.end(), row + aqe.cols() + pqe.cols());
+}
+
+/// Additive mask of the degree head's logits (C x max_pipeline_degree):
+/// -1e9 on the degrees beyond each candidate's valid pipeline, and on all
+/// but degree 1 in the "w/o pipelining prediction" ablation.
+void DegreeMask(const LSchedConfig& cfg,
+                const std::vector<Candidate>& candidates, Matrix* mask) {
+  const int max_deg = cfg.max_pipeline_degree;
+  mask->Resize(static_cast<int>(candidates.size()), max_deg);
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const int valid = cfg.predict_pipeline
+                          ? std::min(candidates[c].max_degree, max_deg)
+                          : 1;
+    double* row = Row(mask, static_cast<int>(c));
+    for (int k = valid; k < max_deg; ++k) row[k] = -1e9;
   }
-  return tape->Scale(sum, 1.0 / static_cast<double>(edges.size()));
+}
+
+/// Additive (1 x #buckets) mask of the parallelism head's logits when it
+/// does not predict: only the full-pool bucket (the last fraction, 1.0)
+/// stays.
+Matrix FullPoolMask(const LSchedConfig& cfg) {
+  const int num_par = static_cast<int>(cfg.parallelism_fractions.size());
+  Matrix mask(1, num_par, -1e9);
+  mask.at(0, num_par - 1) = 0.0;
+  return mask;
+}
+
+/// One query's head rows (AssembleHeadRows) as a tape node. The backward
+/// scatters each row's parts back: NE into its node's row, the mean-in-EE
+/// part, scaled, into each incoming edge's row, and PQE into the PQE.
+Var HeadRows(const LSchedModel& model, const QueryFeatures& q,
+             const EncodedQuery& eq,
+             std::vector<std::pair<int, int>> candidates, Tape* tape) {
+  Matrix rows;
+  AssembleHeadRows(model, q, eq.node_emb.value(), eq.edge_emb.value(),
+                   eq.pqe.value(), candidates, &rows);
+  const int d = model.config().hidden_dim;
+  const int sd = model.config().summary_dim;
+  const QueryStructure* s = q.structure.get();
+  return tape->Custom(
+      std::move(rows),
+      [s, eq, candidates = std::move(candidates), d, sd](Tape* t, Var self) {
+        const Matrix& g = t->grad(self.id());
+        Matrix& g_node = t->mutable_grad(eq.node_emb);
+        Matrix& g_pqe = t->mutable_grad(eq.pqe);
+        for (size_t c = 0; c < candidates.size(); ++c) {
+          const double* gr = Row(g, static_cast<int>(c));
+          const int op = candidates[c].first;
+          AddRowInPlace(Row(&g_node, op), gr, d);
+          const std::vector<int>& in = s->in_edges[static_cast<size_t>(op)];
+          if (!in.empty()) {
+            Matrix& g_edge = t->mutable_grad(eq.edge_emb);
+            const double inv = 1.0 / static_cast<double>(in.size());
+            for (int e : in) {
+              double* ge = Row(&g_edge, e);
+              for (int j = 0; j < d; ++j) ge[j] += gr[d + j] * inv;
+            }
+          }
+          AddRowInPlace(g_pqe.data(), gr + 2 * d, sd);
+        }
+      });
 }
 
 }  // namespace
@@ -28,58 +88,63 @@ PredictorOutput RunPredictor(LSchedModel* model, const StateFeatures& state,
                              const EncodedState& encoded, Tape* tape) {
   LSCHED_CHECK(!state.candidates.empty());
   const LSchedConfig& cfg = model->config();
-  const int d = cfg.hidden_dim;
-  const int edf_dim = cfg.features.edf_dim();
-  const int max_deg = cfg.max_pipeline_degree;
-  const int num_par = static_cast<int>(cfg.parallelism_fractions.size());
+  const int sd = cfg.summary_dim;
+  const std::vector<Candidate>& cands = state.candidates;
 
   PredictorOutput out;
-  std::vector<Var> root_scores;
-  root_scores.reserve(state.candidates.size());
+  const int num_rows = GroupRows(cands, QueryOf, &out.par_row);
 
-  for (const Candidate& cand : state.candidates) {
-    const QueryFeatures& q =
-        *state.queries[static_cast<size_t>(cand.query_index)];
-    const EncodedQuery& eq = encoded.queries[static_cast<size_t>(cand.query_index)];
-    Var ne = tape->SliceRow(eq.node_emb, cand.op);
-    Var ee = InEdgeEmbedding(eq, q, cand.op, d, tape);
-
-    // Execution-roots head: score(NE, EE, PQE) (Fig. 7 left).
-    Var root_in = tape->ConcatCols({ne, ee, eq.pqe});
-    root_scores.push_back(model->root_head.Forward(tape, root_in));
-
-    // Pipeline-degree head: same input + aggregated EDF of the root's
-    // edges (Fig. 7 middle). Invalid degrees (beyond the currently-valid
-    // chain) are masked out; the "w/o pipelining prediction" ablation masks
-    // everything but degree 1.
-    Var edf_agg = tape->Constant(EdfAggregate(q, cand.op, edf_dim));
-    Var deg_in = tape->ConcatCols({ne, ee, eq.pqe, edf_agg});
-    Var deg_logits = model->degree_head.Forward(tape, deg_in);
-    Matrix mask(1, max_deg, 0.0);
-    const int valid =
-        cfg.predict_pipeline ? std::min(cand.max_degree, max_deg) : 1;
-    for (int k = 0; k < max_deg; ++k) {
-      if (k >= valid) mask.at(0, k) = -1e9;
-    }
-    deg_logits = tape->Add(deg_logits, tape->Constant(std::move(mask)));
-    out.degree_logprobs.push_back(tape->LogSoftmaxRow(deg_logits));
-
-    // Parallelism-degree head: AQE + PQE + QF (Fig. 7 right).
-    Var qf = tape->Constant(
-        Matrix::FromRow(state.qf[static_cast<size_t>(cand.query_index)]));
-    Var par_in = tape->ConcatCols({encoded.aqe, eq.pqe, qf});
-    Var par_logits = model->par_head.Forward(tape, par_in);
-    LSCHED_DCHECK(par_logits.cols() == num_par);
-    if (!cfg.predict_parallelism) {
-      // Force the full-pool bucket (the last fraction, 1.0).
-      Matrix pmask(1, num_par, -1e9);
-      pmask.at(0, num_par - 1) = 0.0;
-      par_logits = tape->Add(par_logits, tape->Constant(std::move(pmask)));
-    }
-    out.par_logprobs.push_back(tape->LogSoftmaxRow(par_logits));
+  // One head-row node per query with candidates, made at its last
+  // candidate, and its parallelism-head input row.
+  std::vector<Var> head_parts;
+  std::vector<Var> pqes;
+  Matrix par_in(num_rows, 2 * sd + cfg.features.qf_dim());
+  std::vector<std::pair<int, int>> query_cands;
+  for (size_t c = 0; c < cands.size(); ++c) {
+    query_cands.push_back({cands[c].op, cands[c].max_degree});
+    if (c + 1 < cands.size() && out.par_row[c + 1] == out.par_row[c]) continue;
+    const size_t qi = static_cast<size_t>(cands[c].query_index);
+    const EncodedQuery& eq = encoded.queries[qi];
+    head_parts.push_back(HeadRows(*model, *state.queries[qi], eq,
+                                  std::move(query_cands), tape));
+    query_cands.clear();
+    ParallelismInputRow(encoded.aqe.value(), eq.pqe.value(), state.qf[qi],
+                        Row(&par_in, out.par_row[c]));
+    pqes.push_back(eq.pqe);
   }
+  const Var head_in = head_parts.size() == 1 ? head_parts[0]
+                                             : tape->ConcatRows(head_parts);
 
-  out.root_logprobs = tape->LogSoftmaxRow(tape->ConcatCols(root_scores));
+  // Execution-roots head: score(NE, EE, PQE) (Fig. 7 left), softmax over
+  // the candidates.
+  const Var root_in = tape->SliceCols(head_in, 0, model->root_head.in_dim());
+  out.root_logprobs = tape->LogSoftmaxRows(
+      tape->Transpose(model->root_head.Forward(tape, root_in)));
+
+  // Pipeline-degree head: the same row + the EDF aggregate (Fig. 7 middle).
+  Matrix mask;
+  DegreeMask(cfg, cands, &mask);
+  out.degree_logprobs = tape->LogSoftmaxRows(
+      tape->Add(model->degree_head.Forward(tape, head_in),
+                tape->Constant(std::move(mask))));
+
+  // Parallelism-degree head: AQE + PQE + QF (Fig. 7 right), once per query.
+  const Var aqe = encoded.aqe;
+  const Var par_rows = tape->Custom(
+      std::move(par_in), [aqe, pqes, sd](Tape* t, Var self) {
+        const Matrix& g = t->grad(self.id());
+        Matrix& g_aqe = t->mutable_grad(aqe);
+        for (size_t r = 0; r < pqes.size(); ++r) {
+          const double* gr = Row(g, static_cast<int>(r));
+          AddRowInPlace(g_aqe.data(), gr, sd);
+          AddRowInPlace(t->mutable_grad(pqes[r]).data(), gr + sd, sd);
+        }
+      });
+  Var par_logits = model->par_head.Forward(tape, par_rows);
+  if (!cfg.predict_parallelism) {
+    par_logits = tape->Add(par_logits, tape->Constant(FullPoolMask(cfg)));
+  }
+  out.par_logprobs = tape->LogSoftmaxRows(par_logits);
   return out;
 }
 
@@ -88,7 +153,7 @@ Matrix ComputeAqeServing(const LSchedModel& model, const ServingStateView& view,
   const LSchedConfig& cfg = model.config();
   const int sd = cfg.summary_dim;
   const int qf_dim = cfg.features.qf_dim();
-  const int nq = static_cast<int>(view.queries.size());
+  const int nq = static_cast<int>(view.encoded.size());
   Matrix* sum = arena->Alloc(1, sd);  // zero-filled: the empty-state constant
   if (nq > 0) {
     Matrix* cat = arena->Alloc(nq, sd + qf_dim);
@@ -120,141 +185,64 @@ void RunPredictorServing(const LSchedModel& model, const ServingStateView& view,
                          ServingPredictorOutput* out) {
   LSCHED_CHECK(!view.candidates.empty());
   const LSchedConfig& cfg = model.config();
-  const int d = cfg.hidden_dim;
   const int sd = cfg.summary_dim;
-  const int edf_dim = cfg.features.edf_dim();
-  const int qf_dim = cfg.features.qf_dim();
-  const int max_deg = cfg.max_pipeline_degree;
-  const int num_par = static_cast<int>(cfg.parallelism_fractions.size());
+  const int root_width = model.root_head.in_dim();
   const int num_cands = static_cast<int>(view.candidates.size());
+  const int num_rows = GroupRows(view.candidates, QueryOf, &out->par_row);
 
-  // Assemble one row per candidate for each head, then run each head as a
-  // single batched GEMM stack over all candidates. When the caller supplies
-  // cached head rows (the agent's fast path), the root/degree inputs are
-  // straight row copies; the per-candidate gather + EDF aggregation below
-  // only runs as the fallback.
-  const bool cached_rows =
-      view.head_in.size() == view.queries.size() &&
-      view.head_row.size() == view.candidates.size();
-  Matrix* root_in = arena->Alloc(num_cands, 2 * d + sd);
-  Matrix* deg_in = arena->Alloc(num_cands, 2 * d + sd + edf_dim);
-  Matrix* par_in = arena->Alloc(num_cands, 2 * sd + qf_dim);
-  Matrix* ee = arena->Alloc(1, d);
-  for (int c = 0; c < num_cands; ++c) {
-    const Candidate& cand = view.candidates[static_cast<size_t>(c)];
-    const QueryFeatures& q = *view.queries[static_cast<size_t>(cand.query_index)];
-    const ServingEncodedQuery& eq =
-        *view.encoded[static_cast<size_t>(cand.query_index)];
-
-    double* rrow = root_in->data() +
-                   static_cast<size_t>(c) * static_cast<size_t>(2 * d + sd);
-    double* drow =
-        deg_in->data() +
-        static_cast<size_t>(c) * static_cast<size_t>(2 * d + sd + edf_dim);
-    if (cached_rows) {
-      const Matrix& hin = *view.head_in[static_cast<size_t>(cand.query_index)];
-      const double* hrow =
-          hin.data() + static_cast<size_t>(view.head_row[static_cast<size_t>(c)]) *
-                           static_cast<size_t>(2 * d + sd + edf_dim);
-      std::copy(hrow, hrow + 2 * d + sd + edf_dim, drow);
-      std::copy(hrow, hrow + 2 * d + sd, rrow);
-    } else {
-      const double* ne = eq.node_emb.data() +
-                         static_cast<size_t>(cand.op) * static_cast<size_t>(d);
-
-      // Mean in-edge embedding — same ordered sum + scale as the tape path.
-      const std::vector<int>& edges =
-          q.structure->in_edges[static_cast<size_t>(cand.op)];
-      if (edges.empty()) {
-        for (int j = 0; j < d; ++j) ee->data()[j] = 0.0;
-      } else {
-        for (size_t k = 0; k < edges.size(); ++k) {
-          const double* erow =
-              eq.edge_emb.data() +
-              static_cast<size_t>(edges[k]) * static_cast<size_t>(d);
-          if (k == 0) {
-            std::copy(erow, erow + d, ee->data());
-          } else {
-            for (int j = 0; j < d; ++j) ee->data()[j] += erow[j];
-          }
-        }
-        const double inv = 1.0 / static_cast<double>(edges.size());
-        for (int j = 0; j < d; ++j) ee->data()[j] *= inv;
-      }
-
-      std::copy(ne, ne + d, rrow);
-      std::copy(ee->data(), ee->data() + d, rrow + d);
-      std::copy(eq.pqe.data(), eq.pqe.data() + sd, rrow + 2 * d);
-
-      std::copy(rrow, rrow + 2 * d + sd, drow);
-      const Matrix edf_agg = EdfAggregate(q, cand.op, edf_dim);
-      std::copy(edf_agg.data(), edf_agg.data() + edf_dim, drow + 2 * d + sd);
+  // Each query's candidates are consecutive and are its cached head rows,
+  // in order: copy them whole, and the root head's prefix of each.
+  Matrix* head_in = arena->Alloc(num_cands, model.degree_head.in_dim());
+  Matrix* root_in = arena->Alloc(num_cands, root_width);
+  Matrix* par_in = arena->Alloc(num_rows, 2 * sd + cfg.features.qf_dim());
+  const std::vector<int>& group = out->par_row;
+  for (int c = 0; c < num_cands;) {
+    const Candidate& first = view.candidates[static_cast<size_t>(c)];
+    const size_t qi = static_cast<size_t>(first.query_index);
+    const Matrix& rows = *view.head_in[qi];
+    const int end = c + rows.rows();
+    LSCHED_DCHECK(rows.rows() > 0 && rows.cols() == head_in->cols() &&
+                  end <= num_cands && group[end - 1] == group[c] &&
+                  (end == num_cands || group[end] != group[c]))
+        << "head rows do not match the query's candidates";
+    std::copy(rows.data(), rows.data() + rows.size(), Row(head_in, c));
+    for (int r = 0; r < rows.rows(); ++r) {
+      std::copy(Row(rows, r), Row(rows, r) + root_width, Row(root_in, c + r));
     }
-
-    double* prow = par_in->data() +
-                   static_cast<size_t>(c) * static_cast<size_t>(2 * sd + qf_dim);
-    std::copy(aqe.data(), aqe.data() + sd, prow);
-    std::copy(eq.pqe.data(), eq.pqe.data() + sd, prow + sd);
-    const std::vector<double>& qf = *view.qf[static_cast<size_t>(cand.query_index)];
-    std::copy(qf.begin(), qf.end(), prow + 2 * sd);
+    ParallelismInputRow(aqe, view.encoded[qi]->pqe, *view.qf[qi],
+                        Row(par_in, group[static_cast<size_t>(c)]));
+    c = end;
   }
 
   Matrix* root_scores = MlpForward(model.root_head, *root_in, arena);
   out->root_logprobs.Resize(1, num_cands);
-  for (int c = 0; c < num_cands; ++c) {
-    out->root_logprobs.data()[c] = root_scores->at(c, 0);
-  }
+  std::copy(root_scores->data(), root_scores->data() + num_cands,
+            out->root_logprobs.data());
   LogSoftmaxRowsInPlace(&out->root_logprobs);
 
-  Matrix* deg_logits = MlpForward(model.degree_head, *deg_in, arena);
-  out->degree_logprobs = *deg_logits;
-  for (int c = 0; c < num_cands; ++c) {
-    const Candidate& cand = view.candidates[static_cast<size_t>(c)];
-    const int valid =
-        cfg.predict_pipeline ? std::min(cand.max_degree, max_deg) : 1;
-    double* row = out->degree_logprobs.data() +
-                  static_cast<size_t>(c) * static_cast<size_t>(max_deg);
-    // Tape adds an explicit mask matrix (0 or -1e9) to every entry; mirror
-    // the additions exactly.
-    for (int k = 0; k < max_deg; ++k) row[k] += k >= valid ? -1e9 : 0.0;
-  }
+  Matrix* mask = arena->Alloc(0, 0);
+  DegreeMask(cfg, view.candidates, mask);
+  out->degree_logprobs = *MlpForward(model.degree_head, *head_in, arena);
+  out->degree_logprobs.AddInPlace(*mask);
   LogSoftmaxRowsInPlace(&out->degree_logprobs);
 
-  Matrix* par_logits = MlpForward(model.par_head, *par_in, arena);
-  out->par_logprobs = *par_logits;
+  out->par_logprobs = *MlpForward(model.par_head, *par_in, arena);
   if (!cfg.predict_parallelism) {
-    for (int c = 0; c < num_cands; ++c) {
-      double* row = out->par_logprobs.data() +
-                    static_cast<size_t>(c) * static_cast<size_t>(num_par);
-      for (int k = 0; k < num_par; ++k) {
-        row[k] += k == num_par - 1 ? 0.0 : -1e9;
-      }
-    }
+    AddRowBroadcastInPlace(&out->par_logprobs, FullPoolMask(cfg));
   }
   LogSoftmaxRowsInPlace(&out->par_logprobs);
 }
 
-double ServingActionLogProb(const ServingPredictorOutput& output,
-                            const SchedulingAction& action) {
-  return output.root_logprobs.at(0, action.candidate_index) +
-         output.degree_logprobs.at(action.candidate_index,
-                                   action.degree_index) +
-         output.par_logprobs.at(action.candidate_index,
-                                action.parallelism_index);
-}
-
 Var ActionLogProb(Tape* tape, const PredictorOutput& output,
                   const SchedulingAction& action) {
-  Var lp = tape->PickCol(output.root_logprobs, action.candidate_index);
-  lp = tape->Add(
-      lp, tape->PickCol(
-              output.degree_logprobs[static_cast<size_t>(action.candidate_index)],
-              action.degree_index));
-  lp = tape->Add(
-      lp, tape->PickCol(
-              output.par_logprobs[static_cast<size_t>(action.candidate_index)],
-              action.parallelism_index));
-  return lp;
+  const int c = action.candidate_index;
+  Var lp = tape->Pick(output.root_logprobs, 0, c);
+  lp = tape->Add(lp,
+                 tape->Pick(output.degree_logprobs, c, action.degree_index));
+  return tape->Add(
+      lp, tape->Pick(output.par_logprobs,
+                     output.par_row[static_cast<size_t>(c)],
+                     action.parallelism_index));
 }
 
 namespace {
@@ -268,16 +256,14 @@ Var CategoricalEntropy(Tape* tape, Var logprobs) {
 
 Var ActionEntropy(Tape* tape, const PredictorOutput& output,
                   const SchedulingAction& action) {
+  const int c = action.candidate_index;
   Var h = CategoricalEntropy(tape, output.root_logprobs);
-  h = tape->Add(
+  h = tape->Add(h, CategoricalEntropy(
+                       tape, tape->SliceRow(output.degree_logprobs, c)));
+  return tape->Add(
       h, CategoricalEntropy(
-             tape, output.degree_logprobs[static_cast<size_t>(
-                       action.candidate_index)]));
-  h = tape->Add(
-      h, CategoricalEntropy(
-             tape, output.par_logprobs[static_cast<size_t>(
-                       action.candidate_index)]));
-  return h;
+             tape, tape->SliceRow(output.par_logprobs,
+                                  output.par_row[static_cast<size_t>(c)])));
 }
 
 }  // namespace lsched

@@ -16,19 +16,26 @@ struct SchedulingAction {
   int parallelism_index = 0; ///< into config.parallelism_fractions
 };
 
-/// Differentiable outputs of the Scheduling Predictor for one state.
+/// Differentiable outputs of the Scheduling Predictor for one state, in
+/// ServingPredictorOutput's layout.
 struct PredictorOutput {
   /// Log-probabilities over candidates (1 x num_candidates).
   Var root_logprobs;
-  /// Per-candidate log-probabilities over pipeline degrees
-  /// (1 x max_pipeline_degree each, invalid degrees masked to -inf).
-  std::vector<Var> degree_logprobs;
-  /// Per-candidate log-probabilities over parallelism buckets.
-  std::vector<Var> par_logprobs;
+  /// Row c: candidate c's log-probabilities over pipeline degrees
+  /// (num_candidates x max_pipeline_degree, invalid degrees masked).
+  Var degree_logprobs;
+  /// Log-probabilities over parallelism buckets, one row per query with a
+  /// candidate.
+  Var par_logprobs;
+  /// Candidate c's row of par_logprobs.
+  std::vector<int> par_row;
 };
 
-/// Runs the three decision heads (Fig. 7) over the encoded state. Requires
-/// state.candidates to be non-empty.
+/// Runs the three decision heads (Fig. 7) over the encoded state: the root
+/// and degree heads over all candidates as one matrix, the parallelism head
+/// once per query with a candidate. Requires state.candidates to be
+/// non-empty and grouped by query in query order, as the extractor and the
+/// agent produce them.
 PredictorOutput RunPredictor(LSchedModel* model, const StateFeatures& state,
                              const EncodedState& encoded, Tape* tape);
 
@@ -38,56 +45,48 @@ Var ActionLogProb(Tape* tape, const PredictorOutput& output,
                   const SchedulingAction& action);
 
 /// Sum of the entropies of the three categorical heads for the chosen
-/// candidate — the exploration bonus used by the trainer.
+/// candidate (its degree row and its query's parallelism row) — the
+/// exploration bonus used by the trainer.
 Var ActionEntropy(Tape* tape, const PredictorOutput& output,
                   const SchedulingAction& action);
 
 /// --- tape-free serving path (Scheduler API v2, DESIGN.md §9) -------------
 
 /// Borrowed view of everything the serving heads need at one event: cached
-/// structural features + encodings per query, plus the fresh QF rows. All
-/// pointers are parallel (queries[i], qf[i], encoded[i] describe the same
-/// query); candidates index into them via Candidate::query_index.
+/// encodings and head rows per query, plus the fresh QF rows. All
+/// per-query vectors are parallel (qf[i], encoded[i] and head_in[i]
+/// describe the same query); candidates index into them via
+/// Candidate::query_index, come grouped by query in query order, and each
+/// query's candidates are the rows of its head_in, in order.
 struct ServingStateView {
   int total_threads = 0;
   int free_threads = 0;
-  std::vector<const QueryFeatures*> queries;
   std::vector<const std::vector<double>*> qf; ///< fresh per-event QF rows
   std::vector<const ServingEncodedQuery*> encoded;
-  std::vector<Candidate> candidates;
-  /// Optional cached head-input rows (EncodingCache::Entry::head_in): one
-  /// matrix per query, parallel to `queries`, each row a pre-assembled
-  /// [NE | EE | PQE | EDF-agg]. When populated (together with `head_row`),
-  /// RunPredictorServing copies row head_row[c] instead of re-gathering and
-  /// re-aggregating embeddings per event. Leave empty to recompute.
+  /// EncodingCache::Entry::head_in of each query.
   std::vector<const Matrix*> head_in;
-  /// Per-candidate row index into head_in[candidates[c].query_index].
-  std::vector<int> head_row;
+  std::vector<Candidate> candidates;
 };
 
-/// Plain-matrix outputs of the serving heads. Row c of degree_logprobs /
-/// par_logprobs is candidate c's distribution; root_logprobs is (1 x C).
-/// Values are bit-identical to PredictorOutput's.
+/// Plain-matrix outputs of the serving heads, laid out like
+/// PredictorOutput and bit-identical to its values.
 struct ServingPredictorOutput {
-  Matrix root_logprobs;
-  Matrix degree_logprobs;
-  Matrix par_logprobs;
+  Matrix root_logprobs;    ///< (1 x C)
+  Matrix degree_logprobs;  ///< row c: candidate c's distribution
+  Matrix par_logprobs;     ///< one row per query with a candidate
+  std::vector<int> par_row;  ///< candidate c's row of par_logprobs
 };
 
 /// AQE for the serving path (per event — QF-dependent, never cached).
 Matrix ComputeAqeServing(const LSchedModel& model, const ServingStateView& view,
                          ScratchArena* arena);
 
-/// Runs the three decision heads over all candidates as three batched GEMM
-/// stacks (one row per candidate). Requires view.candidates non-empty.
+/// Runs the three decision heads as batched GEMM stacks: root and degree
+/// over the candidates' cached head rows, parallelism over one row per
+/// query with a candidate. Requires view.candidates non-empty.
 void RunPredictorServing(const LSchedModel& model, const ServingStateView& view,
                          const Matrix& aqe, ScratchArena* arena,
                          ServingPredictorOutput* out);
-
-/// Joint log-probability of `action` under serving outputs (matches
-/// ActionLogProb's value).
-double ServingActionLogProb(const ServingPredictorOutput& output,
-                            const SchedulingAction& action);
 
 }  // namespace lsched
 

@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "nn/gemm.h"
+#include "nn/inference.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
-#include "util/math_util.h"
 
 namespace lsched {
 
@@ -154,8 +154,6 @@ Var Tape::Add(Var a, Var b) {
   });
 }
 
-Var Tape::Sub(Var a, Var b) { return Add(a, Scale(b, -1.0)); }
-
 Var Tape::Mul(Var a, Var b) {
   const Matrix& av = a.value();
   const Matrix& bv = b.value();
@@ -201,15 +199,6 @@ Var Tape::Scale(Var a, double c) {
   });
 }
 
-Var Tape::AddConst(Var a, double c) {
-  Matrix out = a.value();
-  for (double& v : out.raw()) v += c;
-  const int ia = a.id();
-  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
-    t->grad_ref(ia).AddInPlace(t->nodes_[id].grad);
-  });
-}
-
 namespace {
 /// Adds `f(i)` to every element of `target`, for the elementwise ops'
 /// backward.
@@ -243,45 +232,6 @@ Var Tape::Exp(Var a) {
     const Matrix& ov = t->nodes_[id].value;
     AddElementwise(&t->grad_ref(ia),
                    [&](size_t i) { return g.raw()[i] * ov.raw()[i]; });
-  });
-}
-
-Var Tape::LeakyRelu(Var a, double alpha) {
-  Matrix out = a.value();
-  for (double& v : out.raw()) v = v > 0.0 ? v : alpha * v;
-  const int ia = a.id();
-  return Op(std::move(out), {ia}, [ia, alpha](Tape* t, int id) {
-    const Matrix& g = t->nodes_[id].grad;
-    const Matrix& av = t->nodes_[ia].value;
-    AddElementwise(&t->grad_ref(ia), [&](size_t i) {
-      return av.raw()[i] > 0.0 ? g.raw()[i] : alpha * g.raw()[i];
-    });
-  });
-}
-
-Var Tape::Tanh(Var a) {
-  Matrix out = a.value();
-  for (double& v : out.raw()) v = std::tanh(v);
-  const int ia = a.id();
-  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
-    const Matrix& g = t->nodes_[id].grad;
-    const Matrix& ov = t->nodes_[id].value;
-    AddElementwise(&t->grad_ref(ia), [&](size_t i) {
-      return g.raw()[i] * (1.0 - ov.raw()[i] * ov.raw()[i]);
-    });
-  });
-}
-
-Var Tape::Sigmoid(Var a) {
-  Matrix out = a.value();
-  for (double& v : out.raw()) v = 1.0 / (1.0 + std::exp(-v));
-  const int ia = a.id();
-  return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
-    const Matrix& g = t->nodes_[id].grad;
-    const Matrix& ov = t->nodes_[id].value;
-    AddElementwise(&t->grad_ref(ia), [&](size_t i) {
-      return g.raw()[i] * ov.raw()[i] * (1.0 - ov.raw()[i]);
-    });
   });
 }
 
@@ -377,6 +327,30 @@ Var Tape::SliceRow(Var a, int row) {
   });
 }
 
+Var Tape::SliceCols(Var a, int begin, int count) {
+  const Matrix& av = a.value();
+  LSCHED_CHECK(begin >= 0 && count >= 0 && begin + count <= av.cols());
+  Matrix out(av.rows(), count);
+  for (int r = 0; r < av.rows(); ++r) {
+    for (int c = 0; c < count; ++c) out.at(r, c) = av.at(r, begin + c);
+  }
+  const int ia = a.id();
+  return Op(std::move(out), {ia}, [ia, begin](Tape* t, int id) {
+    const Matrix& g = t->nodes_[id].grad;
+    Matrix& pg = t->grad_ref(ia);
+    for (int r = 0; r < g.rows(); ++r) {
+      for (int c = 0; c < g.cols(); ++c) pg.at(r, begin + c) += g.at(r, c);
+    }
+  });
+}
+
+Var Tape::Transpose(Var a) {
+  const int ia = a.id();
+  return Op(a.value().Transposed(), {ia}, [ia](Tape* t, int id) {
+    t->grad_ref(ia).AddInPlace(t->nodes_[id].grad.Transposed());
+  });
+}
+
 Var Tape::SumAll(Var a) {
   double s = 0.0;
   for (double v : a.value().raw()) s += v;
@@ -405,43 +379,34 @@ Var Tape::SumRows(Var a) {
   });
 }
 
-Var Tape::MeanRows(Var a) {
-  const int n = a.value().rows();
-  return Scale(SumRows(a), 1.0 / static_cast<double>(n));
-}
-
-Var Tape::LogSoftmaxRow(Var a) {
-  const Matrix& av = a.value();
-  LSCHED_CHECK(av.rows() == 1) << "LogSoftmaxRow expects a row vector";
-  const double lse = LogSumExp(av.data(), av.size());
-  Matrix out = av;
-  for (double& v : out.raw()) v -= lse;
+Var Tape::LogSoftmaxRows(Var a) {
+  Matrix out = a.value();
+  LogSoftmaxRowsInPlace(&out);
   const int ia = a.id();
   return Op(std::move(out), {ia}, [ia](Tape* t, int id) {
     const Matrix& g = t->nodes_[id].grad;
     const Matrix& ov = t->nodes_[id].value;  // log-probs
-    double gsum = 0.0;
-    for (double v : g.raw()) gsum += v;
-    Matrix d(1, g.cols());
-    for (int c = 0; c < g.cols(); ++c) {
-      d.at(0, c) = g.at(0, c) - std::exp(ov.at(0, c)) * gsum;
+    Matrix& pg = t->grad_ref(ia);
+    for (int r = 0; r < g.rows(); ++r) {
+      double gsum = 0.0;
+      for (int c = 0; c < g.cols(); ++c) gsum += g.at(r, c);
+      for (int c = 0; c < g.cols(); ++c) {
+        pg.at(r, c) += g.at(r, c) - std::exp(ov.at(r, c)) * gsum;
+      }
     }
-    t->grad_ref(ia).AddInPlace(d);
   });
 }
 
-Var Tape::PickCol(Var a, int j) {
+Var Tape::Pick(Var a, int row, int col) {
   const Matrix& av = a.value();
-  LSCHED_CHECK(av.rows() == 1 && j >= 0 && j < av.cols());
+  LSCHED_CHECK(row >= 0 && row < av.rows() && col >= 0 && col < av.cols());
   Matrix out(1, 1);
-  out.at(0, 0) = av.at(0, j);
+  out.at(0, 0) = av.at(row, col);
   const int ia = a.id();
-  return Op(std::move(out), {ia}, [ia, j](Tape* t, int id) {
-    t->grad_ref(ia).at(0, j) += t->nodes_[id].grad.at(0, 0);
+  return Op(std::move(out), {ia}, [ia, row, col](Tape* t, int id) {
+    t->grad_ref(ia).at(row, col) += t->nodes_[id].grad.at(0, 0);
   });
 }
-
-Var Tape::DotRows(Var a, Var b) { return SumAll(Mul(a, b)); }
 
 void Tape::Sweep(Var output, double seed) {
   LSCHED_CHECK(output.tape() == this);

@@ -83,33 +83,28 @@ class Tape {
   /// --- elementwise / linear algebra --------------------------------------
   Var MatMul(Var a, Var b);
   Var Add(Var a, Var b);        ///< supports (n x d)+(1 x d), +(1 x 1)
-  Var Sub(Var a, Var b);
   Var Mul(Var a, Var b);        ///< Hadamard; same broadcasting as Add
   Var Scale(Var a, double c);
-  Var AddConst(Var a, double c);
 
   /// --- nonlinearities -----------------------------------------------------
   Var Relu(Var a);
   Var Exp(Var a);
-  Var LeakyRelu(Var a, double alpha = 0.2);
-  Var Tanh(Var a);
-  Var Sigmoid(Var a);
 
   /// --- shape ops ----------------------------------------------------------
   Var ConcatCols(const std::vector<Var>& parts);  ///< equal row counts
   Var ConcatRows(const std::vector<Var>& parts);  ///< equal col counts
   Var SliceRow(Var a, int row);                   ///< (n x d) -> (1 x d)
+  /// Columns [begin, begin + count) of every row: (n x d) -> (n x count).
+  Var SliceCols(Var a, int begin, int count);
+  Var Transpose(Var a);                           ///< (n x d) -> (d x n)
   Var SumAll(Var a);                              ///< -> (1 x 1)
-  Var MeanRows(Var a);                            ///< (n x d) -> (1 x d)
   Var SumRows(Var a);                             ///< (n x d) -> (1 x d)
 
   /// --- softmax / losses ----------------------------------------------------
-  /// Log-softmax along the single row of a (1 x n) input.
-  Var LogSoftmaxRow(Var a);
-  /// Extracts column j of a (1 x n) value as (1 x 1).
-  Var PickCol(Var a, int j);
-  /// Dot product of two (1 x d) rows -> (1 x 1).
-  Var DotRows(Var a, Var b);
+  /// Log-softmax of every row; the forward is LogSoftmaxRowsInPlace.
+  Var LogSoftmaxRows(Var a);
+  /// Element (row, col) as (1 x 1).
+  Var Pick(Var a, int row, int col);
 
   /// Reverse pass from scalar (1 x 1) node `output`, seeding its grad with
   /// `seed`. Writes tape-owned grads only; see the class comment for what

@@ -1,7 +1,5 @@
 #include "nn/inference.h"
 
-#include <cmath>
-
 #include "nn/gemm.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -21,34 +19,6 @@ void ReluInPlace(Matrix* m) {
   for (double& v : m->raw()) v = v > 0.0 ? v : 0.0;
 }
 
-void LeakyReluInPlace(Matrix* m, double alpha) {
-  for (double& v : m->raw()) v = v > 0.0 ? v : alpha * v;
-}
-
-void TanhInPlace(Matrix* m) {
-  for (double& v : m->raw()) v = std::tanh(v);
-}
-
-void ExpInPlace(Matrix* m) {
-  for (double& v : m->raw()) v = std::exp(v);
-}
-
-void ActivateInPlace(Matrix* m, Activation act) {
-  switch (act) {
-    case Activation::kRelu:
-      ReluInPlace(m);
-      return;
-    case Activation::kLeakyRelu:
-      LeakyReluInPlace(m);
-      return;
-    case Activation::kTanh:
-      TanhInPlace(m);
-      return;
-    case Activation::kNone:
-      return;
-  }
-}
-
 void LinearForwardInto(const Linear& layer, const Matrix& x, Matrix* out) {
   MatMulBlockedInto(x, layer.weight()->value, out);
   AddRowBroadcastInPlace(out, layer.bias()->value);
@@ -62,9 +32,7 @@ Matrix* MlpForward(const Mlp& mlp, const Matrix& x, ScratchArena* arena) {
   for (size_t i = 0; i < layers.size(); ++i) {
     out = arena->Alloc(h->rows(), layers[i].out_dim());
     LinearForwardInto(layers[i], *h, out);
-    if (i + 1 < layers.size()) {
-      ActivateInPlace(out, mlp.hidden_activation());
-    }
+    if (i + 1 < layers.size()) ReluInPlace(out);
     h = out;
   }
   return out;
@@ -76,6 +44,14 @@ void LogSoftmaxRowsInPlace(Matrix* m) {
     const double lse = LogSumExp(row, static_cast<size_t>(m->cols()));
     for (int c = 0; c < m->cols(); ++c) row[c] -= lse;
   }
+}
+
+int ArgmaxSpan(const double* v, int n) {
+  int best = 0;
+  for (int c = 1; c < n; ++c) {
+    if (v[c] > v[best]) best = c;
+  }
+  return best;
 }
 
 }  // namespace lsched

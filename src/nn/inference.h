@@ -6,6 +6,7 @@
 
 #include "nn/layers.h"
 #include "nn/tensor.h"
+#include "util/logging.h"
 
 namespace lsched {
 
@@ -45,12 +46,6 @@ class ScratchArena {
 void AddRowBroadcastInPlace(Matrix* m, const Matrix& row);
 
 void ReluInPlace(Matrix* m);
-void LeakyReluInPlace(Matrix* m, double alpha = 0.2);
-void TanhInPlace(Matrix* m);
-void ExpInPlace(Matrix* m);
-
-/// Applies `act` in place (mirrors Activate()).
-void ActivateInPlace(Matrix* m, Activation act);
 
 /// out = x @ W + b for a Linear layer (batched over x's rows). The product
 /// is MatMulBlockedInto, the kernel the Tape uses; per output element it
@@ -62,9 +57,32 @@ void LinearForwardInto(const Linear& layer, const Matrix& x, Matrix* out);
 /// `arena`. Returns the arena buffer holding the output.
 Matrix* MlpForward(const Mlp& mlp, const Matrix& x, ScratchArena* arena);
 
-/// Row-wise log-softmax in place (each row shifted by its own
-/// LogSumExp — identical math to Tape::LogSoftmaxRow per row).
+/// Row-wise log-softmax in place: each row shifted by its own LogSumExp.
+/// Tape::LogSoftmaxRows computes its forward with this routine.
 void LogSoftmaxRowsInPlace(Matrix* m);
+
+/// Index of the first maximum of v[0..n) (greedy action selection).
+int ArgmaxSpan(const double* v, int n);
+
+/// Numbers the groups of `items` that share a key: (*row)[i] is the index
+/// of item i's group, and the groups must be consecutive runs in ascending
+/// key order. Returns the number of groups. The learned policies run their
+/// parallelism heads once per query this way, over candidates grouped by
+/// query.
+template <typename T, typename KeyFn>
+int GroupRows(const std::vector<T>& items, KeyFn key, std::vector<int>* row) {
+  row->resize(items.size());
+  int groups = 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i == 0 || key(items[i]) != key(items[i - 1])) {
+      LSCHED_CHECK(i == 0 || key(items[i]) > key(items[i - 1]))
+          << "items are not grouped by key";
+      ++groups;
+    }
+    (*row)[i] = groups - 1;
+  }
+  return groups;
+}
 
 }  // namespace lsched
 

@@ -15,23 +15,8 @@ Var Linear::Forward(Tape* tape, Var x) const {
   return tape->Add(tape->MatMul(x, w), b);
 }
 
-Var Activate(Tape* tape, Var x, Activation act) {
-  switch (act) {
-    case Activation::kRelu:
-      return tape->Relu(x);
-    case Activation::kLeakyRelu:
-      return tape->LeakyRelu(x);
-    case Activation::kTanh:
-      return tape->Tanh(x);
-    case Activation::kNone:
-      return x;
-  }
-  return x;
-}
-
 Mlp::Mlp(ParameterStore* store, const std::string& name,
-         const std::vector<int>& dims, Rng* rng, Activation hidden_act)
-    : hidden_act_(hidden_act) {
+         const std::vector<int>& dims, Rng* rng) {
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
     layers_.emplace_back(store, name + "/l" + std::to_string(i), dims[i],
                          dims[i + 1], rng);
@@ -42,7 +27,7 @@ Var Mlp::Forward(Tape* tape, Var x) const {
   Var h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i].Forward(tape, h);
-    if (i + 1 < layers_.size()) h = Activate(tape, h, hidden_act_);
+    if (i + 1 < layers_.size()) h = tape->Relu(h);
   }
   return h;
 }

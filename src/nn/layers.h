@@ -32,17 +32,13 @@ class Linear {
   int out_ = 0;
 };
 
-/// Activation selector for MLP hidden layers.
-enum class Activation { kRelu, kLeakyRelu, kTanh, kNone };
-
-/// Multi-layer perceptron: Linear + activation stacks, final layer linear.
+/// Multi-layer perceptron: Linear + ReLU stacks, final layer linear.
 class Mlp {
  public:
   Mlp() = default;
   /// `dims` = {in, h1, ..., out}. Creates dims.size()-1 Linear layers.
   Mlp(ParameterStore* store, const std::string& name,
-      const std::vector<int>& dims, Rng* rng,
-      Activation hidden_act = Activation::kRelu);
+      const std::vector<int>& dims, Rng* rng);
 
   Var Forward(Tape* tape, Var x) const;
 
@@ -53,15 +49,10 @@ class Mlp {
 
   /// Layer access for the tape-free serving path (read-only use).
   const std::vector<Linear>& layers() const { return layers_; }
-  Activation hidden_activation() const { return hidden_act_; }
 
  private:
   std::vector<Linear> layers_;
-  Activation hidden_act_ = Activation::kRelu;
 };
-
-/// Applies `act` to `x` on `tape`.
-Var Activate(Tape* tape, Var x, Activation act);
 
 }  // namespace lsched
 

@@ -124,6 +124,19 @@ class Matrix {
   AlignedVector data_;
 };
 
+/// Row r of `m`'s row-major storage.
+inline double* Row(Matrix* m, int r) {
+  return m->data() + static_cast<size_t>(r) * static_cast<size_t>(m->cols());
+}
+inline const double* Row(const Matrix& m, int r) {
+  return m.data() + static_cast<size_t>(r) * static_cast<size_t>(m.cols());
+}
+
+/// acc[0..n) += b[0..n) — the update Tape::Add makes on (1 x n) rows.
+inline void AddRowInPlace(double* acc, const double* b, int n) {
+  for (int j = 0; j < n; ++j) acc[j] += b[j];
+}
+
 }  // namespace lsched
 
 #endif  // LSCHED_NN_TENSOR_H_

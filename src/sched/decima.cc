@@ -133,7 +133,7 @@ DecimaEncoded Encode(DecimaModel* model, const DecimaStateFeatures& state,
                    : tape->Add(sum, x[static_cast<size_t>(i)]);
     }
     enc.query_emb.push_back(model->query_summary.Forward(tape, sum));
-    enc.node_emb.push_back(std::move(x));
+    enc.node_emb.push_back(tape->ConcatRows(x));
   }
   Var gsum;
   for (size_t qi = 0; qi < enc.query_emb.size(); ++qi) {
@@ -144,23 +144,98 @@ DecimaEncoded Encode(DecimaModel* model, const DecimaStateFeatures& state,
   return enc;
 }
 
+namespace {
+
+/// Decima's head inputs at one state, shared by the tape forward and the
+/// serving path: the node head's rows [node embedding | query summary], one
+/// per candidate, and the parallelism head's rows [global summary | query
+/// summary | query features], one per query with a candidate (candidate c's
+/// is row par_row[c]). The per-query inputs are parallel to the state's
+/// queries; candidates must come grouped by query in query order.
+void AssembleHeadInputs(const std::vector<std::pair<int, int>>& candidates,
+                        const std::vector<const Matrix*>& node_emb,
+                        const std::vector<const Matrix*>& query_emb,
+                        const Matrix& global_emb,
+                        const std::vector<const std::vector<double>*>& qf,
+                        std::vector<int>* par_row, Matrix* node_in,
+                        Matrix* par_in) {
+  const int d = node_emb[0]->cols();
+  const int sd = global_emb.cols();
+  const int rows = GroupRows(
+      candidates, [](const std::pair<int, int>& c) { return c.first; },
+      par_row);
+  node_in->Resize(static_cast<int>(candidates.size()), d + sd);
+  par_in->Resize(rows, 2 * sd + DecimaModel::kQueryFeatureDim);
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const size_t qi = static_cast<size_t>(candidates[c].first);
+    const double* emb = Row(*node_emb[qi], candidates[c].second);
+    const Matrix& qe = *query_emb[qi];
+    double* nrow = Row(node_in, static_cast<int>(c));
+    std::copy(emb, emb + d, nrow);
+    std::copy(qe.data(), qe.data() + sd, nrow + d);
+    if (c > 0 && (*par_row)[c] == (*par_row)[c - 1]) continue;
+    double* prow = Row(par_in, (*par_row)[c]);
+    std::copy(global_emb.data(), global_emb.data() + sd, prow);
+    std::copy(qe.data(), qe.data() + sd, prow + sd);
+    std::copy(qf[qi]->begin(), qf[qi]->end(), prow + 2 * sd);
+  }
+}
+
+}  // namespace
+
 DecimaForward Forward(DecimaModel* model, const DecimaStateFeatures& state,
                       const DecimaEncoded& enc, Tape* tape) {
-  DecimaForward out;
-  std::vector<Var> scores;
-  for (const auto& [qi, op] : state.candidates) {
-    Var in = tape->ConcatCols({enc.node_emb[static_cast<size_t>(qi)]
-                                           [static_cast<size_t>(op)],
-                               enc.query_emb[static_cast<size_t>(qi)]});
-    scores.push_back(model->node_head.Forward(tape, in));
-    Var qf = tape->Constant(Matrix::FromRow(
-        state.queries[static_cast<size_t>(qi)].query_features));
-    Var par_in = tape->ConcatCols(
-        {enc.global_emb, enc.query_emb[static_cast<size_t>(qi)], qf});
-    out.par_logprobs.push_back(
-        tape->LogSoftmaxRow(model->par_head.Forward(tape, par_in)));
+  LSCHED_CHECK(!state.candidates.empty());
+  const int d = model->config().hidden_dim;
+  const int sd = model->config().summary_dim;
+  std::vector<const Matrix*> node_emb;
+  std::vector<const Matrix*> query_emb;
+  std::vector<const std::vector<double>*> qf;
+  for (size_t qi = 0; qi < state.queries.size(); ++qi) {
+    node_emb.push_back(&enc.node_emb[qi].value());
+    query_emb.push_back(&enc.query_emb[qi].value());
+    qf.push_back(&state.queries[qi].query_features);
   }
-  out.node_logprobs = tape->LogSoftmaxRow(tape->ConcatCols(scores));
+  DecimaForward out;
+  Matrix node_in;
+  Matrix par_in;
+  AssembleHeadInputs(state.candidates, node_emb, query_emb,
+                     enc.global_emb.value(), qf, &out.par_row, &node_in,
+                     &par_in);
+
+  // The backwards scatter each input row's parts back into the embeddings
+  // it copied.
+  const Var node_rows = tape->Custom(
+      std::move(node_in),
+      [cands = state.candidates, node = enc.node_emb, query = enc.query_emb,
+       d, sd](Tape* t, Var self) {
+        const Matrix& g = t->grad(self.id());
+        for (size_t c = 0; c < cands.size(); ++c) {
+          const size_t qi = static_cast<size_t>(cands[c].first);
+          const double* gr = Row(g, static_cast<int>(c));
+          AddRowInPlace(Row(&t->mutable_grad(node[qi]), cands[c].second),
+                        gr, d);
+          AddRowInPlace(t->mutable_grad(query[qi]).data(), gr + d, sd);
+        }
+      });
+  const Var par_rows = tape->Custom(
+      std::move(par_in),
+      [cands = state.candidates, par_row = out.par_row, query = enc.query_emb,
+       global = enc.global_emb, sd](Tape* t, Var self) {
+        const Matrix& g = t->grad(self.id());
+        for (size_t c = 0; c < cands.size(); ++c) {
+          if (c > 0 && par_row[c] == par_row[c - 1]) continue;
+          const double* gr = Row(g, par_row[c]);
+          const size_t qi = static_cast<size_t>(cands[c].first);
+          AddRowInPlace(t->mutable_grad(global).data(), gr, sd);
+          AddRowInPlace(t->mutable_grad(query[qi]).data(), gr + sd, sd);
+        }
+      });
+
+  out.node_logprobs = tape->LogSoftmaxRows(
+      tape->Transpose(model->node_head.Forward(tape, node_rows)));
+  out.par_logprobs =
+      tape->LogSoftmaxRows(model->par_head.Forward(tape, par_rows));
   return out;
 }
 
@@ -173,18 +248,6 @@ int SampleSpan(const double* logprobs, int n, Rng* rng) {
   }
   const size_t idx = rng->WeightedIndex(p);
   return idx >= p.size() ? 0 : static_cast<int>(idx);
-}
-
-int ArgmaxSpan(const double* v, int n) {
-  int best = 0;
-  for (int c = 1; c < n; ++c) {
-    if (v[c] > v[best]) best = c;
-  }
-  return best;
-}
-
-void AddRowInPlace(double* dst, const double* src, int n) {
-  for (int c = 0; c < n; ++c) dst[c] += src[c];
 }
 
 /// Tape-free per-query GCN encode, bit-identical to Encode()'s per-query
@@ -306,6 +369,7 @@ SchedulingDecision DecimaScheduler::Schedule(const SchedulingEvent& event,
 
   Matrix* node_logprobs = nullptr;
   Matrix* par_logprobs = nullptr;
+  std::vector<int> par_row;
   {
     obs::ScopedSpan span("sched.decima.forward", "sched", "candidates",
                          static_cast<int64_t>(candidates.size()));
@@ -315,7 +379,6 @@ SchedulingDecision DecimaScheduler::Schedule(const SchedulingEvent& event,
         obs::MetricsRegistry::Global().GetCounter("nn.batch_rows");
     batch_calls->Add(1);
     batch_rows->Add(static_cast<double>(candidates.size()));
-    const int d = model_->config().hidden_dim;
     const int sd = model_->config().summary_dim;
 
     // Global summary over the (cached) per-query summaries, accumulated in
@@ -331,49 +394,37 @@ SchedulingDecision DecimaScheduler::Schedule(const SchedulingEvent& event,
     }
     Matrix* global_emb = MlpForward(model_->global_summary, *gsum, &arena_);
 
-    const int num_cands = static_cast<int>(candidates.size());
-    Matrix* node_in = arena_.Alloc(num_cands, d + sd);
-    Matrix* par_in =
-        arena_.Alloc(num_cands, sd + sd + DecimaModel::kQueryFeatureDim);
-    for (int ci = 0; ci < num_cands; ++ci) {
-      const auto& [qi, op] = candidates[static_cast<size_t>(ci)];
-      const CacheEntry& e = *entries[static_cast<size_t>(qi)];
-      double* nrow = node_in->data() + static_cast<size_t>(ci) * (d + sd);
-      const double* emb =
-          e.node_emb.data() + static_cast<size_t>(op) * d;
-      std::copy(emb, emb + d, nrow);
-      std::copy(e.query_emb.data(), e.query_emb.data() + sd, nrow + d);
-      double* prow = par_in->data() +
-                     static_cast<size_t>(ci) * par_in->cols();
-      std::copy(global_emb->data(), global_emb->data() + sd, prow);
-      std::copy(e.query_emb.data(), e.query_emb.data() + sd, prow + sd);
-      const std::vector<double>& qfr = qf[static_cast<size_t>(qi)];
-      std::copy(qfr.begin(), qfr.end(), prow + 2 * sd);
+    std::vector<const Matrix*> node_emb;
+    std::vector<const Matrix*> query_emb;
+    std::vector<const std::vector<double>*> qf_rows;
+    for (size_t qi = 0; qi < entries.size(); ++qi) {
+      node_emb.push_back(&entries[qi]->node_emb);
+      query_emb.push_back(&entries[qi]->query_emb);
+      qf_rows.push_back(&qf[qi]);
     }
+    Matrix* node_in = arena_.Alloc(0, 0);
+    Matrix* par_in = arena_.Alloc(0, 0);
+    AssembleHeadInputs(candidates, node_emb, query_emb, *global_emb, qf_rows,
+                       &par_row, node_in, par_in);
 
+    const int num_cands = static_cast<int>(candidates.size());
     Matrix* scores = MlpForward(model_->node_head, *node_in, &arena_);
     node_logprobs = arena_.Alloc(1, num_cands);
-    for (int ci = 0; ci < num_cands; ++ci) {
-      node_logprobs->at(0, ci) = scores->at(ci, 0);
-    }
+    std::copy(scores->data(), scores->data() + num_cands,
+              node_logprobs->data());
     LogSoftmaxRowsInPlace(node_logprobs);
     par_logprobs = MlpForward(model_->par_head, *par_in, &arena_);
     LogSoftmaxRowsInPlace(par_logprobs);
   }
 
-  const int num_par = par_logprobs->cols();
-  int cand_idx, par_idx;
-  if (sample_actions_) {
-    cand_idx = SampleSpan(node_logprobs->data(), node_logprobs->cols(), &rng_);
-    par_idx = SampleSpan(par_logprobs->data() +
-                             static_cast<size_t>(cand_idx) * num_par,
-                         num_par, &rng_);
-  } else {
-    cand_idx = ArgmaxSpan(node_logprobs->data(), node_logprobs->cols());
-    par_idx = ArgmaxSpan(par_logprobs->data() +
-                             static_cast<size_t>(cand_idx) * num_par,
-                         num_par);
-  }
+  auto choose = [&](const Matrix& logprobs, int row) {
+    const double* lp = Row(logprobs, row);
+    return sample_actions_ ? SampleSpan(lp, logprobs.cols(), &rng_)
+                           : ArgmaxSpan(lp, logprobs.cols());
+  };
+  const int cand_idx = choose(*node_logprobs, 0);
+  const int par_idx =
+      choose(*par_logprobs, par_row[static_cast<size_t>(cand_idx)]);
 
   decision.score = node_logprobs->at(0, cand_idx);
 
@@ -501,11 +552,11 @@ double DecimaTrainer::TrainOneEpisode(
     if (exp.state.candidates.empty()) return;
     const DecimaEncoded enc = Encode(model_, exp.state, tape);
     const DecimaForward out = Forward(model_, exp.state, enc, tape);
-    Var lp = tape->PickCol(out.node_logprobs, exp.chosen_candidate);
-    lp = tape->Add(
-        lp, tape->PickCol(
-                out.par_logprobs[static_cast<size_t>(exp.chosen_candidate)],
-                exp.chosen_parallelism));
+    const int c = exp.chosen_candidate;
+    const Var lp = tape->Add(
+        tape->Pick(out.node_logprobs, 0, c),
+        tape->Pick(out.par_logprobs, out.par_row[static_cast<size_t>(c)],
+                   exp.chosen_parallelism));
     tape->Sweep(tape->Scale(lp, -adv[static_cast<size_t>(d)]), scale);
   });
   model_->params()->ClipGradNorm(5.0);

@@ -92,18 +92,24 @@ class DecimaModel {
 /// Tape forward of Decima's networks: what DecimaTrainer differentiates
 /// when it replays a recorded DecimaExperience.
 struct DecimaEncoded {
-  std::vector<std::vector<Var>> node_emb;  ///< per query, per node
-  std::vector<Var> query_emb;              ///< per query summary
+  std::vector<Var> node_emb;   ///< per query, (num_nodes x hidden_dim)
+  std::vector<Var> query_emb;  ///< per query summary (1 x summary_dim)
   Var global_emb;
 };
 
+/// The heads' log-probabilities, laid out like the serving path's.
 struct DecimaForward {
-  Var node_logprobs;              ///< over candidates
-  std::vector<Var> par_logprobs;  ///< per candidate
+  Var node_logprobs;  ///< over candidates (1 x num_candidates)
+  /// Over parallelism buckets, one row per query with a candidate.
+  Var par_logprobs;
+  std::vector<int> par_row;  ///< candidate c's row of par_logprobs
 };
 
 DecimaEncoded Encode(DecimaModel* model, const DecimaStateFeatures& state,
                      Tape* tape);
+/// Runs the node head over all candidates as one matrix and the
+/// parallelism head once per query with a candidate. Requires
+/// state.candidates non-empty and grouped by query in query order.
 DecimaForward Forward(DecimaModel* model, const DecimaStateFeatures& state,
                       const DecimaEncoded& enc, Tape* tape);
 

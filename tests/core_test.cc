@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "core/agent.h"
 #include "core/encoder.h"
@@ -166,6 +167,52 @@ TEST(EncoderTest, GcnFallbackDiffersFromTreeConv) {
   EXPECT_TRUE(any_diff);
 }
 
+/// Hand-computed head rows on a four-operator plan: scans 0 and 1 feed a
+/// join 2 (edges 0 and 1), which feeds an aggregate 3 (edge 2).
+TEST(PredictorTest, AssembleHeadRowsByHand) {
+  LSchedConfig cfg = SmallConfig();
+  cfg.hidden_dim = 2;
+  cfg.summary_dim = 1;
+  const LSchedModel model(cfg);
+  auto s = std::make_shared<QueryStructure>();
+  s->in_edges = {{}, {}, {0, 1}, {2}};
+  s->out_edges = {{0}, {1}, {2}, {}};
+  s->edf = Matrix(3, 2);
+  const double edf[3][2] = {{0.5, 1.0}, {1.5, 0.0}, {4.0, 2.0}};
+  for (int e = 0; e < 3; ++e) {
+    for (int c = 0; c < 2; ++c) s->edf.at(e, c) = edf[e][c];
+  }
+  QueryFeatures q;
+  q.num_nodes = 4;
+  q.structure = s;
+  Matrix node_emb(4, 2);
+  for (int i = 0; i < 4; ++i) {
+    node_emb.at(i, 0) = 10.0 + i;
+    node_emb.at(i, 1) = -1.0 - i;
+  }
+  Matrix edge_emb(3, 2);
+  const double ee[3][2] = {{1.0, 6.0}, {3.0, -2.0}, {7.0, 7.0}};
+  for (int e = 0; e < 3; ++e) {
+    for (int c = 0; c < 2; ++c) edge_emb.at(e, c) = ee[e][c];
+  }
+  const Matrix pqe(1, 1, 0.25);
+
+  Matrix rows;
+  AssembleHeadRows(model, q, node_emb, edge_emb, pqe, {{2, 1}, {0, 3}},
+                   &rows);
+  ASSERT_EQ(rows.rows(), 2);
+  ASSERT_EQ(rows.cols(), 2 + 2 + 1 + 2);
+  // The join: its node row, the mean of in-edges 0 and 1, the PQE, and the
+  // mean EDF over in-edges 0, 1 and out-edge 2.
+  const double join[] = {12.0, -3.0, 2.0, 2.0, 0.25, 2.0, 1.0};
+  // The scan: no in-edge gives zeros; its EDF mean is out-edge 0's row.
+  const double scan[] = {10.0, -1.0, 0.0, 0.0, 0.25, 0.5, 1.0};
+  for (int c = 0; c < rows.cols(); ++c) {
+    EXPECT_DOUBLE_EQ(rows.at(0, c), join[c]) << "join column " << c;
+    EXPECT_DOUBLE_EQ(rows.at(1, c), scan[c]) << "scan column " << c;
+  }
+}
+
 TEST(PredictorTest, LogProbsNormalized) {
   StateFixture fx;
   LSchedModel model(SmallConfig());
@@ -179,12 +226,11 @@ TEST(PredictorTest, LogProbsNormalized) {
     sum += std::exp(out.root_logprobs.value().at(0, c));
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
-  ASSERT_EQ(out.degree_logprobs.size(), f.candidates.size());
-  for (size_t i = 0; i < f.candidates.size(); ++i) {
+  const Matrix& deg = out.degree_logprobs.value();
+  ASSERT_EQ(deg.rows(), static_cast<int>(f.candidates.size()));
+  for (int i = 0; i < deg.rows(); ++i) {
     double dsum = 0.0;
-    for (int c = 0; c < out.degree_logprobs[i].cols(); ++c) {
-      dsum += std::exp(out.degree_logprobs[i].value().at(0, c));
-    }
+    for (int c = 0; c < deg.cols(); ++c) dsum += std::exp(deg.at(i, c));
     EXPECT_NEAR(dsum, 1.0, 1e-9);
   }
 }
@@ -197,10 +243,11 @@ TEST(PredictorTest, InvalidDegreesMasked) {
   Tape tape;
   const EncodedState enc = EncodeState(&model, f, &tape);
   const PredictorOutput out = RunPredictor(&model, f, enc, &tape);
+  const Matrix& deg = out.degree_logprobs.value();
   for (size_t i = 0; i < f.candidates.size(); ++i) {
     const int valid = f.candidates[i].max_degree;
-    for (int c = valid; c < out.degree_logprobs[i].cols(); ++c) {
-      EXPECT_LT(out.degree_logprobs[i].value().at(0, c), -1e8);
+    for (int c = valid; c < deg.cols(); ++c) {
+      EXPECT_LT(deg.at(static_cast<int>(i), c), -1e8);
     }
   }
 }
@@ -216,7 +263,9 @@ TEST(PredictorTest, PipelineAblationForcesDegreeOne) {
   const EncodedState enc = EncodeState(&model, f, &tape);
   const PredictorOutput out = RunPredictor(&model, f, enc, &tape);
   for (size_t i = 0; i < f.candidates.size(); ++i) {
-    EXPECT_NEAR(std::exp(out.degree_logprobs[i].value().at(0, 0)), 1.0, 1e-9);
+    EXPECT_NEAR(
+        std::exp(out.degree_logprobs.value().at(static_cast<int>(i), 0)), 1.0,
+        1e-9);
   }
 }
 
@@ -235,8 +284,8 @@ TEST(PredictorTest, ActionLogProbSumsThreeHeads) {
   const Var lp = ActionLogProb(&tape, out, a);
   const double expected =
       out.root_logprobs.value().at(0, 0) +
-      out.degree_logprobs[0].value().at(0, 0) +
-      out.par_logprobs[0].value().at(0, 1);
+      out.degree_logprobs.value().at(0, 0) +
+      out.par_logprobs.value().at(out.par_row[0], 1);
   EXPECT_NEAR(lp.value().at(0, 0), expected, 1e-12);
   const Var h = ActionEntropy(&tape, out, a);
   EXPECT_GE(h.value().at(0, 0), 0.0);

@@ -83,7 +83,7 @@ TEST(AutogradTest, GradCheckLinearChain) {
   auto forward = [&](Tape* tape, bool backward) {
     Var xv = tape->Constant(x);
     Var h = tape->Add(tape->MatMul(xv, tape->Leaf(w)), tape->Leaf(b));
-    h = tape->Tanh(h);
+    h = tape->Relu(h);
     Var loss = tape->SumAll(tape->Mul(h, h));
     if (backward) tape->Backward(loss);
     return loss.value().at(0, 0);
@@ -95,19 +95,23 @@ TEST(AutogradTest, GradCheckSoftmaxPick) {
   ParameterStore store;
   Rng rng(6);
   Param* w = store.Create("w", 4, 5, &rng);
-  Matrix x(1, 4);
-  for (int c = 0; c < 4; ++c) x.at(0, c) = 0.3 * c - 0.5;
+  Matrix x(2, 4);
+  for (int c = 0; c < 4; ++c) {
+    x.at(0, c) = 0.3 * c - 0.5;
+    x.at(1, c) = 0.2 - 0.4 * c;
+  }
   auto forward = [&](Tape* tape, bool backward) {
     Var logits = tape->MatMul(tape->Constant(x), tape->Leaf(w));
-    Var lp = tape->LogSoftmaxRow(logits);
-    Var loss = tape->Scale(tape->PickCol(lp, 2), -1.0);
+    Var lp = tape->LogSoftmaxRows(logits);
+    Var loss = tape->Scale(
+        tape->Add(tape->Pick(lp, 0, 2), tape->Pick(lp, 1, 4)), -1.0);
     if (backward) tape->Backward(loss);
     return loss.value().at(0, 0);
   };
   GradCheck(&store, forward);
 }
 
-TEST(AutogradTest, GradCheckConcatSliceExp) {
+TEST(AutogradTest, GradCheckConcatSliceTransposeExp) {
   ParameterStore store;
   Rng rng(7);
   Param* a = store.Create("a", 1, 3, &rng);
@@ -115,11 +119,14 @@ TEST(AutogradTest, GradCheckConcatSliceExp) {
   auto forward = [&](Tape* tape, bool backward) {
     Var av = tape->Leaf(a);
     Var bv = tape->Leaf(b);
-    Var cat = tape->ConcatCols({av, bv});          // 1x5
-    Var rows = tape->ConcatRows({cat, cat});       // 2x5
-    Var row1 = tape->SliceRow(rows, 1);            // 1x5
+    Var cat = tape->ConcatCols({av, bv});                        // 1x5
+    Var rows = tape->ConcatRows({cat, tape->Scale(cat, 2.0)});   // 2x5
+    Var row1 = tape->SliceRow(rows, 1);                          // 1x5
+    Var cols = tape->Transpose(tape->SliceCols(rows, 1, 3));     // 3x2
     Var e = tape->Exp(tape->Scale(row1, 0.5));
-    Var loss = tape->SumAll(tape->LeakyRelu(tape->AddConst(e, -1.0)));
+    Var shifted = tape->Add(e, tape->Constant(Matrix(1, 1, -1.0)));
+    Var loss = tape->Add(tape->SumAll(tape->Relu(shifted)),
+                         tape->SumAll(tape->Mul(cols, cols)));
     if (backward) tape->Backward(loss);
     return loss.value().at(0, 0);
   };
@@ -139,26 +146,27 @@ TEST(AutogradTest, GradCheckBroadcastMulAndDot) {
     Var xv = tape->Constant(x);
     Var h = tape->Mul(xv, tape->Leaf(w));     // (3x4) * (1x4)
     h = tape->Mul(h, tape->Leaf(s));          // (3x4) * (1x1)
-    Var m = tape->MeanRows(h);                // 1x4
-    Var loss = tape->DotRows(m, tape->Leaf(w));
+    Var m = tape->SumRows(h);                 // 1x4
+    Var loss = tape->SumAll(tape->Mul(m, tape->Leaf(w)));
     if (backward) tape->Backward(loss);
     return loss.value().at(0, 0);
   };
   GradCheck(&store, forward);
 }
 
-TEST(AutogradTest, GradCheckSigmoidSubSumRows) {
+TEST(AutogradTest, GradCheckBroadcastAddReluSumRows) {
   ParameterStore store;
   Rng rng(9);
   Param* w = store.Create("w", 2, 3, &rng);
+  Param* b = store.Create("b", 1, 3, &rng);   // broadcast row
+  Param* s = store.Create("s", 1, 1, &rng);   // broadcast scalar
   Matrix x(2, 2);
   x.at(0, 0) = 0.5;
   x.at(1, 1) = -0.25;
   auto forward = [&](Tape* tape, bool backward) {
     Var h = tape->MatMul(tape->Constant(x), tape->Leaf(w));
-    Var s = tape->Sigmoid(h);
-    Var r = tape->Relu(tape->Sub(s, tape->Constant(Matrix(2, 3, 0.4))));
-    Var loss = tape->SumAll(tape->SumRows(r));
+    h = tape->Add(tape->Add(h, tape->Leaf(b)), tape->Leaf(s));
+    Var loss = tape->SumAll(tape->SumRows(tape->Relu(h)));
     if (backward) tape->Backward(loss);
     return loss.value().at(0, 0);
   };
@@ -167,13 +175,16 @@ TEST(AutogradTest, GradCheckSigmoidSubSumRows) {
 
 TEST(AutogradTest, LogSoftmaxIsNormalized) {
   Tape tape;
-  Matrix logits(1, 4);
+  Matrix logits(2, 4);
   logits.at(0, 0) = 5.0;
   logits.at(0, 3) = -2.0;
-  Var lp = tape.LogSoftmaxRow(tape.Constant(logits));
-  double sum = 0.0;
-  for (int c = 0; c < 4; ++c) sum += std::exp(lp.value().at(0, c));
-  EXPECT_NEAR(sum, 1.0, 1e-12);
+  logits.at(1, 1) = 40.0;
+  Var lp = tape.LogSoftmaxRows(tape.Constant(logits));
+  for (int r = 0; r < 2; ++r) {
+    double sum = 0.0;
+    for (int c = 0; c < 4; ++c) sum += std::exp(lp.value().at(r, c));
+    EXPECT_NEAR(sum, 1.0, 1e-12);
+  }
 }
 
 TEST(AutogradTest, BackwardAccumulatesIntoParams) {
@@ -317,7 +328,8 @@ TEST(OptimizerTest, SgdMinimizesQuadratic) {
     store.ZeroGrads();
     Tape tape;
     Var wv = tape.Leaf(w);
-    Var loss = tape.Mul(tape.AddConst(wv, -3.0), tape.AddConst(wv, -3.0));
+    Var diff = tape.Add(wv, tape.Constant(Matrix(1, 1, -3.0)));
+    Var loss = tape.Mul(diff, diff);
     tape.Backward(loss);
     sgd.Step(&store);
   }

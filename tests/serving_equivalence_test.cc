@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "sched/decima.h"
 #include "sched/heuristics.h"
 #include "testing/fuzzer.h"
+#include "workload/workload.h"
 
 namespace lsched {
 namespace {
@@ -108,7 +110,6 @@ class LSchedForwardProbe : public Scheduler {
   int events_compared() const { return events_compared_; }
   int shape_mismatches() const { return shape_mismatches_; }
   int reencode_mismatches() const { return reencode_mismatches_; }
-  int head_path_mismatches() const { return head_path_mismatches_; }
   int tape_encoding_mismatches() const { return tape_encoding_mismatches_; }
   int encodings_compared() const { return encodings_compared_; }
   double max_abs_diff() const { return max_abs_diff_; }
@@ -130,8 +131,6 @@ class LSchedForwardProbe : public Scheduler {
     view.total_threads = ctx.total_threads();
     view.free_threads = ctx.num_free_threads();
     std::vector<std::vector<double>> qf_rows(queries.size());
-    std::vector<const Matrix*> head_in;
-    std::vector<int> head_rows;
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const QueryState* q = queries[qi];
       const EncodingCache::Entry& entry = cache_.Get(
@@ -155,66 +154,45 @@ class LSchedForwardProbe : public Scheduler {
           ++tape_encoding_mismatches_;
         }
       }
-      view.queries.push_back(entry.features.get());
       view.encoded.push_back(&entry.enc);
-      head_in.push_back(&entry.head_in);
+      view.head_in.push_back(&entry.head_in);
       extractor_.ExtractQf(*q, ctx, &qf_rows[qi]);
       view.qf.push_back(&qf_rows[qi]);
-      int head_row = 0;
       for (const auto& [op, degree] : entry.candidates) {
         Candidate c;
         c.query_index = static_cast<int>(qi);
         c.op = op;
         c.max_degree = degree;
         view.candidates.push_back(c);
-        head_rows.push_back(head_row++);
       }
     }
     if (view.candidates.size() != features.candidates.size()) {
       ++shape_mismatches_;
       return;
     }
-    // This view has no head_in/head_row: RunPredictorServing takes the
-    // fallback (per-event gather + aggregate) assembly path.
     const Matrix aqe = ComputeAqeServing(model_, view, &arena_);
     RunPredictorServing(model_, view, aqe, &arena_, &serving_out_);
 
-    // Claim 4: the cached-head-row fast path (what LSchedAgent serves
-    // with) is bit-identical to the fallback assembly.
-    view.head_in = std::move(head_in);
-    view.head_row = std::move(head_rows);
-    RunPredictorServing(model_, view, aqe, &arena_, &head_out_);
-    if (!MatricesBitEqual(serving_out_.root_logprobs, head_out_.root_logprobs) ||
-        !MatricesBitEqual(serving_out_.degree_logprobs,
-                          head_out_.degree_logprobs) ||
-        !MatricesBitEqual(serving_out_.par_logprobs, head_out_.par_logprobs)) {
-      ++head_path_mismatches_;
-    }
-
     // Claim 1: log-probabilities match within 1e-9.
-    const Matrix& root_ref = out.root_logprobs.value();
-    const int num_cands = static_cast<int>(features.candidates.size());
-    if (serving_out_.root_logprobs.cols() != num_cands) {
+    if (!TrackAll(out.root_logprobs.value(), serving_out_.root_logprobs) ||
+        !TrackAll(out.degree_logprobs.value(),
+                  serving_out_.degree_logprobs) ||
+        !TrackAll(out.par_logprobs.value(), serving_out_.par_logprobs) ||
+        out.par_row != serving_out_.par_row) {
       ++shape_mismatches_;
       return;
-    }
-    for (int c = 0; c < num_cands; ++c) {
-      Track(root_ref.at(0, c) - serving_out_.root_logprobs.at(0, c));
-      const Matrix& deg_ref =
-          out.degree_logprobs[static_cast<size_t>(c)].value();
-      for (int k = 0; k < deg_ref.cols(); ++k) {
-        Track(deg_ref.at(0, k) - serving_out_.degree_logprobs.at(c, k));
-      }
-      const Matrix& par_ref = out.par_logprobs[static_cast<size_t>(c)].value();
-      for (int k = 0; k < par_ref.cols(); ++k) {
-        Track(par_ref.at(0, k) - serving_out_.par_logprobs.at(c, k));
-      }
     }
     ++events_compared_;
   }
 
-  void Track(double diff) {
-    max_abs_diff_ = std::max(max_abs_diff_, std::abs(diff));
+  /// Tracks |ref - got| over every entry; false on a shape mismatch.
+  bool TrackAll(const Matrix& ref, const Matrix& got) {
+    if (!ref.SameShape(got)) return false;
+    for (size_t i = 0; i < ref.size(); ++i) {
+      max_abs_diff_ =
+          std::max(max_abs_diff_, std::abs(ref.data()[i] - got.data()[i]));
+    }
+    return true;
   }
 
   LSchedModel model_;
@@ -224,11 +202,9 @@ class LSchedForwardProbe : public Scheduler {
   ScratchArena arena_;
   ScratchArena reencode_arena_;
   ServingPredictorOutput serving_out_;
-  ServingPredictorOutput head_out_;
   int events_compared_ = 0;
   int shape_mismatches_ = 0;
   int reencode_mismatches_ = 0;
-  int head_path_mismatches_ = 0;
   int tape_encoding_mismatches_ = 0;
   int encodings_compared_ = 0;
   double max_abs_diff_ = 0.0;
@@ -303,12 +279,13 @@ bool StatesBitEqual(const DecimaStateFeatures& a,
   return true;
 }
 
-/// Draws from a 1-row log-probability matrix exactly as the serving path
-/// samples (probabilities = exp(logprobs), one Rng::WeightedIndex draw).
-int SampleRow(const Matrix& logprobs, Rng* rng) {
+/// Draws from row `row` of a log-probability matrix exactly as the
+/// serving path samples (probabilities = exp(logprobs), one
+/// Rng::WeightedIndex draw).
+int SampleRow(const Matrix& logprobs, int row, Rng* rng) {
   std::vector<double> probs(static_cast<size_t>(logprobs.cols()));
   for (int c = 0; c < logprobs.cols(); ++c) {
-    probs[static_cast<size_t>(c)] = std::exp(logprobs.at(0, c));
+    probs[static_cast<size_t>(c)] = std::exp(logprobs.at(row, c));
   }
   const size_t idx = rng->WeightedIndex(probs);
   return idx >= probs.size() ? 0 : static_cast<int>(idx);
@@ -322,6 +299,8 @@ struct ReplayStats {
   int action_mismatches = 0;
   int scores_checked = 0;
   double max_score_diff = 0.0;
+  /// Decisions whose chosen query's parallelism row is not the first.
+  int later_par_rows = 0;
 
   /// `served_score` is the log-probability of the chosen root the serving
   /// path returned as the decision's score.
@@ -393,11 +372,11 @@ class LSchedReplayProbe : public Scheduler {
     // The replay keeps pointers into the chunk's experiences.
     chunk_.push_back(exp);
     const PredictorOutput out = replay_->Forward(chunk_.back());
-    const int cand = SampleRow(out.root_logprobs.value(), &mirror_);
-    const int degree = SampleRow(
-        out.degree_logprobs[static_cast<size_t>(cand)].value(), &mirror_);
-    const int par = SampleRow(
-        out.par_logprobs[static_cast<size_t>(cand)].value(), &mirror_);
+    const int cand = SampleRow(out.root_logprobs.value(), 0, &mirror_);
+    const int degree = SampleRow(out.degree_logprobs.value(), cand, &mirror_);
+    const int par = SampleRow(out.par_logprobs.value(),
+                              out.par_row[static_cast<size_t>(cand)], &mirror_);
+    if (out.par_row[static_cast<size_t>(cand)] > 0) ++stats_.later_par_rows;
     if (cand != exp.action.candidate_index ||
         degree != exp.action.degree_index ||
         par != exp.action.parallelism_index) {
@@ -453,9 +432,10 @@ class DecimaReplayProbe : public Scheduler {
     Tape tape;
     const DecimaEncoded enc = Encode(&model_, exp.state, &tape);
     const DecimaForward out = Forward(&model_, exp.state, enc, &tape);
-    const int cand = SampleRow(out.node_logprobs.value(), &mirror_);
-    const int par = SampleRow(
-        out.par_logprobs[static_cast<size_t>(cand)].value(), &mirror_);
+    const int cand = SampleRow(out.node_logprobs.value(), 0, &mirror_);
+    const int par = SampleRow(out.par_logprobs.value(),
+                              out.par_row[static_cast<size_t>(cand)], &mirror_);
+    if (out.par_row[static_cast<size_t>(cand)] > 0) ++stats_.later_par_rows;
     if (cand != exp.chosen_candidate || par != exp.chosen_parallelism) {
       ++stats_.action_mismatches;
     }
@@ -510,7 +490,6 @@ TEST(ServingEquivalenceTest, LSchedForwardMatchesTapeOnSimEngine) {
   EXPECT_EQ(probe.shape_mismatches(), 0);
   EXPECT_EQ(probe.reencode_mismatches(), 0);
   EXPECT_LE(probe.max_abs_diff(), 1e-9);
-  EXPECT_EQ(probe.head_path_mismatches(), 0);
   EXPECT_GT(probe.encodings_compared(), 0);
   EXPECT_EQ(probe.tape_encoding_mismatches(), 0);
   // The cache must actually be doing something: most events re-touch
@@ -530,7 +509,6 @@ TEST(ServingEquivalenceTest, LSchedForwardMatchesTapeOnRealEngine) {
   ASSERT_GT(probe.events_compared(), 0);
   EXPECT_EQ(probe.shape_mismatches(), 0);
   EXPECT_EQ(probe.reencode_mismatches(), 0);
-  EXPECT_EQ(probe.head_path_mismatches(), 0);
   EXPECT_EQ(probe.tape_encoding_mismatches(), 0);
   EXPECT_LE(probe.max_abs_diff(), 1e-9);
 }
@@ -553,7 +531,6 @@ TEST(ServingEquivalenceTest, ForwardMatchesTapeOnBurstySimEpisodes) {
   ASSERT_GT(probe.events_compared(), 0);
   EXPECT_EQ(probe.shape_mismatches(), 0);
   EXPECT_EQ(probe.reencode_mismatches(), 0);
-  EXPECT_EQ(probe.head_path_mismatches(), 0);
   EXPECT_EQ(probe.tape_encoding_mismatches(), 0);
   EXPECT_LE(probe.max_abs_diff(), 1e-9);
 }
@@ -582,6 +559,27 @@ TEST(ServingEquivalenceTest, LSchedMemoizedReplayMatchesServingOnBurstySim) {
   }
   ExpectReplayMatches(probe.stats(), 10);
   EXPECT_GT(probe.memo_hits(), 0);
+}
+
+/// A dense TPCH episode: most decisions choose a candidate whose query's
+/// parallelism row is not the first, so serving must draw each action from
+/// the chosen candidate's query row for the replay to reproduce it.
+TEST(ServingEquivalenceTest, ReplayDrawsParallelismFromTheChosenQuerysRow) {
+  LSchedReplayProbe lsched(43);
+  DecimaReplayProbe decima(66);
+  const auto factory =
+      MakeEpisodeFactory(Benchmark::kTpch, 12, 12, 0.02, 0.02);
+  for (Scheduler* probe : std::initializer_list<Scheduler*>{&lsched, &decima}) {
+    Rng rng(5);
+    SimEngineConfig config;
+    config.num_threads = 8;
+    SimEngine engine(config);
+    engine.Run(factory(0, &rng), probe);
+  }
+  ExpectReplayMatches(lsched.stats(), 10);
+  ExpectReplayMatches(decima.stats(), 10);
+  EXPECT_GT(lsched.stats().later_par_rows, 10);
+  EXPECT_GT(decima.stats().later_par_rows, 10);
 }
 
 TEST(ServingEquivalenceTest, LSchedReplayMatchesServingOnReal) {
