@@ -1,7 +1,7 @@
 // Micro-benchmarks of the learned scheduler's per-decision costs: feature
-// extraction, query encoding (TCN+GAT vs GCN fallback), the serving cache's
-// incremental refresh and re-encode, and the full predictor forward pass —
-// the ingredients of the Fig. 13a overhead.
+// extraction, query encoding (TCN+GAT vs GCN fallback, and Decima's GCN),
+// the serving cache's incremental refresh and re-encode, and the full
+// predictor forward pass — the ingredients of the Fig. 13a overhead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "core/agent.h"
 #include "core/encoder.h"
 #include "core/predictor.h"
+#include "sched/decima.h"
 #include "workload/workload.h"
 
 namespace lsched {
@@ -199,6 +200,14 @@ void WriteEncoderSnapshot() {
              Tape tape;
              benchmark::DoNotOptimize(
                  EncodeState(gcn.model.get(), gcn.features, &tape));
+           }, reps));
+  // Decima's tape encoder over the same queries.
+  DecimaModel decima{DecimaConfig()};
+  const DecimaStateFeatures decima_state =
+      DecimaScheduler::ExtractFeatures(tcn.ctx);
+  snap.Add("encode_decima.p50_us", MedianUsPerCall([&] {
+             Tape tape;
+             benchmark::DoNotOptimize(Encode(&decima, decima_state, &tape));
            }, reps));
   snap.Add("forward.p50_us", MedianUsPerCall([&] {
              Tape tape;

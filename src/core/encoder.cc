@@ -6,6 +6,7 @@
 #include <cstring>
 #include <iterator>
 
+#include "nn/message_passing.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -228,30 +229,6 @@ Var TreeConvLayer(const LSchedModel& model,
   return tape->Relu(layer.mix.Forward(tape, out));
 }
 
-/// Sequential message-passing GCN layer (the Decima-style encoder used for
-/// the "w/o triangle convolution" ablation): children embeddings computed
-/// earlier in the same sweep are fused into their parents, which is exactly
-/// the within-iteration indirect fusion the paper identifies as the source
-/// of over-smoothing (§4.2.1). The sweep is inherently row by row.
-Var GcnLayer(const LSchedModel& model, const QueryFeatures& q, Var x,
-             Tape* tape) {
-  std::vector<Var> out;
-  out.reserve(static_cast<size_t>(q.num_nodes));
-  for (int i = 0; i < q.num_nodes; ++i) out.push_back(tape->SliceRow(x, i));
-  const QueryStructure& st = *q.structure;
-  for (int i : st.topo_order) {  // producers first: sequential steps
-    Var h = model.gcn_self.Forward(tape, out[static_cast<size_t>(i)]);
-    for (int s = 0; s < 2; ++s) {
-      const int child = st.child_node[static_cast<size_t>(i)][s];
-      if (child < 0) continue;
-      h = tape->Add(
-          h, model.gcn_child.Forward(tape, out[static_cast<size_t>(child)]));
-    }
-    out[static_cast<size_t>(i)] = tape->Relu(h);
-  }
-  return tape->ConcatRows(out);
-}
-
 }  // namespace
 
 EncodedQuery EncodeQuery(LSchedModel* model, const QueryFeatures& q,
@@ -274,8 +251,14 @@ EncodedQuery EncodeQuery(LSchedModel* model, const QueryFeatures& q,
           TreeConvLayer(*model, layer, q, enc.node_emb, enc.edge_emb, tape);
     }
   } else {
+    // The "w/o triangle convolution" ablation: Decima-style sequential
+    // message passing, whose within-sweep fusion of children into parents
+    // is the source of over-smoothing the paper identifies (§4.2.1).
+    const QueryStructure& st = *q.structure;
     for (int l = 0; l < cfg.num_conv_layers; ++l) {
-      enc.node_emb = GcnLayer(*model, q, enc.node_emb, tape);
+      enc.node_emb = MessagePassing(tape, model->gcn_self, model->gcn_child,
+                                    st.topo_order, st.child_node,
+                                    enc.node_emb);
     }
   }
 
@@ -294,48 +277,6 @@ EncodedQuery EncodeQuery(LSchedModel* model, const QueryFeatures& q,
 // --- tape-free serving path -------------------------------------------------
 
 namespace {
-
-/// The indices of the set flags, ascending.
-void Flagged(const std::vector<char>& flags, std::vector<int>* rows) {
-  rows->clear();
-  for (size_t i = 0; i < flags.size(); ++i) {
-    if (flags[i]) rows->push_back(static_cast<int>(i));
-  }
-}
-
-/// Copies `src`'s `rows` into a compact arena matrix.
-const Matrix& GatherRows(const Matrix& src, const std::vector<int>& rows,
-                         ScratchArena* arena) {
-  if (static_cast<int>(rows.size()) == src.rows()) return src;  // all, in order
-  Matrix* out = arena->Alloc(static_cast<int>(rows.size()), src.cols());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const double* from = Row(src, rows[r]);
-    std::copy(from, from + src.cols(), Row(out, static_cast<int>(r)));
-  }
-  return *out;
-}
-
-/// Writes compact row r of `src` to row rows[r] of `dst`.
-void ScatterRows(const Matrix& src, const std::vector<int>& rows,
-                 Matrix* dst) {
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const double* from = Row(src, static_cast<int>(r));
-    std::copy(from, from + src.cols(), Row(dst, rows[r]));
-  }
-}
-
-/// Ordered row sum (row 0 copied, the rest added in order: the tape's
-/// SumRows), into a (1 x cols) `out`.
-void SumRowsInto(const Matrix& m, Matrix* out) {
-  out->Resize(1, m.cols());
-  for (int r = 0; r < m.rows(); ++r) {
-    if (r == 0) {
-      std::copy(Row(m, 0), Row(m, 0) + m.cols(), out->data());
-    } else {
-      AddRowInPlace(out->data(), Row(m, r), m.cols());
-    }
-  }
-}
 
 /// One tape-free tree-convolution layer over the listed nodes: the tape
 /// encoder's combine routine, then the channel mix as one GEMM over them.
@@ -362,38 +303,6 @@ void TreeConvRowsServing(const LSchedModel& model,
   ScatterRows(*mixed, rows, out);
 }
 
-/// One tape-free sequential message-passing GCN layer (ablation fallback):
-/// in topological order, a node whose flag is set or whose producer's new
-/// row changed gets relu(self(in_i) + sum child(out_child)). Sets the flag
-/// of every node it recomputes.
-void GcnRowsServing(const LSchedModel& model, const QueryStructure& s,
-                    const Matrix& in, std::vector<char>* flags,
-                    ScratchArena* arena, Matrix* out) {
-  const int d = model.config().hidden_dim;
-  Matrix* row = arena->Alloc(1, d);
-  Matrix* h = arena->Alloc(1, d);
-  Matrix* child_out = arena->Alloc(1, d);
-  std::vector<char>& dirty = *flags;
-  for (int i : s.topo_order) {
-    const std::array<int, 2>& children = s.child_node[static_cast<size_t>(i)];
-    const size_t ui = static_cast<size_t>(i);
-    for (int child : children) {
-      if (child >= 0 && dirty[static_cast<size_t>(child)]) dirty[ui] = 1;
-    }
-    if (!dirty[ui]) continue;
-    std::copy(Row(in, i), Row(in, i) + d, row->data());
-    LinearForwardInto(model.gcn_self, *row, h);
-    for (int child : children) {
-      if (child < 0) continue;
-      std::copy(Row(*out, child), Row(*out, child) + d, row->data());
-      LinearForwardInto(model.gcn_child, *row, child_out);
-      AddRowInPlace(h->data(), child_out->data(), d);
-    }
-    double* x_i = Row(out, i);
-    for (int j = 0; j < d; ++j) x_i[j] = h->data()[j] > 0.0 ? h->data()[j] : 0.0;
-  }
-}
-
 }  // namespace
 
 void ReencodeQueryServing(const LSchedModel& model, const QueryFeatures& q,
@@ -418,26 +327,22 @@ void ReencodeQueryServing(const LSchedModel& model, const QueryFeatures& q,
     for (Matrix& m : enc->layer_in) m.Resize(n, d);
     enc->node_emb.Resize(n, d);
     enc->node_msgs.Resize(n, sd);
-    enc->edge_emb.Resize(num_edges, d);
-    enc->edge_sum.Resize(1, sd);  // zeros without edges, as on the tape
-    if (num_edges > 0) {
-      LinearForwardInto(model.proj_edge, s.edf, &enc->edge_emb);
-      ReluInPlace(&enc->edge_emb);
-      Matrix* edge_cat = arena->Alloc(num_edges, d + edf_dim);
-      for (int e = 0; e < num_edges; ++e) {
-        double* row = Row(edge_cat, e);
-        std::copy(Row(enc->edge_emb, e), Row(enc->edge_emb, e) + d, row);
-        std::copy(Row(s.edf, e), Row(s.edf, e) + edf_dim, row + d);
-      }
-      Matrix* edge_msgs = MlpForward(model.pqe_edge_in, *edge_cat, arena);
-      ReluInPlace(edge_msgs);
-      SumRowsInto(*edge_msgs, &enc->edge_sum);
+    LinearForwardInto(model.proj_edge, s.edf, &enc->edge_emb);
+    ReluInPlace(&enc->edge_emb);
+    Matrix* edge_cat = arena->Alloc(num_edges, d + edf_dim);
+    for (int e = 0; e < num_edges; ++e) {
+      double* row = Row(edge_cat, e);
+      std::copy(Row(enc->edge_emb, e), Row(enc->edge_emb, e) + d, row);
+      std::copy(Row(s.edf, e), Row(s.edf, e) + edf_dim, row + d);
     }
+    Matrix* edge_msgs = MlpForward(model.pqe_edge_in, *edge_cat, arena);
+    ReluInPlace(edge_msgs);
+    SumRowsInto(*edge_msgs, &enc->edge_sum);  // zeros without edges
   }
   std::vector<char> flags =
       dirty != nullptr ? *dirty : std::vector<char>(static_cast<size_t>(n), 1);
   std::vector<int> rows;
-  Flagged(flags, &rows);
+  FlaggedRows(flags, &rows);
 
   // Initial projection of the changed OPF rows.
   Matrix& projected = num_layers > 0 ? enc->layer_in[0] : enc->node_emb;
@@ -465,19 +370,19 @@ void ReencodeQueryServing(const LSchedModel& model, const QueryFeatures& q,
         }
       }
       flags.swap(reached);
-      Flagged(flags, &rows);
+      FlaggedRows(flags, &rows);
       if (!rows.empty()) {
         TreeConvRowsServing(model, model.conv[static_cast<size_t>(l)], s, in,
                             enc->edge_emb, rows, arena, out);
       }
     } else {
-      GcnRowsServing(model, s, in, &flags, arena, out);
+      MessagePassingForward(model.gcn_self, model.gcn_child, s.topo_order,
+                            s.child_node, in, &flags, arena, out);
     }
   }
 
-  // PQE: the node messages of the recomputed rows, then the ordered row
-  // sums (same accumulation order as the tape's sequential Adds).
-  Flagged(flags, &rows);
+  // PQE: the node messages of the recomputed rows, then the row sums.
+  FlaggedRows(flags, &rows);
   if (!rows.empty()) {
     Matrix* node_cat = arena->Alloc(static_cast<int>(rows.size()), d + opf_dim);
     for (size_t r = 0; r < rows.size(); ++r) {
@@ -491,11 +396,9 @@ void ReencodeQueryServing(const LSchedModel& model, const QueryFeatures& q,
     ScatterRows(*node_msgs, rows, &enc->node_msgs);
   }
   Matrix* pqe_cat = arena->Alloc(1, 2 * sd);
-  if (n > 0) {  // else zeros, matching the tape's zero constant
-    Matrix* node_sum = arena->Alloc(1, sd);
-    SumRowsInto(enc->node_msgs, node_sum);
-    std::copy(node_sum->data(), node_sum->data() + sd, pqe_cat->data());
-  }
+  Matrix* node_sum = arena->Alloc(1, sd);
+  SumRowsInto(enc->node_msgs, node_sum);
+  std::copy(node_sum->data(), node_sum->data() + sd, pqe_cat->data());
   std::copy(enc->edge_sum.data(), enc->edge_sum.data() + sd,
             pqe_cat->data() + sd);
   enc->pqe = *MlpForward(model.pqe_out, *pqe_cat, arena);

@@ -41,9 +41,10 @@ EncodedState EncodeState(LSchedModel* model, const StateFeatures& state,
 
 /// Encodes one query as whole matrices: each projection, channel mix and
 /// PQE message network is one Linear over all rows, and each layer's
-/// triangle-filter + GAT combine step is one tape node whose forward is
-/// the serving encoder's routine. That node's backward reads `q`'s
-/// producer slots, so `q` must outlive the tape's Backward.
+/// triangle-filter + GAT combine step (or, for the GCN ablation, each
+/// message-passing sweep) is one tape node whose forward is the serving
+/// encoder's routine. That node's backward reads `q`'s producer slots, so
+/// `q` must outlive the tape's Backward.
 EncodedQuery EncodeQuery(LSchedModel* model, const QueryFeatures& q,
                          Tape* tape);
 

@@ -154,29 +154,18 @@ Matrix ComputeAqeServing(const LSchedModel& model, const ServingStateView& view,
   const int sd = cfg.summary_dim;
   const int qf_dim = cfg.features.qf_dim();
   const int nq = static_cast<int>(view.encoded.size());
-  Matrix* sum = arena->Alloc(1, sd);  // zero-filled: the empty-state constant
-  if (nq > 0) {
-    Matrix* cat = arena->Alloc(nq, sd + qf_dim);
-    for (int qi = 0; qi < nq; ++qi) {
-      double* row = cat->data() +
-                    static_cast<size_t>(qi) * static_cast<size_t>(sd + qf_dim);
-      const Matrix& pqe = view.encoded[static_cast<size_t>(qi)]->pqe;
-      std::copy(pqe.data(), pqe.data() + sd, row);
-      const std::vector<double>& qf = *view.qf[static_cast<size_t>(qi)];
-      std::copy(qf.begin(), qf.end(), row + sd);
-    }
-    Matrix* msgs = MlpForward(model.aqe_in, *cat, arena);
-    ReluInPlace(msgs);
-    for (int qi = 0; qi < nq; ++qi) {
-      const double* row =
-          msgs->data() + static_cast<size_t>(qi) * static_cast<size_t>(sd);
-      if (qi == 0) {
-        std::copy(row, row + sd, sum->data());
-      } else {
-        for (int j = 0; j < sd; ++j) sum->data()[j] += row[j];
-      }
-    }
+  Matrix* cat = arena->Alloc(nq, sd + qf_dim);
+  for (int qi = 0; qi < nq; ++qi) {
+    double* row = Row(cat, qi);
+    const Matrix& pqe = view.encoded[static_cast<size_t>(qi)]->pqe;
+    std::copy(pqe.data(), pqe.data() + sd, row);
+    const std::vector<double>& qf = *view.qf[static_cast<size_t>(qi)];
+    std::copy(qf.begin(), qf.end(), row + sd);
   }
+  Matrix* msgs = MlpForward(model.aqe_in, *cat, arena);
+  ReluInPlace(msgs);
+  Matrix* sum = arena->Alloc(0, 0);
+  SumRowsInto(*msgs, sum);  // zeros without queries: the empty-state constant
   return *MlpForward(model.aqe_out, *sum, arena);
 }
 

@@ -1,5 +1,7 @@
 #include "nn/inference.h"
 
+#include <algorithm>
+
 #include "nn/gemm.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -36,6 +38,39 @@ Matrix* MlpForward(const Mlp& mlp, const Matrix& x, ScratchArena* arena) {
     h = out;
   }
   return out;
+}
+
+void FlaggedRows(const std::vector<char>& flags, std::vector<int>* rows) {
+  rows->clear();
+  for (size_t i = 0; i < flags.size(); ++i) {
+    if (flags[i]) rows->push_back(static_cast<int>(i));
+  }
+}
+
+const Matrix& GatherRows(const Matrix& src, const std::vector<int>& rows,
+                         ScratchArena* arena) {
+  if (static_cast<int>(rows.size()) == src.rows()) return src;  // all, in order
+  Matrix* out = arena->Alloc(static_cast<int>(rows.size()), src.cols());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const double* from = Row(src, rows[r]);
+    std::copy(from, from + src.cols(), Row(out, static_cast<int>(r)));
+  }
+  return *out;
+}
+
+void ScatterRows(const Matrix& src, const std::vector<int>& rows,
+                 Matrix* dst) {
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const double* from = Row(src, static_cast<int>(r));
+    std::copy(from, from + src.cols(), Row(dst, rows[r]));
+  }
+}
+
+void SumRowsInto(const Matrix& m, Matrix* out) {
+  out->Resize(1, m.cols());
+  for (int r = 0; r < m.rows(); ++r) {
+    AddRowInPlace(out->data(), Row(m, r), m.cols());
+  }
 }
 
 void LogSoftmaxRowsInPlace(Matrix* m) {

@@ -57,6 +57,22 @@ void LinearForwardInto(const Linear& layer, const Matrix& x, Matrix* out);
 /// `arena`. Returns the arena buffer holding the output.
 Matrix* MlpForward(const Mlp& mlp, const Matrix& x, ScratchArena* arena);
 
+/// The indices of the set flags, ascending.
+void FlaggedRows(const std::vector<char>& flags, std::vector<int>* rows);
+
+/// `src`'s `rows` as a compact arena matrix (`src` itself when `rows` is
+/// every row, in order).
+const Matrix& GatherRows(const Matrix& src, const std::vector<int>& rows,
+                         ScratchArena* arena);
+
+/// Writes compact row r of `src` to row rows[r] of `dst`.
+void ScatterRows(const Matrix& src, const std::vector<int>& rows,
+                 Matrix* dst);
+
+/// The tape's SumRows: zeros plus every row in order, into a (1 x cols)
+/// `out`.
+void SumRowsInto(const Matrix& m, Matrix* out);
+
 /// Row-wise log-softmax in place: each row shifted by its own LogSumExp.
 /// Tape::LogSoftmaxRows computes its forward with this routine.
 void LogSoftmaxRowsInPlace(Matrix* m);

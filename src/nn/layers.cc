@@ -10,9 +10,7 @@ Linear::Linear(ParameterStore* store, const std::string& name, int in,
 }
 
 Var Linear::Forward(Tape* tape, Var x) const {
-  Var w = tape->Leaf(w_);
-  Var b = tape->Leaf(b_);
-  return tape->Add(tape->MatMul(x, w), b);
+  return tape->Add(tape->MatMul(x, WeightLeaf(tape)), BiasLeaf(tape));
 }
 
 Mlp::Mlp(ParameterStore* store, const std::string& name,

@@ -18,6 +18,11 @@ class Linear {
 
   Var Forward(Tape* tape, Var x) const;
 
+  /// This layer's parameter leaves on `tape`, for ops that differentiate
+  /// through it by hand.
+  Var WeightLeaf(Tape* tape) const { return tape->Leaf(w_); }
+  Var BiasLeaf(Tape* tape) const { return tape->Leaf(b_); }
+
   int in_dim() const { return in_; }
   int out_dim() const { return out_; }
 

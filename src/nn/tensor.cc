@@ -6,12 +6,6 @@
 
 namespace lsched {
 
-Matrix Matrix::FromRow(const std::vector<double>& row) {
-  Matrix m(1, static_cast<int>(row.size()));
-  m.data_.assign(row.begin(), row.end());
-  return m;
-}
-
 Matrix Matrix::Xavier(int rows, int cols, Rng* rng) {
   Matrix m(rows, cols);
   const double scale = std::sqrt(2.0 / static_cast<double>(rows + cols));

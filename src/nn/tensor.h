@@ -68,8 +68,6 @@ class Matrix {
       : rows_(rows), cols_(cols),
         data_(static_cast<size_t>(rows) * static_cast<size_t>(cols), init) {}
 
-  static Matrix FromRow(const std::vector<double>& row);
-
   /// Xavier/Glorot-style initialization: N(0, sqrt(2/(rows+cols))).
   static Matrix Xavier(int rows, int cols, Rng* rng);
 

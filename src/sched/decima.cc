@@ -7,6 +7,7 @@
 
 #include "nn/autograd.h"
 #include "nn/inference.h"
+#include "nn/message_passing.h"
 #include "nn/replay.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -46,7 +47,7 @@ void ExtractQueryStructuralDecima(const QueryState& q, DecimaQueryFeatures* f,
   f->num_nodes = static_cast<int>(plan.num_nodes());
   f->topo_order = plan.TopologicalOrder();
   f->child_node.assign(plan.num_nodes(), {-1, -1});
-  f->node_features.clear();
+  f->node_features.Resize(f->num_nodes, DecimaModel::kNodeFeatureDim);
   runnable_ops->clear();
   for (size_t i = 0; i < plan.num_nodes(); ++i) {
     const int op = static_cast<int>(i);
@@ -61,10 +62,12 @@ void ExtractQueryStructuralDecima(const QueryState& q, DecimaQueryFeatures* f,
     for (int e : node.in_edges) {
       if (!q.op_completed(plan.edge(e).producer)) runnable = false;
     }
-    f->node_features.push_back(
-        {std::log1p(remaining) * 0.2, 1.0 - remaining / planned,
-         std::log1p(q.EstimateRemainingSeconds(op)),
-         q.op_scheduled(op) ? 1.0 : 0.0, runnable ? 1.0 : 0.0});
+    double* row = Row(&f->node_features, op);
+    row[0] = std::log1p(remaining) * 0.2;
+    row[1] = 1.0 - remaining / planned;
+    row[2] = std::log1p(q.EstimateRemainingSeconds(op));
+    row[3] = q.op_scheduled(op) ? 1.0 : 0.0;
+    row[4] = runnable ? 1.0 : 0.0;
     int slot = 0;
     for (int e : node.in_edges) {
       if (slot < 2) {
@@ -103,43 +106,25 @@ DecimaStateFeatures DecimaScheduler::ExtractFeatures(
 DecimaEncoded Encode(DecimaModel* model, const DecimaStateFeatures& state,
                      Tape* tape) {
   DecimaEncoded enc;
-  const int sd = model->config().summary_dim;
+  const DecimaConfig& cfg = model->config();
   for (const DecimaQueryFeatures& q : state.queries) {
-    std::vector<Var> x;
-    x.reserve(static_cast<size_t>(q.num_nodes));
-    for (int i = 0; i < q.num_nodes; ++i) {
-      Var f = tape->Constant(
-          Matrix::FromRow(q.node_features[static_cast<size_t>(i)]));
-      x.push_back(tape->Relu(model->proj.Forward(tape, f)));
-    }
+    Var x = tape->Relu(
+        model->proj.Forward(tape, tape->Constant(q.node_features)));
     // Sequential message passing: within one iteration, children computed
     // earlier in the topological sweep feed their parents (Decima's scheme
     // — the source of the over-smoothing LSched's TCN avoids, §4.2.1).
-    for (int it = 0; it < model->config().num_mp_iterations; ++it) {
-      for (int i : q.topo_order) {
-        Var h = model->mp_self.Forward(tape, x[static_cast<size_t>(i)]);
-        for (int s = 0; s < 2; ++s) {
-          const int child = q.child_node[static_cast<size_t>(i)][s];
-          if (child < 0) continue;
-          h = tape->Add(
-              h, model->mp_child.Forward(tape, x[static_cast<size_t>(child)]));
-        }
-        x[static_cast<size_t>(i)] = tape->Relu(h);
-      }
+    for (int it = 0; it < cfg.num_mp_iterations; ++it) {
+      x = MessagePassing(tape, model->mp_self, model->mp_child, q.topo_order,
+                         q.child_node, x);
     }
-    Var sum;
-    for (int i = 0; i < q.num_nodes; ++i) {
-      sum = i == 0 ? x[static_cast<size_t>(i)]
-                   : tape->Add(sum, x[static_cast<size_t>(i)]);
-    }
-    enc.query_emb.push_back(model->query_summary.Forward(tape, sum));
-    enc.node_emb.push_back(tape->ConcatRows(x));
+    enc.query_emb.push_back(
+        model->query_summary.Forward(tape, tape->SumRows(x)));
+    enc.node_emb.push_back(x);
   }
-  Var gsum;
-  for (size_t qi = 0; qi < enc.query_emb.size(); ++qi) {
-    gsum = qi == 0 ? enc.query_emb[qi] : tape->Add(gsum, enc.query_emb[qi]);
-  }
-  if (enc.query_emb.empty()) gsum = tape->Constant(Matrix(1, sd, 0.0));
+  const Var gsum =
+      enc.query_emb.empty()
+          ? tape->Constant(Matrix(1, cfg.summary_dim, 0.0))
+          : tape->SumRows(tape->ConcatRows(enc.query_emb));
   enc.global_emb = model->global_summary.Forward(tape, gsum);
   return enc;
 }
@@ -250,57 +235,6 @@ int SampleSpan(const double* logprobs, int n, Rng* rng) {
   return idx >= p.size() ? 0 : static_cast<int>(idx);
 }
 
-/// Tape-free per-query GCN encode, bit-identical to Encode()'s per-query
-/// block: batched projection, row-wise sequential message passing (later
-/// topo nodes read already-updated child rows, exactly like the tape
-/// sweep), ordered node sum, query summary. The outputs are owned copies —
-/// they outlive the per-decision arena and live in the scheduler's cache.
-void EncodeQueryServingDecima(DecimaModel* model,
-                              const DecimaQueryFeatures& q,
-                              ScratchArena* arena, Matrix* node_emb,
-                              Matrix* query_emb) {
-  const int d = model->config().hidden_dim;
-  const int n = q.num_nodes;
-  Matrix* feats = arena->Alloc(n, DecimaModel::kNodeFeatureDim);
-  for (int i = 0; i < n; ++i) {
-    const std::vector<double>& f = q.node_features[static_cast<size_t>(i)];
-    std::copy(f.begin(), f.end(),
-              feats->data() + static_cast<size_t>(i) * feats->cols());
-  }
-  Matrix* x = arena->Alloc(n, d);
-  LinearForwardInto(model->proj, *feats, x);
-  ReluInPlace(x);
-
-  Matrix* xrow = arena->Alloc(1, d);
-  Matrix* h = arena->Alloc(1, d);
-  Matrix* tmp = arena->Alloc(1, d);
-  for (int it = 0; it < model->config().num_mp_iterations; ++it) {
-    for (int i : q.topo_order) {
-      double* row = x->data() + static_cast<size_t>(i) * d;
-      std::copy(row, row + d, xrow->data());
-      LinearForwardInto(model->mp_self, *xrow, h);
-      for (int s = 0; s < 2; ++s) {
-        const int child = q.child_node[static_cast<size_t>(i)][s];
-        if (child < 0) continue;
-        const double* crow = x->data() + static_cast<size_t>(child) * d;
-        std::copy(crow, crow + d, xrow->data());
-        LinearForwardInto(model->mp_child, *xrow, tmp);
-        AddRowInPlace(h->data(), tmp->data(), d);
-      }
-      ReluInPlace(h);
-      std::copy(h->data(), h->data() + d, row);
-    }
-  }
-
-  Matrix* sum = arena->Alloc(1, d);
-  std::copy(x->data(), x->data() + d, sum->data());
-  for (int i = 1; i < n; ++i) {
-    AddRowInPlace(sum->data(), x->data() + static_cast<size_t>(i) * d, d);
-  }
-  *query_emb = *MlpForward(model->query_summary, *sum, arena);
-  *node_emb = *x;
-}
-
 }  // namespace
 
 DecimaScheduler::DecimaScheduler(DecimaModel* model, uint64_t seed)
@@ -325,8 +259,20 @@ DecimaScheduler::CacheEntry& DecimaScheduler::GetCacheEntry(
 
 void DecimaScheduler::EnsureEncoded(CacheEntry* entry) {
   if (entry->encoded) return;
-  EncodeQueryServingDecima(model_, entry->features, &arena_,
-                           &entry->node_emb, &entry->query_emb);
+  const DecimaQueryFeatures& q = entry->features;
+  Matrix* x = arena_.Alloc(q.num_nodes, model_->config().hidden_dim);
+  LinearForwardInto(model_->proj, q.node_features, x);
+  ReluInPlace(x);
+  for (int it = 0; it < model_->config().num_mp_iterations; ++it) {
+    Matrix* next = arena_.Alloc(0, 0);
+    MessagePassingForward(model_->mp_self, model_->mp_child, q.topo_order,
+                          q.child_node, *x, nullptr, &arena_, next);
+    x = next;
+  }
+  Matrix* sum = arena_.Alloc(0, 0);
+  SumRowsInto(*x, sum);
+  entry->query_emb = *MlpForward(model_->query_summary, *sum, &arena_);
+  entry->node_emb = *x;
   entry->encoded = true;
 }
 
@@ -381,16 +327,11 @@ SchedulingDecision DecimaScheduler::Schedule(const SchedulingEvent& event,
     batch_rows->Add(static_cast<double>(candidates.size()));
     const int sd = model_->config().summary_dim;
 
-    // Global summary over the (cached) per-query summaries, accumulated in
-    // query order like the tape's sequential Adds.
+    // Global summary over the (cached) per-query summaries, summed in query
+    // order like the tape's SumRows.
     Matrix* gsum = arena_.Alloc(1, sd);
-    for (size_t qi = 0; qi < entries.size(); ++qi) {
-      const Matrix& qe = entries[qi]->query_emb;
-      if (qi == 0) {
-        std::copy(qe.data(), qe.data() + sd, gsum->data());
-      } else {
-        AddRowInPlace(gsum->data(), qe.data(), sd);
-      }
+    for (const CacheEntry* e : entries) {
+      AddRowInPlace(gsum->data(), e->query_emb.data(), sd);
     }
     Matrix* global_emb = MlpForward(model_->global_summary, *gsum, &arena_);
 

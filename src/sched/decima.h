@@ -40,9 +40,10 @@ struct DecimaConfig {
 struct DecimaQueryFeatures {
   QueryId qid = kInvalidQuery;
   int num_nodes = 0;
-  /// Per task: [log #remaining work orders, completion ratio,
+  /// Row per task, (num_nodes x DecimaModel::kNodeFeatureDim):
+  /// [log #remaining work orders, completion ratio,
   /// log est. remaining duration, is_scheduled, is_runnable].
-  std::vector<std::vector<double>> node_features;
+  Matrix node_features;
   std::vector<std::array<int, 2>> child_node;  ///< producer slots
   std::vector<int> topo_order;
   std::vector<double> query_features;  ///< [assigned frac, free frac]
@@ -105,6 +106,10 @@ struct DecimaForward {
   std::vector<int> par_row;  ///< candidate c's row of par_logprobs
 };
 
+/// Projects every query's node features as one Linear, runs each
+/// message-passing iteration as one tape node (MessagePassing) and sums the
+/// node rows into the query summary. The sweeps' backward reads the
+/// queries' producer slots, so `state` must outlive the tape's sweep.
 DecimaEncoded Encode(DecimaModel* model, const DecimaStateFeatures& state,
                      Tape* tape);
 /// Runs the node head over all candidates as one matrix and the
@@ -151,7 +156,8 @@ class DecimaScheduler : public Scheduler {
 
   /// Refreshes features + runnable ops if `version` moved; does not encode.
   CacheEntry& GetCacheEntry(const QueryState& q, uint64_t version);
-  /// Runs the serving GCN for `entry` if its embeddings are stale.
+  /// Encodes `entry` if its embeddings are stale: the tape Encode's
+  /// per-query forward, through the same routines.
   void EnsureEncoded(CacheEntry* entry);
 
   DecimaModel* model_;

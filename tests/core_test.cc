@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "core/agent.h"
 #include "core/encoder.h"
@@ -165,6 +167,39 @@ TEST(EncoderTest, GcnFallbackDiffersFromTreeConv) {
                 1e-12;
   }
   EXPECT_TRUE(any_diff);
+}
+
+/// The GCN ablation runs each message-passing sweep as one tape node, so
+/// the nodes one query adds to the tape do not depend on its plan's size.
+TEST(EncoderTest, GcnTapeNodesDoNotDependOnPlanSize) {
+  LSchedConfig cfg = SmallConfig();
+  cfg.use_tree_conv = false;
+  LSchedModel model(cfg);
+  WorkloadConfig wcfg;
+  wcfg.benchmark = Benchmark::kTpch;
+  wcfg.num_queries = 8;
+  Rng rng(5);
+  std::vector<std::unique_ptr<QueryState>> queries;
+  SchedulingContext ctx;
+  for (QuerySubmission& sub : GenerateWorkload(wcfg, &rng)) {
+    queries.push_back(std::make_unique<QueryState>(
+        static_cast<QueryId>(queries.size()), std::move(sub.plan), 0.0));
+    ctx.AddQuery(queries.back().get());
+  }
+  for (int i = 0; i < 4; ++i) ctx.AddThread(ThreadInfo{.id = i});
+  const StateFeatures f = FeatureExtractor(cfg.features).Extract(ctx);
+  Tape tape;
+  EncodeQuery(&model, *f.queries[0], &tape);  // every leaf is on the tape
+  std::set<int> sizes;
+  std::set<size_t> added;
+  for (const std::shared_ptr<const QueryFeatures>& q : f.queries) {
+    const size_t before = tape.num_nodes();
+    EncodeQuery(&model, *q, &tape);
+    sizes.insert(q->num_nodes);
+    added.insert(tape.num_nodes() - before);
+  }
+  EXPECT_GT(sizes.size(), 1u);
+  EXPECT_EQ(added.size(), 1u);
 }
 
 /// Hand-computed head rows on a four-operator plan: scans 0 and 1 feed a

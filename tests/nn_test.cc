@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
+#include <initializer_list>
+#include <vector>
 
 #include "nn/autograd.h"
+#include "nn/inference.h"
 #include "nn/layers.h"
+#include "nn/message_passing.h"
 #include "nn/optimizer.h"
 #include "nn/params.h"
 #include "nn/tensor.h"
@@ -301,6 +308,159 @@ TEST(AutogradTest, SweepLeavesParamsUntilGradsAreAdded) {
   EXPECT_DOUBLE_EQ(loss.value().at(0, 0), 4.0);  // the output stays readable
   tape.AddGradsToParams();
   EXPECT_DOUBLE_EQ(w->grad.at(0, 0), 4.0);
+}
+
+/// A 5-node DAG, producers first in a non-identity order: 0 and 1 are
+/// leaves, 2 reads (0, 1), 3 reads 0 and 4 reads 3. Node 0 feeds two
+/// consumers and node 2 has two producers.
+struct SweepDag {
+  std::vector<std::array<int, 2>> producers = {
+      {-1, -1}, {-1, -1}, {0, 1}, {0, -1}, {3, -1}};
+  std::vector<int> topo_order = {1, 0, 3, 2, 4};
+};
+
+Matrix RowsOf(std::initializer_list<std::initializer_list<double>> rows) {
+  Matrix m(static_cast<int>(rows.size()),
+           static_cast<int>(rows.begin()->size()));
+  int r = 0;
+  for (const auto& row : rows) {
+    std::copy(row.begin(), row.end(), Row(&m, r++));
+  }
+  return m;
+}
+
+bool BytesEqual(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool RowBytesEqual(const Matrix& a, const Matrix& b, int r) {
+  return std::memcmp(Row(a, r), Row(b, r),
+                     static_cast<size_t>(a.cols()) * sizeof(double)) == 0;
+}
+
+/// self(x) = x + [0, -1]; child(x) = swap(x) + [1, 0].
+struct SweepLayers {
+  ParameterStore store;
+  Rng rng{1};
+  Linear self{&store, "self", 2, 2, &rng};
+  Linear child{&store, "child", 2, 2, &rng};
+  SweepLayers() {
+    store.Find("self/w")->value = RowsOf({{1, 0}, {0, 1}});
+    store.Find("self/b")->value = RowsOf({{0, -1}});
+    store.Find("child/w")->value = RowsOf({{0, 1}, {1, 0}});
+    store.Find("child/b")->value = RowsOf({{1, 0}});
+  }
+  Matrix Sweep(const SweepDag& dag, const Matrix& in) {
+    Matrix out;
+    MessagePassingForward(self, child, dag.topo_order, dag.producers, in,
+                          nullptr, &arena, &out);
+    return out;
+  }
+  ScratchArena arena;
+};
+
+TEST(MessagePassingTest, SelfReadsTheInputRowAndConsumersTheNewRows) {
+  const SweepDag dag;
+  SweepLayers layers;
+  const Matrix in = RowsOf({{1, 2}, {3, -1}, {0, 1}, {2, 2}, {-1, 0}});
+  // out0 = relu([1, 1]); out1 = relu([3, -2]); out2 = relu([0, 0] +
+  // child(out0) [2, 1] + child(out1) [1, 3]); out3 = relu([2, 1] + [2, 1]);
+  // out4 = relu([-1, -1] + child(out3) [3, 4]). Reading node 3's input row
+  // instead of its new row would give out4 = [2, 1].
+  const Matrix once = layers.Sweep(dag, in);
+  EXPECT_TRUE(BytesEqual(
+      once, RowsOf({{1, 1}, {3, 0}, {3, 4}, {4, 2}, {2, 3}})));
+  const Matrix twice = layers.Sweep(dag, once);
+  EXPECT_TRUE(BytesEqual(
+      twice, RowsOf({{1, 0}, {3, 0}, {5, 7}, {5, 2}, {5, 7}})));
+}
+
+TEST(MessagePassingTest, FlagsRecomputeOnlyTheRowsAChangedRowReaches) {
+  const SweepDag dag;
+  SweepLayers layers;
+  Matrix in = RowsOf({{1, 2}, {3, -1}, {0, 1}, {2, 2}, {-1, 0}});
+  const Matrix once = layers.Sweep(dag, in);
+  const Matrix twice = layers.Sweep(dag, once);
+
+  // Leaf 1's input row changes. Rows 3 and 4 are poisoned: nothing
+  // recomputed reads them, so they must keep their bytes.
+  in.at(1, 0) = 1.0;
+  in.at(1, 1) = 5.0;
+  const Matrix fresh_once = layers.Sweep(dag, in);
+  const Matrix fresh_twice = layers.Sweep(dag, fresh_once);
+  const auto poison = [](Matrix m) {
+    for (int r : {3, 4}) std::fill_n(Row(&m, r), m.cols(), 42.0);
+    return m;
+  };
+  std::vector<char> flags = {0, 1, 0, 0, 0};
+  Matrix out1 = poison(once);
+  MessagePassingForward(layers.self, layers.child, dag.topo_order,
+                        dag.producers, in, &flags, &layers.arena, &out1);
+  EXPECT_EQ(flags, (std::vector<char>{0, 1, 1, 0, 0}));
+  // out1 = relu([1, 4]); out2 = relu([0, 0] + [2, 1] + child(out1) [5, 1]).
+  EXPECT_TRUE(BytesEqual(
+      out1, poison(RowsOf({{1, 1}, {1, 4}, {7, 2}, {0, 0}, {0, 0}}))));
+  for (int r = 0; r < 3; ++r) EXPECT_TRUE(RowBytesEqual(out1, fresh_once, r));
+
+  // The second iteration carries the flags on.
+  Matrix out2 = poison(twice);
+  MessagePassingForward(layers.self, layers.child, dag.topo_order,
+                        dag.producers, out1, &flags, &layers.arena, &out2);
+  EXPECT_EQ(flags, (std::vector<char>{0, 1, 1, 0, 0}));
+  EXPECT_TRUE(RowBytesEqual(out2, poison(twice), 3));
+  EXPECT_TRUE(RowBytesEqual(out2, poison(twice), 4));
+  for (int r = 0; r < 3; ++r) EXPECT_TRUE(RowBytesEqual(out2, fresh_twice, r));
+
+  // No flag set: nothing is written.
+  std::vector<char> clean(5, 0);
+  Matrix untouched = poison(twice);
+  MessagePassingForward(layers.self, layers.child, dag.topo_order,
+                        dag.producers, in, &clean, &layers.arena, &untouched);
+  EXPECT_TRUE(BytesEqual(untouched, poison(twice)));
+}
+
+TEST(MessagePassingTest, GradCheckTwoSweepsThroughInputsAndAllFourParams) {
+  const SweepDag dag;
+  ParameterStore store;
+  Rng rng(21);
+  Param* x = store.Create("x", 5, 3, &rng);
+  const Linear self(&store, "self", 3, 3, &rng);
+  const Linear child(&store, "child", 3, 3, &rng);
+  // Positive inputs, weights and biases keep the consumers active, so
+  // gradients flow through both of node 0's consumers; a negative self
+  // bias keeps the leaves' last unit below zero, so the ReLU masks too.
+  for (double& v : x->value.raw()) v = std::fabs(v) + 0.1;
+  for (const char* name : {"self/w", "child/w"}) {
+    for (double& v : store.Find(name)->value.raw()) v = std::fabs(v);
+  }
+  for (const char* name : {"self/b", "child/b"}) {
+    for (double& v : store.Find(name)->value.raw()) {
+      v = 0.2 + 0.1 * rng.Normal(0.0, 1.0);
+    }
+  }
+  store.Find("self/b")->value.at(0, 2) = -2.0;
+  const Matrix weights = Matrix::Xavier(5, 3, &rng);
+  size_t nodes = 0;
+  auto forward = [&](Tape* tape, bool backward) {
+    Var h = tape->Leaf(x);
+    for (int it = 0; it < 2; ++it) {
+      h = MessagePassing(tape, self, child, dag.topo_order, dag.producers, h);
+    }
+    Var loss = tape->SumAll(tape->Mul(h, tape->Constant(weights)));
+    nodes = tape->num_nodes();
+    if (backward) tape->Backward(loss);
+    return loss.value().at(0, 0);
+  };
+  GradCheck(&store, forward);
+  // One node per sweep: x, four leaves, two sweeps, the loss's three.
+  EXPECT_EQ(nodes, 10u);
+  // Node 0's gradient gets both consumers' shares, and no child weight
+  // gradient is zero.
+  double row0 = 0.0;
+  for (int c = 0; c < 3; ++c) row0 += std::fabs(x->grad.at(0, c));
+  EXPECT_GT(row0, 0.0);
+  for (double g : store.Find("child/w")->grad.raw()) EXPECT_NE(g, 0.0);
 }
 
 TEST(LayersTest, MlpShapesAndDeterminism) {

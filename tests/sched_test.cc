@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "sched/decima.h"
 #include "sched/heuristics.h"
 #include "sched/selftune.h"
@@ -114,6 +116,27 @@ TEST(SelfTuneTest, TunerNeverWorseThanDefault) {
   EXPECT_LE(result.best_avg_latency, result.latency_per_iteration[0] + 1e-9);
 }
 
+/// Decima's encoder runs each message-passing iteration as one tape node,
+/// so the tape of a one-query state does not grow with the plan.
+TEST(DecimaTest, EncodeTapeNodesDoNotDependOnPlanSize) {
+  DecimaModel model{DecimaConfig()};
+  std::set<int> sizes;
+  std::set<size_t> nodes;
+  for (const QuerySubmission& sub : TestWorkload(8, 41)) {
+    QueryState q(0, sub.plan, 0.0);
+    SchedulingContext ctx;
+    ctx.AddQuery(&q);
+    for (int i = 0; i < 4; ++i) ctx.AddThread(ThreadInfo{.id = i});
+    const DecimaStateFeatures f = DecimaScheduler::ExtractFeatures(ctx);
+    Tape tape;
+    Encode(&model, f, &tape);
+    sizes.insert(f.queries[0].num_nodes);
+    nodes.insert(tape.num_nodes());
+  }
+  EXPECT_GT(sizes.size(), 1u);
+  EXPECT_EQ(nodes.size(), 1u);
+}
+
 TEST(DecimaTest, FeaturesAreBlackBoxAndNoPipelining) {
   auto workload = TestWorkload(1, 37);
   QueryState q(0, workload[0].plan, 0.0);
@@ -122,8 +145,7 @@ TEST(DecimaTest, FeaturesAreBlackBoxAndNoPipelining) {
   for (int i = 0; i < 4; ++i) ctx.AddThread(ThreadInfo{.id = i});
   const DecimaStateFeatures f = DecimaScheduler::ExtractFeatures(ctx);
   ASSERT_EQ(f.queries.size(), 1u);
-  EXPECT_EQ(f.queries[0].node_features[0].size(),
-            static_cast<size_t>(DecimaModel::kNodeFeatureDim));
+  EXPECT_EQ(f.queries[0].node_features.cols(), DecimaModel::kNodeFeatureDim);
   // Decima's runnable set (all parents complete) is a subset of LSched's
   // schedulable set (which allows streaming consumers).
   q.set_op_scheduled(0, true);

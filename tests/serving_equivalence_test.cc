@@ -216,15 +216,6 @@ bool BitsEqual(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-bool RowsBitEqual(const std::vector<std::vector<double>>& a,
-                  const std::vector<std::vector<double>>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!BitsEqual(a[i], b[i])) return false;
-  }
-  return true;
-}
-
 bool StatesBitEqual(const StateFeatures& a, const StateFeatures& b) {
   if (std::memcmp(&a.time, &b.time, sizeof(double)) != 0 ||
       a.total_threads != b.total_threads ||
@@ -270,7 +261,7 @@ bool StatesBitEqual(const DecimaStateFeatures& a,
     const DecimaQueryFeatures& x = a.queries[i];
     const DecimaQueryFeatures& y = b.queries[i];
     if (x.qid != y.qid || x.num_nodes != y.num_nodes ||
-        !RowsBitEqual(x.node_features, y.node_features) ||
+        !MatricesBytesEqual(x.node_features, y.node_features) ||
         x.child_node != y.child_node || x.topo_order != y.topo_order ||
         !BitsEqual(x.query_features, y.query_features)) {
       return false;
