@@ -1,8 +1,6 @@
 #include "core/online.h"
 
-#include "core/trainer.h"
 #include "obs/scalar_events.h"
-#include "util/math_util.h"
 
 namespace lsched {
 
@@ -11,7 +9,8 @@ OnlineLSched::OnlineLSched(LSchedModel* model, OnlineConfig config,
     : model_(model),
       config_(config),
       agent_(model, seed),
-      optimizer_(config.learning_rate),
+      learner_(model->params(), config.learning_rate, config.grad_clip,
+               config.reward),
       effective_update_every_(config.update_every_queries),
       drift_fired_(std::make_shared<std::atomic<bool>>(false)) {
   agent_.set_sample_actions(config_.sample_actions);
@@ -28,6 +27,7 @@ void OnlineLSched::Reset() {
   agent_.Reset();
   completions_since_update_ = 0;
   last_event_time_ = 0.0;
+  window_start_ = 0.0;
   PublishProgressGauges();
 }
 
@@ -78,31 +78,24 @@ void OnlineLSched::OnQueryCompleted(QueryId query, double latency) {
 }
 
 void OnlineLSched::ApplyUpdate(double now) {
-  std::vector<Experience>& exps = agent_.experiences();
-  if (exps.size() < 2) return;
-  const std::vector<double> rewards =
-      ComputeRewards(exps, config_.reward, now);
-  const std::vector<double> returns = ComputeReturns(rewards);
-  experience_.AddEpisode(std::move(exps), returns);
+  if (agent_.experiences().size() < 2) return;
+  // The window runs from the previous update to `now`. Online corrections
+  // carry no entropy bonus. Versions are never reused, so memo keys stay
+  // unique even if the experiences span several runs.
+  const PolicyGradientUpdate update = learner_.Update(
+      std::move(agent_.experiences()), window_start_, now,
+      [this](const std::vector<Experience>& decisions,
+             const std::vector<double>& advantages, double scale) {
+        return AccumulatePolicyGradient(model_, decisions, advantages, scale,
+                                        /*entropy_coef=*/0.0,
+                                        /*track_entropy=*/false);
+      });
   agent_.experiences().clear();
-
-  const ExperienceManager::StoredEpisode& ep = experience_.latest();
-  const std::vector<double> adv = experience_.LatestAdvantages(true);
-  model_->params()->ZeroGrads();
-  const double scale =
-      1.0 / static_cast<double>(std::max<size_t>(ep.experiences.size(), 1));
-  // Online corrections carry no entropy bonus. Versions are never reused,
-  // so memo keys stay unique even if the experiences span several runs.
-  AccumulatePolicyGradient(model_, ep.experiences, adv, scale,
-                           /*entropy_coef=*/0.0, /*track_entropy=*/false);
-  model_->params()->ClipGradNorm(config_.grad_clip);
-  optimizer_.Step(model_->params());
+  window_start_ = now;
   ++num_updates_;
   if (obs::Enabled()) {
-    double total_reward = 0.0;
-    for (double r : rewards) total_reward += r;
     obs::ScalarEventWriter::Global().Append("online.update_reward",
-                                            num_updates_, total_reward);
+                                            num_updates_, update.total_reward);
   }
 }
 

@@ -6,9 +6,8 @@
 #include <string>
 
 #include "core/agent.h"
-#include "core/experience.h"
 #include "core/reward.h"
-#include "nn/optimizer.h"
+#include "core/trainer.h"
 #include "obs/drift.h"
 #include "obs/metrics.h"
 
@@ -67,7 +66,9 @@ class OnlineLSched : public Scheduler {
   int update_every_queries() const { return effective_update_every_; }
 
   int num_updates() const { return num_updates_; }
-  ExperienceManager* experience_manager() { return &experience_; }
+  ExperienceManager* experience_manager() {
+    return learner_.experience_manager();
+  }
 
  private:
   void ApplyUpdate(double now);
@@ -76,11 +77,13 @@ class OnlineLSched : public Scheduler {
   LSchedModel* model_;
   OnlineConfig config_;
   LSchedAgent agent_;
-  ExperienceManager experience_;
-  Adam optimizer_;
+  PolicyGradientLearner<Experience> learner_;
   int completions_since_update_ = 0;
   int num_updates_ = 0;
   double last_event_time_ = 0.0;
+  /// Where the next update's reward window starts: the previous update's
+  /// end, or 0 after Reset.
+  double window_start_ = 0.0;
   int effective_update_every_ = 0;
   bool drift_escalated_ = false;
   /// Set by the drift-alarm callback (possibly from another thread),

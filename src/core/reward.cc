@@ -5,26 +5,26 @@
 
 namespace lsched {
 
-std::vector<double> ComputeRewards(const std::vector<Experience>& episode,
+std::vector<double> ComputeRewards(const std::vector<DecisionStamp>& stamps,
                                    const RewardConfig& config,
-                                   double end_time) {
-  std::vector<double> h(episode.size(), 0.0);
-  double prev_time = 0.0;
-  for (size_t d = 0; d < episode.size(); ++d) {
-    const double dt = episode[d].time - prev_time;
-    h[d] = dt * static_cast<double>(episode[d].num_running_queries);
-    prev_time = episode[d].time;
+                                   double start_time, double end_time) {
+  std::vector<double> h(stamps.size(), 0.0);
+  double prev_time = start_time;
+  for (size_t d = 0; d < stamps.size(); ++d) {
+    const double dt = stamps[d].time - prev_time;
+    h[d] = dt * static_cast<double>(stamps[d].num_running_queries);
+    prev_time = stamps[d].time;
   }
   // Terminal interval: queries kept running after the last decision.
   double h_terminal = 0.0;
-  if (!episode.empty() && end_time > prev_time) {
+  if (!stamps.empty() && end_time > prev_time) {
     h_terminal = (end_time - prev_time) *
-                 static_cast<double>(episode.back().num_running_queries);
+                 static_cast<double>(stamps.back().num_running_queries);
   }
   std::vector<double> h_all = h;
   if (h_terminal > 0.0) h_all.push_back(h_terminal);
   const double p = Percentile(h_all, config.tail_percentile);
-  std::vector<double> rewards(episode.size(), 0.0);
+  std::vector<double> rewards(stamps.size(), 0.0);
   const double wsum = config.w_avg + config.w_tail;
   auto reward_of = [&](double hd) {
     const double r_avg = -hd;

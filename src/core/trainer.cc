@@ -100,7 +100,8 @@ ReinforceTrainer::ReinforceTrainer(LSchedModel* model, SimEngine* engine,
       engine_(engine),
       config_(config),
       agent_(model, config.seed ^ 0x5bd1e995),
-      optimizer_(config.learning_rate),
+      learner_(model->params(), config.learning_rate, config.grad_clip,
+               config.reward),
       rng_(config.seed) {
   agent_.set_sample_actions(true);
   agent_.set_record_experiences(true);
@@ -115,85 +116,61 @@ double ReinforceTrainer::TrainOneEpisode(
   agent_.set_record_experiences(true);
   const EpisodeResult result = engine_->Run(workload, &agent_);
 
-  std::vector<Experience>& exps = agent_.experiences();
-  double total_reward = 0.0;
+  PolicyGradientUpdate update;
   double return_variance = 0.0;
-  UpdateTelemetry update;
-  if (!exps.empty()) {
-    const std::vector<double> rewards =
-        ComputeRewards(exps, config_.reward, result.makespan);
-    const std::vector<double> returns = ComputeReturns(rewards);
-    for (double r : rewards) total_reward += r;
-    return_variance = Variance(returns);
-
-    experience_.AddEpisode(std::move(exps), returns);
+  if (!agent_.experiences().empty()) {
+    obs::ScopedSpan span("train.update", "train");
+    // Entropy is in the loss whenever the coefficient is live, and in the
+    // telemetry whenever obs is recording.
+    update = learner_.Update(
+        std::move(agent_.experiences()), 0.0, result.makespan,
+        [this](const std::vector<Experience>& decisions,
+               const std::vector<double>& advantages, double scale) {
+          return AccumulatePolicyGradient(model_, decisions, advantages,
+                                          scale, config_.entropy_coef,
+                                          obs::Enabled());
+        });
     agent_.experiences().clear();
-
-    update = UpdateFromLatestEpisode();
+    return_variance = Variance(experience_manager()->latest().returns);
   }
 
-  RecordEpisodeTelemetry(result, total_reward, return_variance, update);
+  RecordEpisodeTelemetry(result, return_variance, update);
   ++episode_index_;
-  return total_reward;
+  return update.total_reward;
 }
 
-ReinforceTrainer::UpdateTelemetry ReinforceTrainer::UpdateFromLatestEpisode() {
-  obs::ScopedSpan span("train.update", "train");
-  const ExperienceManager::StoredEpisode& ep = experience_.latest();
-  const std::vector<double> adv = experience_.LatestAdvantages(true);
-
-  UpdateTelemetry tel;
-  model_->params()->ZeroGrads();
-  const double scale = 1.0 / std::max<size_t>(ep.experiences.size(), 1);
-  // Entropy is in the loss whenever the coefficient is live, and in the
-  // telemetry whenever obs is recording.
-  const PolicyGradientStats pg = AccumulatePolicyGradient(
-      model_, ep.experiences, adv, scale, config_.entropy_coef,
-      obs::Enabled());
-  stats_.total_decisions += pg.decisions;
-  tel.decisions = pg.decisions;
-  if (obs::Enabled()) {
-    tel.grad_norm_preclip = model_->params()->GradNorm();
-  }
-  model_->params()->ClipGradNorm(config_.grad_clip);
-  if (obs::Enabled()) {
-    tel.grad_norm_postclip = model_->params()->GradNorm();
-  }
-  tel.mean_entropy = tel.decisions > 0 ? pg.entropy_sum / tel.decisions : 0.0;
-  optimizer_.Step(model_->params());
-  return tel;
-}
-
-void ReinforceTrainer::RecordEpisodeTelemetry(const EpisodeResult& result,
-                                              double total_reward,
-                                              double return_variance,
-                                              const UpdateTelemetry& update) {
+void ReinforceTrainer::RecordEpisodeTelemetry(
+    const EpisodeResult& result, double return_variance,
+    const PolicyGradientUpdate& update) {
   // TrainStats, the scalar event stream, and the registry gauges are all
   // fed from the same locals here — the one place episode bookkeeping
   // happens (previously stats_ and train.last_reward were updated in two
   // places and could drift apart).
   stats_.episode_avg_latency.push_back(result.avg_latency);
-  stats_.episode_reward.push_back(total_reward);
+  stats_.episode_reward.push_back(update.total_reward);
+  stats_.total_decisions += update.replayed.decisions;
   if (!obs::Enabled()) return;
 
   const int64_t step = episode_index_;
   const std::string& prefix = config_.telemetry_prefix;
+  const int decisions = update.replayed.decisions;
   auto& events = obs::ScalarEventWriter::Global();
-  events.Append(prefix + ".reward", step, total_reward);
+  events.Append(prefix + ".reward", step, update.total_reward);
   events.Append(prefix + ".return_variance", step, return_variance);
-  events.Append(prefix + ".policy_entropy", step, update.mean_entropy);
+  events.Append(prefix + ".policy_entropy", step,
+                decisions > 0 ? update.replayed.entropy_sum / decisions : 0.0);
   events.Append(prefix + ".grad_norm_preclip", step,
                 update.grad_norm_preclip);
   events.Append(prefix + ".grad_norm_postclip", step,
                 update.grad_norm_postclip);
-  events.Append(prefix + ".learning_rate", step, optimizer_.lr());
+  events.Append(prefix + ".learning_rate", step, learner_.learning_rate());
   events.Append(prefix + ".exploration_epsilon", step,
                 config_.exploration_epsilon);
   events.Append(prefix + ".avg_latency", step, result.avg_latency);
 
   auto& reg = obs::MetricsRegistry::Global();
   reg.GetCounter("train.episodes")->Add(1);
-  reg.GetGauge("train.last_reward")->Set(total_reward);
+  reg.GetGauge("train.last_reward")->Set(update.total_reward);
   reg.GetGauge("train.total_decisions")
       ->Set(static_cast<double>(stats_.total_decisions));
   reg.GetHistogram("train.episode_avg_latency_seconds")

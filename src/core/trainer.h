@@ -1,6 +1,7 @@
 #ifndef LSCHED_CORE_TRAINER_H_
 #define LSCHED_CORE_TRAINER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -13,6 +14,7 @@
 #include "core/reward.h"
 #include "exec/sim_engine.h"
 #include "nn/optimizer.h"
+#include "obs/obs.h"
 
 namespace lsched {
 
@@ -103,16 +105,89 @@ PolicyGradientStats AccumulatePolicyGradient(
     const std::vector<double>& advantages, double scale, double entropy_coef,
     bool track_entropy, int workers = 0);
 
+/// What one policy-gradient update saw and did.
+struct PolicyGradientUpdate {
+  double total_reward = 0.0;  ///< summed rewards of the window
+  PolicyGradientStats replayed;
+  /// Global grad norm before and after the clip, read only while obs is
+  /// recording (0 otherwise).
+  double grad_norm_preclip = 0.0;
+  double grad_norm_postclip = 0.0;
+};
+
+/// The one policy-gradient path of every trainer here (ReinforceTrainer,
+/// OnlineLSched and DecimaTrainer), from a window of recorded decisions to
+/// an optimizer step: rewards (ComputeRewards over the decisions' stamps)
+/// -> returns -> per-index EWMA baseline and normalized advantages
+/// (BasicExperienceManager) -> zero grads, replay, clip, Adam step. `Exp`
+/// is the agent's recorded decision; what differs per trainer is only how
+/// one decision's log-prob (and any entropy term) is replayed, the
+/// `accumulate` callback of Update.
+template <typename Exp>
+class PolicyGradientLearner {
+ public:
+  /// Adds scale * d/dθ sum_d -advantages[d] * log π(a_d | s_d) (plus the
+  /// trainer's entropy term) over `decisions` into the parameter grads,
+  /// through ReplayUnits.
+  using Accumulate = std::function<PolicyGradientStats(
+      const std::vector<Exp>& decisions, const std::vector<double>& advantages,
+      double scale)>;
+
+  PolicyGradientLearner(ParameterStore* params, double learning_rate,
+                        double grad_clip, const RewardConfig& reward)
+      : params_(params),
+        optimizer_(learning_rate),
+        grad_clip_(grad_clip),
+        reward_(reward) {}
+
+  /// Rewards `decisions`, taken in the window (start_time, end_time], stores
+  /// them with their returns as the latest episode, and takes one step.
+  PolicyGradientUpdate Update(std::vector<Exp> decisions, double start_time,
+                              double end_time, const Accumulate& accumulate) {
+    std::vector<DecisionStamp> stamps;
+    stamps.reserve(decisions.size());
+    for (const Exp& d : decisions) {
+      stamps.push_back({d.time, d.num_running_queries});
+    }
+    const std::vector<double> rewards =
+        ComputeRewards(stamps, reward_, start_time, end_time);
+    PolicyGradientUpdate update;
+    for (double r : rewards) update.total_reward += r;
+    experience_.AddEpisode(std::move(decisions), ComputeReturns(rewards));
+
+    const std::vector<Exp>& stored = experience_.latest().experiences;
+    const std::vector<double> advantages = experience_.LatestAdvantages(true);
+    params_->ZeroGrads();
+    update.replayed = accumulate(
+        stored, advantages,
+        1.0 / static_cast<double>(std::max<size_t>(stored.size(), 1)));
+    if (obs::Enabled()) update.grad_norm_preclip = params_->GradNorm();
+    params_->ClipGradNorm(grad_clip_);
+    if (obs::Enabled()) update.grad_norm_postclip = params_->GradNorm();
+    optimizer_.Step(params_);
+    return update;
+  }
+
+  BasicExperienceManager<Exp>* experience_manager() { return &experience_; }
+  double learning_rate() const { return optimizer_.lr(); }
+
+ private:
+  ParameterStore* params_;
+  BasicExperienceManager<Exp> experience_;
+  Adam optimizer_;
+  double grad_clip_;
+  RewardConfig reward_;
+};
+
 /// Generates the workload for training episode `episode` (paper §7.1:
 /// episodes vary query counts and arrival rates).
 using WorkloadFactory =
     std::function<std::vector<QuerySubmission>(int episode, Rng* rng)>;
 
 /// REINFORCE policy-gradient trainer (paper §6): runs episodes on the
-/// simulator with the agent sampling actions, computes the average+tail
-/// latency rewards, and replays the recorded decisions
-/// (AccumulatePolicyGradient) to accumulate log-prob gradients weighted by
-/// baselined advantages.
+/// simulator with the agent sampling actions and trains on each through
+/// the PolicyGradientLearner, replaying the recorded decisions with
+/// AccumulatePolicyGradient.
 class ReinforceTrainer {
  public:
   ReinforceTrainer(LSchedModel* model, SimEngine* engine, TrainConfig config);
@@ -125,32 +200,23 @@ class ReinforceTrainer {
   /// Fig. 14.
   double TrainOneEpisode(const std::vector<QuerySubmission>& workload);
 
-  ExperienceManager* experience_manager() { return &experience_; }
+  ExperienceManager* experience_manager() {
+    return learner_.experience_manager();
+  }
 
  private:
-  /// Per-update telemetry surfaced by UpdateFromLatestEpisode for the
-  /// scalar event stream.
-  struct UpdateTelemetry {
-    double mean_entropy = 0.0;
-    double grad_norm_preclip = 0.0;
-    double grad_norm_postclip = 0.0;
-    int decisions = 0;
-  };
-
-  UpdateTelemetry UpdateFromLatestEpisode();
   /// The single instrumentation path for per-episode model-quality data:
   /// appends to TrainStats, the scalar event stream, and the registry
   /// gauges from the same values, so the three sinks cannot diverge.
   void RecordEpisodeTelemetry(const EpisodeResult& result,
-                              double total_reward, double return_variance,
-                              const UpdateTelemetry& update);
+                              double return_variance,
+                              const PolicyGradientUpdate& update);
 
   LSchedModel* model_;
   SimEngine* engine_;
   TrainConfig config_;
   LSchedAgent agent_;
-  ExperienceManager experience_;
-  Adam optimizer_;
+  PolicyGradientLearner<Experience> learner_;
   Rng rng_;
   TrainStats stats_;
   int episode_index_ = 0;

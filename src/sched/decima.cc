@@ -12,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/math_util.h"
 
 namespace lsched {
 
@@ -414,6 +413,35 @@ SchedulingDecision DecimaScheduler::Schedule(const SchedulingEvent& event,
   return decision;
 }
 
+namespace {
+
+/// Decima's replay of its recorded decisions: one tape per decision, run
+/// in parallel (ReplayUnits), each adding scale * d/dθ of -advantages[d] *
+/// log π(node_d, parallelism_d | s_d).
+PolicyGradientStats AccumulateDecimaGradient(
+    DecimaModel* model, const std::vector<DecimaExperience>& decisions,
+    const std::vector<double>& advantages, double scale) {
+  PolicyGradientStats stats;
+  for (const DecimaExperience& exp : decisions) {
+    if (!exp.state.candidates.empty()) ++stats.decisions;
+  }
+  ReplayUnits(static_cast<int>(decisions.size()), 0, [&](int d, Tape* tape) {
+    const DecimaExperience& exp = decisions[static_cast<size_t>(d)];
+    if (exp.state.candidates.empty()) return;
+    const DecimaEncoded enc = Encode(model, exp.state, tape);
+    const DecimaForward out = Forward(model, exp.state, enc, tape);
+    const int c = exp.chosen_candidate;
+    const Var lp = tape->Add(
+        tape->Pick(out.node_logprobs, 0, c),
+        tape->Pick(out.par_logprobs, out.par_row[static_cast<size_t>(c)],
+                   exp.chosen_parallelism));
+    tape->Sweep(tape->Scale(lp, -advantages[static_cast<size_t>(d)]), scale);
+  });
+  return stats;
+}
+
+}  // namespace
+
 DecimaTrainer::DecimaTrainer(DecimaModel* model, SimEngine* engine,
                              int episodes, double learning_rate,
                              uint64_t seed)
@@ -421,7 +449,9 @@ DecimaTrainer::DecimaTrainer(DecimaModel* model, SimEngine* engine,
       engine_(engine),
       episodes_(episodes),
       agent_(model, seed ^ 0x9747b28c),
-      optimizer_(learning_rate),
+      // Decima's reward counts average latency only (no tail term).
+      learner_(model->params(), learning_rate, TrainConfig{}.grad_clip,
+               RewardConfig{.w_avg = 1.0, .w_tail = 0.0}),
       rng_(seed) {
   agent_.set_sample_actions(true);
   agent_.set_record_experiences(true);
@@ -432,83 +462,24 @@ double DecimaTrainer::TrainOneEpisode(
   agent_.set_sample_actions(true);
   agent_.set_record_experiences(true);
   const EpisodeResult result = engine_->Run(workload, &agent_);
-  std::vector<DecimaExperience> exps = std::move(agent_.experiences());
-  agent_.experiences().clear();
+  PolicyGradientUpdate update;
+  if (!agent_.experiences().empty()) {
+    update = learner_.Update(
+        std::move(agent_.experiences()), 0.0, result.makespan,
+        [this](const std::vector<DecimaExperience>& decisions,
+               const std::vector<double>& advantages, double scale) {
+          return AccumulateDecimaGradient(model_, decisions, advantages,
+                                          scale);
+        });
+    agent_.experiences().clear();
+  }
   stats_.episode_avg_latency.push_back(result.avg_latency);
-  if (exps.empty()) {
-    stats_.episode_reward.push_back(0.0);
-    return 0.0;
-  }
-
-  // Average-latency-only reward: r_d = -H_d (no tail term, unlike LSched).
-  std::vector<double> rewards(exps.size(), 0.0);
-  double prev = 0.0;
-  for (size_t d = 0; d < exps.size(); ++d) {
-    rewards[d] = -(exps[d].time - prev) *
-                 static_cast<double>(exps[d].num_running_queries);
-    prev = exps[d].time;
-  }
-  // Terminal interval after the last decision (same correction as LSched's
-  // trainer, so the comparison stays apples-to-apples).
-  if (result.makespan > prev) {
-    rewards.back() -= (result.makespan - prev) *
-                      static_cast<double>(exps.back().num_running_queries);
-  }
-  std::vector<double> returns(exps.size(), 0.0);
-  double acc = 0.0;
-  for (size_t i = exps.size(); i-- > 0;) {
-    acc += rewards[i];
-    returns[i] = acc;
-  }
-  double total_reward = 0.0;
-  for (double r : rewards) total_reward += r;
-
-  // Per-index EWMA baseline, then normalized advantages.
-  if (baseline_.size() < returns.size()) {
-    baseline_.resize(returns.size(), 0.0);
-    baseline_init_.resize(returns.size(), false);
-  }
-  std::vector<double> adv(returns.size(), 0.0);
-  for (size_t d = 0; d < returns.size(); ++d) {
-    adv[d] = baseline_init_[d] ? returns[d] - baseline_[d] : 0.0;
-    if (!baseline_init_[d]) {
-      baseline_[d] = returns[d];
-      baseline_init_[d] = true;
-    } else {
-      baseline_[d] = 0.9 * baseline_[d] + 0.1 * returns[d];
-    }
-  }
-  const double sd = StdDev(adv);
-  const double m = Mean(adv);
-  if (sd > 1e-9) {
-    for (double& a : adv) a = (a - m) / sd;
-  }
-
-  model_->params()->ZeroGrads();
-  const double scale =
-      1.0 / static_cast<double>(std::max<size_t>(exps.size(), 1));
-  // One tape per decision, replayed in parallel; grads added in order.
-  ReplayUnits(static_cast<int>(exps.size()), 0, [&](int d, Tape* tape) {
-    const DecimaExperience& exp = exps[static_cast<size_t>(d)];
-    if (exp.state.candidates.empty()) return;
-    const DecimaEncoded enc = Encode(model_, exp.state, tape);
-    const DecimaForward out = Forward(model_, exp.state, enc, tape);
-    const int c = exp.chosen_candidate;
-    const Var lp = tape->Add(
-        tape->Pick(out.node_logprobs, 0, c),
-        tape->Pick(out.par_logprobs, out.par_row[static_cast<size_t>(c)],
-                   exp.chosen_parallelism));
-    tape->Sweep(tape->Scale(lp, -adv[static_cast<size_t>(d)]), scale);
-  });
-  model_->params()->ClipGradNorm(5.0);
-  optimizer_.Step(model_->params());
-
-  stats_.episode_reward.push_back(total_reward);
-  return total_reward;
+  stats_.episode_reward.push_back(update.total_reward);
+  stats_.total_decisions += update.replayed.decisions;
+  return update.total_reward;
 }
 
-DecimaTrainStats DecimaTrainer::Train(
-    const std::function<std::vector<QuerySubmission>(int, Rng*)>& factory) {
+TrainStats DecimaTrainer::Train(const WorkloadFactory& factory) {
   for (int ep = 0; ep < episodes_; ++ep) {
     TrainOneEpisode(factory(ep, &rng_));
   }

@@ -3,18 +3,17 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/trainer.h"
 #include "exec/scheduler.h"
 #include "exec/scheduling_context.h"
 #include "exec/sim_engine.h"
 #include "nn/inference.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 #include "nn/params.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -170,32 +169,26 @@ class DecimaScheduler : public Scheduler {
   ScratchArena arena_;
 };
 
-struct DecimaTrainStats {
-  std::vector<double> episode_avg_latency;
-  std::vector<double> episode_reward;
-};
-
-/// REINFORCE trainer for Decima (average-latency reward only, per the
-/// paper's contribution #4 contrast).
+/// REINFORCE trainer for Decima. It trains through the same
+/// PolicyGradientLearner as LSched, with an average-latency-only reward
+/// ({w_avg = 1, w_tail = 0}, per the paper's contribution #4 contrast), and
+/// replays each decision through the tape Encode/Forward.
 class DecimaTrainer {
  public:
   DecimaTrainer(DecimaModel* model, SimEngine* engine, int episodes,
                 double learning_rate = 1e-3, uint64_t seed = 41);
 
   double TrainOneEpisode(const std::vector<QuerySubmission>& workload);
-  DecimaTrainStats Train(
-      const std::function<std::vector<QuerySubmission>(int, Rng*)>& factory);
+  TrainStats Train(const WorkloadFactory& factory);
 
  private:
   DecimaModel* model_;
   SimEngine* engine_;
   int episodes_;
   DecimaScheduler agent_;
-  Adam optimizer_;
+  PolicyGradientLearner<DecimaExperience> learner_;
   Rng rng_;
-  std::vector<double> baseline_;
-  std::vector<bool> baseline_init_;
-  DecimaTrainStats stats_;
+  TrainStats stats_;
 };
 
 }  // namespace lsched

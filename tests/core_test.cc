@@ -360,17 +360,15 @@ TEST(AgentTest, RecordsExperiencesWhenEnabled) {
 }
 
 TEST(RewardTest, MatchesPaperFormula) {
-  std::vector<Experience> eps(3);
-  eps[0].time = 1.0;
-  eps[0].num_running_queries = 2;  // H = 1*2 = 2
-  eps[1].time = 2.5;
-  eps[1].num_running_queries = 4;  // H = 1.5*4 = 6
-  eps[2].time = 3.0;
-  eps[2].num_running_queries = 1;  // H = 0.5*1 = 0.5
+  const std::vector<DecisionStamp> stamps = {
+      {1.0, 2},  // H = 1*2 = 2
+      {2.5, 4},  // H = 1.5*4 = 6
+      {3.0, 1},  // H = 0.5*1 = 0.5
+  };
   RewardConfig cfg;
   cfg.w_avg = 1.0;
   cfg.w_tail = 0.0;
-  const std::vector<double> r = ComputeRewards(eps, cfg);
+  const std::vector<double> r = ComputeRewards(stamps, cfg);
   ASSERT_EQ(r.size(), 3u);
   EXPECT_DOUBLE_EQ(r[0], -2.0);
   EXPECT_DOUBLE_EQ(r[1], -6.0);
@@ -381,9 +379,22 @@ TEST(RewardTest, MatchesPaperFormula) {
   cfg2.w_avg = 0.5;
   cfg2.w_tail = 0.5;
   cfg2.tail_percentile = 90.0;
-  const std::vector<double> r2 = ComputeRewards(eps, cfg2);
+  const std::vector<double> r2 = ComputeRewards(stamps, cfg2);
   const double p90 = Percentile({2.0, 6.0, 0.5}, 90.0);
   EXPECT_NEAR(r2[1], 0.5 * (-6.0) + 0.5 * (-(6.0 - p90)), 1e-12);
+}
+
+TEST(RewardTest, WindowStartOpensTheFirstInterval) {
+  // An online window that starts at t = 0.75 charges its first decision
+  // from there, not from the start of the run.
+  const std::vector<DecisionStamp> stamps = {{1.0, 2}, {2.5, 4}};
+  RewardConfig cfg;
+  cfg.w_avg = 1.0;
+  cfg.w_tail = 0.0;
+  const std::vector<double> r = ComputeRewards(stamps, cfg, 0.75, 3.0);
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_DOUBLE_EQ(r[0], -0.5);               // 0.25 * 2
+  EXPECT_DOUBLE_EQ(r[1], -6.0 - 0.5 * 4.0);   // 1.5 * 4, then the tail
 }
 
 TEST(RewardTest, ReturnsAreSuffixSums) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/online.h"
 #include "core/reward.h"
@@ -113,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, EngineProperties,
 TEST(RewardProperties, AvgOnlyRewardSumsToNegativeIntegralOfQueueSize) {
   // With w_tail = 0, sum of rewards == -sum H_d == -(integral of #running
   // over time sampled at decisions + terminal interval).
-  std::vector<Experience> eps(4);
+  std::vector<DecisionStamp> eps(4);
   const double times[] = {0.5, 1.0, 2.0, 2.5};
   const int running[] = {1, 3, 2, 4};
   double expected = 0.0;
@@ -129,7 +132,7 @@ TEST(RewardProperties, AvgOnlyRewardSumsToNegativeIntegralOfQueueSize) {
   RewardConfig cfg;
   cfg.w_avg = 1.0;
   cfg.w_tail = 0.0;
-  const std::vector<double> r = ComputeRewards(eps, cfg, end);
+  const std::vector<double> r = ComputeRewards(eps, cfg, 0.0, end);
   double total = 0.0;
   for (double x : r) total += x;
   EXPECT_NEAR(total, -expected, 1e-12);
@@ -140,7 +143,7 @@ TEST(RewardProperties, TailTermOnlyPenalizes) {
   // magnitude-or-equal... precisely: r(w_tail) >= pure-average reward,
   // since the one-sided tail penalty is 0 for below-percentile decisions
   // and the mixture halves the average weight.
-  std::vector<Experience> eps(5);
+  std::vector<DecisionStamp> eps(5);
   Rng rng(3);
   double t = 0.0;
   for (auto& e : eps) {
@@ -152,8 +155,8 @@ TEST(RewardProperties, TailTermOnlyPenalizes) {
   avg_only.w_avg = 1.0;
   avg_only.w_tail = 0.0;
   RewardConfig mixed;
-  const auto r_avg = ComputeRewards(eps, avg_only, t + 1.0);
-  const auto r_mix = ComputeRewards(eps, mixed, t + 1.0);
+  const auto r_avg = ComputeRewards(eps, avg_only, 0.0, t + 1.0);
+  const auto r_mix = ComputeRewards(eps, mixed, 0.0, t + 1.0);
   for (size_t i = 0; i < eps.size(); ++i) {
     EXPECT_LE(r_mix[i], 1e-12);      // rewards are penalties
     EXPECT_GE(r_mix[i], r_avg[i]);   // tail-mix never doubles the penalty
@@ -236,6 +239,89 @@ TEST(OnlineProperties, OnlineAgentUpdatesWhileServing) {
   EXPECT_EQ(r.query_latencies.size(), 8u);
   EXPECT_GE(online.num_updates(), 2);
   EXPECT_NE(before, model.params()->Find("head/root/l1/w")->value.raw());
+}
+
+
+/// Forwards to an OnlineLSched and keeps, for every update, the window's
+/// stored decisions and returns, with the window's end: the last
+/// scheduling time before the update, which the scheduler charges to.
+class UpdateWindowRecorder : public Scheduler {
+ public:
+  struct Window {
+    double end = 0.0;
+    std::vector<DecisionStamp> stamps;
+    std::vector<double> returns;
+  };
+
+  explicit UpdateWindowRecorder(OnlineLSched* online) : online_(online) {}
+  std::string name() const override { return "window-recorder"; }
+  void Reset() override { online_->Reset(); }
+  SchedulingDecision Schedule(const SchedulingEvent& event,
+                              const SchedulingContext& ctx) override {
+    now_ = ctx.now();
+    return online_->Schedule(event, ctx);
+  }
+  void OnQueryCompleted(QueryId query, double latency) override {
+    const int before = online_->num_updates();
+    online_->OnQueryCompleted(query, latency);
+    if (online_->num_updates() == before) return;
+    const auto& ep = online_->experience_manager()->latest();
+    Window w;
+    w.end = now_;
+    for (const Experience& e : ep.experiences) {
+      w.stamps.push_back({e.time, e.num_running_queries});
+    }
+    w.returns = ep.returns;
+    windows.push_back(std::move(w));
+  }
+
+  std::vector<Window> windows;
+
+ private:
+  OnlineLSched* online_;
+  double now_ = 0.0;
+};
+
+TEST(OnlineProperties, UpdateWindowsTileTheRun) {
+  // With w_tail = 0 a window's return G_0 is minus the queries-in-system
+  // integral over the window, sampled at its decisions. Each window must
+  // start where the previous update ended, not at t = 0, or its first
+  // decision is charged for the whole run before it.
+  LSchedConfig mcfg;
+  mcfg.hidden_dim = 8;
+  mcfg.summary_dim = 8;
+  mcfg.head_hidden = 8;
+  LSchedModel model(mcfg);
+  OnlineConfig ocfg;
+  ocfg.update_every_queries = 4;
+  ocfg.reward.w_avg = 1.0;
+  ocfg.reward.w_tail = 0.0;
+  OnlineLSched online(&model, ocfg);
+  UpdateWindowRecorder recorder(&online);
+
+  WorkloadConfig cfg;
+  cfg.benchmark = Benchmark::kTpch;
+  cfg.num_queries = 12;
+  Rng rng(2024);
+  SimEngineConfig ecfg;
+  ecfg.num_threads = 16;
+  SimEngine engine(ecfg);
+  engine.Run(GenerateWorkload(cfg, &rng), &recorder);
+  ASSERT_GE(recorder.windows.size(), 3u);
+
+  double start = 0.0;
+  for (const UpdateWindowRecorder::Window& w : recorder.windows) {
+    double charged = 0.0;
+    double prev = start;
+    for (const DecisionStamp& s : w.stamps) {
+      charged += (s.time - prev) * s.num_running_queries;
+      prev = s.time;
+    }
+    charged += (w.end - prev) * w.stamps.back().num_running_queries;
+    EXPECT_NEAR(-w.returns[0], charged, 1e-9 * charged)
+        << "window starting at " << start;
+    start = w.end;
+  }
 }
 
 }  // namespace

@@ -193,8 +193,27 @@ TEST(DecimaTest, TrainerRunsAndUpdatesParams) {
   const AlignedVector before =
       model.params()->Find("decima/node_head/l1/w")->value.raw();
   auto factory = MakeEpisodeFactory(Benchmark::kSsb, 4, 6, 0.05, 0.1, {2});
-  const DecimaTrainStats stats = trainer.Train(factory);
+  const TrainStats stats = trainer.Train(factory);
   EXPECT_EQ(stats.episode_avg_latency.size(), 2u);
+  EXPECT_NE(before, model.params()->Find("decima/node_head/l1/w")->value.raw());
+}
+
+
+TEST(DecimaTest, FirstEpisodeUpdatesParams) {
+  // The shared baseline's first-visit rule: an index seen for the first
+  // time has baseline 0, so the very first episode's advantages are its
+  // (normalized) returns and its update moves the weights.
+  DecimaModel model(DecimaConfig{});
+  SimEngineConfig ecfg;
+  ecfg.num_threads = 4;
+  SimEngine engine(ecfg);
+  DecimaTrainer trainer(&model, &engine, 1, 1e-2);
+  const AlignedVector before =
+      model.params()->Find("decima/node_head/l1/w")->value.raw();
+  const TrainStats stats =
+      trainer.Train(MakeEpisodeFactory(Benchmark::kSsb, 4, 6, 0.05, 0.1, {2}));
+  ASSERT_EQ(stats.episode_reward.size(), 1u);
+  EXPECT_LT(stats.episode_reward[0], 0.0);
   EXPECT_NE(before, model.params()->Find("decima/node_head/l1/w")->value.raw());
 }
 
