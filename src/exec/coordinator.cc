@@ -46,8 +46,7 @@ QueryState* Coordinator::NewQuery(QueryId id, QueryPlan plan,
   queries_[idx] = std::make_unique<QueryState>(id, std::move(plan), now);
   QueryState* q = queries_[idx].get();
   q->set_tag(tag);
-  recorder_.TrackQuery(id);
-  recorder_.OnQueryArrival(*q, now);
+  recorder_.OnQueryArrival(*q);
   return q;
 }
 

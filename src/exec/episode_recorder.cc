@@ -14,15 +14,14 @@ namespace lsched {
 
 namespace {
 
-/// "q:op" pairs of every currently-schedulable operator, truncated to
-/// kMaxLoggedCandidates. Also counts the full set, and (when `schedulable`
-/// is non-null) collects the id of every query with at least one
-/// schedulable operator — the trace layer's considered-but-skipped set —
-/// so the per-invocation plan walk happens exactly once.
-std::string CandidateSetString(const SchedulingContext& ctx, int* count,
-                               std::vector<QueryId>* schedulable) {
-  std::string out;
-  out.reserve(128);
+/// One walk over every currently-schedulable operator: returns their
+/// count, collects into `schedulable` (when non-null) the id of every query
+/// with at least one (the passed-over set of a decision), and writes their
+/// "q:op" pairs, truncated to kMaxLoggedCandidates, into `pairs` (when
+/// non-null).
+int WalkCandidates(const SchedulingContext& ctx,
+                   std::vector<QueryId>* schedulable, std::string* pairs) {
+  if (pairs != nullptr) pairs->reserve(128);
   int n = 0;
   char buf[48];
   for (const QueryState* q : ctx.queries()) {
@@ -35,19 +34,19 @@ std::string CandidateSetString(const SchedulingContext& ctx, int* count,
       if (!any && schedulable != nullptr) schedulable->push_back(q->id());
       any = true;
       ++n;
-      if (n <= obs::kMaxLoggedCandidates) {
-        std::snprintf(buf, sizeof(buf), "%s%lld:%d", out.empty() ? "" : ";",
+      if (pairs != nullptr && n <= obs::kMaxLoggedCandidates) {
+        std::snprintf(buf, sizeof(buf), "%s%lld:%d",
+                      pairs->empty() ? "" : ";",
                       static_cast<long long>(q->id()), op);
-        out += buf;
+        *pairs += buf;
       }
     }
   }
-  if (n > obs::kMaxLoggedCandidates) {
+  if (pairs != nullptr && n > obs::kMaxLoggedCandidates) {
     std::snprintf(buf, sizeof(buf), "+%d", n - obs::kMaxLoggedCandidates);
-    out += buf;
+    *pairs += buf;
   }
-  *count = n;
-  return out;
+  return n;
 }
 
 /// Registry names of the counters derived from EpisodeResult, in the order
@@ -119,71 +118,71 @@ void EpisodeRecorder::Begin(const char* engine_name, Scheduler* scheduler,
   lh_work_order_seconds_.Reset();
 }
 
-void EpisodeRecorder::TrackQuery(QueryId qid) {
-  if (qid < 0) return;
-  const size_t n = static_cast<size_t>(qid) + 1;
-  if (result_.final_statuses.size() < n) {
-    result_.final_statuses.resize(n, QueryStatus::kAdmitted);
-  }
-}
-
-EpisodeRecorder::QueryTimeline* EpisodeRecorder::SlotFor(QueryId qid) {
-  if (qid < timeline_base_) return nullptr;
+EpisodeRecorder::QueryTimeline* EpisodeRecorder::Record(QueryId qid,
+                                                        obs::TraceEdge edge) {
+  if (qid < timeline_base_) return nullptr;  // finished and retired
   const size_t idx = static_cast<size_t>(qid - timeline_base_);
   if (timelines_.size() <= idx) timelines_.resize(idx + 1);
-  return &timelines_[idx];
+  QueryTimeline* t = &timelines_[idx];
+  if (t->finished()) return nullptr;
+  obs::ApplyEdge(&t->state, edge);
+  const bool terminal = edge.kind == obs::TraceEdgeKind::kTerminal;
+  if (terminal) edge.value = t->state.breakdown.total_seconds();
+  if (trace_on_) {
+    if (terminal ||
+        t->edges.size() < static_cast<size_t>(obs::kMaxTraceEdgesPerQuery)) {
+      t->edges.push_back(edge);  // the terminal edge is kept past the cap
+    } else {
+      ++t->dropped_edges;
+    }
+  }
+  // Chrome instants of launches and terminal transitions, on the calling
+  // (coordinator) thread, in the engine's timebase: virtual seconds for
+  // Sim, the wall clock for Real.
+  const bool launch = edge.kind == obs::TraceEdgeKind::kScheduled;
+  if ((launch || terminal) && obs::Enabled()) {
+    const double ts_us = virtual_time_ ? edge.time * 1e6 : obs::NowMicros();
+    if (launch) {
+      obs::Tracer::Global().RecordInstant("sched.pipeline_launch", "sched",
+                                          ts_us, obs::ThreadId(), "query",
+                                          qid, "root_op", edge.b);
+    } else if (edge.a == static_cast<int64_t>(QueryStatus::kDone)) {
+      obs::Tracer::Global().RecordInstant("exec.query_completed", "exec",
+                                          ts_us, obs::ThreadId(), "query",
+                                          qid);
+    } else {
+      obs::Tracer::Global().RecordInstant("exec.query_terminated", "exec",
+                                          ts_us, obs::ThreadId(), "query",
+                                          qid, "status", edge.a);
+    }
+  }
+  return t;
 }
 
-EpisodeRecorder::QueryTimeline* EpisodeRecorder::TimelineFor(
-    QueryId qid, double arrival_time) {
-  QueryTimeline* slot = SlotFor(qid);
-  if (slot == nullptr) return nullptr;
-  QueryTimeline& t = *slot;
-  if (!t.started) {
-    t.started = true;
-    t.arrival_ns = LatencyNs(arrival_time);
-    t.last_ns = t.arrival_ns;
+void EpisodeRecorder::RecordPassedOver(const obs::TraceEdge& edge) {
+  for (const QueryId qid : considered_scratch_) {
+    if (qid != edge.b) Record(qid, edge);
   }
-  return &t;
-}
-
-void EpisodeRecorder::AdvanceTimeline(QueryTimeline& t, double now) {
-  // Charge the elapsed nanoseconds to the *current* mode, then let the
-  // caller apply the state change. Deltas telescope from arrival to
-  // terminal, which is what makes the decomposition sum exact.
-  const int64_t now_ns = LatencyNs(now);
-  const int64_t delta = now_ns - t.last_ns;
-  if (t.inflight > 0) {
-    t.breakdown.service_ns += delta;
-  } else if (t.retries_pending > 0) {
-    t.breakdown.stall_ns += delta;
-  } else if (t.launched) {
-    t.breakdown.queue_ns += delta;
-  } else {
-    t.breakdown.admission_ns += delta;
-  }
-  t.last_ns = now_ns;
 }
 
 void EpisodeRecorder::FinishTimeline(QueryState* query, double now) {
-  QueryTimeline* t = TimelineFor(query->id(), query->arrival_time());
-  if (t == nullptr || t->finished) return;
-  AdvanceTimeline(*t, now);
-  t->finished = true;
-  t->breakdown.total_ns = LatencyNs(now) - t->arrival_ns;
-  t->breakdown.valid = true;
-  query->set_breakdown(t->breakdown);
+  QueryTimeline* t = Record(query->id(),
+                            {now, obs::TraceEdgeKind::kTerminal,
+                             static_cast<int64_t>(query->status())});
+  if (t == nullptr) return;
+  const LatencyBreakdown& b = t->state.breakdown;
+  query->set_breakdown(b);
 
   const size_t idx = static_cast<size_t>(query->id());
   if (result_.query_breakdowns.size() <= idx) {
     result_.query_breakdowns.resize(idx + 1);
   }
-  result_.query_breakdowns[idx] = t->breakdown;
-  result_.sum_admission_wait_ns += t->breakdown.admission_ns;
-  result_.sum_queue_wait_ns += t->breakdown.queue_ns;
-  result_.sum_service_time_ns += t->breakdown.service_ns;
-  result_.sum_stall_time_ns += t->breakdown.stall_ns;
-  result_.sum_latency_ns += t->breakdown.total_ns;
+  result_.query_breakdowns[idx] = b;
+  result_.sum_admission_wait_ns += b.admission_ns;
+  result_.sum_queue_wait_ns += b.queue_ns;
+  result_.sum_service_time_ns += b.service_ns;
+  result_.sum_stall_time_ns += b.stall_ns;
+  result_.sum_latency_ns += b.total_ns;
   ++result_.num_queries_decomposed;
 
   if (trace_on_) {
@@ -195,13 +194,7 @@ void EpisodeRecorder::FinishTimeline(QueryState* query, double now) {
     rec.final_status = static_cast<int32_t>(query->status());
     rec.arrival_time = query->arrival_time();
     rec.terminal_time = now;
-    rec.breakdown = t->breakdown;
-    obs::TraceEdge term;
-    term.time = now;
-    term.kind = obs::TraceEdgeKind::kTerminal;
-    term.a = static_cast<int64_t>(query->status());
-    term.value = t->breakdown.total_seconds();
-    t->edges.push_back(term);  // always kept, even past the cap
+    rec.breakdown = b;
     // A query at the cap pushed its terminal edge into a full vector and
     // doubled its capacity; the ring keeps thousands of these records.
     t->edges.shrink_to_fit();
@@ -210,73 +203,38 @@ void EpisodeRecorder::FinishTimeline(QueryState* query, double now) {
     obs::QueryTraceLog::Global().Record(std::move(rec));
   }
   // Retire the finished prefix: no later event reads those timelines.
-  while (!timelines_.empty() && timelines_.front().finished) {
+  while (!timelines_.empty() && timelines_.front().finished()) {
     timelines_.pop_front();
     ++timeline_base_;
   }
 }
 
-void EpisodeRecorder::RecordInstant(const char* name, const char* category,
-                                    double now, int64_t query,
-                                    const char* arg2_name, int64_t arg2) {
-  if (!obs::Enabled()) return;
-  obs::Tracer::Global().RecordInstant(
-      name, category, virtual_time_ ? now * 1e6 : obs::NowMicros(),
-      obs::ThreadId(), "query", query, arg2_name, arg2);
-}
-
-void EpisodeRecorder::AddTraceEdge(QueryId qid, const obs::TraceEdge& e) {
-  QueryTimeline* t = SlotFor(qid);
-  if (t == nullptr || t->finished) return;
-  if (t->edges.size() >= static_cast<size_t>(obs::kMaxTraceEdgesPerQuery)) {
-    ++t->dropped_edges;
-    return;
+void EpisodeRecorder::OnQueryArrival(const QueryState& query) {
+  const size_t n = static_cast<size_t>(query.id()) + 1;
+  if (result_.final_statuses.size() < n) {
+    result_.final_statuses.resize(n, QueryStatus::kAdmitted);
   }
-  t->edges.push_back(e);
-}
-
-void EpisodeRecorder::OnQueryArrival(const QueryState& query, double /*now*/) {
-  TimelineFor(query.id(), query.arrival_time());
-  if (trace_on_) {
-    obs::TraceEdge e;
-    e.time = query.arrival_time();
-    e.kind = obs::TraceEdgeKind::kArrival;
-    e.a = query.tag().tenant;
-    e.b = static_cast<int64_t>(query.tag().priority);
-    AddTraceEdge(query.id(), e);
-  }
+  Record(query.id(),
+         {query.arrival_time(), obs::TraceEdgeKind::kArrival,
+          query.tag().tenant, static_cast<int64_t>(query.tag().priority)});
 }
 
 void EpisodeRecorder::OnAdmissionVerdict(QueryId qid, double now,
                                          bool admitted, QueryId displaced) {
-  if (!trace_on_) return;
-  obs::TraceEdge e;
-  e.time = now;
-  if (admitted) {
-    e.kind = obs::TraceEdgeKind::kAdmit;
-    e.a = displaced != kInvalidQuery ? 1 : 0;
-    AddTraceEdge(qid, e);
-    if (displaced != kInvalidQuery) {
-      obs::TraceEdge d;
-      d.time = now;
-      d.kind = obs::TraceEdgeKind::kDisplace;
-      d.a = displaced;
-      AddTraceEdge(qid, d);
-    }
-  } else {
-    e.kind = obs::TraceEdgeKind::kShed;
-    AddTraceEdge(qid, e);
+  if (!admitted) {
+    Record(qid, {now, obs::TraceEdgeKind::kShed});
+    return;
+  }
+  Record(qid, {now, obs::TraceEdgeKind::kAdmit,
+               displaced != kInvalidQuery ? 1 : 0});
+  if (displaced != kInvalidQuery) {
+    Record(qid, {now, obs::TraceEdgeKind::kDisplace, displaced});
   }
 }
 
 void EpisodeRecorder::OnQueryDisplaced(QueryId victim, QueryId newcomer,
                                        double now) {
-  if (!trace_on_) return;
-  obs::TraceEdge e;
-  e.time = now;
-  e.kind = obs::TraceEdgeKind::kDisplacedBy;
-  e.a = newcomer;
-  AddTraceEdge(victim, e);
+  Record(victim, {now, obs::TraceEdgeKind::kDisplacedBy, newcomer});
 }
 
 int64_t EpisodeRecorder::OnSchedulerInvocation(
@@ -292,6 +250,7 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
   const QueryId chosen_query = decision.pipelines.empty()
                                    ? kInvalidQuery
                                    : decision.pipelines.front().query;
+  const bool fallback = decision.fallback_reason != nullptr;
 
   obs::DecisionRecord rec;
   rec.time = ctx.now();
@@ -299,9 +258,8 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
   rec.event = SchedulingEventTypeName(event.type);
   rec.policy = scheduler_ != nullptr ? scheduler_->name() : "";
   considered_scratch_.clear();
-  rec.candidates = CandidateSetString(ctx, &rec.num_candidates,
-                                      trace_on_ ? &considered_scratch_
-                                                : nullptr);
+  rec.num_candidates = WalkCandidates(
+      ctx, trace_on_ ? &considered_scratch_ : nullptr, &rec.candidates);
   rec.running_queries = static_cast<int>(ctx.queries().size());
   rec.free_threads = ctx.num_free_threads();
   if (!decision.pipelines.empty()) {
@@ -322,6 +280,8 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
   }
   rec.predicted_score = decision.score;
   rec.schedule_wall_us = wall_seconds * 1e6;
+  rec.fallback = fallback;
+  if (fallback) rec.fallback_reason = decision.fallback_reason;
   // Tenant of the chosen query: keys the per-tenant drift shards.
   if (chosen_query >= 0) {
     if (const QueryState* q = ctx.FindQuery(chosen_query)) {
@@ -329,43 +289,26 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
     }
   }
   const int64_t decision_id = obs::DecisionLog::Global().Add(std::move(rec));
-  if (trace_on_) {
-    // "Considered but skipped": every query with at least one schedulable
-    // operator that this decision did not launch gets a causal edge tying
-    // its wait to the decision (and the policy's predicted score for what
-    // it chose instead). The set was collected by the CandidateSetString
-    // walk above — no second plan scan.
-    obs::TraceEdge e;
-    e.time = ctx.now();
-    e.kind = obs::TraceEdgeKind::kConsideredSkipped;
-    e.a = decision_id;
-    e.b = chosen_query;
-    e.value = decision.score;
-    for (const QueryId qid : considered_scratch_) {
-      if (qid == chosen_query) continue;
-      AddTraceEdge(qid, e);
-    }
-    // Fairness redirections / injections the serving layer's
-    // FilterDecision applied to this decision.
-    for (const ServingAction& a : decision.serving_actions) {
-      obs::TraceEdge e;
-      e.time = ctx.now();
-      if (a.kind == ServingAction::kRedirect) {
-        e.kind = obs::TraceEdgeKind::kRedirected;
-        e.a = a.other;
-        AddTraceEdge(a.query, e);
-        obs::TraceEdge w;
-        w.time = ctx.now();
-        w.kind = obs::TraceEdgeKind::kInjected;
-        w.a = a.query;
-        w.value = 2.0;
-        AddTraceEdge(a.other, w);
-      } else {
-        e.kind = obs::TraceEdgeKind::kInjected;
-        e.a = a.other;
-        e.value = a.kind == ServingAction::kInjectPriority ? 1.0 : 2.0;
-        AddTraceEdge(a.query, e);
-      }
+  // Every query with a schedulable operator that this decision did not
+  // launch gets an edge tying its wait to the decision (and the policy's
+  // predicted score for what it chose instead), collected by the walk
+  // above.
+  RecordPassedOver({ctx.now(),
+                    fallback ? obs::TraceEdgeKind::kFallback
+                             : obs::TraceEdgeKind::kConsideredSkipped,
+                    decision_id, chosen_query,
+                    fallback ? 0.0 : decision.score});
+  // Fairness redirections / injections the serving layer's FilterDecision
+  // applied to this decision.
+  for (const ServingAction& a : decision.serving_actions) {
+    if (a.kind == ServingAction::kRedirect) {
+      Record(a.query, {ctx.now(), obs::TraceEdgeKind::kRedirected, a.other});
+      Record(a.other,
+             {ctx.now(), obs::TraceEdgeKind::kInjected, a.query, -1, 2.0});
+    } else {
+      Record(a.query,
+             {ctx.now(), obs::TraceEdgeKind::kInjected, a.other, -1,
+              a.kind == ServingAction::kInjectPriority ? 1.0 : 2.0});
     }
   }
   return decision_id;
@@ -377,27 +320,12 @@ void EpisodeRecorder::OnPipelineLaunched(int64_t decision_id, QueryId query,
                                          double now) {
   ++result_.num_actions;
   result_.num_work_orders_planned += planned_work_orders;
-  if (QueryTimeline* t = TimelineFor(query, now)) {
-    if (!t->finished) {
-      AdvanceTimeline(*t, now);
-      t->launched = true;  // admission wait ends at the first launch
-    }
-  }
-  if (trace_on_) {
-    obs::TraceEdge e;
-    e.time = now;
-    e.kind = obs::TraceEdgeKind::kScheduled;
-    e.a = decision_id;
-    e.b = root_op;
-    e.value = static_cast<double>(degree);
-    AddTraceEdge(query, e);
-  }
+  Record(query, {now, obs::TraceEdgeKind::kScheduled, decision_id, root_op,
+                 static_cast<double>(degree)});
 
   if (!obs::Enabled()) return;
   lh_pipeline_degree_.Observe(static_cast<double>(degree));
   obs::DecisionLog::Global().AddPipeline(decision_id, planned_work_orders);
-  RecordInstant("sched.pipeline_launch", "sched", now, query, "root_op",
-                root_op);
 }
 
 void EpisodeRecorder::OnWorkOrderDispatched(QueryId query, bool retry,
@@ -407,42 +335,17 @@ void EpisodeRecorder::OnWorkOrderDispatched(QueryId query, bool retry,
   ++result_.num_work_orders_dispatched;
   result_.max_inflight_work_orders =
       std::max(result_.max_inflight_work_orders, inflight_now);
-  if (QueryTimeline* t = TimelineFor(query, now)) {
-    if (!t->finished) {
-      AdvanceTimeline(*t, now);
-      ++t->inflight;
-      ++t->breakdown.dispatches;
-      if (retry && t->retries_pending > 0) --t->retries_pending;
-    }
-  }
+  Record(query,
+         {now, obs::TraceEdgeKind::kDispatch, -1, -1, retry ? 1.0 : 0.0});
 
   if (!obs::Enabled()) return;
   lh_queue_wait_seconds_.Observe(std::max(0.0, queue_wait_seconds));
-  if (trace_on_) {
-    obs::TraceEdge e;
-    e.time = now;
-    e.kind = obs::TraceEdgeKind::kDispatch;
-    e.value = retry ? 1.0 : 0.0;
-    AddTraceEdge(query, e);
-  }
 }
 
 void EpisodeRecorder::OnWorkOrderCompleted(QueryId query, int64_t decision_id,
                                            double seconds, double now) {
   ++result_.num_work_orders_completed;
-  if (QueryTimeline* t = TimelineFor(query, now)) {
-    if (!t->finished) {
-      AdvanceTimeline(*t, now);
-      if (t->inflight > 0) --t->inflight;
-    }
-  }
-  if (trace_on_) {
-    obs::TraceEdge e;
-    e.time = now;
-    e.kind = obs::TraceEdgeKind::kComplete;
-    e.value = seconds;
-    AddTraceEdge(query, e);
-  }
+  Record(query, {now, obs::TraceEdgeKind::kComplete, -1, -1, seconds});
 
   if (!obs::Enabled()) return;
   lh_work_order_seconds_.Observe(seconds);
@@ -465,35 +368,12 @@ void EpisodeRecorder::OnWorkOrderCompleted(QueryId query, int64_t decision_id,
 
 void EpisodeRecorder::OnWorkOrderFailed(QueryId query, double now) {
   ++result_.num_work_orders_failed;
-  if (QueryTimeline* t = TimelineFor(query, now)) {
-    if (!t->finished) {
-      AdvanceTimeline(*t, now);
-      if (t->inflight > 0) --t->inflight;
-    }
-  }
-  if (trace_on_) {
-    obs::TraceEdge e;
-    e.time = now;
-    e.kind = obs::TraceEdgeKind::kFailed;
-    AddTraceEdge(query, e);
-  }
+  Record(query, {now, obs::TraceEdgeKind::kFailed});
 }
 
 void EpisodeRecorder::OnWorkOrderRetried(QueryId query, double now) {
   ++result_.num_retries;
-  if (QueryTimeline* t = TimelineFor(query, now)) {
-    if (!t->finished) {
-      AdvanceTimeline(*t, now);
-      ++t->retries_pending;
-      ++t->breakdown.retries;
-    }
-  }
-  if (trace_on_) {
-    obs::TraceEdge e;
-    e.time = now;
-    e.kind = obs::TraceEdgeKind::kRetry;
-    AddTraceEdge(query, e);
-  }
+  Record(query, {now, obs::TraceEdgeKind::kRetry});
 }
 
 void EpisodeRecorder::OnWorkOrderDiscarded() {
@@ -518,8 +398,6 @@ double EpisodeRecorder::OnQueryCompleted(QueryState* query, double now) {
   result_.query_completions.push_back(now);
   result_.query_latencies.push_back(latency);
   if (scheduler_ != nullptr) scheduler_->OnQueryCompleted(query->id(), latency);
-
-  RecordInstant("exec.query_completed", "exec", now, qid);
   return latency;
 }
 
@@ -536,9 +414,6 @@ void EpisodeRecorder::OnQueryTerminated(QueryState* query, double now,
   if (status == QueryStatus::kCancelled) ++result_.num_queries_cancelled;
   if (status == QueryStatus::kFailed) ++result_.num_queries_failed;
   if (status == QueryStatus::kShed) ++result_.num_queries_shed;
-
-  RecordInstant("exec.query_terminated", "exec", now, qid, "status",
-                static_cast<int64_t>(status));
 }
 
 int64_t EpisodeRecorder::OnFallback(double now, const SchedulingContext& ctx,
@@ -559,26 +434,9 @@ int64_t EpisodeRecorder::OnFallback(double now, const SchedulingContext& ctx,
     }
   }
   const int64_t decision_id = obs::DecisionLog::Global().Add(std::move(rec));
-  if (trace_on_) {
-    for (const QueryState* q : ctx.queries()) {
-      if (q->id() == chosen) continue;
-      const int ops = static_cast<int>(q->plan().num_nodes());
-      bool schedulable = false;
-      for (int op = 0; op < ops; ++op) {
-        if (q->IsOpSchedulable(op)) {
-          schedulable = true;
-          break;
-        }
-      }
-      if (!schedulable) continue;
-      obs::TraceEdge e;
-      e.time = now;
-      e.kind = obs::TraceEdgeKind::kFallback;
-      e.a = decision_id;
-      e.b = chosen;
-      AddTraceEdge(q->id(), e);
-    }
-  }
+  considered_scratch_.clear();
+  if (trace_on_) WalkCandidates(ctx, &considered_scratch_, nullptr);
+  RecordPassedOver({now, obs::TraceEdgeKind::kFallback, decision_id, chosen});
   return decision_id;
 }
 

@@ -54,18 +54,13 @@ class EpisodeRecorder {
   void Begin(const char* engine_name, Scheduler* scheduler, bool virtual_time,
              size_t num_queries = 0);
 
-  /// Extends per-query lifecycle tracking to cover `qid`, for serving mode
-  /// where the query table grows as submissions arrive instead of being
-  /// sized at Begin. Newly covered ids default to ADMITTED. No-op when the
-  /// final-status vector already covers `qid`.
-  void TrackQuery(QueryId qid);
-
   /// A query entered the system (QueryState just created, tag applied).
-  /// Starts the latency-decomposition timeline at `query.arrival_time()`
-  /// and, when tracing is on, opens the lifetime trace with its kArrival
-  /// edge. Safe to skip: any later event (or the terminal call) starts the
-  /// timeline lazily from the query's arrival time.
-  void OnQueryArrival(const QueryState& query, double now);
+  /// Must precede every other event of the query: its kArrival edge
+  /// starts the latency-decomposition clock at `query.arrival_time()`.
+  /// Also extends the final-status vector to cover the query, for serving
+  /// mode where the query table grows as submissions arrive instead of
+  /// being sized at Begin (newly covered ids default to ADMITTED).
+  void OnQueryArrival(const QueryState& query);
 
   /// The ServingHooks admission verdict for `qid` (trace edge only; the
   /// decomposition does not change until work happens). `displaced` is the
@@ -138,7 +133,7 @@ class EpisodeRecorder {
   /// The engine's deadlock guard scheduled work itself, launching `chosen`.
   /// Returns a decision-log id for the fallback pipelines. Queries in `ctx`
   /// with schedulable work that the guard passed over get kFallback trace
-  /// edges (the fallback analogue of kConsideredSkipped).
+  /// edges, as they do for a GuardedPolicy fallback decision.
   int64_t OnFallback(double now, const SchedulingContext& ctx, QueryId chosen);
 
   /// Per-worker state buckets from the engine's accountants (DESIGN.md
@@ -175,43 +170,31 @@ class EpisodeRecorder {
   EpisodeResult Take() { return std::move(result_); }
 
  private:
-  /// Latency-decomposition tracker for one query (DESIGN.md §8.2): a
-  /// four-mode state machine over integer nanoseconds. AdvanceTimeline
-  /// charges `now - last` to the *current* mode, then the caller applies
-  /// the state change — so segment sums telescope exactly from arrival to
-  /// terminal. Always compiled (it is plain integer arithmetic, like the
-  /// conservation counters); only the causal edge capture is OBS-gated.
+  /// One query's lifecycle: the decomposition state every edge is
+  /// applied to (DESIGN.md §8.2), plus the captured edges, published with
+  /// the trace at finish. The decomposition is plain integer arithmetic
+  /// and always runs, like the conservation counters; only the edge
+  /// capture is gated.
   struct QueryTimeline {
-    int64_t arrival_ns = 0;
-    int64_t last_ns = 0;
-    int32_t inflight = 0;         ///< this query's attempts on threads
-    int32_t retries_pending = 0;  ///< failed attempts awaiting re-dispatch
-    bool launched = false;        ///< first pipeline launch seen
-    bool started = false;
-    bool finished = false;
-    LatencyBreakdown breakdown;
-    /// Lifetime-trace edges, published with the trace at finish.
+    obs::LifecycleState state;
     std::vector<obs::TraceEdge> edges;
     int64_t dropped_edges = 0;
+    bool finished() const { return state.breakdown.valid; }
   };
 
-  /// The slot of `qid`, grown on first touch but not started. nullptr for
-  /// invalid ids and for queries already finished and retired.
-  QueryTimeline* SlotFor(QueryId qid);
-  /// SlotFor, starting the timeline at `arrival_time` on first touch.
-  QueryTimeline* TimelineFor(QueryId qid, double arrival_time);
-  void AdvanceTimeline(QueryTimeline& t, double now);
-  /// Final advance + exact-total stamp; writes the breakdown onto `query`
-  /// and into the EpisodeResult aggregates; publishes the lifetime trace.
+  /// The one record path of a lifecycle event: applies `edge` to `qid`'s
+  /// state (every edge, also those past the capture cap), stores it when
+  /// capture is on, and emits the Chrome instant of launch and terminal
+  /// edges. A terminal edge's value is stamped with the exact latency.
+  /// Returns the query's timeline, or nullptr when the query is retired
+  /// or already finished (the edge is then ignored).
+  QueryTimeline* Record(QueryId qid, obs::TraceEdge edge);
+  /// Records the passed-over edge `edge` for every query in
+  /// considered_scratch_ except the chosen one (`edge.b`).
+  void RecordPassedOver(const obs::TraceEdge& edge);
+  /// Records the terminal edge; writes the breakdown onto `query` and into
+  /// the EpisodeResult aggregates; publishes the lifetime trace.
   void FinishTimeline(QueryState* query, double now);
-
-  /// Buffers `e` for `qid`'s lifetime trace; dropped once it finished.
-  void AddTraceEdge(QueryId qid, const obs::TraceEdge& e);
-  /// Instant trace event on the calling (coordinator) thread, stamped in
-  /// the engine's timebase: virtual `now` for Sim, the wall clock for Real.
-  void RecordInstant(const char* name, const char* category, double now,
-                     int64_t query, const char* arg2_name = nullptr,
-                     int64_t arg2 = 0);
 
   EpisodeResult result_;
   Scheduler* scheduler_ = nullptr;
@@ -224,8 +207,8 @@ class EpisodeRecorder {
   std::deque<QueryTimeline> timelines_;
   QueryId timeline_base_ = 0;
   bool trace_on_ = false;  ///< edge capture active (set at Begin)
-  /// Per-invocation scratch: queries with a schedulable op (the
-  /// considered-but-skipped set), reused to avoid per-decision allocation.
+  /// Per-decision scratch: queries with a schedulable op (the passed-over
+  /// set), reused to avoid per-decision allocation.
   std::vector<QueryId> considered_scratch_;
 
   // Realized work-order cost per decision, accumulated lock-free on the

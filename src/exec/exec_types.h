@@ -209,6 +209,10 @@ struct SchedulingDecision {
   double score = std::numeric_limits<double>::quiet_NaN();
   /// Appended by ServingHooks::FilterDecision, in the order applied.
   std::vector<ServingAction> serving_actions{};
+  /// Set by GuardedPolicy when FIFO answered instead of the guarded policy:
+  /// why it fell back (a string literal, e.g. "exception"). The decision
+  /// log row is then marked as a fallback with this reason.
+  const char* fallback_reason = nullptr;
 
   bool empty() const { return pipelines.empty() && parallelism.empty(); }
 };

@@ -1,6 +1,5 @@
 #include "obs/decision_log.h"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -57,8 +56,7 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
 
 }  // namespace
 
-DecisionLog::DecisionLog(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity)) {}
+DecisionLog::DecisionLog(size_t capacity) : ring_(capacity) {}
 
 DecisionLog& DecisionLog::Global() {
   static DecisionLog* log = new DecisionLog();
@@ -66,18 +64,13 @@ DecisionLog& DecisionLog::Global() {
 }
 
 DecisionRecord* DecisionLog::Find(int64_t id) {
-  if (id < first_id_ || id >= next_id_) return nullptr;
-  return &ring_[static_cast<size_t>(id) % capacity_];
+  return id < 0 ? nullptr : ring_.Find(static_cast<uint64_t>(id));
 }
 
 int64_t DecisionLog::Add(DecisionRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  record.id = next_id_++;
-  const size_t slot = static_cast<size_t>(record.id) % capacity_;
-  if (slot >= ring_.size()) ring_.resize(slot + 1);  // grows to capacity_
-  ring_[slot] = std::move(record);
-  first_id_ = std::max(first_id_, next_id_ - static_cast<int64_t>(capacity_));
-  return next_id_ - 1;
+  record.id = static_cast<int64_t>(ring_.end_seq());
+  return static_cast<int64_t>(ring_.Push(std::move(record)));
 }
 
 void DecisionLog::AddRealized(int64_t id, double seconds) {
@@ -88,7 +81,7 @@ void DecisionLog::AddRealized(int64_t id, double seconds) {
     std::lock_guard<std::mutex> lock(mu_);
     DecisionRecord* r = Find(id);
     if (r == nullptr) {
-      if (id < first_id_) ++lost_backfills_;
+      if (static_cast<uint64_t>(id) < ring_.begin_seq()) ++lost_backfills_;
       return;
     }
     r->realized_seconds += seconds;
@@ -121,23 +114,17 @@ void DecisionLog::AddPipeline(int64_t id, int64_t planned_work_orders) {
 
 size_t DecisionLog::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<size_t>(next_id_ - first_id_);
+  return ring_.size();
 }
 
 std::vector<DecisionRecord> DecisionLog::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<DecisionRecord> out;
-  out.reserve(static_cast<size_t>(next_id_ - first_id_));
-  for (int64_t id = first_id_; id < next_id_; ++id) {
-    out.push_back(ring_[static_cast<size_t>(id) % capacity_]);
-  }
-  return out;
+  return ring_.Snapshot();
 }
 
 void DecisionLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  first_id_ = next_id_;
+  ring_.Clear();
   lost_backfills_ = 0;
 }
 
@@ -151,7 +138,7 @@ const char* DecisionLog::CsvHeader() {
          "running_queries,free_threads,chosen_query,chosen_root,op_type,"
          "degree,max_threads,num_pipelines,planned_work_orders,"
          "predicted_score,schedule_wall_us,realized_seconds,fallback,"
-         "tenant";
+         "tenant,fallback_reason";
 }
 
 void DecisionLog::WriteCsv(std::ostream& out) const {
@@ -179,7 +166,9 @@ void DecisionLog::WriteCsv(std::ostream& out) const {
       out << r.predicted_score;
     }
     out << ',' << r.schedule_wall_us << ',' << r.realized_seconds << ','
-        << (r.fallback ? 1 : 0) << ',' << r.tenant << "\n";
+        << (r.fallback ? 1 : 0) << ',' << r.tenant << ',';
+    WriteField(out, r.fallback_reason);
+    out << "\n";
   }
 }
 
@@ -198,7 +187,7 @@ bool ParseDecisionCsv(std::istream& in, std::vector<DecisionRecord>* out) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     const std::vector<std::string> f = SplitCsvLine(line);
-    if (f.size() != 21) return false;
+    if (f.size() != 22) return false;
     DecisionRecord r;
     try {
       r.id = std::stoll(f[0]);
@@ -222,6 +211,7 @@ bool ParseDecisionCsv(std::istream& in, std::vector<DecisionRecord>* out) {
       r.realized_seconds = std::stod(f[18]);
       r.fallback = f[19] == "1";
       r.tenant = std::stoi(f[20]);
+      r.fallback_reason = f[21];
     } catch (...) {
       return false;
     }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/ring.h"
 
 namespace lsched {
 namespace obs {
@@ -51,11 +52,14 @@ struct DecisionRecord {
   double predicted_score = std::numeric_limits<double>::quiet_NaN();
   double schedule_wall_us = 0.0;  ///< wall time inside Schedule()
   double realized_seconds = 0.0;  ///< measured runtime of launched work orders
+  /// Set when a guard answered the invocation instead of the policy.
   bool fallback = false;
   /// Tenant of the chosen query (serving mode; -1 when no pipeline was
   /// chosen or the run predates multi-tenancy). Keys the per-tenant drift
   /// shards (DriftMonitor) without making src/obs depend on src/exec.
   int32_t tenant = -1;
+  /// Why the guard fell back, e.g. "exception" (empty otherwise).
+  std::string fallback_reason;
 };
 
 inline constexpr int kMaxLoggedCandidates = 32;
@@ -112,11 +116,8 @@ class DecisionLog {
   DecisionRecord* Find(int64_t id);
 
   mutable std::mutex mu_;
-  const size_t capacity_;
-  /// Record `id` sits at ring_[id % capacity_] while retained.
-  std::vector<DecisionRecord> ring_;
-  int64_t next_id_ = 0;
-  int64_t first_id_ = 0;  ///< oldest retained id (== next_id_ when empty)
+  /// A record's id is its push sequence number.
+  Ring<DecisionRecord> ring_;
   int64_t lost_backfills_ = 0;
   /// shared_ptr so AddRealized can copy the handle under the lock and
   /// invoke the observer after releasing it (the observer may re-enter

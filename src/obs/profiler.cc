@@ -350,11 +350,8 @@ bool SamplingProfiler::Start(double hz, size_t capacity) {
   if (!running_.compare_exchange_strong(expected, true)) return false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ring_.assign(capacity, ProfileSample{});
-    ring_head_ = 0;
-    ring_size_ = 0;
+    ring_ = obs::Ring<ProfileSample>(capacity);
   }
-  dropped_.store(0, std::memory_order_relaxed);
   stop_requested_.store(false, std::memory_order_release);
   period_us_ = 1e6 / hz;
   sampler_ = std::thread([this] {
@@ -386,26 +383,19 @@ void SamplingProfiler::SampleOnce() {
       s.engine = reg.engine;
       s.worker = static_cast<int32_t>(w);
       s.state = acct->current();
-      if (ring_size_ == ring_.size()) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++ring_size_;
-      }
-      ring_[ring_head_] = std::move(s);
-      ring_head_ = (ring_head_ + 1) % ring_.size();
+      ring_.Push(std::move(s));
     }
   }
 }
 
 std::vector<ProfileSample> SamplingProfiler::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ProfileSample> out;
-  out.reserve(ring_size_);
-  const size_t start = (ring_head_ + ring_.size() - ring_size_) % ring_.size();
-  for (size_t i = 0; i < ring_size_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.Snapshot();
+}
+
+int64_t SamplingProfiler::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int64_t>(ring_.pushed() - ring_.size());
 }
 
 bool SamplingProfiler::WriteCsv(const std::string& path) const {

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/ring.h"
 
 namespace lsched {
 namespace prof {
@@ -187,7 +188,8 @@ class SamplingProfiler {
   /// Oldest-first copy of the ring.
   std::vector<ProfileSample> Snapshot() const;
   bool WriteCsv(const std::string& path) const;
-  int64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  /// Samples evicted from the ring since the last Start().
+  int64_t dropped() const;
 
  private:
   SamplingProfiler() = default;
@@ -201,10 +203,7 @@ class SamplingProfiler {
   mutable std::mutex mu_;
   std::vector<Registration> registrations_;
   int next_handle_ = 1;
-  std::vector<ProfileSample> ring_;
-  size_t ring_head_ = 0;   // next write slot
-  size_t ring_size_ = 0;
-  std::atomic<int64_t> dropped_{0};
+  obs::Ring<ProfileSample> ring_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   std::thread sampler_;

@@ -82,63 +82,67 @@ const char* TraceEdgeKindName(TraceEdgeKind k) {
   return "?";
 }
 
-LatencyBreakdown DeriveBreakdown(const QueryTraceRecord& record) {
-  // Mirrors EpisodeRecorder's online tracker exactly: advance the current
-  // mode's bucket to the edge time, then apply the state change. Buckets
-  // telescope from arrival to terminal, so the exact-sum invariant holds by
-  // construction.
-  LatencyBreakdown b;
-  const int64_t arrival_ns = LatencyNs(record.arrival_time);
-  int64_t last_ns = arrival_ns;
-  int inflight = 0;
-  int retries_pending = 0;
-  bool launched = false;
-  auto advance = [&](double t) {
-    const int64_t now_ns = LatencyNs(t);
-    const int64_t delta = now_ns - last_ns;
-    if (inflight > 0) {
-      b.service_ns += delta;
-    } else if (retries_pending > 0) {
-      b.stall_ns += delta;
-    } else if (launched) {
-      b.queue_ns += delta;
-    } else {
-      b.admission_ns += delta;
-    }
-    last_ns = now_ns;
-  };
-  for (const TraceEdge& e : record.edges) {
-    switch (e.kind) {
-      case TraceEdgeKind::kScheduled:
-        advance(e.time);
-        launched = true;
-        break;
-      case TraceEdgeKind::kDispatch:
-        advance(e.time);
-        ++inflight;
-        ++b.dispatches;
-        if (e.value != 0.0 && retries_pending > 0) --retries_pending;
-        break;
-      case TraceEdgeKind::kComplete:
-      case TraceEdgeKind::kFailed:
-        advance(e.time);
-        if (inflight > 0) --inflight;
-        break;
-      case TraceEdgeKind::kRetry:
-        advance(e.time);
-        ++retries_pending;
-        ++b.retries;
-        break;
-      case TraceEdgeKind::kTerminal:
-        advance(e.time);
-        b.total_ns = LatencyNs(e.time) - arrival_ns;
-        b.valid = true;
-        break;
-      default:
-        break;  // causal-context edges carry no decomposition state
-    }
+void ApplyEdge(LifecycleState* state, const TraceEdge& edge) {
+  const int64_t now_ns = LatencyNs(edge.time);
+  switch (edge.kind) {
+    case TraceEdgeKind::kArrival:
+      state->arrival_ns = now_ns;
+      state->last_ns = now_ns;
+      return;
+    case TraceEdgeKind::kScheduled:
+    case TraceEdgeKind::kDispatch:
+    case TraceEdgeKind::kComplete:
+    case TraceEdgeKind::kFailed:
+    case TraceEdgeKind::kRetry:
+    case TraceEdgeKind::kTerminal:
+      break;
+    default:
+      return;  // causal-context edges carry no decomposition state
   }
-  return b;
+  LatencyBreakdown& b = state->breakdown;
+  const int64_t delta = now_ns - state->last_ns;
+  if (state->inflight > 0) {
+    b.service_ns += delta;
+  } else if (state->retries_pending > 0) {
+    b.stall_ns += delta;
+  } else if (state->launched) {
+    b.queue_ns += delta;
+  } else {
+    b.admission_ns += delta;
+  }
+  state->last_ns = now_ns;
+  switch (edge.kind) {
+    case TraceEdgeKind::kScheduled:
+      state->launched = true;  // admission wait ends at the first launch
+      break;
+    case TraceEdgeKind::kDispatch:
+      ++state->inflight;
+      ++b.dispatches;
+      if (edge.value != 0.0 && state->retries_pending > 0) {
+        --state->retries_pending;
+      }
+      break;
+    case TraceEdgeKind::kComplete:
+    case TraceEdgeKind::kFailed:
+      if (state->inflight > 0) --state->inflight;
+      break;
+    case TraceEdgeKind::kRetry:
+      ++state->retries_pending;
+      ++b.retries;
+      break;
+    case TraceEdgeKind::kTerminal:
+      b.total_ns = now_ns - state->arrival_ns;
+      b.valid = true;
+      break;
+    default:
+      break;
+  }
+}
+
+LatencyBreakdown DeriveBreakdown(const QueryTraceRecord& record) {
+  LifecycleState state;
+  for (const TraceEdge& e : record.edges) ApplyEdge(&state, e);
+  return state.breakdown;
 }
 
 std::string RenderExplain(const QueryTraceRecord& r) {
@@ -380,8 +384,7 @@ bool ParseQueryTraceCsv(std::istream& is,
   return true;
 }
 
-QueryTraceLog::QueryTraceLog(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+QueryTraceLog::QueryTraceLog(size_t capacity) : ring_(capacity) {}
 
 void QueryTraceLog::SetCapture(bool on) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -395,40 +398,22 @@ bool QueryTraceLog::capture_enabled() const {
 
 void QueryTraceLog::Record(QueryTraceRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(record));
-  } else {
-    ring_[next_] = std::move(record);
-    next_ = (next_ + 1) % capacity_;
-    wrapped_ = true;
-  }
+  ring_.Push(std::move(record));
 }
 
 std::vector<QueryTraceRecord> QueryTraceLog::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<QueryTraceRecord> out;
-  out.reserve(ring_.size());
-  if (wrapped_) {
-    for (size_t i = next_; i < ring_.size(); ++i) out.push_back(ring_[i]);
-    for (size_t i = 0; i < next_; ++i) out.push_back(ring_[i]);
-  } else {
-    out = ring_;
-  }
-  return out;
+  return ring_.Snapshot();
 }
 
 bool QueryTraceLog::Find(int64_t query, QueryTraceRecord* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Scan newest-first so re-used ids resolve to the latest trace.
-  for (size_t k = ring_.size(); k > 0; --k) {
-    const size_t i =
-        wrapped_ ? (next_ + k - 1) % ring_.size() : k - 1;
-    if (ring_[i].query == query) {
-      *out = ring_[i];
-      return true;
-    }
-  }
-  return false;
+  // Newest first, so re-used ids resolve to the latest trace.
+  const QueryTraceRecord* r = ring_.FindNewest(
+      [query](const QueryTraceRecord& rec) { return rec.query == query; });
+  if (r == nullptr) return false;
+  *out = *r;
+  return true;
 }
 
 size_t QueryTraceLog::size() const {
@@ -438,9 +423,7 @@ size_t QueryTraceLog::size() const {
 
 void QueryTraceLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_ = 0;
-  wrapped_ = false;
+  ring_.Clear();
 }
 
 bool QueryTraceLog::WriteCsv(const std::string& path) const {

@@ -9,8 +9,9 @@
 // decision post-processing, each work-order dispatch / completion /
 // failure / retry, and the terminal transition. The edge stream is the
 // ground truth the canonical latency decomposition (LatencyBreakdown) is
-// derived from: DeriveBreakdown() below is the single pure derivation both
-// engines' decompositions must agree with bit-for-bit.
+// derived from: ApplyEdge() below is the one transition function, which
+// EpisodeRecorder runs online on every edge of both engines and
+// DeriveBreakdown() folds over a captured trace.
 //
 // Capture is assembled episode-locally by EpisodeRecorder (coordinator
 // thread only) and published per terminal query into the process-global
@@ -28,6 +29,7 @@
 
 #include "exec/exec_types.h"
 #include "obs/obs.h"
+#include "obs/ring.h"
 
 namespace lsched {
 namespace obs {
@@ -44,7 +46,8 @@ enum class TraceEdgeKind : uint8_t {
                        ///< chose another (a=decision id, b=chosen query,
                        ///< value=policy's predicted score for its choice)
   kFallback,       ///< like kConsideredSkipped, but the decision came from
-                   ///< a guard fallback (GuardedPolicy FIFO path)
+                   ///< a fallback: GuardedPolicy answering with FIFO, or
+                   ///< the engine's deadlock guard (value unused)
   kScheduled,      ///< a pipeline of this query launched (a=decision id,
                    ///< b=root op, value=pipeline degree)
   kRedirected,     ///< fairness post-processing redirected this query's
@@ -86,14 +89,35 @@ struct QueryTraceRecord {
 };
 
 /// Per-query edge cap: beyond this, edges are counted in `dropped_edges`
-/// instead of stored (the terminal edge is always kept).
+/// instead of stored (the terminal edge is always kept). Dropped edges
+/// still drive the decomposition.
 inline constexpr int kMaxTraceEdgesPerQuery = 128;
 
-/// Replays a record's edge stream through the same integer-nanosecond
-/// four-bucket state machine the engines run online (EpisodeRecorder), so
-/// for any record with dropped_edges == 0 the result is bit-identical to
-/// `record.breakdown` regardless of which engine produced it. This is the
-/// canonical definition of the decomposition.
+/// The decomposition state of one query's life (DESIGN.md §8.2).
+struct LifecycleState {
+  int64_t arrival_ns = 0;
+  int64_t last_ns = 0;          ///< time of the last state-changing edge
+  int32_t inflight = 0;         ///< the query's attempts on threads
+  int32_t retries_pending = 0;  ///< failed attempts awaiting re-dispatch
+  bool launched = false;        ///< first pipeline launch seen
+  LatencyBreakdown breakdown;   ///< valid once the terminal edge applied
+};
+
+/// The one transition function of the four-bucket decomposition, over
+/// integer nanoseconds: kArrival starts the clock; every other
+/// state-changing edge first charges the time since the previous one to
+/// the current bucket (service while an attempt runs, else stall while a
+/// retry is pending, else queue once launched, else admission), then
+/// applies its change; kTerminal stamps the exact total. The deltas
+/// telescope from arrival to terminal, so the buckets sum exactly to the
+/// total. Causal-context edges (verdicts, passed-over decisions, fairness
+/// actions) change nothing.
+void ApplyEdge(LifecycleState* state, const TraceEdge& edge);
+
+/// Folds ApplyEdge over a record's edges, which open with its kArrival
+/// edge. EpisodeRecorder computed `record.breakdown` with the same calls
+/// on every edge, stored or not, so for a record with dropped_edges == 0
+/// the result is bit-identical to it, whichever engine produced it.
 LatencyBreakdown DeriveBreakdown(const QueryTraceRecord& record);
 
 /// Renders a record as a human-readable timeline plus a per-segment
@@ -116,9 +140,9 @@ class QueryTraceLog {
  public:
   explicit QueryTraceLog(size_t capacity = 4096);
 
-  /// Capture master switch (default on). When off, EpisodeRecorder skips
-  /// edge assembly entirely; flipping it takes effect at the next
-  /// EpisodeRecorder::Begin().
+  /// Capture master switch (default on). When off, EpisodeRecorder stores
+  /// no edges (the decomposition still runs on every one); flipping it
+  /// takes effect at the next EpisodeRecorder::Begin().
   void SetCapture(bool on);
   bool capture_enabled() const;
 
@@ -139,11 +163,8 @@ class QueryTraceLog {
 
  private:
   mutable std::mutex mu_;
-  size_t capacity_;
-  size_t next_ = 0;        ///< ring insert position
-  bool wrapped_ = false;
   bool capture_ = true;
-  std::vector<QueryTraceRecord> ring_;
+  Ring<QueryTraceRecord> ring_;
 };
 
 }  // namespace obs

@@ -1,12 +1,13 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace lsched {
 namespace obs {
@@ -16,19 +17,15 @@ namespace {
 /// Fixed-capacity ring of trace events. Owned by the global pool, leased
 /// to one thread at a time; the (rarely contended) mutex only collides
 /// with an in-progress export or clear.
-struct Ring {
-  explicit Ring(size_t capacity) : events(capacity) {}
+struct ThreadRing {
+  explicit ThreadRing(size_t capacity) : events(capacity) {}
 
   std::mutex mu;
-  std::vector<TraceEvent> events;
-  uint64_t head = 0;  ///< total events ever written into this ring
-  size_t next = 0;    ///< head % events.size(), kept to avoid the division
+  Ring<TraceEvent> events;
 
   void Record(const TraceEvent& e) {
     std::lock_guard<std::mutex> lock(mu);
-    events[next] = e;
-    if (++next == events.size()) next = 0;
-    ++head;
+    events.Push(e);
   }
 };
 
@@ -101,27 +98,27 @@ void EmitEvent(std::ostream& out, const TraceEvent& e, bool first) {
 
 struct Tracer::Impl {
   std::mutex pool_mu;
-  std::vector<std::unique_ptr<Ring>> rings;  ///< all rings ever created
-  std::vector<Ring*> free_rings;             ///< released by exited threads
+  std::vector<std::unique_ptr<ThreadRing>> rings;  ///< every ring created
+  std::vector<ThreadRing*> free_rings;  ///< released by exited threads
   std::atomic<size_t> capacity{kDefaultCapacity};
 
-  Ring* Lease() {
+  ThreadRing* Lease() {
     const size_t cap = capacity.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(pool_mu);
     // Reuse a released ring only if its capacity still matches (capacity
     // changes mid-process only in tests).
     for (size_t i = 0; i < free_rings.size(); ++i) {
-      if (free_rings[i]->events.size() == cap) {
-        Ring* r = free_rings[i];
+      if (free_rings[i]->events.capacity() == cap) {
+        ThreadRing* r = free_rings[i];
         free_rings.erase(free_rings.begin() + static_cast<long>(i));
         return r;
       }
     }
-    rings.push_back(std::make_unique<Ring>(cap));
+    rings.push_back(std::make_unique<ThreadRing>(cap));
     return rings.back().get();
   }
 
-  void Release(Ring* ring) {
+  void Release(ThreadRing* ring) {
     std::lock_guard<std::mutex> lock(pool_mu);
     free_rings.push_back(ring);
   }
@@ -134,7 +131,7 @@ namespace {
 /// per run reuse buffers instead of growing without bound.
 struct RingLease {
   Tracer::Impl* pool = nullptr;
-  Ring* ring = nullptr;
+  ThreadRing* ring = nullptr;
   ~RingLease() {
     if (pool != nullptr && ring != nullptr) pool->Release(ring);
   }
@@ -182,12 +179,10 @@ void Tracer::ExportChromeTrace(std::ostream& out) const {
   std::lock_guard<std::mutex> pool_lock(impl_->pool_mu);
   for (const auto& ring : impl_->rings) {
     std::lock_guard<std::mutex> lock(ring->mu);
-    const size_t cap = ring->events.size();
-    const uint64_t start = ring->head > cap ? ring->head - cap : 0;
-    for (uint64_t i = start; i < ring->head; ++i) {
-      EmitEvent(out, ring->events[i % cap], first);
+    ring->events.ForEach([&](const TraceEvent& e) {
+      EmitEvent(out, e, first);
       first = false;
-    }
+    });
   }
   out << "\n]}\n";
 }
@@ -203,8 +198,7 @@ void Tracer::Clear() {
   std::lock_guard<std::mutex> pool_lock(impl_->pool_mu);
   for (const auto& ring : impl_->rings) {
     std::lock_guard<std::mutex> lock(ring->mu);
-    ring->head = 0;
-    ring->next = 0;
+    ring->events.Clear();
   }
 }
 
@@ -213,8 +207,7 @@ uint64_t Tracer::dropped_events() const {
   std::lock_guard<std::mutex> pool_lock(impl_->pool_mu);
   for (const auto& ring : impl_->rings) {
     std::lock_guard<std::mutex> lock(ring->mu);
-    const size_t cap = ring->events.size();
-    if (ring->head > cap) dropped += ring->head - cap;
+    dropped += ring->events.pushed() - ring->events.size();
   }
   return dropped;
 }
@@ -224,7 +217,7 @@ uint64_t Tracer::buffered_events() const {
   std::lock_guard<std::mutex> pool_lock(impl_->pool_mu);
   for (const auto& ring : impl_->rings) {
     std::lock_guard<std::mutex> lock(ring->mu);
-    buffered += std::min<uint64_t>(ring->head, ring->events.size());
+    buffered += ring->events.size();
   }
   return buffered;
 }

@@ -3,7 +3,6 @@
 #include <exception>
 #include <utility>
 
-#include "obs/decision_log.h"
 #include "testing/faultpoint.h"
 #include "util/clock.h"
 #include "util/logging.h"
@@ -63,19 +62,10 @@ SchedulingDecision GuardedPolicy::Fallback(const char* reason,
     LSCHED_LOG(Warning) << "GuardedPolicy: " << inner_->name()
                         << " failed (" << reason << "); degrading to FIFO";
   }
-  if (obs::Enabled()) {
-    fallback_total_->Add(1);
-    obs::DecisionRecord rec;
-    rec.time = ctx.now();
-    rec.event = "guard_fallback";
-    rec.policy = inner_->name();
-    rec.candidates = reason;  // why the guard fired, e.g. "exception"
-    rec.running_queries = static_cast<int>(ctx.queries().size());
-    rec.free_threads = ctx.num_free_threads();
-    rec.fallback = true;
-    obs::DecisionLog::Global().Add(std::move(rec));
-  }
-  return fifo_.Schedule(event, ctx);
+  if (obs::Enabled()) fallback_total_->Add(1);
+  SchedulingDecision decision = fifo_.Schedule(event, ctx);
+  decision.fallback_reason = reason;
+  return decision;
 }
 
 SchedulingDecision GuardedPolicy::Schedule(const SchedulingEvent& event,

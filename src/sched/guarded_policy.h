@@ -26,9 +26,10 @@ namespace lsched {
 ///    pipeline/parallelism choice must reference a LIVE query and (for
 ///    pipelines) an in-range, currently-schedulable root operator.
 ///
-/// On any failure the event is answered by FIFO instead, the fallback is
-/// recorded in the decision log (event "guard_fallback") and counted in
-/// `sched.fallback_total`. After `sticky_after` consecutive failures the
+/// On any failure the event is answered by FIFO instead: the returned
+/// decision carries the reason in `fallback_reason`, so the recorder logs
+/// the invocation's one decision row as a fallback, and the fallback is
+/// counted in `sched.fallback_total`. After `sticky_after` consecutive failures the
 /// guard goes *sticky* — FIFO answers directly and the inner policy is only
 /// probed every `probe_interval` events; one successful, valid probe
 /// un-sticks it (probe-based recovery).

@@ -337,7 +337,9 @@ TEST(GuardedPolicyTest, InvalidDecisionIsCaughtAndReplaced) {
 }
 
 /// When the guard replaces a rejected decision with FIFO's, the decision
-/// log must not credit FIFO's choice with the rejected policy's score.
+/// log must not credit FIFO's choice with the rejected policy's score. Each
+/// guarded invocation is one row, marked as a fallback with its reason;
+/// the only other rows are the engine's own deadlock-guard fallbacks.
 TEST(GuardedPolicyTest, FallbackDecisionCarriesNoInnerScore) {
   obs::SetEnabled(true);
   obs::DecisionLog::Global().Clear();
@@ -349,14 +351,22 @@ TEST(GuardedPolicyTest, FallbackDecisionCarriesNoInnerScore) {
   SimEngine engine(config);
   const EpisodeResult r = engine.Run(SmallWorkload(2), &guarded);
 
-  int invocations = 0;
-  for (const obs::DecisionRecord& rec : obs::DecisionLog::Global().Snapshot()) {
-    if (rec.fallback) continue;  // the guard's and the engine's own rows
-    ++invocations;
+  const std::vector<obs::DecisionRecord> rows =
+      obs::DecisionLog::Global().Snapshot();
+  EXPECT_EQ(static_cast<int64_t>(rows.size()),
+            r.num_scheduler_invocations + r.num_fallback_decisions);
+  int guard_rows = 0;
+  for (const obs::DecisionRecord& rec : rows) {
+    if (rec.event == "fallback") continue;  // the engine's deadlock guard
+    ++guard_rows;
+    EXPECT_TRUE(rec.fallback) << "decision " << rec.id;
+    EXPECT_TRUE(rec.fallback_reason == "invalid_decision" ||
+                rec.fallback_reason == "sticky")
+        << "decision " << rec.id << " reason " << rec.fallback_reason;
     EXPECT_TRUE(std::isnan(rec.predicted_score))
         << "decision " << rec.id << " logged " << rec.predicted_score;
   }
-  EXPECT_EQ(invocations, r.num_scheduler_invocations);
+  EXPECT_EQ(guard_rows, r.num_scheduler_invocations);
   EXPECT_GT(guarded.fallback_count(), 0);
   obs::DecisionLog::Global().Clear();
 }

@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/query_trace.h"
+#include "obs/ring.h"
 #include "obs/trace.h"
 #include "sched/heuristics.h"
 #include "testing/fuzzer.h"
@@ -410,6 +411,7 @@ TEST(DecisionLogTest, CsvRoundTrip) {
   fallback.event = "fallback";
   fallback.policy = "LSched";
   fallback.fallback = true;
+  fallback.fallback_reason = "invalid_decision, sticky";  // quoted field
   log.Add(fallback);
 
   std::ostringstream out;
@@ -441,11 +443,44 @@ TEST(DecisionLogTest, CsvRoundTrip) {
   EXPECT_DOUBLE_EQ(p.realized_seconds, 1.0);
   EXPECT_EQ(p.tenant, 3);
   EXPECT_FALSE(p.fallback);
+  EXPECT_EQ(p.fallback_reason, "");
   EXPECT_TRUE(parsed[1].fallback);
+  EXPECT_EQ(parsed[1].fallback_reason, "invalid_decision, sticky");
   EXPECT_EQ(parsed[1].tenant, -1);
   EXPECT_TRUE(std::isnan(parsed[1].predicted_score));
   log.Clear();
   EXPECT_EQ(log.size(), 0u);
+}
+
+TEST(RingTest, WrapsScansNewestFirstAndClearKeepsTheSequence) {
+  obs::Ring<int> ring(3);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(ring.Push(10 + i), uint64_t(i));
+  EXPECT_EQ(ring.pushed(), 5u);
+  ASSERT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.pushed() - ring.size(), 2u);  // evicted: 10 and 11
+  EXPECT_EQ(ring.begin_seq(), 2u);
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{12, 13, 14}));
+  EXPECT_EQ(ring.Find(1), nullptr);
+  ASSERT_NE(ring.Find(3), nullptr);
+  EXPECT_EQ(*ring.Find(3), 13);
+
+  // Newest first: the first match from the end wins.
+  const int* even = ring.FindNewest([](int v) { return v % 2 == 0; });
+  ASSERT_NE(even, nullptr);
+  EXPECT_EQ(*even, 14);
+  EXPECT_EQ(ring.FindNewest([](int v) { return v < 12; }), nullptr);
+
+  // Clear drops the values but the sequence keeps counting.
+  ring.Clear();
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.pushed(), 0u);
+  EXPECT_EQ(ring.Find(4), nullptr);
+  EXPECT_EQ(ring.Push(20), 5u);
+  EXPECT_EQ(ring.Push(21), 6u);
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{20, 21}));
+  for (int i = 22; i < 26; ++i) ring.Push(i);
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{23, 24, 25}));
+  EXPECT_EQ(ring.pushed() - ring.size(), 3u);
 }
 
 TEST(DecisionLogTest, RingKeepsNewestAndIgnoresEvictedBackfills) {

@@ -2,7 +2,8 @@
 // exact-sum latency-decomposition invariant over seeded multi-tenant
 // serving runs, bitwise Sim replay determinism, the Sim/Real differential
 // (identical structural decompositions and the shared DeriveBreakdown
-// round-trip both engines must satisfy), trace CSV round-trip, the
+// round-trip both engines must satisfy), exact breakdowns past the
+// per-query edge cap, guard-fallback edges, trace CSV round-trip, the
 // `lsched_cli explain` renderer golden, and the TenantTable SLO/burn-rate
 // and refused-latency ledgers the traces feed.
 
@@ -12,14 +13,17 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exec/real_engine.h"
 #include "exec/sim_engine.h"
+#include "obs/decision_log.h"
 #include "obs/obs.h"
 #include "obs/query_trace.h"
 #include "plan/plan_builder.h"
+#include "sched/guarded_policy.h"
 #include "sched/heuristics.h"
 #include "serve/scripted_ingress.h"
 #include "serve/serving_daemon.h"
@@ -271,6 +275,175 @@ TEST(DeriveBreakdownTest, RoundTripsBitIdenticalOnBothEngines) {
   }
   EXPECT_GT(checked, 30) << "cap must not have swallowed every record";
   obs::QueryTraceLog::Global().Clear();
+}
+
+// ---------------------------------------------------------------------------
+// Past the per-query edge cap
+// ---------------------------------------------------------------------------
+
+/// Checks every published record of one run: each breakdown telescopes
+/// exactly and spans the query's lifetime, and the per-query dispatch
+/// counts add up to the episode's, which holds only if the decomposition
+/// saw the edges the cap kept out of the trace. Returns how many records
+/// went past the cap.
+int CheckCappedRecords(const std::vector<obs::QueryTraceRecord>& records,
+                       const EpisodeResult& r) {
+  int capped = 0;
+  int64_t dispatches = 0;
+  for (const obs::QueryTraceRecord& rec : records) {
+    const LatencyBreakdown& b = rec.breakdown;
+    EXPECT_EQ(b.SumNs(), b.total_ns) << rec.engine << " query " << rec.query;
+    EXPECT_EQ(b.total_ns,
+              LatencyNs(rec.terminal_time) - LatencyNs(rec.arrival_time))
+        << rec.engine << " query " << rec.query;
+    dispatches += b.dispatches;
+    if (rec.dropped_edges == 0) continue;
+    ++capped;
+    EXPECT_EQ(rec.edges.size(),
+              static_cast<size_t>(obs::kMaxTraceEdgesPerQuery) + 1);
+    EXPECT_EQ(rec.edges.back().kind, obs::TraceEdgeKind::kTerminal);
+    const auto stored = std::count_if(
+        rec.edges.begin(), rec.edges.end(), [](const obs::TraceEdge& e) {
+          return e.kind == obs::TraceEdgeKind::kDispatch;
+        });
+    EXPECT_GT(b.dispatches, stored) << rec.engine << " query " << rec.query;
+  }
+  EXPECT_EQ(dispatches, r.num_work_orders_dispatched);
+  return capped;
+}
+
+TEST(QueryTraceCapTest, CappedQueriesKeepAnExactBreakdown) {
+  obs::SetEnabled(true);
+  obs::QueryTraceLog::Global().SetCapture(true);
+
+  // Sim: one query over 8M input rows beside a small one.
+  obs::QueryTraceLog::Global().Clear();
+  std::vector<QuerySubmission> workload(2);
+  workload[0].plan = TinyPlan(400 * 20000);
+  workload[1].plan = TinyPlan();
+  workload[1].arrival_time = 0.001;
+  SimEngineConfig scfg;
+  scfg.num_threads = 4;
+  SimEngine sim(scfg);
+  FifoScheduler sim_fifo;
+  const EpisodeResult sim_r = sim.Run(workload, &sim_fifo);
+  const auto sim_records = obs::QueryTraceLog::Global().Snapshot();
+  ASSERT_EQ(sim_records.size(), workload.size());
+  EXPECT_GT(CheckCappedRecords(sim_records, sim_r), 0);
+
+  // Real: fuzzed queries over tables of 12k-16k rows, cut into 128-row
+  // chunks.
+  obs::QueryTraceLog::Global().Clear();
+  FuzzerOptions opts;
+  opts.min_rows = 12000;
+  opts.max_rows = 16000;
+  opts.min_queries = 3;
+  opts.max_queries = 3;
+  WorkloadFuzzer fuzzer(7, opts);
+  FuzzedWorkload w = fuzzer.NextWorkload();
+  RealEngineConfig rcfg;
+  rcfg.num_threads = 4;
+  rcfg.chunk_rows = 128;
+  RealEngine real(w.catalog.get(), rcfg);
+  FifoScheduler real_fifo;
+  const RealRunResult real_r = real.Run(w.real_queries, &real_fifo);
+  const auto real_records = obs::QueryTraceLog::Global().Snapshot();
+  ASSERT_EQ(real_records.size(), w.real_queries.size());
+  EXPECT_GT(CheckCappedRecords(real_records, real_r.episode), 0);
+  obs::QueryTraceLog::Global().Clear();
+}
+
+// ---------------------------------------------------------------------------
+// Guard fallbacks in the trace
+// ---------------------------------------------------------------------------
+
+/// Throws on every other invocation, so GuardedPolicy answers half the
+/// events with FIFO.
+class AlternatingThrower : public Scheduler {
+ public:
+  std::string name() const override { return "AlternatingThrower"; }
+  SchedulingDecision Schedule(const SchedulingEvent& event,
+                              const SchedulingContext& ctx) override {
+    if (calls_++ % 2 == 0) throw std::runtime_error("odd call");
+    return fifo_.Schedule(event, ctx);
+  }
+
+ private:
+  int64_t calls_ = 0;
+  FifoScheduler fifo_;
+};
+
+/// A guarded decision that fell back is one fallback row in the decision
+/// log, and the queries it passed over carry kFallback edges naming it.
+TEST(QueryTraceGuardTest, GuardFallbacksBecomeFallbackEdges) {
+  obs::SetEnabled(true);
+  obs::QueryTraceLog::Global().SetCapture(true);
+  obs::QueryTraceLog::Global().Clear();
+  obs::DecisionLog::Global().Clear();
+
+  std::vector<QuerySubmission> workload;
+  for (int i = 0; i < 12; ++i) {
+    QuerySubmission sub;
+    sub.plan = TinyPlan(20000 + 1000 * (i % 5));
+    sub.arrival_time = 1e-4 * i;
+    workload.push_back(std::move(sub));
+  }
+  AlternatingThrower inner;
+  GuardedPolicy::Config gc;
+  gc.sticky_after = 1000;  // never sticky: inner and FIFO alternate
+  GuardedPolicy guarded(&inner, gc);
+  SimEngineConfig cfg;
+  cfg.num_threads = 2;
+  SimEngine engine(cfg);
+  const EpisodeResult r = engine.Run(workload, &guarded);
+  ASSERT_EQ(r.query_latencies.size(), workload.size());
+  EXPECT_GT(guarded.fallback_count(), 0);
+
+  std::map<int64_t, obs::DecisionRecord> rows;
+  for (const obs::DecisionRecord& rec :
+       obs::DecisionLog::Global().Snapshot()) {
+    rows[rec.id] = rec;
+  }
+  EXPECT_EQ(static_cast<int64_t>(rows.size()),
+            r.num_scheduler_invocations + r.num_fallback_decisions);
+
+  int fallback_edges = 0;
+  int skipped_edges = 0;
+  int checked = 0;
+  for (const obs::QueryTraceRecord& rec :
+       obs::QueryTraceLog::Global().Snapshot()) {
+    for (const obs::TraceEdge& e : rec.edges) {
+      if (e.kind != obs::TraceEdgeKind::kFallback &&
+          e.kind != obs::TraceEdgeKind::kConsideredSkipped) {
+        continue;
+      }
+      const bool fallback = e.kind == obs::TraceEdgeKind::kFallback;
+      ++(fallback ? fallback_edges : skipped_edges);
+      ASSERT_EQ(rows.count(e.a), 1u) << "edge names decision " << e.a;
+      const obs::DecisionRecord& row = rows[e.a];
+      EXPECT_EQ(row.fallback, fallback) << "decision " << e.a;
+      EXPECT_NE(e.b, rec.query);
+      if (fallback && row.event != "fallback") {
+        EXPECT_EQ(row.fallback_reason, "exception");
+        EXPECT_EQ(row.chosen_query, e.b);
+      }
+    }
+    if (rec.dropped_edges > 0) continue;
+    const LatencyBreakdown derived = obs::DeriveBreakdown(rec);
+    EXPECT_EQ(derived.admission_ns, rec.breakdown.admission_ns);
+    EXPECT_EQ(derived.queue_ns, rec.breakdown.queue_ns);
+    EXPECT_EQ(derived.service_ns, rec.breakdown.service_ns);
+    EXPECT_EQ(derived.stall_ns, rec.breakdown.stall_ns);
+    EXPECT_EQ(derived.total_ns, rec.breakdown.total_ns);
+    EXPECT_EQ(derived.dispatches, rec.breakdown.dispatches);
+    EXPECT_EQ(derived.retries, rec.breakdown.retries);
+    ++checked;
+  }
+  EXPECT_GT(fallback_edges, 0);
+  EXPECT_GT(skipped_edges, 0);
+  EXPECT_GT(checked, 0);
+  obs::QueryTraceLog::Global().Clear();
+  obs::DecisionLog::Global().Clear();
 }
 
 // ---------------------------------------------------------------------------
